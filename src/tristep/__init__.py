@@ -23,13 +23,13 @@ from .numerics import (
     build_grid,
     convergence_rate,
     discrete_l2_time_norm,
+    era_indices,
     sup_norm,
 )
 from .scheme import (
     NumericalBlowupError,
     RhsField,
     SignConvention,
-    StageConstants,
     advance_one_step,
     composed_step,
     heun_substep,
@@ -62,7 +62,6 @@ __all__ = [
     "RhsField",
     "RunConfig",
     "SignConvention",
-    "StageConstants",
     "StateVector",
     "TimeGrid",
     "Trajectory",
@@ -77,6 +76,7 @@ __all__ = [
     "cp_rhs",
     "discrete_l2_time_norm",
     "effective_contact_rates",
+    "era_indices",
     "era_summary",
     "example1",
     "example2",

@@ -21,17 +21,16 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .config import parse_config, preset_from_config
-from .cpmodel import PRESET_LABELS, cp_rhs, preset
+from .cpmodel import PRESET_LABELS, preset
 from .manufactured import PROBLEM_LABELS, problem
 from .numerics import Trajectory, build_grid
 from .scheme import (
     NumericalBlowupError,
     SignConvention,
-    integrate,
     zero_stability_root_moduli,
     zero_stability_roots,
 )
-from .studies import ConvergenceRow, EraSummaryRow, era_summary, run_convergence_study
+from .studies import ConvergenceRow, EraSummaryRow, run_convergence_study, run_scenario
 
 __all__ = [
     "EXIT_BLOWUP",
@@ -236,9 +235,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    grid = build_grid(scenario.t0, scenario.T, scenario.k)
     try:
-        trajectory = integrate(cp_rhs(scenario.params), scenario.y0, grid, sign)
+        trajectory, rows = run_scenario(scenario, sign)
     except NumericalBlowupError as err:
         print(
             f"error: numerical blow-up at step {err.step_index} (t={err.t:g}); "
@@ -247,11 +245,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         if args.out is not None and err.partial_states is not None:
             n_rows = err.partial_states.shape[0]
+            times = build_grid(scenario.t0, scenario.T, scenario.k).times()
             try:
                 with open(args.out, "w", encoding="utf-8", newline="") as stream:
-                    _write_trajectory_rows(
-                        stream, grid.times()[:n_rows], err.partial_states
-                    )
+                    _write_trajectory_rows(stream, times[:n_rows], err.partial_states)
             except OSError as exc:
                 print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
@@ -268,7 +265,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
-    rows = era_summary(trajectory, scenario.era_boundaries, scenario.params.N)
     if args.summary_out is not None:
         try:
             with open(args.summary_out, "w", encoding="utf-8", newline="") as stream:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_state
+from .numerics import as_state, build_grid, era_indices
 from .scheme import RhsField
 
 __all__ = [
@@ -173,7 +173,8 @@ class EraPreset:
     """A ready-to-run scenario: rates, initial state, horizon and eras.
 
     ``era_boundaries`` partitions [t0, T] for the summary tables; it must be
-    strictly increasing, start at t0 and end at T.  ``alpha_warning`` marks
+    strictly increasing, start at t0, end at T and leave no era without a
+    point of the grid ``build_grid(t0, T, k)``.  ``alpha_warning`` marks
     presets whose stored contact rates disagree with p*(1 - beta); the
     stored values drive the dynamics, the flag surfaces the discrepancy.
     """
@@ -199,6 +200,7 @@ class EraPreset:
             raise ValueError("era boundaries must start at t0 and end at T")
         if not self.k > 0.0:
             raise ValueError("preset step size k must be positive")
+        era_indices(build_grid(self.t0, self.T, self.k).times(), bounds)
         total = float(self.y0.sum())
         if abs(total - self.params.N) > 1e-3 * self.params.N:
             raise ValueError(

@@ -20,6 +20,7 @@ __all__ = [
     "build_grid",
     "convergence_rate",
     "discrete_l2_time_norm",
+    "era_indices",
     "sup_norm",
 ]
 
@@ -91,17 +92,18 @@ class Trajectory:
 
     grid: TimeGrid
     states: np.ndarray
-    negativity_flag: bool
 
     def __post_init__(self) -> None:
         if self.states.ndim != 2 or self.states.shape[0] != self.grid.M + 1:
             raise ValueError("trajectory must hold exactly M + 1 state samples")
-        if self.negativity_flag != bool((self.states < 0.0).any()):
-            raise ValueError("negativity_flag inconsistent with the stored states")
 
     @property
     def dim(self) -> int:
         return int(self.states.shape[1])
+
+    @property
+    def negativity_flag(self) -> bool:
+        return bool((self.states < 0.0).any())
 
 
 def sup_norm(y: Sequence[float] | np.ndarray) -> float:
@@ -160,3 +162,23 @@ def build_grid(t0: float, T: float, k_request: float) -> TimeGrid:
         raise ValueError("build_grid requires a positive step request")
     m = max(1, round((T - t0) / k_request))
     return TimeGrid(t0=float(t0), T=float(T), M=m, k=(T - t0) / m)
+
+
+def era_indices(times: np.ndarray, boundaries: Sequence[float]) -> np.ndarray:
+    """Era index of every time, for strictly increasing era ``boundaries``.
+
+    Eras are left-closed and right-open, except the final era which also
+    includes its right endpoint.  A time before the first boundary gets -1.
+
+    Raises:
+      ValueError: If some era holds none of the times.
+    """
+    bounds = tuple(float(b) for b in boundaries)
+    n_eras = len(bounds) - 1
+    index = np.minimum(np.searchsorted(bounds, times, side="right") - 1, n_eras - 1)
+    # slot 0 counts the times before the first boundary
+    held = np.bincount(index + 1, minlength=n_eras + 1)[1:]
+    if not held.all():
+        j = int(np.argmin(held))
+        raise ValueError(f"era [{bounds[j]!r}, {bounds[j + 1]!r}) holds no grid point")
+    return index

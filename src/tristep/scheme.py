@@ -26,7 +26,6 @@ __all__ = [
     "NumericalBlowupError",
     "RhsField",
     "SignConvention",
-    "StageConstants",
     "advance_one_step",
     "composed_step",
     "heun_substep",
@@ -48,35 +47,6 @@ class SignConvention(enum.Enum):
 
 
 @dataclass(frozen=True)
-class StageConstants:
-    """Weights of the two-stage substep.
-
-    A substep of length h updates by h * [c1*f(t, y) + c2*f(t + 3*q1*h,
-    y + 3*q2*h*f(t, y))].  The defaults are the symmetric solution of the
-    second-order conditions c1 + c2 = 1, 6*c2*q1 = 1 and 6*c2*q2 = 1.
-    """
-
-    c1: float = 0.5
-    c2: float = 0.5
-    q1: float = 1.0 / 3.0
-    q2: float = 1.0 / 3.0
-
-    def __post_init__(self) -> None:
-        residuals = {
-            "c1 + c2 - 1": self.c1 + self.c2 - 1.0,
-            "6*c2*q1 - 1": 6.0 * self.c2 * self.q1 - 1.0,
-            "6*c2*q2 - 1": 6.0 * self.c2 * self.q2 - 1.0,
-        }
-        for name, value in residuals.items():
-            if abs(value) > 1e-12:
-                raise ValueError(f"order condition violated: {name} = {value:.3g}")
-
-
-#: The stage weights the substep formula hard-codes.
-DEFAULT_STAGE_CONSTANTS = StageConstants()
-
-
-@dataclass(frozen=True)
 class RhsField:
     """Right-hand side f(t, y) of a first-order system y' = f(t, y).
 
@@ -86,9 +56,6 @@ class RhsField:
 
     dim: int
     evaluate: Callable[[float, np.ndarray], np.ndarray]
-
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        return self.evaluate(t, y)
 
 
 class NumericalBlowupError(ArithmeticError):
@@ -124,6 +91,31 @@ def _check_dim(f: RhsField, y: np.ndarray) -> None:
         )
 
 
+def _check_finite(out: np.ndarray, t: float, y: np.ndarray) -> None:
+    """Raise on a non-finite result of the substep that started at (t, y)."""
+    if not np.isfinite(out).all():
+        raise NumericalBlowupError(
+            f"non-finite state in substep starting at t={t!r}", t=t, last_state=y
+        )
+
+
+def _substep(f: RhsField, t: float, y: np.ndarray, h: float, w: float) -> np.ndarray:
+    """Substep update y + w*(f1 + f2) with w = s*(h/2); arguments already valid."""
+    f1 = f.evaluate(t, y)
+    f2 = f.evaluate(t + h, y + h * f1)
+    out = y + w * (f1 + f2)
+    _check_finite(out, t, y)
+    return out
+
+
+def _step(f: RhsField, t_n: float, y: np.ndarray, h: float, w: float) -> np.ndarray:
+    """Macro step as three chained substeps of length h = k/3."""
+    y13 = _substep(f, t_n, y, h, w)
+    t13 = t_n + h
+    y23 = _substep(f, t13, y13, h, w)
+    return _substep(f, t13 + h, y23, h, w)
+
+
 def heun_substep(
     f: RhsField,
     t: float,
@@ -136,6 +128,11 @@ def heun_substep(
     Computes ``y + s*(h/2) * [f(t, y) + f(t + h, y + h*f(t, y))]`` with
     s = +1 (default) or -1, using exactly two field evaluations.
 
+    The general two-stage substep updates by h * [c1*f(t, y) + c2*f(t + 3*q1*h,
+    y + 3*q2*h*f(t, y))]; the hard-coded weights c1 = c2 = 1/2 and
+    q1 = q2 = 1/3 are the symmetric solution of the second-order conditions
+    c1 + c2 = 1, 6*c2*q1 = 1 and 6*c2*q2 = 1.
+
     Raises:
       ValueError: If ``h`` is not positive or dimensions disagree.
       NumericalBlowupError: If the updated state is not finite.
@@ -143,14 +140,7 @@ def heun_substep(
     if not h > 0.0:
         raise ValueError("substep length h must be positive")
     _check_dim(f, y)
-    f1 = f.evaluate(t, y)
-    f2 = f.evaluate(t + h, y + h * f1)
-    out = y + (sign.factor * (h / 2.0)) * (f1 + f2)
-    if not np.isfinite(out).all():
-        raise NumericalBlowupError(
-            f"non-finite state in substep starting at t={t!r}", t=t, last_state=y
-        )
-    return out
+    return _substep(f, t, y, h, sign.factor * (h / 2.0))
 
 
 def advance_one_step(
@@ -167,12 +157,9 @@ def advance_one_step(
     """
     if not k > 0.0:
         raise ValueError("step size k must be positive")
+    _check_dim(f, y)
     h = k / 3.0
-    y13 = heun_substep(f, t_n, y, h, sign)
-    t13 = t_n + h
-    y23 = heun_substep(f, t13, y13, h, sign)
-    t23 = t13 + h
-    return heun_substep(f, t23, y23, h, sign)
+    return _step(f, t_n, y, h, sign.factor * (h / 2.0))
 
 
 def composed_step(
@@ -196,26 +183,17 @@ def composed_step(
     g1 = f.evaluate(t_n, y)
     g2 = f.evaluate(t_n + h, y + h * g1)
     y13 = y + w * (g1 + g2)
-    if not np.isfinite(y13).all():
-        raise NumericalBlowupError(
-            f"non-finite state in substep starting at t={t_n!r}", t=t_n, last_state=y
-        )
+    _check_finite(y13, t_n, y)
     t13 = t_n + h
     g3 = f.evaluate(t13, y13)
     g4 = f.evaluate(t13 + h, y13 + h * g3)
     y23 = y13 + w * (g3 + g4)
-    if not np.isfinite(y23).all():
-        raise NumericalBlowupError(
-            f"non-finite state in substep starting at t={t13!r}", t=t13, last_state=y13
-        )
+    _check_finite(y23, t13, y13)
     t23 = t13 + h
     g5 = f.evaluate(t23, y23)
     g6 = f.evaluate(t23 + h, y23 + h * g5)
     out = y + w * (g1 + g2) + w * (g3 + g4) + w * (g5 + g6)
-    if not np.isfinite(out).all():
-        raise NumericalBlowupError(
-            f"non-finite state in substep starting at t={t23!r}", t=t23, last_state=y23
-        )
+    _check_finite(out, t23, y23)
     return out
 
 
@@ -227,20 +205,22 @@ def integrate(
 ) -> Trajectory:
     """March the scheme across the grid from the exact initial state.
 
-    Returns a :class:`Trajectory` holding all M + 1 samples, with the
-    negativity flag set when any stored entry is negative.
+    Returns a :class:`Trajectory` holding all M + 1 samples.
 
     Raises:
+      ValueError: If ``y0`` is not a finite state of the field's dimension.
       NumericalBlowupError: Carrying the failing step index, the last finite
         state and the partial run, as soon as any intermediate is non-finite.
     """
     y = as_state(y0, dim=f.dim)
+    h = grid.k / 3.0
+    w = sign.factor * (h / 2.0)
     states = np.empty((grid.M + 1, f.dim), dtype=np.float64)
     states[0] = y
     for n in range(grid.M):
         t_n = grid.time(n)
         try:
-            y = advance_one_step(f, t_n, y, grid.k, sign)
+            y = _step(f, t_n, y, h, w)
         except NumericalBlowupError as err:
             raise NumericalBlowupError(
                 f"integration diverged during step {n} (from t={t_n!r})",
@@ -250,9 +230,7 @@ def integrate(
                 partial_states=states[: n + 1].copy(),
             ) from err
         states[n + 1] = y
-    return Trajectory(
-        grid=grid, states=states, negativity_flag=bool((states < 0.0).any())
-    )
+    return Trajectory(grid=grid, states=states)
 
 
 # First characteristic polynomial of the three-substep recurrence, in the

@@ -18,6 +18,7 @@ from .numerics import (
     build_grid,
     convergence_rate,
     discrete_l2_time_norm,
+    era_indices,
     sup_norm,
 )
 from .scheme import SignConvention, integrate
@@ -133,7 +134,8 @@ def era_summary(
 
     Raises:
       ValueError: If the boundaries do not span the trajectory's time range,
-        are not strictly increasing, or N is not positive.
+        are not strictly increasing, leave an era without a grid point, or
+        N is not positive.
     """
     bounds = tuple(float(b) for b in boundaries)
     if len(bounds) < 2 or any(b >= c for b, c in zip(bounds, bounds[1:])):
@@ -146,14 +148,10 @@ def era_summary(
         raise ValueError("era boundaries must span exactly the trajectory's time range")
 
     n_eras = len(bounds) - 1
-    times = grid.times()
-    era_index = np.minimum(np.searchsorted(bounds, times, side="right") - 1, n_eras - 1)
+    era_index = era_indices(grid.times(), bounds)
     era_means = np.empty((n_eras, trajectory.dim))
     for j in range(n_eras):
-        mask = era_index == j
-        if not mask.any():
-            raise ValueError(f"era [{bounds[j]:g}, {bounds[j + 1]:g}) holds no grid point")
-        era_means[j] = trajectory.states[mask].mean(axis=0)
+        era_means[j] = trajectory.states[era_index == j].mean(axis=0)
     overall = trajectory.states.mean(axis=0)
 
     return [

@@ -196,6 +196,24 @@ def test_simulate_missing_config_file_is_io_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_simulate_rejects_an_era_without_grid_points_before_the_run(
+    tmp_path, capsys, monkeypatch
+):
+    config = tmp_path / "thin-era.cfg"
+    config.write_text(
+        FROZEN_CONFIG.replace("eras = 0, 0.5, 1", "eras = 0, 0.5000001, 0.5000002, 1"),
+        encoding="utf-8",
+    )
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a scenario whose eras do not fit its grid")
+
+    monkeypatch.setattr("tristep.studies.integrate", no_integration)
+    assert main(["simulate", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "era [0.5000001, 0.5000002) holds no grid point" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_blowup_exits_4_and_writes_partial_trajectory(tmp_path, capsys):
     config = tmp_path / "stiff.cfg"

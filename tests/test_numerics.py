@@ -203,6 +203,6 @@ def test_time_grid_rejects_inconsistent_step():
 def test_trajectory_requires_full_sample_count():
     grid = build_grid(0.0, 1.0, 0.25)
     with pytest.raises(ValueError):
-        Trajectory(grid=grid, states=np.zeros((3, 2)), negativity_flag=False)
-    traj = Trajectory(grid=grid, states=np.zeros((5, 2)), negativity_flag=False)
+        Trajectory(grid=grid, states=np.zeros((3, 2)))
+    traj = Trajectory(grid=grid, states=np.zeros((5, 2)))
     assert traj.dim == 2

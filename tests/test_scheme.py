@@ -11,7 +11,6 @@ from tristep import (
     NumericalBlowupError,
     RhsField,
     SignConvention,
-    StageConstants,
     advance_one_step,
     build_grid,
     composed_step,
@@ -63,23 +62,6 @@ def rk4_states(f, y0, steps):
         y = y + (k / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
         out.append(y)
     return np.array(out)
-
-
-# ------------------------------------------------------------ stage constants
-
-
-def test_stage_constants_defaults_satisfy_order_conditions():
-    sc = StageConstants()
-    assert sc.c1 + sc.c2 == pytest.approx(1.0, abs=1e-15)
-    assert 6.0 * sc.c2 * sc.q1 == pytest.approx(1.0, abs=1e-15)
-    assert 6.0 * sc.c2 * sc.q2 == pytest.approx(1.0, abs=1e-15)
-
-
-def test_stage_constants_reject_broken_weights():
-    with pytest.raises(ValueError):
-        StageConstants(c1=0.6)
-    with pytest.raises(ValueError):
-        StageConstants(q1=0.25)
 
 
 # ----------------------------------------------------------------- substeps

@@ -44,7 +44,7 @@ REFERENCE_ERA_TABLE_1960 = {
 
 def constant_trajectory(grid, values):
     states = np.tile(np.asarray(values, dtype=float), (grid.M + 1, 1))
-    return Trajectory(grid=grid, states=states, negativity_flag=bool((states < 0).any()))
+    return Trajectory(grid=grid, states=states)
 
 
 def balanced_preset():
@@ -171,7 +171,7 @@ def test_corrupted_total_matches_scan_oracle():
     rng = np.random.default_rng(12)
     grid = build_grid(0.0, 1.0, 0.25)
     states = rng.uniform(0.0, 1e6, size=(grid.M + 1, 5))
-    traj = Trajectory(grid=grid, states=states, negativity_flag=False)
+    traj = Trajectory(grid=grid, states=states)
     totals = compute_corrupted_total(traj)
     for n in range(grid.M + 1):
         assert totals[n] == states[n][1] + states[n][3]
@@ -179,7 +179,7 @@ def test_corrupted_total_matches_scan_oracle():
 
 def test_corrupted_total_rejects_wrong_dimension():
     grid = build_grid(0.0, 1.0, 0.5)
-    traj = Trajectory(grid=grid, states=np.zeros((3, 3)), negativity_flag=False)
+    traj = Trajectory(grid=grid, states=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         compute_corrupted_total(traj)
 
@@ -209,7 +209,7 @@ def test_era_summary_of_constant_trajectory():
 def test_era_summary_matches_sample_mean_oracle_on_a_ramp():
     grid = build_grid(0.0, 2.0, 0.25)
     states = np.outer(grid.times(), np.array([1.0, 2.0]))
-    traj = Trajectory(grid=grid, states=states, negativity_flag=False)
+    traj = Trajectory(grid=grid, states=states)
     rows = era_summary(traj, (0.0, 1.0, 2.0), 10.0)
     # era 1 holds t in {0, .25, .5, .75}; era 2 holds t in {1, ..., 2}
     assert rows[0].era_averages == pytest.approx((0.375, 1.5), rel=1e-15)

@@ -9,7 +9,7 @@ the exact same numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,26 +33,10 @@ class ConfigError(ValueError):
         self.line = line
 
 
-_PARAM_KEYS = (
-    "theta",
-    "gamma",
-    "rho",
-    "mu",
-    "p1",
-    "p2",
-    "beta1",
-    "beta2",
-    "alpha1",
-    "alpha2",
-    "r1",
-    "r2",
-    "tau",
-    "b1",
-    "b2",
-    "sigma",
-    "bign",
-)
-_SCALAR_KEYS = ("t0", "t", "k") + _PARAM_KEYS
+# config key of every CpParams field, in field order; keys are
+# case-insensitive, so the population size N is spelled `bign`
+_PARAM_KEYS = {f.name: "bign" if f.name == "N" else f.name for f in fields(CpParams)}
+_SCALAR_KEYS = ("t0", "t", "k") + tuple(_PARAM_KEYS.values())
 _LIST_KEYS = ("y0", "eras")
 _REQUIRED_KEYS = _SCALAR_KEYS + _LIST_KEYS
 _ALL_KEYS = _REQUIRED_KEYS + ("sign",)
@@ -140,25 +124,7 @@ def parse_config(text: str) -> RunConfig:
         ) from None
 
     try:
-        params = CpParams(
-            theta=scalars["theta"],
-            gamma=scalars["gamma"],
-            rho=scalars["rho"],
-            mu=scalars["mu"],
-            p1=scalars["p1"],
-            p2=scalars["p2"],
-            beta1=scalars["beta1"],
-            beta2=scalars["beta2"],
-            alpha1=scalars["alpha1"],
-            alpha2=scalars["alpha2"],
-            r1=scalars["r1"],
-            r2=scalars["r2"],
-            tau=scalars["tau"],
-            b1=scalars["b1"],
-            b2=scalars["b2"],
-            sigma=scalars["sigma"],
-            N=scalars["bign"],
-        )
+        params = CpParams(**{name: scalars[key] for name, key in _PARAM_KEYS.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -187,23 +153,7 @@ def format_config(preset: EraPreset, sign: SignConvention = SignConvention.PLUS)
         f"T = {_fmt(preset.T)}",
         f"k = {_fmt(preset.k)}",
         f"sign = {sign.value}",
-        f"theta = {_fmt(p.theta)}",
-        f"gamma = {_fmt(p.gamma)}",
-        f"rho = {_fmt(p.rho)}",
-        f"mu = {_fmt(p.mu)}",
-        f"p1 = {_fmt(p.p1)}",
-        f"p2 = {_fmt(p.p2)}",
-        f"beta1 = {_fmt(p.beta1)}",
-        f"beta2 = {_fmt(p.beta2)}",
-        f"alpha1 = {_fmt(p.alpha1)}",
-        f"alpha2 = {_fmt(p.alpha2)}",
-        f"r1 = {_fmt(p.r1)}",
-        f"r2 = {_fmt(p.r2)}",
-        f"tau = {_fmt(p.tau)}",
-        f"b1 = {_fmt(p.b1)}",
-        f"b2 = {_fmt(p.b2)}",
-        f"sigma = {_fmt(p.sigma)}",
-        f"bign = {_fmt(p.N)}",
+        *(f"{key} = {_fmt(getattr(p, name))}" for name, key in _PARAM_KEYS.items()),
         "y0 = " + ", ".join(_fmt(v) for v in preset.y0),
         "eras = " + ", ".join(_fmt(b) for b in preset.era_boundaries),
     ]

@@ -174,9 +174,10 @@ class EraPreset:
 
     ``era_boundaries`` partitions [t0, T] for the summary tables; it must be
     strictly increasing, start at t0, end at T and leave no era without a
-    point of the grid ``build_grid(t0, T, k)``.  ``alpha_warning`` marks
-    presets whose stored contact rates disagree with p*(1 - beta); the
-    stored values drive the dynamics, the flag surfaces the discrepancy.
+    point of the grid ``build_grid(t0, T, k)``, whose points must fit in
+    memory.  ``alpha_warning`` marks presets whose stored contact rates
+    disagree with p*(1 - beta); the stored values drive the dynamics, the
+    flag surfaces the discrepancy.
     """
 
     label: str
@@ -200,7 +201,15 @@ class EraPreset:
             raise ValueError("era boundaries must start at t0 and end at T")
         if not self.k > 0.0:
             raise ValueError("preset step size k must be positive")
-        era_indices(build_grid(self.t0, self.T, self.k).times(), bounds)
+        grid = build_grid(self.t0, self.T, self.k)
+        try:
+            times = grid.times()
+        except (MemoryError, ValueError):  # numpy refuses sizes beyond its index range
+            raise ValueError(
+                f"step size k={self.k!r} is too small: "
+                f"the grid's {grid.M + 1} points do not fit in memory"
+            ) from None
+        era_indices(times, bounds)
         total = float(self.y0.sum())
         if abs(total - self.params.N) > 1e-3 * self.params.N:
             raise ValueError(

@@ -10,7 +10,15 @@ import sys
 import numpy as np
 import pytest
 
-from tristep import build_grid, cp_rhs, integrate, parse_config, preset_from_config
+from tristep import (
+    build_grid,
+    cp_rhs,
+    format_config,
+    integrate,
+    parse_config,
+    preset,
+    preset_from_config,
+)
 from tristep.cli import (
     EXIT_BLOWUP,
     EXIT_IO,
@@ -212,6 +220,27 @@ def test_simulate_rejects_an_era_without_grid_points_before_the_run(
     assert main(["simulate", "--config", str(config)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "era [0.5000001, 0.5000002) holds no grid point" in err
+
+
+@pytest.mark.parametrize("k", ["5e-324", "1e-20", "1e-15"])
+def test_simulate_rejects_a_step_too_small_for_the_grid_before_the_run(
+    k, tmp_path, capsys, monkeypatch
+):
+    # over 26 years, k = 5e-324 overflows the step count, k = 1e-20 asks for
+    # more grid times than numpy can index, and k = 1e-15 for 2.6e16 of them
+    # (185 PiB), more than any address space, so the allocation is refused at once
+    text = format_config(preset("cameroon-1960"))
+    config = tmp_path / "tiny-step.cfg"
+    config.write_text(text.replace("k = 0.001", f"k = {k}"), encoding="utf-8")
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a scenario whose grid cannot be built")
+
+    monkeypatch.setattr("tristep.studies.integrate", no_integration)
+    assert main(["simulate", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too small" in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -54,10 +54,14 @@ def test_full_key_set_matches_builtin_preset():
 def test_empty_file_lists_missing_keys():
     with pytest.raises(ConfigError) as excinfo:
         parse_config("")
-    message = str(excinfo.value)
-    assert "missing required keys" in message
-    for key in ("theta", "bign", "y0", "eras"):
-        assert key in message
+    # every key of the emitted format except the optional sign, in its order
+    keys = [
+        line.partition("=")[0].strip().lower()
+        for line in format_config(preset("cameroon-1960")).splitlines()
+        if not line.startswith("#")
+    ]
+    keys.remove("sign")
+    assert str(excinfo.value) == "missing required keys: " + ", ".join(keys)
 
 
 def test_duplicate_key_errors_at_second_occurrence():

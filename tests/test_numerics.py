@@ -171,6 +171,8 @@ def test_build_grid_rejects_bad_spans():
         build_grid(2.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         build_grid(0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="too small"):
+        build_grid(1960.0, 1986.0, 5e-324)
 
 
 def test_grid_lands_on_horizon():

@@ -89,15 +89,17 @@ def trajectory_row_indices(last_index: int, every: int) -> list[int]:
 
 
 def write_trajectory_csv(stream: TextIO, trajectory: Trajectory, every: int = 1) -> None:
-    times = trajectory.grid.times()
-    indices = trajectory_row_indices(trajectory.grid.M, every)
-    _write_trajectory_rows(stream, times[indices], trajectory.states[indices])
+    _write_trajectory_rows(stream, trajectory.grid.times(), trajectory.states, every)
 
 
-def _write_trajectory_rows(stream: TextIO, times: np.ndarray, states: np.ndarray) -> None:
+def _write_trajectory_rows(
+    stream: TextIO, times: np.ndarray, states: np.ndarray, every: int
+) -> None:
+    """Emit the rows ``trajectory_row_indices`` picks from ``states`` and their times."""
+    indices = trajectory_row_indices(states.shape[0] - 1, every)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["t"] + [f"y{i + 1}" for i in range(states.shape[1])])
-    for t, row in zip(times, states):
+    for t, row in zip(times[indices], states[indices]):
         writer.writerow([_g17(t)] + [_g17(v) for v in row])
 
 
@@ -161,6 +163,23 @@ def _print_summary_table(rows: Sequence[EraSummaryRow], boundaries: Sequence[flo
 # ------------------------------------------------------------------ commands
 
 
+class _Failure(Exception):
+    """A failed command: ``main`` prints ``error: <message>`` and returns ``code``."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _write_csv(path: str, write, *args) -> None:
+    """Open ``path`` and call ``write(stream, *args)``; an ``OSError`` is exit 3."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            write(stream, *args)
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"cannot write {path}: {exc}")
+
+
 def _parse_exponent_range(text: str) -> list[int]:
     lo_text, sep, hi_text = text.partition("..")
     if not sep:
@@ -177,56 +196,32 @@ def _parse_exponent_range(text: str) -> list[int]:
 def _cmd_converge(args: argparse.Namespace) -> int:
     try:
         exponents = _parse_exponent_range(args.exponents)
+        rows = run_convergence_study(problem(args.problem), exponents)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = run_convergence_study(problem(args.problem), exponents)
+        raise _Failure(EXIT_USAGE, str(exc))
     if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as stream:
-                write_convergence_csv(stream, rows)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write_csv(args.out, write_convergence_csv, rows)
     _print_convergence_table(rows)
     return EXIT_OK
 
 
-def _load_scenario(args: argparse.Namespace):
-    """Resolve --preset/--config into (scenario, sign) or an exit code."""
-    explicit_sign = SignConvention(args.sign) if args.sign is not None else None
-    if (args.preset is None) == (args.config is None):
-        print("error: exactly one of --preset or --config is required", file=sys.stderr)
-        return EXIT_USAGE
-    if args.preset is not None:
-        try:
-            scenario = preset(args.preset)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        return scenario, explicit_sign or SignConvention.PLUS
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        config = parse_config(text)
-        scenario = preset_from_config(config)
-    except ValueError as exc:  # ConfigError included
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return scenario, explicit_sign or config.sign
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.every < 1:
-        print("error: --every must be a positive integer", file=sys.stderr)
-        return EXIT_USAGE
-    loaded = _load_scenario(args)
-    if isinstance(loaded, int):
-        return loaded
-    scenario, sign = loaded
+        raise _Failure(EXIT_USAGE, "--every must be a positive integer")
+    if args.preset is not None:
+        scenario, sign = preset(args.preset), SignConvention.PLUS
+    else:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise _Failure(EXIT_IO, f"cannot read {args.config}: {exc}")
+        try:
+            config = parse_config(text)
+            scenario, sign = preset_from_config(config), config.sign
+        except ValueError as exc:  # ConfigError included
+            raise _Failure(EXIT_USAGE, f"{args.config}: {exc}")
+    if args.sign is not None:
+        sign = SignConvention(args.sign)
 
     if scenario.alpha_warning:
         print(
@@ -237,20 +232,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     try:
         trajectory, rows = run_scenario(scenario, sign)
+    except ValueError as exc:
+        raise _Failure(EXIT_USAGE, str(exc))
     except NumericalBlowupError as err:
         print(
             f"error: numerical blow-up at step {err.step_index} (t={err.t:g}); "
             "aborting",
             file=sys.stderr,
         )
-        if args.out is not None and err.partial_states is not None:
-            n_rows = err.partial_states.shape[0]
+        if args.out is not None:
             times = build_grid(scenario.t0, scenario.T, scenario.k).times()
             try:
-                with open(args.out, "w", encoding="utf-8", newline="") as stream:
-                    _write_trajectory_rows(stream, times[:n_rows], err.partial_states)
-            except OSError as exc:
-                print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+                _write_csv(
+                    args.out, _write_trajectory_rows, times, err.partial_states, args.every
+                )
+            except _Failure as failure:  # the blow-up decides the exit code
+                raise _Failure(EXIT_BLOWUP, str(failure))
         return EXIT_BLOWUP
 
     if trajectory.negativity_flag:
@@ -259,19 +256,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as stream:
-                write_trajectory_csv(stream, trajectory, args.every)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write_csv(args.out, write_trajectory_csv, trajectory, args.every)
     if args.summary_out is not None:
-        try:
-            with open(args.summary_out, "w", encoding="utf-8", newline="") as stream:
-                write_summary_csv(stream, rows, scenario.era_boundaries)
-        except OSError as exc:
-            print(f"error: cannot write {args.summary_out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write_csv(args.summary_out, write_summary_csv, rows, scenario.era_boundaries)
     _print_summary_table(rows, scenario.era_boundaries)
     return EXIT_OK
 
@@ -306,8 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser(
         "simulate", help="integrate the compartment model and summarize by era"
     )
-    simulate.add_argument("--preset", choices=PRESET_LABELS, help="built-in scenario")
-    simulate.add_argument("--config", help="path to a key = value configuration file")
+    source = simulate.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=PRESET_LABELS, help="built-in scenario")
+    source.add_argument("--config", help="path to a key = value configuration file")
     simulate.add_argument(
         "--sign",
         choices=[s.value for s in SignConvention],
@@ -340,7 +328,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports its own usage errors
         return int(exc.code or 0)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except _Failure as failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return failure.code
 
 
 if __name__ == "__main__":

@@ -136,8 +136,6 @@ def cp_rhs(params: CpParams) -> RhsField:
     drain4 = jail_to_corrupt + jail_to_honest + gamma
 
     def evaluate(t: float, y: np.ndarray) -> np.ndarray:
-        if len(y) != 5:
-            raise ValueError("corruption-poverty field needs a 5-component state")
         y1, y2, y3, y4, y5 = map(float, y)
         f1 = theta - inv_n * (a1 * y1 * y2 + a2 * y1 * y3) - drain1 * y1
         f2 = inv_n * (a1 * y1 * y2 + r2 * y2 * y3) - drain2 * y2 + jail_to_corrupt * y4

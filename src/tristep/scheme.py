@@ -208,14 +208,21 @@ def integrate(
     Returns a :class:`Trajectory` holding all M + 1 samples.
 
     Raises:
-      ValueError: If ``y0`` is not a finite state of the field's dimension.
+      ValueError: If ``y0`` is not a finite state of the field's dimension,
+        or the grid's M + 1 states do not fit in memory.
       NumericalBlowupError: Carrying the failing step index, the last finite
         state and the partial run, as soon as any intermediate is non-finite.
     """
     y = as_state(y0, dim=f.dim)
     h = grid.k / 3.0
     w = sign.factor * (h / 2.0)
-    states = np.empty((grid.M + 1, f.dim), dtype=np.float64)
+    try:
+        states = np.empty((grid.M + 1, f.dim), dtype=np.float64)
+    except (MemoryError, ValueError):  # numpy refuses sizes beyond its index range
+        raise ValueError(
+            f"step size k={grid.k!r} is too small: "
+            f"the run's {grid.M + 1} states do not fit in memory"
+        ) from None
     states[0] = y
     for n in range(grid.M):
         t_n = grid.time(n)

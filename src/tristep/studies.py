@@ -65,13 +65,15 @@ def run_convergence_study(
 ) -> list[ConvergenceRow]:
     """Integrate ``problem`` at k = 2**-e for each exponent, coarse to fine.
 
-    Per grid point n = 1..M the study takes the sup norms (row maxima of
-    magnitudes) of the exact solution, the numerical solution and their
-    difference, then aggregates each sequence with the discrete L2-in-time
-    norm.
+    Every grid is built before the first integration, so a step too small
+    for its grid fails before any work.  Per grid point n = 1..M the study
+    takes the sup norms (row maxima of magnitudes) of the exact solution,
+    the numerical solution and their difference, then aggregates each
+    sequence with the discrete L2-in-time norm.
 
     Raises:
-      ValueError: If the exponents are not strictly increasing positive ints.
+      ValueError: If the exponents are not strictly increasing positive ints,
+        or a step is too small for its grid or its states.
       NumericalBlowupError: Propagated from a diverging integration.
     """
     exps = [int(e) for e in exponents]
@@ -82,8 +84,7 @@ def run_convergence_study(
 
     rows: list[ConvergenceRow] = []
     previous_error: float | None = None
-    for e in exps:
-        grid = build_grid(problem.t0, problem.T, 2.0**-e)
+    for grid in [build_grid(problem.t0, problem.T, 2.0**-e) for e in exps]:
         trajectory = integrate(problem.field, problem.y0, grid, sign)
         computed = trajectory.states[1:]
         reference = np.empty_like(computed)

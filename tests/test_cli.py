@@ -114,6 +114,31 @@ def test_converge_rejects_malformed_ranges(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("exponents", ["1074..1074", "4..1100"])
+def test_converge_rejects_a_step_too_small_for_its_grid_before_any_work(
+    exponents, capsys, monkeypatch
+):
+    # 2^-1074 is the smallest subnormal and 2^-1100 rounds to zero; beyond
+    # 2^-1023 the step count 1 / k overflows, so those grids cannot be built
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a grid before every grid was built")
+
+    monkeypatch.setattr("tristep.studies.integrate", no_integration)
+    assert main(["converge", "example1", exponents]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too small" in err
+
+
+def test_converge_rejects_states_that_do_not_fit_in_memory(capsys):
+    # k = 2^-53 over [0, 1] asks for (2^53 + 1) x 3 doubles (216 PiB), more
+    # than any address space, so the allocation is refused at once
+    assert main(["converge", "example1", "53..53"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "9007199254740993 states do not fit in memory" in err
+
+
 def test_converge_unwritable_path_is_io_error(capsys):
     code = main(["converge", "example1", "4..4", "--out", "/nonexistent-dir/t.csv"])
     assert code == EXIT_IO
@@ -185,13 +210,14 @@ def test_simulate_reports_parse_errors_with_line(tmp_path, capsys):
 
 def test_simulate_requires_exactly_one_scenario_source(tmp_path, capsys):
     assert main(["simulate"]) == EXIT_USAGE
+    assert "one of the arguments --preset --config is required" in capsys.readouterr().err
     config = tmp_path / "frozen.cfg"
     config.write_text(FROZEN_CONFIG, encoding="utf-8")
     code = main(
         ["simulate", "--preset", "cameroon-1986", "--config", str(config)]
     )
     assert code == EXIT_USAGE
-    capsys.readouterr()
+    assert "not allowed with argument --preset" in capsys.readouterr().err
 
 
 def test_simulate_unknown_preset_is_usage_error(capsys):
@@ -243,6 +269,18 @@ def test_simulate_rejects_a_step_too_small_for_the_grid_before_the_run(
     assert "too small" in err
 
 
+def test_simulate_rejects_a_run_that_raises_value_error(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "frozen.cfg"
+    config.write_text(FROZEN_CONFIG, encoding="utf-8")
+
+    def refused(*args, **kwargs):
+        raise ValueError("the run's states do not fit in memory")
+
+    monkeypatch.setattr("tristep.cli.run_scenario", refused)
+    assert main(["simulate", "--config", str(config)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: the run's states do not fit in memory\n"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_blowup_exits_4_and_writes_partial_trajectory(tmp_path, capsys):
     config = tmp_path / "stiff.cfg"
@@ -256,6 +294,43 @@ def test_simulate_blowup_exits_4_and_writes_partial_trajectory(tmp_path, capsys)
         times, states = read_trajectory_csv(stream)
     assert 1 <= states.shape[0] < 11
     assert np.isfinite(states).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_blowup_partial_trajectory_honours_every(tmp_path, capsys):
+    # gamma = 1e100 diverges in the first step, leaving only the initial row,
+    # which every decimation keeps; gamma = 1e8 diverges in step 7
+    stiff = STIFF_CONFIG.replace("gamma = 1e100", "gamma = 1e8")
+    config = tmp_path / "stiff.cfg"
+    config.write_text(stiff, encoding="utf-8")
+    full, decimated = tmp_path / "full.csv", tmp_path / "decimated.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(full)]) == EXIT_BLOWUP
+    code = main(["simulate", "--config", str(config), "--out", str(decimated), "--every", "3"])
+    capsys.readouterr()
+    assert code == EXIT_BLOWUP
+    with full.open(newline="") as stream:
+        full_times, full_states = read_trajectory_csv(stream)
+    with decimated.open(newline="") as stream:
+        times, states = read_trajectory_csv(stream)
+    n = full_states.shape[0] - 1
+    assert n == 7
+    indices = trajectory_row_indices(n, 3)
+    assert np.array_equal(times, full_times[indices])
+    assert np.array_equal(states, full_states[indices])
+    assert np.array_equal(states[-1], full_states[-1])
+    assert np.isfinite(states).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_blowup_with_unwritable_out_still_exits_4(tmp_path, capsys):
+    config = tmp_path / "stiff.cfg"
+    config.write_text(STIFF_CONFIG, encoding="utf-8")
+    out = tmp_path / "absent-dir" / "partial.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_BLOWUP
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("error: numerical blow-up at step 0")
+    assert lines[1].startswith(f"error: cannot write {out}: ")
 
 
 def test_simulate_every_decimates_but_keeps_last_row(tmp_path, capsys):

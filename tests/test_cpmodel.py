@@ -124,8 +124,9 @@ def test_rhs_no_spontaneous_corruption_or_prosecution():
 
 def test_rhs_rejects_wrong_dimension():
     field = cp_rhs(example3_params())
-    with pytest.raises(ValueError):
-        field.evaluate(0.0, np.zeros(3))
+    for state in (np.zeros(3), np.zeros(6)):
+        with pytest.raises(ValueError):
+            field.evaluate(0.0, state)
 
 
 # ---------------------------------------------------------------- conservation

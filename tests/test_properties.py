@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import io
 from dataclasses import fields
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tristep import (
     CpParams,
     EraPreset,
     RhsField,
     SignConvention,
+    Trajectory,
     advance_one_step,
     build_grid,
     composed_step,
@@ -23,6 +26,7 @@ from tristep import (
     parse_config,
     preset_from_config,
 )
+from tristep.cli import read_trajectory_csv, trajectory_row_indices, write_trajectory_csv
 
 # seeded, so that every run of the suite draws the same examples
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -125,3 +129,28 @@ def test_config_round_trip_is_exact(case):
     assert rebuilt.y0.tolist() == scenario.y0.tolist()
     assert (rebuilt.t0, rebuilt.T, rebuilt.k) == (scenario.t0, scenario.T, scenario.k)
     assert rebuilt.era_boundaries == scenario.era_boundaries
+
+
+@st.composite
+def trajectories(draw):
+    """Any finite states, from -0.0 to subnormals to the largest doubles."""
+    t0 = draw(st.floats(-1e4, 1e4))
+    span = draw(st.floats(1e-3, 1e3))
+    steps = draw(st.integers(1, 40))
+    grid = build_grid(t0, t0 + span, span / steps)
+    dim = draw(st.integers(1, 5))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    states = draw(arrays(np.float64, (grid.M + 1, dim), elements=finite))
+    return Trajectory(grid=grid, states=states)
+
+
+@PROPERTY
+@given(trajectories(), st.integers(1, 50))
+def test_trajectory_csv_round_trip_is_exact(trajectory, every):
+    stream = io.StringIO()
+    write_trajectory_csv(stream, trajectory, every)
+    stream.seek(0)
+    times, states = read_trajectory_csv(stream)
+    idx = trajectory_row_indices(trajectory.grid.M, every)
+    assert times.tobytes() == trajectory.grid.times()[idx].tobytes()
+    assert states.tobytes() == trajectory.states[idx].tobytes()

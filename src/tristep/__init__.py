@@ -4,7 +4,6 @@ convergence/era-summary study harnesses."""
 
 from .config import ConfigError, RunConfig, format_config, parse_config, preset_from_config
 from .cpmodel import (
-    CompartmentState,
     CpParams,
     EraPreset,
     PRESET_LABELS,
@@ -16,7 +15,6 @@ from .cpmodel import (
 )
 from .manufactured import ManufacturedProblem, PROBLEM_LABELS, example1, example2, problem
 from .numerics import (
-    StateVector,
     TimeGrid,
     Trajectory,
     as_state,
@@ -40,7 +38,6 @@ from .scheme import (
 from .studies import (
     ConvergenceRow,
     EraSummaryRow,
-    compute_corrupted_total,
     era_summary,
     run_convergence_study,
     run_scenario,
@@ -49,7 +46,6 @@ from .studies import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompartmentState",
     "ConfigError",
     "ConvergenceRow",
     "CpParams",
@@ -62,7 +58,6 @@ __all__ = [
     "RhsField",
     "RunConfig",
     "SignConvention",
-    "StateVector",
     "TimeGrid",
     "Trajectory",
     "advance_one_step",
@@ -70,7 +65,6 @@ __all__ = [
     "as_state",
     "build_grid",
     "composed_step",
-    "compute_corrupted_total",
     "conservation_residual",
     "convergence_rate",
     "cp_rhs",

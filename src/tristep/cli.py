@@ -92,15 +92,23 @@ def write_trajectory_csv(stream: TextIO, trajectory: Trajectory, every: int = 1)
     _write_trajectory_rows(stream, trajectory.grid.times(), trajectory.states, every)
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_trajectory_rows(
     stream: TextIO, times: np.ndarray, states: np.ndarray, every: int
 ) -> None:
     """Emit the rows ``trajectory_row_indices`` picks from ``states`` and their times."""
     indices = trajectory_row_indices(states.shape[0] - 1, every)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["t"] + [f"y{i + 1}" for i in range(states.shape[1])])
-    for t, row in zip(times[indices], states[indices]):
-        writer.writerow([_g17(t)] + [_g17(v) for v in row])
+    dim = states.shape[1]
+    stream.write(",".join(["t"] + [f"y{i + 1}" for i in range(dim)]) + "\n")
+    # "%.17g" formats a float exactly as _g17 does
+    line = ",".join(["%.17g"] * (dim + 1)) + "\n"
+    # rows are gathered a block at a time, so memory stays bounded
+    for start in range(0, len(indices), _CSV_BLOCK_ROWS):
+        block = indices[start : start + _CSV_BLOCK_ROWS]
+        for row in np.column_stack((times[block], states[block])).tolist():
+            stream.write(line % tuple(row))
 
 
 def read_trajectory_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:

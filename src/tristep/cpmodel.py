@@ -31,7 +31,6 @@ from .numerics import as_state, build_grid, era_indices
 from .scheme import RhsField
 
 __all__ = [
-    "CompartmentState",
     "CpParams",
     "EraPreset",
     "PRESET_LABELS",
@@ -41,9 +40,6 @@ __all__ = [
     "effective_contact_rates",
     "preset",
 ]
-
-#: A compartment state is a dimension-5 state vector (persons per class).
-CompartmentState = np.ndarray
 
 _NONNEGATIVE_FIELDS = (
     "theta",
@@ -112,7 +108,7 @@ def effective_contact_rates(
 
 
 def cp_rhs(params: CpParams) -> RhsField:
-    """Vector field of the five-compartment system.
+    """Vector field of the five-compartment system, as a component form.
 
     The field is autonomous: the time argument is accepted and ignored.
     Bilinear contact terms are scaled by 1/N.
@@ -135,16 +131,17 @@ def cp_rhs(params: CpParams) -> RhsField:
     drain3 = gamma + b2
     drain4 = jail_to_corrupt + jail_to_honest + gamma
 
-    def evaluate(t: float, y: np.ndarray) -> np.ndarray:
-        y1, y2, y3, y4, y5 = map(float, y)
-        f1 = theta - inv_n * (a1 * y1 * y2 + a2 * y1 * y3) - drain1 * y1
-        f2 = inv_n * (a1 * y1 * y2 + r2 * y2 * y3) - drain2 * y2 + jail_to_corrupt * y4
-        f3 = inv_n * (a2 * y1 * y3 - r2 * y2 * y3) + r1 * y2 - drain3 * y3
-        f4 = tau * y2 - drain4 * y4
-        f5 = sigma * y1 + b1 * y2 + b2 * y3 + jail_to_honest * y4 - gamma * y5
-        return np.array((f1, f2, f3, f4, f5))
+    def components(t: float, y) -> tuple[float, ...]:
+        y1, y2, y3, y4, y5 = y
+        return (
+            theta - inv_n * (a1 * y1 * y2 + a2 * y1 * y3) - drain1 * y1,
+            inv_n * (a1 * y1 * y2 + r2 * y2 * y3) - drain2 * y2 + jail_to_corrupt * y4,
+            inv_n * (a2 * y1 * y3 - r2 * y2 * y3) + r1 * y2 - drain3 * y3,
+            tau * y2 - drain4 * y4,
+            sigma * y1 + b1 * y2 + b2 * y3 + jail_to_honest * y4 - gamma * y5,
+        )
 
-    return RhsField(dim=5, evaluate=evaluate)
+    return RhsField.from_components(5, components)
 
 
 def conservation_residual(params: CpParams, y: np.ndarray) -> float:

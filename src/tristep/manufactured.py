@@ -47,26 +47,26 @@ def _exact(t: float) -> np.ndarray:
 def example1() -> ManufacturedProblem:
     """Problem whose second and third equations couple through y2**2."""
 
-    def evaluate(t: float, y: np.ndarray) -> np.ndarray:
+    def components(t: float, y) -> tuple[float, float, float]:
+        y1, y2, _ = y
         e1 = math.exp(-t)
         q = t * t - t
         qq = q * q * math.exp(-2.0 * t)
         g1 = t * t + t - 1.0
         g2 = qq - (t * t - 3.0 * t + 1.0) * e1 - t * t + t
         g3 = -qq + (t - 1.0) * math.cos(t) + math.sin(t)
-        return np.array(
-            (-y[0] + g1, y[0] - y[1] * y[1] + g2, y[1] * y[1] + g3)
-        )
+        return (-y1 + g1, y1 - y2 * y2 + g2, y2 * y2 + g3)
 
     return ManufacturedProblem(
-        label="example1", field=RhsField(dim=3, evaluate=evaluate), exact=_exact
+        label="example1", field=RhsField.from_components(3, components), exact=_exact
     )
 
 
 def example2() -> ManufacturedProblem:
     """Problem whose first two equations couple through y2*y3."""
 
-    def evaluate(t: float, y: np.ndarray) -> np.ndarray:
+    def components(t: float, y) -> tuple[float, float, float]:
+        y1, y2, y3 = y
         e1 = math.exp(-t)
         s = math.sin(t)
         # t*(t-1)**2 * exp(-t) * sin(t) equals y2*y3 along the exact solution
@@ -75,12 +75,10 @@ def example2() -> ManufacturedProblem:
         g1 = t * t + t - 1.0 - w
         g2 = t - t * t - (t * t - 3.0 * t + 1.0) * e1 + w
         g3 = -(q * q) * math.exp(-2.0 * t) + (t - 1.0) * math.cos(t) + s
-        return np.array(
-            (-y[0] + y[1] * y[2] + g1, y[0] - y[1] * y[2] + g2, y[1] * y[1] + g3)
-        )
+        return (-y1 + y2 * y3 + g1, y1 - y2 * y3 + g2, y2 * y2 + g3)
 
     return ManufacturedProblem(
-        label="example2", field=RhsField(dim=3, evaluate=evaluate), exact=_exact
+        label="example2", field=RhsField.from_components(3, components), exact=_exact
     )
 
 

@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "StateVector",
     "TimeGrid",
     "Trajectory",
     "as_state",
@@ -23,10 +22,6 @@ __all__ = [
     "era_indices",
     "sup_norm",
 ]
-
-#: A state is a fixed-length 1-D array of finite doubles.
-StateVector = np.ndarray
-
 
 def as_state(values: Iterable[float], dim: int | None = None) -> np.ndarray:
     """Coerce ``values`` to a 1-D float64 state vector and validate it.

@@ -6,6 +6,11 @@ t_n + 2k/3, for six right-hand-side evaluations per step.  The recurrence is
 self-starting: the initial state is used directly, no bootstrap integrator
 is needed.
 
+The stepping kernel runs on Python floats: on a field's component form when
+it was built with :meth:`RhsField.from_components`, otherwise on its array
+``evaluate`` through an adapter.  Both give bitwise the results of the same
+update written in numpy arithmetic, which :func:`composed_step` keeps.
+
 The default :class:`SignConvention` adds the averaged slopes, which is the
 choice forced by the second-order conditions.  ``MINUS`` subtracts them
 instead; that variant drives the state away from the solution and exists
@@ -15,8 +20,9 @@ only as an opt-in so the difference stays observable in the studies.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,16 +52,43 @@ class SignConvention(enum.Enum):
         return 1.0 if self is SignConvention.PLUS else -1.0
 
 
+#: A field's component form: ``(t, (y1, ..., yd)) -> (f1, ..., fd)`` on floats.
+Components = Callable[[float, Sequence[float]], Sequence[float]]
+
+
+class _ComponentEvaluate:
+    """The ndarray ``evaluate`` derived from a component form it exposes."""
+
+    __slots__ = ("components",)
+
+    def __init__(self, components: Components) -> None:
+        self.components = components
+
+    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+        return np.array(self.components(t, tuple(map(float, y))))
+
+
 @dataclass(frozen=True)
 class RhsField:
     """Right-hand side f(t, y) of a first-order system y' = f(t, y).
 
     ``evaluate`` must be deterministic and side-effect free, and must return
-    a vector of the same dimension as its input.
+    a vector of the same dimension as its input.  A field built with
+    :meth:`from_components` is stepped on its component form; any other
+    ``evaluate`` is stepped through an adapter that calls it on arrays.
     """
 
     dim: int
     evaluate: Callable[[float, np.ndarray], np.ndarray]
+
+    @classmethod
+    def from_components(cls, dim: int, components: Components) -> RhsField:
+        """A field written once as a component form in plain float arithmetic.
+
+        ``components(t, y)`` gets the state as a sequence of ``dim`` floats
+        and returns the ``dim`` rates; ``evaluate`` applies it to arrays.
+        """
+        return cls(dim=dim, evaluate=_ComponentEvaluate(components))
 
 
 class NumericalBlowupError(ArithmeticError):
@@ -94,26 +127,65 @@ def _check_dim(f: RhsField, y: np.ndarray) -> None:
 def _check_finite(out: np.ndarray, t: float, y: np.ndarray) -> None:
     """Raise on a non-finite result of the substep that started at (t, y)."""
     if not np.isfinite(out).all():
-        raise NumericalBlowupError(
-            f"non-finite state in substep starting at t={t!r}", t=t, last_state=y
-        )
+        raise _blowup(t, y)
 
 
-def _substep(f: RhsField, t: float, y: np.ndarray, h: float, w: float) -> np.ndarray:
-    """Substep update y + w*(f1 + f2) with w = s*(h/2); arguments already valid."""
-    f1 = f.evaluate(t, y)
-    f2 = f.evaluate(t + h, y + h * f1)
-    out = y + w * (f1 + f2)
-    _check_finite(out, t, y)
-    return out
+def _blowup(t: float, y: np.ndarray) -> NumericalBlowupError:
+    """The error for a non-finite result of the substep that started at (t, y)."""
+    return NumericalBlowupError(
+        f"non-finite state in substep starting at t={t!r}", t=t, last_state=y
+    )
 
 
-def _step(f: RhsField, t_n: float, y: np.ndarray, h: float, w: float) -> np.ndarray:
-    """Macro step as three chained substeps of length h = k/3."""
-    y13 = _substep(f, t_n, y, h, w)
+def _components(f: RhsField) -> Components:
+    """The component form the kernel steps: the field's own, or ``evaluate`` on arrays."""
+    evaluate = f.evaluate
+    if isinstance(evaluate, _ComponentEvaluate):
+        return evaluate.components
+    return lambda t, y: evaluate(t, np.array(y)).tolist()
+
+
+def _checked(g: Components, dim: int) -> Components:
+    """``g``, raising ``ValueError`` when a result does not hold ``dim`` values."""
+
+    def checked(t: float, y: Sequence[float]) -> Sequence[float]:
+        values = g(t, y)
+        if len(values) != dim:
+            raise ValueError(f"field returned {len(values)} values, expected {dim}")
+        return values
+
+    return checked
+
+
+def _finite(y: Sequence[float]) -> bool:
+    return all(map(math.isfinite, y))
+
+
+def _substep(g: Components, t: float, y: list, h: float, w: float) -> list:
+    """Substep update y + w*(f1 + f2) with w = s*(h/2), componentwise on floats."""
+    f1 = g(t, y)
+    f2 = g(t + h, [a + h * b for a, b in zip(y, f1)])
+    return [a + w * (b + c) for a, b, c in zip(y, f1, f2)]
+
+
+def _step(g: Components, t_n: float, y: list, h: float, w: float) -> list:
+    """Macro step as three chained substeps of length h = k/3.
+
+    Finiteness is checked once, on the result: a non-finite component stays
+    non-finite through every later update, so the first non-finite substep
+    is found among the step's own intermediates without evaluating again.
+    """
+    y13 = _substep(g, t_n, y, h, w)
     t13 = t_n + h
-    y23 = _substep(f, t13, y13, h, w)
-    return _substep(f, t13 + h, y23, h, w)
+    y23 = _substep(g, t13, y13, h, w)
+    out = _substep(g, t13 + h, y23, h, w)
+    if not _finite(out):
+        if not _finite(y13):
+            raise _blowup(t_n, np.array(y))
+        if not _finite(y23):
+            raise _blowup(t13, np.array(y13))
+        raise _blowup(t13 + h, np.array(y23))
+    return out
 
 
 def heun_substep(
@@ -140,7 +212,11 @@ def heun_substep(
     if not h > 0.0:
         raise ValueError("substep length h must be positive")
     _check_dim(f, y)
-    return _substep(f, t, y, h, sign.factor * (h / 2.0))
+    g = _checked(_components(f), f.dim)
+    out = _substep(g, t, y.tolist(), h, sign.factor * (h / 2.0))
+    if not _finite(out):
+        raise _blowup(t, y)
+    return np.array(out)
 
 
 def advance_one_step(
@@ -159,7 +235,8 @@ def advance_one_step(
         raise ValueError("step size k must be positive")
     _check_dim(f, y)
     h = k / 3.0
-    return _step(f, t_n, y, h, sign.factor * (h / 2.0))
+    g = _checked(_components(f), f.dim)
+    return np.array(_step(g, t_n, y.tolist(), h, sign.factor * (h / 2.0)))
 
 
 def composed_step(
@@ -224,10 +301,13 @@ def integrate(
             f"the run's {grid.M + 1} states do not fit in memory"
         ) from None
     states[0] = y
+    y = y.tolist()
+    g = _components(f)
+    form = _checked(g, f.dim)  # results are length-checked in the first step only
     for n in range(grid.M):
         t_n = grid.time(n)
         try:
-            y = _step(f, t_n, y, h, w)
+            y = _step(form, t_n, y, h, w)
         except NumericalBlowupError as err:
             raise NumericalBlowupError(
                 f"integration diverged during step {n} (from t={t_n!r})",
@@ -237,6 +317,7 @@ def integrate(
                 partial_states=states[: n + 1].copy(),
             ) from err
         states[n + 1] = y
+        form = g
     return Trajectory(grid=grid, states=states)
 
 

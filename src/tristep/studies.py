@@ -25,7 +25,6 @@ from .scheme import SignConvention, integrate
 __all__ = [
     "ConvergenceRow",
     "EraSummaryRow",
-    "compute_corrupted_total",
     "era_summary",
     "run_convergence_study",
     "run_scenario",
@@ -108,17 +107,6 @@ def run_convergence_study(
         )
         previous_error = error_norm
     return rows
-
-
-def compute_corrupted_total(trajectory: Trajectory) -> np.ndarray:
-    """Per-sample total of actively corrupt plus jailed people, y2 + y4.
-
-    Raises:
-      ValueError: If the trajectory is not five-dimensional.
-    """
-    if trajectory.dim != 5:
-        raise ValueError("corrupted total needs a 5-compartment trajectory")
-    return trajectory.states[:, 1] + trajectory.states[:, 3]
 
 
 def era_summary(

@@ -44,6 +44,20 @@ def counting_field(dim=1):
     return RhsField(dim=dim, evaluate=evaluate), calls
 
 
+def failing_field(bad_call, as_components):
+    """Zero dimension-2 field whose evaluation number ``bad_call`` (from 1) is infinite."""
+    calls = []
+
+    def components(t, y):
+        calls.append(t)
+        value = math.inf if len(calls) == bad_call else 0.0
+        return (value, value)
+
+    if as_components:
+        return RhsField.from_components(2, components), calls
+    return RhsField(dim=2, evaluate=lambda t, y: np.array(components(t, y))), calls
+
+
 #: scalar y' = y
 GROWTH = RhsField(dim=1, evaluate=lambda t, y: y.copy())
 
@@ -246,6 +260,80 @@ def test_integrate_reports_blowup_step_and_partial_run():
     assert err.partial_states.shape == (err.step_index + 1, 1)
     assert np.isfinite(err.partial_states).all()
     assert np.isfinite(err.last_state).all()
+
+
+@pytest.mark.parametrize("as_components", [False, True], ids=["array", "components"])
+@pytest.mark.parametrize("substep", [2, 3])
+def test_integrate_blowup_names_the_failing_substep_without_reevaluating(
+    substep, as_components
+):
+    n = 4
+    # evaluations 6n+1 .. 6n+6 belong to step n, two per substep
+    f, calls = failing_field(6 * n + 2 * substep - 1, as_components)
+    grid = build_grid(0.0, 3.0, 0.3)
+    y0 = np.array([1.0, -2.0])
+    with pytest.raises(NumericalBlowupError) as excinfo:
+        integrate(f, y0, grid)
+    err = excinfo.value
+    h = grid.k / 3.0
+    t13 = grid.time(n) + h
+    assert err.step_index == n
+    assert err.t == (t13 if substep == 2 else t13 + h)
+    assert len(calls) <= 6 * (err.step_index + 1)
+    assert np.array_equal(err.last_state, y0)
+    assert np.array_equal(err.partial_states, np.tile(y0, (n + 1, 1)))
+
+
+@pytest.mark.parametrize("substep", [1, 2, 3])
+def test_macro_step_blowup_carries_the_failing_substep(substep):
+    f, calls = failing_field(2 * substep - 1, as_components=True)
+    y = np.array([0.5, 0.25])
+    with pytest.raises(NumericalBlowupError) as excinfo:
+        advance_one_step(f, 1.0, y, 0.3)
+    h = 0.3 / 3.0
+    assert excinfo.value.t == [1.0, 1.0 + h, (1.0 + h) + h][substep - 1]
+    assert np.array_equal(excinfo.value.last_state, y)
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("as_components", [False, True], ids=["array", "components"])
+def test_huge_finite_components_are_not_a_blowup(as_components):
+    # each component is finite even though their sum overflows
+    if as_components:
+        zero = RhsField.from_components(2, lambda t, y: (0.0, 0.0))
+    else:
+        zero = constant_field([0.0, 0.0])
+    y0 = np.array([1e308, 1e308])
+    assert np.array_equal(heun_substep(zero, 0.0, y0, 0.1), y0)
+    assert np.array_equal(advance_one_step(zero, 0.0, y0, 0.3), y0)
+    traj = integrate(zero, y0, build_grid(0.0, 1.0, 0.25))
+    assert np.array_equal(traj.states, np.tile(y0, (5, 1)))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        RhsField(dim=3, evaluate=lambda t, y: y[:2]),
+        RhsField.from_components(3, lambda t, y: (0.0, 0.0)),
+        RhsField.from_components(3, lambda t, y: (0.0, 0.0, 0.0, 0.0)),
+    ],
+    ids=["array-short", "components-short", "components-long"],
+)
+def test_wrong_length_field_results_are_rejected(field):
+    y = np.ones(3)
+    with pytest.raises(ValueError, match="values, expected 3"):
+        heun_substep(field, 0.0, y, 0.1)
+    with pytest.raises(ValueError, match="values, expected 3"):
+        advance_one_step(field, 0.0, y, 0.3)
+    with pytest.raises(ValueError, match="values, expected 3"):
+        integrate(field, y, build_grid(0.0, 1.0, 0.5))
+
+
+def test_component_form_field_evaluates_arrays():
+    field = RhsField.from_components(2, lambda t, y: (t * y[1], -y[0]))
+    out = field.evaluate(2.0, np.array([3.0, 4.0]))
+    assert isinstance(out, np.ndarray)
+    assert out.tolist() == [8.0, -3.0]
 
 
 def test_integrate_rejects_dimension_mismatch():

@@ -13,7 +13,6 @@ from tristep import (
     SignConvention,
     Trajectory,
     build_grid,
-    compute_corrupted_total,
     era_summary,
     example1,
     example2,
@@ -147,41 +146,6 @@ def test_exponent_validation():
         run_convergence_study(example1(), [4, 4])
     with pytest.raises(ValueError):
         run_convergence_study(example1(), [5, 4])
-
-
-# ------------------------------------------------------------ corrupted total
-
-
-def test_corrupted_total_at_the_1960_start():
-    scenario = preset("cameroon-1960")
-    grid = build_grid(0.0, 1.0, 0.5)
-    traj = constant_trajectory(grid, scenario.y0)
-    totals = compute_corrupted_total(traj)
-    assert totals[0] == 2.0e6
-
-
-def test_corrupted_total_of_zero_state_is_zero():
-    grid = build_grid(0.0, 1.0, 0.5)
-    assert np.array_equal(
-        compute_corrupted_total(constant_trajectory(grid, np.zeros(5))), np.zeros(3)
-    )
-
-
-def test_corrupted_total_matches_scan_oracle():
-    rng = np.random.default_rng(12)
-    grid = build_grid(0.0, 1.0, 0.25)
-    states = rng.uniform(0.0, 1e6, size=(grid.M + 1, 5))
-    traj = Trajectory(grid=grid, states=states)
-    totals = compute_corrupted_total(traj)
-    for n in range(grid.M + 1):
-        assert totals[n] == states[n][1] + states[n][3]
-
-
-def test_corrupted_total_rejects_wrong_dimension():
-    grid = build_grid(0.0, 1.0, 0.5)
-    traj = Trajectory(grid=grid, states=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        compute_corrupted_total(traj)
 
 
 # --------------------------------------------------------------- era summary

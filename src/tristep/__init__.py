@@ -11,6 +11,7 @@ from .cpmodel import (
     conservation_residual,
     cp_rhs,
     effective_contact_rates,
+    positivity_step_bound,
     preset,
 )
 from .manufactured import ManufacturedProblem, PROBLEM_LABELS, example1, example2, problem
@@ -78,6 +79,7 @@ __all__ = [
     "heun_substep",
     "integrate",
     "parse_config",
+    "positivity_step_bound",
     "preset",
     "preset_from_config",
     "problem",

@@ -38,6 +38,7 @@ __all__ = [
     "conservation_residual",
     "cp_rhs",
     "effective_contact_rates",
+    "positivity_step_bound",
     "preset",
 ]
 
@@ -142,6 +143,39 @@ def cp_rhs(params: CpParams) -> RhsField:
         )
 
     return RhsField.from_components(5, components)
+
+
+def positivity_step_bound(params: CpParams, y0: np.ndarray) -> float:
+    """Largest step size k certified to keep every compartment nonnegative.
+
+    Chained Heun substeps are strong-stability preserving with coefficient
+    1: with the PLUS sign a substep of length h = k/3 keeps a nonnegative
+    state nonnegative whenever one forward-Euler step of length h does.
+    Forward Euler does so when h times every compartment's per-capita
+    outflow is at most 1.  The contact terms scale those outflows with the
+    total, which stays below P = max(sum(y0), theta/gamma) once h*gamma <= 1,
+    so every ``k <= 3 / max(gamma + sigma + (alpha1 + alpha2)*P/N,
+    gamma + b1 + tau + r1, gamma + b2 + r2*P/N, rho + gamma, gamma)`` is
+    certified from a nonnegative ``y0``.
+
+    Returns 0.0 when the total grows without bound (gamma = 0 < theta).
+    """
+    p = params
+    total = float(as_state(y0, dim=5).sum())
+    if p.gamma > 0.0:
+        cap = max(total, p.theta / p.gamma)
+    elif p.theta == 0.0:
+        cap = total
+    else:
+        return 0.0
+    outflow = max(
+        p.gamma + p.sigma + (p.alpha1 + p.alpha2) * cap / p.N,
+        p.gamma + p.b1 + p.tau + p.r1,
+        p.gamma + p.b2 + p.r2 * cap / p.N,
+        p.rho + p.gamma,
+        p.gamma,
+    )
+    return 3.0 / outflow
 
 
 def conservation_residual(params: CpParams, y: np.ndarray) -> float:

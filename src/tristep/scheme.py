@@ -8,8 +8,9 @@ is needed.
 
 The stepping kernel runs on Python floats: on a field's component form when
 it was built with :meth:`RhsField.from_components`, otherwise on its array
-``evaluate`` through an adapter.  Both give bitwise the results of the same
-update written in numpy arithmetic, which :func:`composed_step` keeps.
+``evaluate`` through an adapter.  It is straight-line code generated once
+per state dimension, and gives bitwise the results of the same update
+written in numpy arithmetic, which :func:`composed_step` keeps.
 
 The default :class:`SignConvention` adds the averaged slopes, which is the
 choice forced by the second-order conditions.  ``MINUS`` subtracts them
@@ -20,7 +21,9 @@ only as an opt-in so the difference stays observable in the studies.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,7 +56,7 @@ class SignConvention(enum.Enum):
 
 
 #: A field's component form: ``(t, (y1, ..., yd)) -> (f1, ..., fd)`` on floats.
-Components = Callable[[float, Sequence[float]], Sequence[float]]
+Components = Callable[[float, tuple[float, ...]], Sequence[float]]
 
 
 class _ComponentEvaluate:
@@ -72,20 +75,27 @@ class _ComponentEvaluate:
 class RhsField:
     """Right-hand side f(t, y) of a first-order system y' = f(t, y).
 
-    ``evaluate`` must be deterministic and side-effect free, and must return
-    a vector of the same dimension as its input.  A field built with
-    :meth:`from_components` is stepped on its component form; any other
-    ``evaluate`` is stepped through an adapter that calls it on arrays.
+    ``dim`` is a positive integer.  ``evaluate`` must be deterministic and
+    side-effect free, and must return a vector of the same dimension as its
+    input.  A field built with :meth:`from_components` is stepped on its
+    component form; any other ``evaluate`` is stepped through an adapter
+    that calls it on arrays.
     """
 
     dim: int
     evaluate: Callable[[float, np.ndarray], np.ndarray]
 
+    def __post_init__(self) -> None:
+        dim = operator.index(self.dim)
+        if dim < 1:
+            raise ValueError(f"field dimension must be at least 1, got {dim}")
+        object.__setattr__(self, "dim", dim)
+
     @classmethod
     def from_components(cls, dim: int, components: Components) -> RhsField:
         """A field written once as a component form in plain float arithmetic.
 
-        ``components(t, y)`` gets the state as a sequence of ``dim`` floats
+        ``components(t, y)`` gets the state as a tuple of ``dim`` floats
         and returns the ``dim`` rates; ``evaluate`` applies it to arrays.
         """
         return cls(dim=dim, evaluate=_ComponentEvaluate(components))
@@ -161,31 +171,75 @@ def _finite(y: Sequence[float]) -> bool:
     return all(map(math.isfinite, y))
 
 
-def _substep(g: Components, t: float, y: list, h: float, w: float) -> list:
-    """Substep update y + w*(f1 + f2) with w = s*(h/2), componentwise on floats."""
-    f1 = g(t, y)
-    f2 = g(t + h, [a + h * b for a, b in zip(y, f1)])
-    return [a + w * (b + c) for a, b, c in zip(y, f1, f2)]
+def _step_blowup(
+    t: float,
+    y: Sequence[float],
+    t13: float,
+    y13: Sequence[float],
+    t23: float,
+    y23: Sequence[float],
+) -> NumericalBlowupError:
+    """The error for a macro step from (t, y) whose result is not finite.
 
-
-def _step(g: Components, t_n: float, y: list, h: float, w: float) -> list:
-    """Macro step as three chained substeps of length h = k/3.
-
-    Finiteness is checked once, on the result: a non-finite component stays
-    non-finite through every later update, so the first non-finite substep
-    is found among the step's own intermediates without evaluating again.
+    A non-finite component stays non-finite through every later update, so
+    the first non-finite substep is found among the step's own intermediates
+    without evaluating the field again.
     """
-    y13 = _substep(g, t_n, y, h, w)
-    t13 = t_n + h
-    y23 = _substep(g, t13, y13, h, w)
-    out = _substep(g, t13 + h, y23, h, w)
-    if not _finite(out):
-        if not _finite(y13):
-            raise _blowup(t_n, np.array(y))
-        if not _finite(y23):
-            raise _blowup(t13, np.array(y13))
-        raise _blowup(t13 + h, np.array(y23))
-    return out
+    if not _finite(y13):
+        return _blowup(t, np.array(y))
+    if not _finite(y23):
+        return _blowup(t13, np.array(y13))
+    return _blowup(t23, np.array(y23))
+
+
+def _names(dim: int, template: str) -> str:
+    """``template`` formatted for every component i, as a tuple display."""
+    return ", ".join(template.format(i=i) for i in range(dim)) + ","
+
+
+def _substep_lines(dim: int, t: str, y: str, out: str) -> list[str]:
+    """Source of one substep from the state ``{y}i`` at time ``t`` into ``{out}i``.
+
+    The update is y + w*(a + b) with a = g(t, y) and b = g(t + h, y + h*a),
+    written out once per component: the float operations of the ndarray
+    form, in the same order.
+    """
+    return [
+        f"    {_names(dim, 'a{i}')} = g({t}, ({_names(dim, y + '{i}')}))",
+        f"    {_names(dim, 'b{i}')} = g({t} + h, ({_names(dim, y + '{i} + h * a{i}')}))",
+        *(f"    {out}{i} = {y}{i} + w * (a{i} + b{i})" for i in range(dim)),
+    ]
+
+
+@functools.cache
+def _kernels(dim: int) -> tuple[Callable, Callable]:
+    """The substep and the macro step on a state of ``dim`` floats.
+
+    Both are straight-line functions ``(g, t, y, h, w) -> tuple`` generated
+    from ``dim`` alone, with w = s*(h/2).  The macro step chains three
+    substeps of length h from t, t + h and (t + h) + h, and checks
+    finiteness once, on its result.  Unpacking every field result into
+    exactly ``dim`` names rejects a result of any other length.
+    """
+    lines = [
+        "def substep(g, t, y, h, w):",
+        f"    {_names(dim, 'y{i}')} = y",
+        *_substep_lines(dim, "t", "y", "r"),
+        f"    return ({_names(dim, 'r{i}')})",
+        "def step(g, t, y, h, w):",
+        f"    {_names(dim, 'y{i}')} = y",
+        *_substep_lines(dim, "t", "y", "p"),
+        "    t13 = t + h",
+        *_substep_lines(dim, "t13", "p", "q"),
+        "    t23 = t13 + h",
+        *_substep_lines(dim, "t23", "q", "r"),
+        f"    if {' and '.join(f'isfinite(r{i})' for i in range(dim))}:",
+        f"        return ({_names(dim, 'r{i}')})",
+        f"    raise blowup(t, y, t13, ({_names(dim, 'p{i}')}), t23, ({_names(dim, 'q{i}')}))",
+    ]
+    namespace = {"isfinite": math.isfinite, "blowup": _step_blowup}
+    exec("\n".join(lines), namespace)  # the source is built from dim and fixed names only
+    return namespace["substep"], namespace["step"]
 
 
 def heun_substep(
@@ -212,8 +266,9 @@ def heun_substep(
     if not h > 0.0:
         raise ValueError("substep length h must be positive")
     _check_dim(f, y)
+    substep = _kernels(f.dim)[0]
     g = _checked(_components(f), f.dim)
-    out = _substep(g, t, y.tolist(), h, sign.factor * (h / 2.0))
+    out = substep(g, t, y.tolist(), h, sign.factor * (h / 2.0))
     if not _finite(out):
         raise _blowup(t, y)
     return np.array(out)
@@ -235,8 +290,9 @@ def advance_one_step(
         raise ValueError("step size k must be positive")
     _check_dim(f, y)
     h = k / 3.0
+    step = _kernels(f.dim)[1]
     g = _checked(_components(f), f.dim)
-    return np.array(_step(g, t_n, y.tolist(), h, sign.factor * (h / 2.0)))
+    return np.array(step(g, t_n, y.tolist(), h, sign.factor * (h / 2.0)))
 
 
 def composed_step(
@@ -302,12 +358,13 @@ def integrate(
         ) from None
     states[0] = y
     y = y.tolist()
+    step = _kernels(f.dim)[1]
     g = _components(f)
-    form = _checked(g, f.dim)  # results are length-checked in the first step only
+    form = _checked(g, f.dim)  # later steps reject a wrong length by unpacking alone
     for n in range(grid.M):
         t_n = grid.time(n)
         try:
-            y = _step(form, t_n, y, h, w)
+            y = step(form, t_n, y, h, w)
         except NumericalBlowupError as err:
             raise NumericalBlowupError(
                 f"integration diverged during step {n} (from t={t_n!r})",

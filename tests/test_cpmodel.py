@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from tristep import (
     conservation_residual,
     cp_rhs,
     effective_contact_rates,
+    positivity_step_bound,
     preset,
 )
 
@@ -265,3 +268,30 @@ def test_era_preset_validation():
             k=scenario.k,
             era_boundaries=scenario.era_boundaries,
         )
+
+
+# ---------------------------------------------------------- positivity bound
+
+
+@pytest.mark.parametrize(
+    "label, bound",
+    [("cameroon-1960", 1.94), ("cameroon-1986", 1.53), ("cameroon-2002", 1.63)],
+)
+def test_positivity_step_bound_of_the_presets(label, bound):
+    scenario = preset(label)
+    assert positivity_step_bound(scenario.params, scenario.y0) == pytest.approx(bound, abs=0.005)
+
+
+def test_positivity_step_bound_hand_value():
+    # P = max(10, theta/gamma = 20); the corrupt outflow 0.5 + 1 + 2 + 0 dominates
+    params = CpParams(
+        theta=10.0, gamma=0.5, rho=1.0, mu=0.5, p1=0.0, p2=0.0, beta1=0.0, beta2=0.0,
+        alpha1=0.5, alpha2=0.5, r1=0.0, r2=0.0, tau=2.0, b1=1.0, b2=0.0, sigma=0.0, N=20.0,
+    )
+    assert positivity_step_bound(params, np.array([2.0, 2.0, 2.0, 2.0, 2.0])) == 3.0 / 3.5
+
+
+def test_positivity_step_bound_is_zero_when_the_total_grows_without_bound():
+    scenario = preset("cameroon-1960")
+    params = dataclasses.replace(scenario.params, gamma=0.0)
+    assert positivity_step_bound(params, scenario.y0) == 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -23,8 +24,10 @@ from tristep import (
     conservation_residual,
     cp_rhs,
     format_config,
+    heun_substep,
     integrate,
     parse_config,
+    positivity_step_bound,
     preset_from_config,
 )
 from tristep.cli import read_trajectory_csv, trajectory_row_indices, write_trajectory_csv
@@ -122,6 +125,82 @@ def test_array_field_steps_bitwise_as_its_component_form(case, steps, k, sign):
     wrapped = RhsField(dim=5, evaluate=lambda t, state: model.evaluate(t, state))
     grid = build_grid(0.0, k * steps, k)
     assert _run(wrapped, y, grid, sign) == _run(model, y, grid, sign)
+
+
+@st.composite
+def small_fields(draw):
+    """A state and a field of dimension 1-8: linear on arrays, or quadratic as a component form."""
+    dim = draw(st.integers(1, 8))
+    values = st.floats(-2.0, 2.0)
+    if draw(st.booleans()):
+        a = draw(arrays(np.float64, (dim, dim), elements=values))
+        field = RhsField(dim=dim, evaluate=lambda t, y: a @ y)
+    else:
+        c = draw(st.lists(values, min_size=dim, max_size=dim))
+        field = RhsField.from_components(
+            dim, lambda t, y: tuple(c[i] * y[i] * y[i - 1] - t for i in range(dim))
+        )
+    return field, draw(arrays(np.float64, dim, elements=values))
+
+
+@PROPERTY
+@given(
+    small_fields(),
+    st.floats(-10.0, 10.0),
+    st.floats(1e-3, 1.0),
+    st.sampled_from(SignConvention),
+)
+def test_generated_kernels_are_bitwise_the_ndarray_update(case, t, k, sign):
+    field, y = case
+    chained = advance_one_step(field, t, y, k, sign)
+    assert chained.tobytes() == composed_step(field, t, y, k, sign).tobytes()
+    h = k / 3.0
+    f1 = field.evaluate(t, y)
+    f2 = field.evaluate(t + h, y + h * f1)
+    expected = y + sign.factor * (h / 2.0) * (f1 + f2)
+    assert heun_substep(field, t, y, h, sign).tobytes() == expected.tobytes()
+
+
+def _certified_grid(params, y, share, steps):
+    """A grid of ``steps`` steps of about ``share`` times the positivity bound, never above it."""
+    bound = positivity_step_bound(params, y)
+    k = share * bound
+    assume(0.0 < k and math.isfinite(k * steps))
+    grid = build_grid(0.0, k * steps, k)
+    assume(grid.k <= bound)
+    return grid
+
+
+@PROPERTY
+@given(params_and_state(), st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 40))
+def test_steps_within_the_positivity_bound_keep_every_sample_nonnegative(case, share, steps):
+    params, y = case
+    grid = _certified_grid(params, y, share, steps)
+    assert (integrate(cp_rhs(params), y, grid).states >= 0.0).all()
+
+
+@PROPERTY
+@given(params_and_state(), st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 40))
+def test_integrated_total_tracks_the_closed_form(case, share, steps):
+    params, y = case
+    assume(params.gamma > 0.0)
+    # within the positivity bound every compartment stays in [0, P] and x = gamma*k/3 <= 1
+    grid = _certified_grid(params, y, share, steps)
+    totals = integrate(cp_rhs(params), y, grid).states.sum(axis=1)
+    t = grid.times()
+    gamma = params.gamma
+    rest = params.theta / gamma
+    deviation = float(y.sum()) - rest
+    closed = rest + deviation * np.exp(-gamma * t)
+    # the total obeys z' = theta - gamma*z, which each substep steps, in exact
+    # arithmetic, as z - rest -> (1 - x + x^2/2) (z - rest); that factor and
+    # e^-x both lie in [0, 1] and differ by at most x^3/6, so after t/h
+    # substeps the total is off by t*gamma^3*h^2/6 of |deviation| at most
+    defect = t * gamma**3 * (grid.k / 3.0) ** 2 / 6.0 * abs(deviation)
+    # each step rounds a few dozen terms of size at most P = max(total0, rest);
+    # 1e-13 P per step is about 450 ulps of P
+    rounding = 1e-13 * (np.arange(grid.M + 1) + 1.0) * max(float(y.sum()), rest)
+    assert (np.abs(totals - closed) <= defect + rounding).all()
 
 
 @st.composite

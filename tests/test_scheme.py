@@ -329,6 +329,32 @@ def test_wrong_length_field_results_are_rejected(field):
         integrate(field, y, build_grid(0.0, 1.0, 0.5))
 
 
+def test_wrong_length_results_after_the_first_step_are_rejected():
+    calls = []
+
+    def components(t, y):
+        calls.append(t)
+        return (0.0,) * (3 if len(calls) <= 6 else 4)
+
+    field = RhsField.from_components(3, components)
+    with pytest.raises(ValueError):
+        integrate(field, np.ones(3), build_grid(0.0, 1.0, 0.25))
+
+
+@pytest.mark.parametrize(
+    "dim, error", [(0, ValueError), (-1, ValueError), (2.0, TypeError)], ids=["0", "-1", "2.0"]
+)
+def test_field_dimension_must_be_a_positive_integer(dim, error):
+    with pytest.raises(error):
+        RhsField(dim=dim, evaluate=lambda t, y: y)
+
+
+def test_field_dimension_accepts_numpy_integers():
+    field = RhsField(dim=np.int64(2), evaluate=lambda t, y: y)
+    assert type(field.dim) is int and field.dim == 2
+    assert advance_one_step(field, 0.0, np.ones(2), 0.3).shape == (2,)
+
+
 def test_component_form_field_evaluates_arrays():
     field = RhsField.from_components(2, lambda t, y: (t * y[1], -y[0]))
     out = field.evaluate(2.0, np.array([3.0, 4.0]))

@@ -108,41 +108,48 @@ def effective_contact_rates(
     return p1 * (1.0 - beta1), p2 * (1.0 - beta2)
 
 
-def cp_rhs(params: CpParams) -> RhsField:
-    """Vector field of the five-compartment system, as a component form.
+#: The five equations.  Each bilinear contact term is computed once, as
+#: the same float product the equations would each compute.
+_CP_RATES = """
+c12 = a1 * y1 * y2
+c13 = a2 * y1 * y3
+c23 = r2 * y2 * y3
+f1 = theta - inv_n * (c12 + c13) - drain1 * y1
+f2 = inv_n * (c12 + c23) - drain2 * y2 + jail_to_corrupt * y4
+f3 = inv_n * (c13 - c23) + r1 * y2 - drain3 * y3
+f4 = tau * y2 - drain4 * y4
+f5 = sigma * y1 + b1 * y2 + b2 * y3 + jail_to_honest * y4 - gamma * y5
+"""
 
-    The field is autonomous: the time argument is accepted and ignored.
-    Bilinear contact terms are scaled by 1/N.
+
+def cp_rhs(params: CpParams) -> RhsField:
+    """Vector field of the five-compartment system, written as source.
+
+    The field is autonomous: the equations do not use the time.  Bilinear
+    contact terms are scaled by 1/N.
     """
-    theta = params.theta
-    gamma = params.gamma
-    sigma = params.sigma
-    a1 = params.alpha1
-    a2 = params.alpha2
-    r1 = params.r1
-    r2 = params.r2
-    tau = params.tau
-    b1 = params.b1
-    b2 = params.b2
-    inv_n = 1.0 / params.N
     jail_to_corrupt = params.rho * (1.0 - params.mu)
     jail_to_honest = params.rho * params.mu
-    drain1 = gamma + sigma
-    drain2 = gamma + b1 + tau + r1
-    drain3 = gamma + b2
-    drain4 = jail_to_corrupt + jail_to_honest + gamma
-
-    def components(t: float, y) -> tuple[float, ...]:
-        y1, y2, y3, y4, y5 = y
-        return (
-            theta - inv_n * (a1 * y1 * y2 + a2 * y1 * y3) - drain1 * y1,
-            inv_n * (a1 * y1 * y2 + r2 * y2 * y3) - drain2 * y2 + jail_to_corrupt * y4,
-            inv_n * (a2 * y1 * y3 - r2 * y2 * y3) + r1 * y2 - drain3 * y3,
-            tau * y2 - drain4 * y4,
-            sigma * y1 + b1 * y2 + b2 * y3 + jail_to_honest * y4 - gamma * y5,
-        )
-
-    return RhsField.from_components(5, components)
+    constants = {
+        "theta": params.theta,
+        "gamma": params.gamma,
+        "sigma": params.sigma,
+        "a1": params.alpha1,
+        "a2": params.alpha2,
+        "r1": params.r1,
+        "r2": params.r2,
+        "tau": params.tau,
+        "b1": params.b1,
+        "b2": params.b2,
+        "inv_n": 1.0 / params.N,
+        "jail_to_corrupt": jail_to_corrupt,
+        "jail_to_honest": jail_to_honest,
+        "drain1": params.gamma + params.sigma,
+        "drain2": params.gamma + params.b1 + params.tau + params.r1,
+        "drain3": params.gamma + params.b2,
+        "drain4": jail_to_corrupt + jail_to_honest + params.gamma,
+    }
+    return RhsField.from_source(5, _CP_RATES, constants=constants)
 
 
 def positivity_step_bound(params: CpParams, y0: np.ndarray) -> float:

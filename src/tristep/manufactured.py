@@ -14,13 +14,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .numerics import BLOCK_ROWS, TimeGrid
 from .scheme import RhsField
 
 __all__ = ["ManufacturedProblem", "PROBLEM_LABELS", "example1", "example2", "problem"]
+
+
+class _ClosedForm:
+    """The array ``exact`` derived from a closed form on floats, which it exposes."""
+
+    __slots__ = ("solution",)
+
+    def __init__(self, solution: Callable[[float], Sequence[float]]) -> None:
+        self.solution = solution
+
+    def __call__(self, t: float) -> np.ndarray:
+        return np.array(self.solution(t))
 
 
 @dataclass(frozen=True)
@@ -38,48 +51,75 @@ class ManufacturedProblem:
         """Initial state, by construction equal to ``exact(t0)``."""
         return self.exact(self.t0)
 
+    def exact_states(self, grid: TimeGrid) -> np.ndarray:
+        """``exact`` at every grid point t_0..t_M, one row each.
 
-def _exact(t: float) -> np.ndarray:
+        When ``exact`` is derived from a closed form on floats, the rows
+        come from that form, bitwise the same values; any other ``exact``
+        is called once per grid point.
+        """
+        exact = self.exact
+        solution = exact.solution if isinstance(exact, _ClosedForm) else exact
+        states = np.empty((grid.M + 1, self.field.dim))
+        flat = states.reshape(-1)
+        t0, k, dim = grid.t0, grid.k, self.field.dim
+        for first in range(0, grid.M + 1, BLOCK_ROWS):
+            stop = min(first + BLOCK_ROWS, grid.M + 1)
+            rows: list[float] = []
+            for n in range(first, stop):
+                rows.extend(solution(t0 + n * k))  # t0 + n * k is grid.time(n)
+            flat[first * dim : stop * dim] = rows
+        return states
+
+
+def _solution(t: float) -> tuple[float, float, float]:
     q = t * t - t
-    return np.array((q, q * math.exp(-t), (t - 1.0) * math.sin(t)))
+    return (q, q * math.exp(-t), (t - 1.0) * math.sin(t))
+
+
+#: The math functions the forcing terms call, bound as constants.
+_MATH = {"exp": math.exp, "cos": math.cos, "sin": math.sin}
 
 
 def example1() -> ManufacturedProblem:
     """Problem whose second and third equations couple through y2**2."""
-
-    def components(t: float, y) -> tuple[float, float, float]:
-        y1, y2, _ = y
-        e1 = math.exp(-t)
-        q = t * t - t
-        qq = q * q * math.exp(-2.0 * t)
-        g1 = t * t + t - 1.0
-        g2 = qq - (t * t - 3.0 * t + 1.0) * e1 - t * t + t
-        g3 = -qq + (t - 1.0) * math.cos(t) + math.sin(t)
-        return (-y1 + g1, y1 - y2 * y2 + g2, y2 * y2 + g3)
-
-    return ManufacturedProblem(
-        label="example1", field=RhsField.from_components(3, components), exact=_exact
-    )
+    time_terms = """
+    e1 = exp(-t)
+    q = t * t - t
+    qq = q * q * exp(-2.0 * t)
+    g1 = t * t + t - 1.0
+    g2 = qq - (t * t - 3.0 * t + 1.0) * e1 - t * t + t
+    g3 = -qq + (t - 1.0) * cos(t) + sin(t)
+    """
+    rates = """
+    f1 = -y1 + g1
+    f2 = y1 - y2 * y2 + g2
+    f3 = y2 * y2 + g3
+    """
+    field = RhsField.from_source(3, rates, time_terms=time_terms, constants=_MATH)
+    return ManufacturedProblem(label="example1", field=field, exact=_ClosedForm(_solution))
 
 
 def example2() -> ManufacturedProblem:
     """Problem whose first two equations couple through y2*y3."""
-
-    def components(t: float, y) -> tuple[float, float, float]:
-        y1, y2, y3 = y
-        e1 = math.exp(-t)
-        s = math.sin(t)
-        # t*(t-1)**2 * exp(-t) * sin(t) equals y2*y3 along the exact solution
-        w = t * (t - 1.0) ** 2 * e1 * s
-        q = t * t - t
-        g1 = t * t + t - 1.0 - w
-        g2 = t - t * t - (t * t - 3.0 * t + 1.0) * e1 + w
-        g3 = -(q * q) * math.exp(-2.0 * t) + (t - 1.0) * math.cos(t) + s
-        return (-y1 + y2 * y3 + g1, y1 - y2 * y3 + g2, y2 * y2 + g3)
-
-    return ManufacturedProblem(
-        label="example2", field=RhsField.from_components(3, components), exact=_exact
-    )
+    time_terms = """
+    e1 = exp(-t)
+    s = sin(t)
+    # t*(t-1)**2 * exp(-t) * sin(t) equals y2*y3 along the exact solution
+    w = t * (t - 1.0) ** 2 * e1 * s
+    q = t * t - t
+    g1 = t * t + t - 1.0 - w
+    g2 = t - t * t - (t * t - 3.0 * t + 1.0) * e1 + w
+    g3 = -(q * q) * exp(-2.0 * t) + (t - 1.0) * cos(t) + s
+    """
+    rates = """
+    y23 = y2 * y3
+    f1 = -y1 + y23 + g1
+    f2 = y1 - y23 + g2
+    f3 = y2 * y2 + g3
+    """
+    field = RhsField.from_source(3, rates, time_terms=time_terms, constants=_MATH)
+    return ManufacturedProblem(label="example2", field=field, exact=_ClosedForm(_solution))
 
 
 _PROBLEM_BUILDERS = {"example1": example1, "example2": example2}

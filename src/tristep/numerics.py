@@ -23,6 +23,12 @@ __all__ = [
     "sup_norm",
 ]
 
+#: Rows a loop gathers flat in a Python list before one slice assignment
+#: writes them into an array: far cheaper than a row assignment per row,
+#: while the list stays small whatever the number of rows.
+BLOCK_ROWS = 1024
+
+
 def as_state(values: Iterable[float], dim: int | None = None) -> np.ndarray:
     """Coerce ``values`` to a 1-D float64 state vector and validate it.
 

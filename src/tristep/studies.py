@@ -86,9 +86,7 @@ def run_convergence_study(
     for grid in [build_grid(problem.t0, problem.T, 2.0**-e) for e in exps]:
         trajectory = integrate(problem.field, problem.y0, grid, sign)
         computed = trajectory.states[1:]
-        reference = np.empty_like(computed)
-        for n in range(1, grid.M + 1):
-            reference[n - 1] = problem.exact(grid.time(n))
+        reference = problem.exact_states(grid)[1:]
         sup_exact = np.abs(reference).max(axis=1)
         sup_numeric = np.abs(computed).max(axis=1)
         sup_error = np.abs(reference - computed).max(axis=1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -28,8 +29,10 @@ from tristep import (
     integrate,
     parse_config,
     positivity_step_bound,
+    preset,
     preset_from_config,
 )
+from tristep import scheme
 from tristep.cli import read_trajectory_csv, trajectory_row_indices, write_trajectory_csv
 
 # seeded, so that every run of the suite draws the same examples
@@ -127,18 +130,33 @@ def test_array_field_steps_bitwise_as_its_component_form(case, steps, k, sign):
     assert _run(wrapped, y, grid, sign) == _run(model, y, grid, sign)
 
 
+def _forced_source(dim: int) -> str:
+    """Rates of dimension ``dim``: quadratic in the state, forced by the time term ``u``."""
+    return "\n".join(f"f{j} = c{j} * y{j} * y{(j - 2) % dim + 1} - u" for j in range(1, dim + 1))
+
+
 @st.composite
 def small_fields(draw):
-    """A state and a field of dimension 1-8: linear on arrays, or quadratic as a component form."""
+    """A state and a field of dimension 1-8.
+
+    The field is linear on arrays, quadratic as a component form, or
+    quadratic as source forced by a term in t alone.
+    """
     dim = draw(st.integers(1, 8))
     values = st.floats(-2.0, 2.0)
-    if draw(st.booleans()):
+    c = draw(st.lists(values, min_size=dim, max_size=dim))
+    form = draw(st.sampled_from(["array", "components", "source"]))
+    if form == "array":
         a = draw(arrays(np.float64, (dim, dim), elements=values))
         field = RhsField(dim=dim, evaluate=lambda t, y: a @ y)
-    else:
-        c = draw(st.lists(values, min_size=dim, max_size=dim))
+    elif form == "components":
         field = RhsField.from_components(
             dim, lambda t, y: tuple(c[i] * y[i] * y[i - 1] - t for i in range(dim))
+        )
+    else:
+        constants = {"sin": math.sin, **{f"c{j}": c[j - 1] for j in range(1, dim + 1)}}
+        field = RhsField.from_source(
+            dim, _forced_source(dim), time_terms="u = t * sin(t)", constants=constants
         )
     return field, draw(arrays(np.float64, dim, elements=values))
 
@@ -159,6 +177,32 @@ def test_generated_kernels_are_bitwise_the_ndarray_update(case, t, k, sign):
     f2 = field.evaluate(t + h, y + h * f1)
     expected = y + sign.factor * (h / 2.0) * (f1 + f2)
     assert heun_substep(field, t, y, h, sign).tobytes() == expected.tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.floats(-10.0, 10.0), st.floats(1e-3, 1.0), st.integers(1, 5))
+def test_time_terms_run_once_per_distinct_time(dim, t, k, steps):
+    times = []
+
+    def tick(at):
+        times.append(at)
+        return 0.0
+
+    constants = {"tick": tick, **{f"c{j}": 0.5 for j in range(1, dim + 1)}}
+    field = RhsField.from_source(
+        dim, _forced_source(dim), time_terms="u = tick(t)", constants=constants
+    )
+    y = np.full(dim, 0.25)
+    h = k / 3.0
+    heun_substep(field, t, y, h)
+    assert times == [t, t + h]
+    times.clear()
+    advance_one_step(field, t, y, k)
+    assert times == [t, t + h, (t + h) + h, ((t + h) + h) + h]
+    times.clear()
+    grid = build_grid(t, t + k * steps, k)
+    integrate(field, y, grid)
+    assert len(times) == 4 * grid.M
 
 
 def _certified_grid(params, y, share, steps):
@@ -233,6 +277,30 @@ def test_config_round_trip_is_exact(case):
     assert rebuilt.y0.tolist() == scenario.y0.tolist()
     assert (rebuilt.t0, rebuilt.T, rebuilt.k) == (scenario.t0, scenario.T, scenario.k)
     assert rebuilt.era_boundaries == scenario.era_boundaries
+
+
+def _kernel_texts(params):
+    """Every text compiled while a fresh field of ``params`` takes one step."""
+    texts = []
+
+    def spy(text, namespace):
+        texts.append(text)
+        exec(text, namespace)
+
+    scheme._compiled.cache_clear()
+    with mock.patch.object(scheme, "exec", spy, create=True):
+        advance_one_step(cp_rhs(params), 0.0, np.ones(5), 1e-3)
+    return texts
+
+
+@PROPERTY
+@given(scenarios())
+def test_config_values_never_enter_the_kernel_source(case):
+    scenario, sign = case
+    params = preset_from_config(parse_config(format_config(scenario, sign))).params
+    constants = cp_rhs(params).evaluate.source.constants
+    assert all(type(value) is float for value in constants.values())
+    assert _kernel_texts(params) == _kernel_texts(preset("cameroon-1960").params)
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +15,12 @@ from tristep import (
     advance_one_step,
     build_grid,
     composed_step,
+    cp_rhs,
     example1,
     example2,
     heun_substep,
     integrate,
+    preset,
     sup_norm,
     zero_stability_root_moduli,
     zero_stability_roots,
@@ -360,6 +363,103 @@ def test_component_form_field_evaluates_arrays():
     out = field.evaluate(2.0, np.array([3.0, 4.0]))
     assert isinstance(out, np.ndarray)
     assert out.tolist() == [8.0, -3.0]
+
+
+# ------------------------------------------------------------ source fields
+
+#: constants named as the kernel's own locals, time terms and rate locals too
+_SHADOWING = {"h": 0.5, "w": -1.25, "t13": 3.0, "y": 0.75, "g": 2.0, "a1": -0.5, "r1": 1.5}
+
+
+def _shadowing_field():
+    return RhsField.from_source(
+        2,
+        """
+        a0 = a1 * y1 * y2 + e0
+        f1 = h * y1 - w * y2 + a0
+        f2 = y * y1 * y1 - r1 * y2 + p0
+        """,
+        time_terms="e0 = t13 * t\np0 = g - t",
+        constants=_SHADOWING,
+    )
+
+
+def _shadowing_by_hand(t, s):
+    c = _SHADOWING
+    a0 = c["a1"] * s[0] * s[1] + c["t13"] * t
+    return np.array(
+        [
+            c["h"] * s[0] - c["w"] * s[1] + a0,
+            c["y"] * s[0] * s[0] - c["r1"] * s[1] + (c["g"] - t),
+        ]
+    )
+
+
+def test_source_names_never_meet_the_kernel_names():
+    field = _shadowing_field()
+    by_hand = RhsField(dim=2, evaluate=_shadowing_by_hand)
+    y = np.array([0.3, -0.7])
+    assert field.evaluate(0.4, y).tobytes() == _shadowing_by_hand(0.4, y).tobytes()
+    for sign in SignConvention:
+        expected = composed_step(by_hand, 0.4, y, 0.3, sign)
+        assert advance_one_step(field, 0.4, y, 0.3, sign).tobytes() == expected.tobytes()
+        assert composed_step(field, 0.4, y, 0.3, sign).tobytes() == expected.tobytes()
+        expected = heun_substep(by_hand, 0.4, y, 0.1, sign)
+        assert heun_substep(field, 0.4, y, 0.1, sign).tobytes() == expected.tobytes()
+    grid = build_grid(0.0, 2.0, 0.01)
+    expected = integrate(by_hand, y, grid).states
+    assert integrate(field, y, grid).states.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rates, time_terms, constants, message",
+    [
+        ("f1 = y1\nprint(f1)\nf2 = y2", "", {}, "rates, line 2: only assignments"),
+        ("f1 = y1 + z\nf2 = y2", "", {}, "unknown name 'z'"),
+        ("f2 = f1\nf1 = y1", "", {}, "unknown name 'f1'"),
+        ("y1 = 2.0\nf1 = y1\nf2 = y2", "", {}, "'y1' cannot be assigned"),
+        ("c = 1.0\nf1 = c\nf2 = y2", "", {"c": 2.0}, "'c' cannot be assigned"),
+        ("u = 1.0\nf1 = u\nf2 = y2", "u = t", {}, "'u' cannot be assigned"),
+        ("f1 = y1", "", {}, "rates never assign f2"),
+        ("f1 = u\nf2 = y2", "u = y1", {}, "time_terms, line 1: unknown name 'y1'"),
+        ("f2 = y2", "f1 = t", {}, "'f1' cannot be assigned"),
+        ("f1 = [x for x in (y1,)][0]\nf2 = y2", "", {}, "comprehension is not allowed"),
+        ("f1 = (lambda: y1)()\nf2 = y2", "", {}, "Lambda is not allowed"),
+        ("f1.x = y1\nf2 = y2", "", {}, "only names may be assigned"),
+        ("f1 = y1 +\nf2 = y2", "", {}, "rates: invalid syntax"),
+        ("f1 = y1\nf2 = y2", "", {"y1": 1.0}, "'y1' is reserved"),
+        ("f1 = y1\nf2 = y2", "", {"not a name": 1.0}, "not an identifier"),
+    ],
+)
+def test_malformed_source_is_rejected_on_first_use(rates, time_terms, constants, message):
+    field = RhsField.from_source(2, rates, time_terms=time_terms, constants=constants)
+    y = np.ones(2)
+    with pytest.raises(ValueError, match=message):
+        field.evaluate(0.0, y)
+    with pytest.raises(ValueError, match=message):
+        advance_one_step(field, 0.0, y, 0.3)
+    with pytest.raises(ValueError, match=message):
+        integrate(field, y, build_grid(0.0, 1.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "field", [cp_rhs(preset("cameroon-1960").params), example1().field, example2().field],
+    ids=["cp_rhs", "example1", "example2"],
+)
+def test_a_replaced_evaluate_is_stepped_and_counted(field):
+    # as a tracer replaces it: the inlined source must not bypass the replacement
+    calls = []
+
+    def evaluate(t, y):
+        calls.append(t)
+        return field.evaluate(t, y)
+
+    traced = dataclasses.replace(field, evaluate=evaluate)
+    y0 = np.linspace(0.5, 2.0, field.dim)
+    grid = build_grid(0.0, 0.05, 1e-3)
+    expected = integrate(field, y0, grid).states
+    assert integrate(traced, y0, grid).states.tobytes() == expected.tobytes()
+    assert len(calls) == 6 * grid.M
 
 
 def test_integrate_rejects_dimension_mismatch():

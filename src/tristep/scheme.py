@@ -9,9 +9,11 @@ is needed.
 The stepping kernel runs on Python floats.  A field written as source text
 (:meth:`RhsField.from_source`) is inlined into it once per stage; any other
 field is called from it, through an adapter when it has only an array
-``evaluate``.  The kernel is straight-line code generated once per source
-text, and gives bitwise the results of the same update written in numpy
-arithmetic, which :func:`composed_step` keeps.
+``evaluate``.  The kernel is generated once per source text: ``march`` runs
+a block of macro steps in one call, with the state and the field's
+constants in local variables, and the component form and the substep are
+generated apart, each only when used.  It gives bitwise the results of the
+same update written in numpy arithmetic, which :func:`composed_step` keeps.
 
 The default :class:`SignConvention` adds the averaged slopes, which is the
 choice forced by the second-order conditions.  ``MINUS`` subtracts them
@@ -24,6 +26,7 @@ from __future__ import annotations
 import ast
 import enum
 import functools
+import itertools
 import keyword
 import math
 import operator
@@ -67,9 +70,9 @@ Components = Callable[[float, tuple[float, ...]], Sequence[float]]
 class _Source:
     """A field's equations as text, with the constants the text names.
 
-    ``functions`` holds the component form, the substep and the macro step
-    compiled from the text, once per text, and bound to ``constants`` by
-    value, once per source, both on first use.
+    ``components``, ``substep`` and ``march`` are each generated from the
+    text and compiled on first use, once per text, and bound to
+    ``constants`` by value once per source; see :func:`_compiled`.
     """
 
     dim: int
@@ -77,10 +80,21 @@ class _Source:
     time_terms: str
     constants: Mapping[str, object]
 
-    @functools.cached_property
-    def functions(self) -> tuple[Components, Callable, Callable]:
-        bind = _compiled(self.dim, self.rates, self.time_terms, tuple(self.constants))
+    def _bound(self, function: str) -> Callable:
+        bind = _compiled(function, self.dim, self.rates, self.time_terms, tuple(self.constants))
         return bind(*self.constants.values())
+
+    @functools.cached_property
+    def components(self) -> Components:
+        return self._bound("components")
+
+    @functools.cached_property
+    def substep(self) -> Callable:
+        return self._bound("substep")
+
+    @functools.cached_property
+    def march(self) -> Callable:
+        return self._bound("march")
 
 
 class _SourceEvaluate:
@@ -92,7 +106,7 @@ class _SourceEvaluate:
         self.source = source
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(self.source.functions[0](t, tuple(map(float, y))))
+        return np.array(self.source.components(t, tuple(map(float, y))))
 
 
 @dataclass(frozen=True)
@@ -282,8 +296,10 @@ def _target_names(target: ast.expr, where: str) -> list[str]:
     raise ValueError(f"{where}: only names may be assigned")
 
 
-def _assignments(text: str, what: str, known: set[str], fixed: set[str]) -> list[str]:
-    """The names the statements of ``text`` assign, in order.
+def _assignments(
+    text: str, what: str, known: set[str], fixed: set[str]
+) -> tuple[list[ast.stmt], list[str]]:
+    """The statements of ``text``, parsed, and the names they assign, in order.
 
     Every statement must be an assignment to names that are not ``fixed``,
     whose value uses only names ``known`` or assigned before it.
@@ -311,14 +327,16 @@ def _assignments(text: str, what: str, known: set[str], fixed: set[str]) -> list
                 raise ValueError(f"{where}: {name!r} cannot be assigned")
         known.update(names)
         assigned.extend(names)
-    return assigned
+    return body, assigned
 
 
-def _check(dim: int, rates: str, time_terms: str, constants: tuple[str, ...]) -> list[str]:
+def _check(
+    dim: int, rates: str, time_terms: str, constants: tuple[str, ...]
+) -> tuple[list[ast.stmt], list[str], list[ast.stmt]]:
     """Check a field's text against the rules of :meth:`RhsField.from_source`.
 
-    Returns the names its time terms assign; raises ``ValueError`` on the
-    first rule broken.
+    Returns the parsed time terms, the names they assign and the parsed
+    rates; raises ``ValueError`` on the first rule broken.
     """
     state = {f"y{j}" for j in range(1, dim + 1)}
     slopes = {f"f{j}" for j in range(1, dim + 1)}
@@ -328,29 +346,38 @@ def _check(dim: int, rates: str, time_terms: str, constants: tuple[str, ...]) ->
         if name == "t" or name in state or name in slopes:
             raise ValueError(f"constant name {name!r} is reserved")
     fixed = {"t", *state, *constants}
-    time_names = _assignments(time_terms, "time_terms", {"t", *constants}, fixed | slopes)
+    timed, time_names = _assignments(time_terms, "time_terms", {"t", *constants}, fixed | slopes)
     fixed |= set(time_names)
-    rate_names = _assignments(rates, "rates", fixed, fixed)
+    rated, rate_names = _assignments(rates, "rates", fixed, fixed)
     missing = sorted(slopes - set(rate_names), key=lambda name: int(name[1:]))
     if missing:
         raise ValueError(f"rates never assign {', '.join(missing)}")
-    return time_names
+    return timed, time_names, rated
 
 
-class _Renamer(ast.NodeTransformer):
-    def __init__(self, names: Mapping[str, str], tag: str) -> None:
-        self.names = names
-        self.tag = tag
+def _pieces(body: list[ast.stmt]) -> list[list[str]]:
+    """The lines of ``body``, each split into text and names: names at the odd places.
 
-    def visit_Name(self, node: ast.Name) -> ast.Name:
-        node.id = self.names.get(node.id, f"{node.id}__{self.tag}")
-        return node
+    The statements are written with every name between two marks, a
+    character that the statements written without marks do not hold.  It
+    is printable, so a name inside an f-string keeps its marks as they are.
+    """
+    module = ast.Module(body=body, type_ignores=[])
+    plain = ast.unparse(module)
+    mark = next(c for c in map(chr, itertools.count(0x100)) if c.isprintable() and c not in plain)
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name):
+            node.id = f"{mark}{node.id}{mark}"
+    return [line.split(mark) for line in ast.unparse(module).splitlines()]
 
 
-def _renamed(text: str, names: Mapping[str, str], tag: str) -> list[str]:
-    """Kernel lines of ``text``: names renamed by ``names``, others suffixed ``__tag``."""
-    renamed = ast.unparse(_Renamer(names, tag).visit(ast.parse(text)))
-    return [f"        {line}" for line in renamed.splitlines()]
+def _renamed(pieces: list[list[str]], names: Mapping[str, str], tag: str) -> list[str]:
+    """The lines of ``pieces``: names renamed by ``names``, others suffixed ``__tag``."""
+    suffix = f"__{tag}"
+    return [
+        "".join([p if i % 2 == 0 else names.get(p, p + suffix) for i, p in enumerate(line)])
+        for line in pieces
+    ]
 
 
 def _names(dim: int, template: str) -> str:
@@ -362,23 +389,30 @@ def _names(dim: int, template: str) -> str:
     return ", ".join(template.format(i=i, j=i + 1) for i in range(dim)) + ","
 
 
-def _kernel_text(dim: int, rates: str, time_terms: str, constants: tuple[str, ...]) -> str:
-    """Source of ``bind(constants) -> (components, substep, step)`` for a field's text.
+def _kernel_text(
+    function: str, dim: int, rates: str, time_terms: str, constants: tuple[str, ...]
+) -> str:
+    """Source of ``bind(constants) -> function`` for a field's text.
 
-    It is written from the text and the constants' names alone, never from
-    their values, which ``bind`` takes as arguments.  ``step`` chains three
-    substeps of length h from t, t1 = t + h and t2 = t1 + h, so the time
-    terms run at four distinct times; its result is finite when the sum of
-    its components times 0.0 is 0.0, and otherwise exactly when every
-    component passes ``isfinite``.
+    ``function`` is one of ``components``, ``substep`` and ``march``.  The
+    text is written from the field's text and the constants' names alone,
+    never from their values, which ``bind`` takes as arguments and the
+    function keeps as keyword defaults, so that they are its fast locals.
+    ``march`` chains three substeps of length h from t, t1 = t + h and
+    t2 = t1 + h, so the time terms run at four distinct times per step; a
+    step's result is finite when the sum of its components times 0.0 is
+    0.0, and otherwise exactly when every component passes ``isfinite``.
     """
     rates, time_terms = textwrap.dedent(rates), textwrap.dedent(time_terms)
-    time_names = _check(dim, rates, time_terms, constants)
+    timed, time_names, rated = _check(dim, rates, time_terms, constants)
+    timed, rated = _pieces(timed), _pieces(rated)
     bound = {name: f"{name}__c" for name in constants}
+    # the kernel keeps its times t, t1, ... only when the text reads t
+    ticks = any("t" in line[1::2] for line in (*timed, *rated))
 
     def times(number: int, t: str) -> list[str]:
         """The time terms at the kernel's time number ``number``, held in ``t``."""
-        return _renamed(time_terms, {"t": t, **bound}, f"t{number}")
+        return _renamed(timed, {"t": t, **bound}, f"t{number}")
 
     def stage(number: int, time: int, t: str, y: str, out: str) -> list[str]:
         """Stage ``number``: the rates at time number ``time``, from ``{y}i`` into ``{out}i``."""
@@ -389,7 +423,7 @@ def _kernel_text(dim: int, rates: str, time_terms: str, constants: tuple[str, ..
             **bound,
             **{name: f"{name}__t{time}" for name in time_names},
         }
-        return _renamed(rates, names, f"s{number}")
+        return _renamed(rated, names, f"s{number}")
 
     def substep(number: int, t: str, t_next: str, y: str, out: str) -> list[str]:
         """Substep ``number`` (from 1) from the state ``{y}i`` at time ``t`` into ``{out}i``.
@@ -401,54 +435,65 @@ def _kernel_text(dim: int, rates: str, time_terms: str, constants: tuple[str, ..
         """
         return [
             *stage(2 * number - 1, number - 1, t, y, "a"),
-            f"        {t_next} = {t} + h",
-            *(f"        e{i} = {y}{i} + h * a{i}" for i in range(dim)),
+            *([f"{t_next} = {t} + h"] if ticks else []),
+            *(f"e{i} = {y}{i} + h * a{i}" for i in range(dim)),
             *times(number, t_next),
             *stage(2 * number, number, t_next, "e", "b"),
-            *(f"        {out}{i} = {y}{i} + w * (a{i} + b{i})" for i in range(dim)),
+            *(f"{out}{i} = {y}{i} + w * (a{i} + b{i})" for i in range(dim)),
         ]
 
-    state = f"        {_names(dim, 'y{i}')} = y"
-    result = _names(dim, "r{i}")
+    state, p, q, r = (_names(dim, y + "{i}") for y in "ypqr")
+    if function == "components":
+        parameters = "t, y"
+        body = [*times(0, "t"), *stage(1, 0, "t", "y", "a"), f"return ({_names(dim, 'a{i}')})"]
+    elif function == "substep":
+        parameters = "t, y, h, w"
+        body = [*times(0, "t"), *substep(1, "t", "t1", "y", "r"), f"return ({r})"]
+    else:
+        parameters = "t0, k, first, stop, y, h, w, rows"
+        step = [
+            *(["t = t0 + n * k"] if ticks else []),
+            *times(0, "t"),
+            *substep(1, "t", "t1", "y", "p"),
+            *substep(2, "t1", "t2", "p", "q"),
+            *substep(3, "t2", "t3", "q", "r"),
+            f"if not (({' + '.join(f'r{i}' for i in range(dim))}) * 0.0 == 0.0 or "
+            f"{' and '.join(f'isfinite(r{i})' for i in range(dim))}):",
+            "    t = t0 + n * k",
+            "    t1 = t + h",
+            "    t2 = t1 + h",
+            f"    raise blowup(t, ({state}), t1, ({p}), t2, ({q}))",
+            *(f"y{i} = r{i}" for i in range(dim)),
+            f"rows += ({state})",
+        ]
+        body = ["for n in range(first, stop):", *(f"    {line}" for line in step)]
+        body.append(f"return ({state})")
+    defaults = "".join(f", {name}={name}" for name in bound.values())
     lines = [
         f"def bind({', '.join(bound.values())}):",
-        "    def components(t, y):",
-        state,
-        *times(0, "t"),
-        *stage(1, 0, "t", "y", "a"),
-        f"        return ({_names(dim, 'a{i}')})",
-        "    def substep(t, y, h, w):",
-        state,
-        *times(0, "t"),
-        *substep(1, "t", "t1", "y", "r"),
-        f"        return ({result})",
-        "    def step(t, y, h, w):",
-        state,
-        *times(0, "t"),
-        *substep(1, "t", "t1", "y", "p"),
-        *substep(2, "t1", "t2", "p", "q"),
-        *substep(3, "t2", "t3", "q", "r"),
-        f"        if ({' + '.join(f'r{i}' for i in range(dim))}) * 0.0 == 0.0 or "
-        f"{' and '.join(f'isfinite(r{i})' for i in range(dim))}:",
-        f"            return ({result})",
-        f"        raise blowup(t, y, t1, ({_names(dim, 'p{i}')}), t2, ({_names(dim, 'q{i}')}))",
-        "    return components, substep, step",
+        f"    def {function}({parameters}{defaults}):",
+        f"        {state} = y",
+        *(f"        {line}" for line in body),
+        f"    return {function}",
     ]
     return "\n".join(lines)
 
 
 @functools.cache
 def _compiled(
-    dim: int, rates: str, time_terms: str, constants: tuple[str, ...]
-) -> Callable[..., tuple[Components, Callable, Callable]]:
-    """``bind(*values)``: the component form, substep and macro step of one field text.
+    function: str, dim: int, rates: str, time_terms: str, constants: tuple[str, ...]
+) -> Callable[..., Callable]:
+    """``bind(*values)``: ``function`` of one field text, bound to the constants' values.
 
-    The substep and the macro step are ``(t, y, h, w) -> tuple`` with
-    w = s*(h/2).  Each stage of them is the field's text inlined, so the
-    field is evaluated six times per macro step without a call.
+    ``components`` is ``(t, y) -> tuple``; ``substep`` is ``(t, y, h, w) ->
+    tuple`` with w = s*(h/2); ``march(t0, k, first, stop, y, h, w, rows)``
+    steps from the state ``y`` at t0 + first * k, appends each accepted
+    state's components to ``rows`` and returns the state at t0 + stop * k.
+    Each stage is the field's text inlined, so the field is evaluated six
+    times per macro step without a call.
     """
     namespace = {"isfinite": math.isfinite, "blowup": _step_blowup}
-    exec(_kernel_text(dim, rates, time_terms, constants), namespace)
+    exec(_kernel_text(function, dim, rates, time_terms, constants), namespace)
     return namespace["bind"]
 
 
@@ -476,8 +521,7 @@ def heun_substep(
     if not h > 0.0:
         raise ValueError("substep length h must be positive")
     _check_dim(f, y)
-    substep = _source(f).functions[1]
-    out = substep(t, y.tolist(), h, sign.factor * (h / 2.0))
+    out = _source(f).substep(t, y.tolist(), h, sign.factor * (h / 2.0))
     if not _finite(out):
         raise _blowup(t, y)
     return np.array(out)
@@ -499,8 +543,10 @@ def advance_one_step(
         raise ValueError("step size k must be positive")
     _check_dim(f, y)
     h = k / 3.0
-    step = _source(f).functions[2]
-    return np.array(step(t_n, y.tolist(), h, sign.factor * (h / 2.0)))
+    rows: list[float] = []
+    # with k = -0.0 the step starts at t_n + 0 * -0.0, which is t_n exactly, -0.0 too
+    _source(f).march(t_n, -0.0, 0, 1, y.tolist(), h, sign.factor * (h / 2.0), rows)
+    return np.array(rows)
 
 
 def composed_step(
@@ -565,7 +611,7 @@ def integrate(
             f"the run's {grid.M + 1} states do not fit in memory"
         ) from None
     states[0] = y
-    step = _source(f).functions[2]
+    march = _source(f).march
     flat = states.reshape(-1)
     t0, k, dim = grid.t0, grid.k, f.dim
     y = y.tolist()
@@ -573,10 +619,10 @@ def integrate(
         stop = min(first + BLOCK_ROWS, grid.M)
         rows: list[float] = []
         try:
-            for n in range(first, stop):
-                y = step(t0 + n * k, y, h, w)  # t0 + n * k is grid.time(n)
-                rows += y
+            # step n starts at t0 + n * k, which is grid.time(n)
+            y = march(t0, k, first, stop, y, h, w, rows)
         except NumericalBlowupError as err:
+            n = first + len(rows) // dim
             flat[(first + 1) * dim : (n + 1) * dim] = rows
             raise NumericalBlowupError(
                 f"integration diverged during step {n} (from t={grid.time(n)!r})",

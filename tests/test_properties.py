@@ -279,8 +279,8 @@ def test_config_round_trip_is_exact(case):
     assert rebuilt.era_boundaries == scenario.era_boundaries
 
 
-def _kernel_texts(params):
-    """Every text compiled while a fresh field of ``params`` takes one step."""
+def _compiled_texts(run):
+    """Every text compiled while ``run()`` runs on an empty kernel cache."""
     texts = []
 
     def spy(text, namespace):
@@ -289,8 +289,30 @@ def _kernel_texts(params):
 
     scheme._compiled.cache_clear()
     with mock.patch.object(scheme, "exec", spy, create=True):
-        advance_one_step(cp_rhs(params), 0.0, np.ones(5), 1e-3)
+        run()
     return texts
+
+
+def _kernel_texts(params):
+    """Every text compiled while a fresh field of ``params`` takes one step."""
+    return _compiled_texts(lambda: advance_one_step(cp_rhs(params), 0.0, np.ones(5), 1e-3))
+
+
+def test_each_use_compiles_only_the_function_it_runs():
+    field = cp_rhs(preset("cameroon-1960").params)
+    source = field.evaluate.source
+    y = np.ones(5)
+
+    def text(function):
+        return scheme._kernel_text(
+            function, 5, source.rates, source.time_terms, tuple(source.constants)
+        )
+
+    grid = build_grid(0.0, 1e-2, 1e-3)
+    assert _compiled_texts(lambda: integrate(field, y, grid)) == [text("march")]
+    assert _compiled_texts(lambda: heun_substep(field, 0.0, y, 1e-3)) == [text("substep")]
+    assert _compiled_texts(lambda: field.evaluate(0.0, y)) == [text("components")]
+    assert text("march").count("    def ") == 1  # the march alone
 
 
 @PROPERTY

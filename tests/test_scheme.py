@@ -25,6 +25,7 @@ from tristep import (
     zero_stability_root_moduli,
     zero_stability_roots,
 )
+from tristep.numerics import BLOCK_ROWS
 
 
 def constant_field(values):
@@ -299,6 +300,71 @@ def test_macro_step_blowup_carries_the_failing_substep(substep):
     assert len(calls) <= 6
 
 
+def infinite_from(ts, as_components):
+    """Dimension-2 field whose first rate is infinite at every time from ``ts`` on."""
+    if as_components:
+        return RhsField.from_components(
+            2, lambda t, y: ((math.inf if t >= ts else 0.0) - y[0], y[0] - y[1])
+        )
+    return RhsField.from_source(
+        2,
+        "f1 = b - y1\nf2 = y1 - y2",
+        time_terms="b = big if t >= ts else 0.0",
+        constants={"big": math.inf, "ts": ts},
+    )
+
+
+@pytest.mark.parametrize("as_components", [False, True], ids=["source", "components"])
+@pytest.mark.parametrize(
+    "n", [0, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+)
+def test_integrate_blowup_at_block_edges_matches_single_steps(n, as_components):
+    grid = build_grid(0.0, 2.0 * BLOCK_ROWS + 2.0, 1.0)  # step n runs from n to n + 1
+    assert grid.M == 2 * BLOCK_ROWS + 2
+    f = infinite_from(n + 0.5, as_components)
+    y0 = np.array([1.0, -2.0])
+    y, states = y0, [y0]
+    with pytest.raises(NumericalBlowupError) as stepped:
+        for m in range(grid.M):
+            y = advance_one_step(f, grid.time(m), y, grid.k)
+            states.append(y)
+    with pytest.raises(NumericalBlowupError) as excinfo:
+        integrate(f, y0, grid)
+    err = excinfo.value
+    assert err.step_index == m == n
+    assert err.t == stepped.value.t
+    assert err.last_state.tobytes() == states[-1].tobytes()
+    assert err.partial_states.tobytes() == np.array(states).tobytes()
+
+
+@pytest.mark.parametrize("sign", list(SignConvention))
+def test_macro_step_starts_at_exactly_t_n_even_at_negative_zero(sign):
+    f = RhsField.from_source(
+        1, "f1 = copysign(1.0, t) - y1", constants={"copysign": math.copysign}
+    )
+    y = np.array([0.25])
+    steps = [advance_one_step(f, t_n, y, 0.3, sign).tobytes() for t_n in (-0.0, 0.0)]
+    assert steps == [composed_step(f, t_n, y, 0.3, sign).tobytes() for t_n in (-0.0, 0.0)]
+    assert steps[0] != steps[1]  # the rate reads the sign of t
+
+
+def test_time_terms_start_at_exactly_negative_zero():
+    times = []
+
+    def tick(at):
+        times.append(at)
+        return 0.0
+
+    f = RhsField.from_source(1, "f1 = u - y1", time_terms="u = tick(t)", constants={"tick": tick})
+    h = 0.3 / 3.0
+    advance_one_step(f, -0.0, np.ones(1), 0.3)
+    expected = [-0.0, -0.0 + h, (-0.0 + h) + h, ((-0.0 + h) + h) + h]
+    assert list(map(repr, times)) == list(map(repr, expected))
+    times.clear()
+    heun_substep(f, -0.0, np.ones(1), h)
+    assert list(map(repr, times)) == ["-0.0", repr(h)]
+
+
 @pytest.mark.parametrize("as_components", [False, True], ids=["array", "components"])
 def test_huge_finite_components_are_not_a_blowup(as_components):
     # each component is finite even though their sum overflows
@@ -409,6 +475,17 @@ def test_source_names_never_meet_the_kernel_names():
     grid = build_grid(0.0, 2.0, 0.01)
     expected = integrate(by_hand, y, grid).states
     assert integrate(field, y, grid).states.tobytes() == expected.tobytes()
+
+
+def test_strings_and_f_strings_of_the_source_are_written_as_they_are():
+    # the literal holds the first characters the generator could mark names with
+    field = RhsField.from_source(
+        1, "s = len(f'{y1!r}' + 'ĀāĂ')\nf1 = -y1 * s", constants={"len": len}
+    )
+    by_hand = RhsField(dim=1, evaluate=lambda t, y: -y * len(f"{float(y[0])!r}" + "ĀāĂ"))
+    y = np.array([0.25])
+    expected = composed_step(by_hand, 0.4, y, 0.3)
+    assert advance_one_step(field, 0.4, y, 0.3).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -188,7 +188,7 @@ def _write_csv(path: str, write, *args) -> None:
         raise _Failure(EXIT_IO, f"cannot write {path}: {exc}")
 
 
-def _parse_exponent_range(text: str) -> list[int]:
+def _parse_exponent_range(text: str) -> range:
     lo_text, sep, hi_text = text.partition("..")
     if not sep:
         raise ValueError(f"expected an exponent range like 4..8, got {text!r}")
@@ -198,7 +198,7 @@ def _parse_exponent_range(text: str) -> list[int]:
         raise ValueError(f"expected integers in the exponent range, got {text!r}") from None
     if lo < 1 or hi < lo:
         raise ValueError(f"exponent range must satisfy 1 <= lo <= hi, got {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:

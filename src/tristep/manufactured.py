@@ -83,26 +83,24 @@ _MATH = {"exp": math.exp, "cos": math.cos, "sin": math.sin}
 
 def example1() -> ManufacturedProblem:
     """Problem whose second and third equations couple through y2**2."""
-    time_terms = """
+    rates = """
     e1 = exp(-t)
     q = t * t - t
     qq = q * q * exp(-2.0 * t)
     g1 = t * t + t - 1.0
     g2 = qq - (t * t - 3.0 * t + 1.0) * e1 - t * t + t
     g3 = -qq + (t - 1.0) * cos(t) + sin(t)
-    """
-    rates = """
     f1 = -y1 + g1
     f2 = y1 - y2 * y2 + g2
     f3 = y2 * y2 + g3
     """
-    field = RhsField.from_source(3, rates, time_terms=time_terms, constants=_MATH)
+    field = RhsField.from_source(3, rates, constants=_MATH)
     return ManufacturedProblem(label="example1", field=field, exact=_ClosedForm(_solution))
 
 
 def example2() -> ManufacturedProblem:
     """Problem whose first two equations couple through y2*y3."""
-    time_terms = """
+    rates = """
     e1 = exp(-t)
     s = sin(t)
     # t*(t-1)**2 * exp(-t) * sin(t) equals y2*y3 along the exact solution
@@ -111,14 +109,12 @@ def example2() -> ManufacturedProblem:
     g1 = t * t + t - 1.0 - w
     g2 = t - t * t - (t * t - 3.0 * t + 1.0) * e1 + w
     g3 = -(q * q) * exp(-2.0 * t) + (t - 1.0) * cos(t) + s
-    """
-    rates = """
     y23 = y2 * y3
     f1 = -y1 + y23 + g1
     f2 = y1 - y23 + g2
     f3 = y2 * y2 + g3
     """
-    field = RhsField.from_source(3, rates, time_terms=time_terms, constants=_MATH)
+    field = RhsField.from_source(3, rates, constants=_MATH)
     return ManufacturedProblem(label="example2", field=field, exact=_ClosedForm(_solution))
 
 

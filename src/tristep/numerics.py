@@ -155,14 +155,15 @@ def build_grid(t0: float, T: float, k_request: float) -> TimeGrid:
     so k may differ slightly from the request.
 
     Raises:
-      ValueError: If T <= t0, the requested step is not positive, or it is
-        so small that the step count (T - t0) / k_request overflows.
+      ValueError: If T <= t0, the requested step is negative or NaN, or it
+        is so small (0.0 included) that the step count (T - t0) / k_request
+        overflows.
     """
     if not T > t0:
         raise ValueError("build_grid requires T > t0")
-    if not k_request > 0.0:
+    if not k_request >= 0.0:
         raise ValueError("build_grid requires a positive step request")
-    steps = (T - t0) / k_request
+    steps = (T - t0) / k_request if k_request else math.inf
     if not math.isfinite(steps):
         raise ValueError(
             f"step request {k_request!r} is too small for a grid over [{t0!r}, {T!r}]"

@@ -7,10 +7,11 @@ self-starting: the initial state is used directly, no bootstrap integrator
 is needed.
 
 The stepping kernel runs on Python floats.  A field written as source text
-(:meth:`RhsField.from_source`) is inlined into it once per stage; any other
-field is called from it, through an adapter when it has only an array
-``evaluate``.  The kernel is generated once per source text: ``march`` runs
-a block of macro steps in one call, with the state and the field's
+(:meth:`RhsField.from_source`) is inlined into it once per stage, its
+statements that read only the time and the constants once per distinct
+time; a field with any other ``evaluate`` is called from it through a
+one-line source.  The kernel is generated once per source text: ``march``
+runs a block of macro steps in one call, with the state and the field's
 constants in local variables, and the component form and the substep are
 generated apart, each only when used.  It gives bitwise the results of the
 same update written in numpy arithmetic, which :func:`composed_step` keeps.
@@ -70,18 +71,21 @@ Components = Callable[[float, tuple[float, ...]], Sequence[float]]
 class _Source:
     """A field's equations as text, with the constants the text names.
 
-    ``components``, ``substep`` and ``march`` are each generated from the
-    text and compiled on first use, once per text, and bound to
-    ``constants`` by value once per source; see :func:`_compiled`.
+    Called, it is the field's array ``evaluate``.  ``components``,
+    ``substep`` and ``march`` are each generated from the text and compiled
+    on first use, once per text, and bound to ``constants`` by value once
+    per source; see :func:`_compiled`.
     """
 
     dim: int
     rates: str
-    time_terms: str
     constants: Mapping[str, object]
 
+    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+        return np.array(self.components(t, tuple(map(float, y))))
+
     def _bound(self, function: str) -> Callable:
-        bind = _compiled(function, self.dim, self.rates, self.time_terms, tuple(self.constants))
+        bind = _compiled(function, self.dim, self.rates, tuple(self.constants))
         return bind(*self.constants.values())
 
     @functools.cached_property
@@ -97,27 +101,15 @@ class _Source:
         return self._bound("march")
 
 
-class _SourceEvaluate:
-    """The ndarray ``evaluate`` compiled from a field's source, which it exposes."""
-
-    __slots__ = ("source",)
-
-    def __init__(self, source: _Source) -> None:
-        self.source = source
-
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(self.source.components(t, tuple(map(float, y))))
-
-
 @dataclass(frozen=True)
 class RhsField:
     """Right-hand side f(t, y) of a first-order system y' = f(t, y).
 
     ``dim`` is a positive integer.  ``evaluate`` must be deterministic and
     side-effect free, and must return a vector of the same dimension as its
-    input.  A field built with :meth:`from_source` is stepped on its source,
-    one built with :meth:`from_components` on its component form; any other
-    ``evaluate`` is stepped through an adapter that calls it on arrays.
+    input.  A field built with :meth:`from_source` is stepped on its source;
+    any other ``evaluate`` is stepped through a source that calls it on
+    arrays.
     """
 
     dim: int
@@ -130,24 +122,21 @@ class RhsField:
         object.__setattr__(self, "dim", dim)
 
     @classmethod
-    def from_source(
-        cls,
-        dim: int,
-        rates: str,
-        *,
-        time_terms: str = "",
-        constants: Mapping[str, object],
-    ) -> RhsField:
+    def from_source(cls, dim: int, rates: str, *, constants: Mapping[str, object]) -> RhsField:
         """A field whose equations are written once, as Python assignments.
 
         ``rates`` assigns the rates ``f1..fd`` from ``t``, the state
-        ``y1..yd``, the ``constants`` and the names ``time_terms`` assigns;
-        it may assign other names on the way.  ``time_terms`` assigns names
-        from ``t`` and the constants alone; the kernel computes them once
-        per distinct time, four times per macro step.  Constants are bound
-        to the compiled code by value and never written into its text, and
-        any name may be used for them except ``t``, ``y1..yd`` and
-        ``f1..fd``.  The array ``evaluate`` is compiled from the same text.
+        ``y1..yd`` and the ``constants``; it may assign other names on the
+        way.  A statement that assigns no rate and no name assigned before
+        it, and reads only ``t``, the constants and such statements before
+        it, is a time term: the kernel computes it once per distinct time,
+        four times per macro step, and no later statement may assign its
+        names.  Constants are bound to the compiled code by value and never
+        written into its text, and any name may be used for them except
+        ``t``, ``y1..yd`` and ``f1..fd``.  The array ``evaluate`` is
+        compiled from the same text.  A component form ``g(t, (y1, ...,
+        yd)) -> (f1, ..., fd)`` on floats is the one line ``f1, ..., fd =
+        g(t, (y1, ..., yd))`` with ``g`` a constant.
 
         The text is parsed, checked and compiled the first time the field is
         stepped or evaluated, never here.  That first use raises
@@ -155,19 +144,7 @@ class RhsField:
         name is used before it is known, a reserved, constant or time-term
         name is assigned, or a rate is never assigned.
         """
-        source = _Source(dim, rates, time_terms, dict(constants))
-        return cls(dim=dim, evaluate=_SourceEvaluate(source))
-
-    @classmethod
-    def from_components(cls, dim: int, components: Components) -> RhsField:
-        """A field written once as a component form in plain float arithmetic.
-
-        ``components(t, y)`` gets the state as a tuple of ``dim`` floats
-        and returns the ``dim`` rates; a result of any other length raises
-        ``ValueError``.  The field's source is the one line
-        ``f1, ..., fd = g(t, (y1, ..., yd))`` with ``g`` bound to it.
-        """
-        return cls(dim=dim, evaluate=_SourceEvaluate(_calling(dim, components)))
+        return cls(dim=dim, evaluate=_Source(dim, rates, dict(constants)))
 
 
 class NumericalBlowupError(ArithmeticError):
@@ -196,13 +173,6 @@ class NumericalBlowupError(ArithmeticError):
         self.partial_states = partial_states
 
 
-def _check_dim(f: RhsField, y: np.ndarray) -> None:
-    if f.dim != y.shape[-1]:
-        raise ValueError(
-            f"field dimension {f.dim} does not match state dimension {y.shape[-1]}"
-        )
-
-
 def _check_finite(out: np.ndarray, t: float, y: np.ndarray) -> None:
     """Raise on a non-finite result of the substep that started at (t, y)."""
     if not np.isfinite(out).all():
@@ -217,29 +187,18 @@ def _blowup(t: float, y: np.ndarray) -> NumericalBlowupError:
 
 
 def _source(f: RhsField) -> _Source:
-    """What the kernel steps: the field's own source, or a call of its array ``evaluate``."""
-    evaluate = f.evaluate
-    if isinstance(evaluate, _SourceEvaluate):
-        return evaluate.source
-    return _calling(f.dim, lambda t, y: evaluate(t, np.array(y)).tolist())
+    """What the kernel steps: the field's own source, or a line calling its array ``evaluate``."""
+    evaluate, dim = f.evaluate, f.dim
+    if isinstance(evaluate, _Source):
+        return evaluate
 
-
-def _calling(dim: int, g: Components) -> _Source:
-    """The source of a field that calls the component form ``g``."""
-    rates = f"{_names(dim, 'f{j}')} = g(t, ({_names(dim, 'y{j}')}))"
-    return _Source(dim, rates, "", {"g": _checked(g, dim)})
-
-
-def _checked(g: Components, dim: int) -> Components:
-    """``g``, raising ``ValueError`` when a result does not hold ``dim`` values."""
-
-    def checked(t: float, y: Sequence[float]) -> Sequence[float]:
-        values = g(t, y)
+    def g(t: float, y: tuple[float, ...]) -> list[float]:
+        values = evaluate(t, np.array(y)).tolist()
         if len(values) != dim:
             raise ValueError(f"field returned {len(values)} values, expected {dim}")
         return values
 
-    return checked
+    return _Source(dim, f"{_names(dim, 'f{j}')} = g(t, ({_names(dim, 'y{j}')}))", {"g": g})
 
 
 def _finite(y: Sequence[float]) -> bool:
@@ -296,22 +255,35 @@ def _target_names(target: ast.expr, where: str) -> list[str]:
     raise ValueError(f"{where}: only names may be assigned")
 
 
-def _assignments(
-    text: str, what: str, known: set[str], fixed: set[str]
-) -> tuple[list[ast.stmt], list[str]]:
-    """The statements of ``text``, parsed, and the names they assign, in order.
+def _check(
+    dim: int, rates: str, constants: tuple[str, ...]
+) -> tuple[list[ast.stmt], list[str], list[ast.stmt]]:
+    """Check a field's text against the rules of :meth:`RhsField.from_source`.
 
-    Every statement must be an assignment to names that are not ``fixed``,
-    whose value uses only names ``known`` or assigned before it.
+    Returns the parsed time terms, the names they assign and the parsed
+    rate statements, each in the order of the text; raises ``ValueError``
+    on the first rule broken.
     """
+    state = {f"y{j}" for j in range(1, dim + 1)}
+    slopes = {f"f{j}" for j in range(1, dim + 1)}
+    for name in constants:
+        if not name.isidentifier() or keyword.iskeyword(name):
+            raise ValueError(f"constant name {name!r} is not an identifier")
+        if name == "t" or name in state or name in slopes:
+            raise ValueError(f"constant name {name!r} is reserved")
     try:
-        body = ast.parse(text).body
+        body = ast.parse(rates).body
     except SyntaxError as err:
-        raise ValueError(f"{what}: {err.msg} on line {err.lineno}") from None
-    known = set(known)
-    assigned: list[str] = []
+        raise ValueError(f"rates: {err.msg} on line {err.lineno}") from None
+    fixed = {"t", *state, *constants}  # names no statement may assign
+    known = set(fixed)  # names a statement may read
+    timely = {"t", *constants}  # names a time term may read
+    taken = set(slopes)  # names a time term may not assign: the rates and all assigned before
+    timed: list[ast.stmt] = []
+    time_names: list[str] = []
+    rated: list[ast.stmt] = []
     for statement in body:
-        where = f"{what}, line {statement.lineno}"
+        where = f"rates, line {statement.lineno}"
         if not isinstance(statement, ast.Assign):
             raise ValueError(f"{where}: only assignments are allowed")
         nodes = list(ast.walk(statement.value))
@@ -325,31 +297,17 @@ def _assignments(
         for name in names:
             if name in fixed:
                 raise ValueError(f"{where}: {name!r} cannot be assigned")
+        reads = {node.id for node in nodes if isinstance(node, ast.Name)}
+        if reads <= timely and taken.isdisjoint(names):
+            timed.append(statement)
+            time_names.extend(names)
+            timely.update(names)
+            fixed.update(names)
+        else:
+            rated.append(statement)
         known.update(names)
-        assigned.extend(names)
-    return body, assigned
-
-
-def _check(
-    dim: int, rates: str, time_terms: str, constants: tuple[str, ...]
-) -> tuple[list[ast.stmt], list[str], list[ast.stmt]]:
-    """Check a field's text against the rules of :meth:`RhsField.from_source`.
-
-    Returns the parsed time terms, the names they assign and the parsed
-    rates; raises ``ValueError`` on the first rule broken.
-    """
-    state = {f"y{j}" for j in range(1, dim + 1)}
-    slopes = {f"f{j}" for j in range(1, dim + 1)}
-    for name in constants:
-        if not name.isidentifier() or keyword.iskeyword(name):
-            raise ValueError(f"constant name {name!r} is not an identifier")
-        if name == "t" or name in state or name in slopes:
-            raise ValueError(f"constant name {name!r} is reserved")
-    fixed = {"t", *state, *constants}
-    timed, time_names = _assignments(time_terms, "time_terms", {"t", *constants}, fixed | slopes)
-    fixed |= set(time_names)
-    rated, rate_names = _assignments(rates, "rates", fixed, fixed)
-    missing = sorted(slopes - set(rate_names), key=lambda name: int(name[1:]))
+        taken.update(names)
+    missing = sorted(slopes - known, key=lambda name: int(name[1:]))
     if missing:
         raise ValueError(f"rates never assign {', '.join(missing)}")
     return timed, time_names, rated
@@ -389,9 +347,7 @@ def _names(dim: int, template: str) -> str:
     return ", ".join(template.format(i=i, j=i + 1) for i in range(dim)) + ","
 
 
-def _kernel_text(
-    function: str, dim: int, rates: str, time_terms: str, constants: tuple[str, ...]
-) -> str:
+def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]) -> str:
     """Source of ``bind(constants) -> function`` for a field's text.
 
     ``function`` is one of ``components``, ``substep`` and ``march``.  The
@@ -403,8 +359,7 @@ def _kernel_text(
     step's result is finite when the sum of its components times 0.0 is
     0.0, and otherwise exactly when every component passes ``isfinite``.
     """
-    rates, time_terms = textwrap.dedent(rates), textwrap.dedent(time_terms)
-    timed, time_names, rated = _check(dim, rates, time_terms, constants)
+    timed, time_names, rated = _check(dim, textwrap.dedent(rates), constants)
     timed, rated = _pieces(timed), _pieces(rated)
     bound = {name: f"{name}__c" for name in constants}
     # the kernel keeps its times t, t1, ... only when the text reads t
@@ -481,7 +436,7 @@ def _kernel_text(
 
 @functools.cache
 def _compiled(
-    function: str, dim: int, rates: str, time_terms: str, constants: tuple[str, ...]
+    function: str, dim: int, rates: str, constants: tuple[str, ...]
 ) -> Callable[..., Callable]:
     """``bind(*values)``: ``function`` of one field text, bound to the constants' values.
 
@@ -493,7 +448,7 @@ def _compiled(
     times per macro step without a call.
     """
     namespace = {"isfinite": math.isfinite, "blowup": _step_blowup}
-    exec(_kernel_text(function, dim, rates, time_terms, constants), namespace)
+    exec(_kernel_text(function, dim, rates, constants), namespace)
     return namespace["bind"]
 
 
@@ -515,12 +470,13 @@ def heun_substep(
     c1 + c2 = 1, 6*c2*q1 = 1 and 6*c2*q2 = 1.
 
     Raises:
-      ValueError: If ``h`` is not positive or dimensions disagree.
+      ValueError: If ``h`` is not positive or ``y`` is not a finite state of
+        the field's dimension.
       NumericalBlowupError: If the updated state is not finite.
     """
     if not h > 0.0:
         raise ValueError("substep length h must be positive")
-    _check_dim(f, y)
+    y = as_state(y, dim=f.dim)
     out = _source(f).substep(t, y.tolist(), h, sign.factor * (h / 2.0))
     if not _finite(out):
         raise _blowup(t, y)
@@ -541,7 +497,7 @@ def advance_one_step(
     """
     if not k > 0.0:
         raise ValueError("step size k must be positive")
-    _check_dim(f, y)
+    y = as_state(y, dim=f.dim)
     h = k / 3.0
     rows: list[float] = []
     # with k = -0.0 the step starts at t_n + 0 * -0.0, which is t_n exactly, -0.0 too
@@ -563,7 +519,7 @@ def composed_step(
     """
     if not k > 0.0:
         raise ValueError("step size k must be positive")
-    _check_dim(f, y)
+    y = as_state(y, dim=f.dim)
     h = k / 3.0
     w = sign.factor * (h / 2.0)
 

@@ -6,6 +6,7 @@ concurrently, with result order fixed by input order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -14,6 +15,7 @@ import numpy as np
 from .cpmodel import EraPreset, cp_rhs
 from .manufactured import ManufacturedProblem
 from .numerics import (
+    TimeGrid,
     Trajectory,
     build_grid,
     convergence_rate,
@@ -65,25 +67,32 @@ def run_convergence_study(
     """Integrate ``problem`` at k = 2**-e for each exponent, coarse to fine.
 
     Every grid is built before the first integration, so a step too small
-    for its grid fails before any work.  Per grid point n = 1..M the study
-    takes the sup norms (row maxima of magnitudes) of the exact solution,
-    the numerical solution and their difference, then aggregates each
-    sequence with the discrete L2-in-time norm.
+    for its grid fails before any work, at the first such exponent (k is
+    0.0 for e > 1074, and no exponent is too large).  Per grid point
+    n = 1..M the study takes the sup norms (row maxima of magnitudes) of the
+    exact solution, the numerical solution and their difference, then
+    aggregates each sequence with the discrete L2-in-time norm.
 
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,
         or a step is too small for its grid or its states.
       NumericalBlowupError: Propagated from a diverging integration.
     """
-    exps = [int(e) for e in exponents]
-    if not exps or any(e < 1 for e in exps):
+    grids: list[TimeGrid] = []
+    previous = 0
+    for e in map(int, exponents):
+        if e < 1:
+            raise ValueError("exponents must be integers >= 1")
+        if e <= previous:
+            raise ValueError("exponents must be strictly increasing")
+        grids.append(build_grid(problem.t0, problem.T, math.ldexp(1.0, -e)))
+        previous = e
+    if not grids:
         raise ValueError("exponents must be integers >= 1")
-    if any(b <= a for a, b in zip(exps, exps[1:])):
-        raise ValueError("exponents must be strictly increasing")
 
     rows: list[ConvergenceRow] = []
     previous_error: float | None = None
-    for grid in [build_grid(problem.t0, problem.T, 2.0**-e) for e in exps]:
+    for grid in grids:
         trajectory = integrate(problem.field, problem.y0, grid, sign)
         computed = trajectory.states[1:]
         reference = problem.exact_states(grid)[1:]

@@ -114,12 +114,23 @@ def test_converge_rejects_malformed_ranges(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("exponents", ["1074..1074", "4..1100"])
+@pytest.mark.parametrize(
+    "exponents",
+    [
+        "1074..1074",
+        "4..1100",
+        pytest.param(f"1..{10**400}", id="1..10**400"),
+        pytest.param(f"{10**400}..{10**400}", id="10**400..10**400"),
+        pytest.param("1..1000000000", id="1..10**9"),
+    ],
+)
 def test_converge_rejects_a_step_too_small_for_its_grid_before_any_work(
     exponents, capsys, monkeypatch
 ):
     # 2^-1074 is the smallest subnormal and 2^-1100 rounds to zero; beyond
-    # 2^-1023 the step count 1 / k overflows, so those grids cannot be built
+    # 2^-1023 the step count 1 / k overflows, so those grids cannot be built;
+    # an exponent too large for a float, or a range too long for a list,
+    # fails at its first such grid
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated a grid before every grid was built")
 

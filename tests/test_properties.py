@@ -130,9 +130,10 @@ def test_array_field_steps_bitwise_as_its_component_form(case, steps, k, sign):
     assert _run(wrapped, y, grid, sign) == _run(model, y, grid, sign)
 
 
-def _forced_source(dim: int) -> str:
-    """Rates of dimension ``dim``: quadratic in the state, forced by the time term ``u``."""
-    return "\n".join(f"f{j} = c{j} * y{j} * y{(j - 2) % dim + 1} - u" for j in range(1, dim + 1))
+def _forced_source(dim: int, u: str) -> str:
+    """Rates of dimension ``dim``: quadratic in the state, forced by the time term ``u = {u}``."""
+    rates = (f"f{j} = c{j} * y{j} * y{(j - 2) % dim + 1} - u" for j in range(1, dim + 1))
+    return "\n".join([f"u = {u}", *rates])
 
 
 @st.composite
@@ -150,14 +151,16 @@ def small_fields(draw):
         a = draw(arrays(np.float64, (dim, dim), elements=values))
         field = RhsField(dim=dim, evaluate=lambda t, y: a @ y)
     elif form == "components":
-        field = RhsField.from_components(
-            dim, lambda t, y: tuple(c[i] * y[i] * y[i - 1] - t for i in range(dim))
+        rates = ", ".join(f"f{j}" for j in range(1, dim + 1))
+        state = ", ".join(f"y{j}" for j in range(1, dim + 1))
+        field = RhsField.from_source(
+            dim,
+            f"{rates}, = g(t, ({state},))",
+            constants={"g": lambda t, y: tuple(c[i] * y[i] * y[i - 1] - t for i in range(dim))},
         )
     else:
         constants = {"sin": math.sin, **{f"c{j}": c[j - 1] for j in range(1, dim + 1)}}
-        field = RhsField.from_source(
-            dim, _forced_source(dim), time_terms="u = t * sin(t)", constants=constants
-        )
+        field = RhsField.from_source(dim, _forced_source(dim, "t * sin(t)"), constants=constants)
     return field, draw(arrays(np.float64, dim, elements=values))
 
 
@@ -189,9 +192,7 @@ def test_time_terms_run_once_per_distinct_time(dim, t, k, steps):
         return 0.0
 
     constants = {"tick": tick, **{f"c{j}": 0.5 for j in range(1, dim + 1)}}
-    field = RhsField.from_source(
-        dim, _forced_source(dim), time_terms="u = tick(t)", constants=constants
-    )
+    field = RhsField.from_source(dim, _forced_source(dim, "tick(t)"), constants=constants)
     y = np.full(dim, 0.25)
     h = k / 3.0
     heun_substep(field, t, y, h)
@@ -300,13 +301,11 @@ def _kernel_texts(params):
 
 def test_each_use_compiles_only_the_function_it_runs():
     field = cp_rhs(preset("cameroon-1960").params)
-    source = field.evaluate.source
+    source = field.evaluate
     y = np.ones(5)
 
     def text(function):
-        return scheme._kernel_text(
-            function, 5, source.rates, source.time_terms, tuple(source.constants)
-        )
+        return scheme._kernel_text(function, 5, source.rates, tuple(source.constants))
 
     grid = build_grid(0.0, 1e-2, 1e-3)
     assert _compiled_texts(lambda: integrate(field, y, grid)) == [text("march")]
@@ -320,7 +319,7 @@ def test_each_use_compiles_only_the_function_it_runs():
 def test_config_values_never_enter_the_kernel_source(case):
     scenario, sign = case
     params = preset_from_config(parse_config(format_config(scenario, sign))).params
-    constants = cp_rhs(params).evaluate.source.constants
+    constants = cp_rhs(params).evaluate.constants
     assert all(type(value) is float for value in constants.values())
     assert _kernel_texts(params) == _kernel_texts(preset("cameroon-1960").params)
 

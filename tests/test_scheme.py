@@ -48,6 +48,13 @@ def counting_field(dim=1):
     return RhsField(dim=dim, evaluate=evaluate), calls
 
 
+def component_field(dim, g):
+    """The field of the component form ``g(t, (y1, ..., yd)) -> (f1, ..., fd)``."""
+    rates = ", ".join(f"f{j}" for j in range(1, dim + 1))
+    state = ", ".join(f"y{j}" for j in range(1, dim + 1))
+    return RhsField.from_source(dim, f"{rates}, = g(t, ({state},))", constants={"g": g})
+
+
 def failing_field(bad_call, as_components):
     """Zero dimension-2 field whose evaluation number ``bad_call`` (from 1) is infinite."""
     calls = []
@@ -58,7 +65,7 @@ def failing_field(bad_call, as_components):
         return (value, value)
 
     if as_components:
-        return RhsField.from_components(2, components), calls
+        return component_field(2, components), calls
     return RhsField(dim=2, evaluate=lambda t, y: np.array(components(t, y))), calls
 
 
@@ -303,13 +310,12 @@ def test_macro_step_blowup_carries_the_failing_substep(substep):
 def infinite_from(ts, as_components):
     """Dimension-2 field whose first rate is infinite at every time from ``ts`` on."""
     if as_components:
-        return RhsField.from_components(
+        return component_field(
             2, lambda t, y: ((math.inf if t >= ts else 0.0) - y[0], y[0] - y[1])
         )
     return RhsField.from_source(
         2,
-        "f1 = b - y1\nf2 = y1 - y2",
-        time_terms="b = big if t >= ts else 0.0",
+        "b = big if t >= ts else 0.0\nf1 = b - y1\nf2 = y1 - y2",
         constants={"big": math.inf, "ts": ts},
     )
 
@@ -355,7 +361,7 @@ def test_time_terms_start_at_exactly_negative_zero():
         times.append(at)
         return 0.0
 
-    f = RhsField.from_source(1, "f1 = u - y1", time_terms="u = tick(t)", constants={"tick": tick})
+    f = RhsField.from_source(1, "u = tick(t)\nf1 = u - y1", constants={"tick": tick})
     h = 0.3 / 3.0
     advance_one_step(f, -0.0, np.ones(1), 0.3)
     expected = [-0.0, -0.0 + h, (-0.0 + h) + h, ((-0.0 + h) + h) + h]
@@ -369,7 +375,7 @@ def test_time_terms_start_at_exactly_negative_zero():
 def test_huge_finite_components_are_not_a_blowup(as_components):
     # each component is finite even though their sum overflows
     if as_components:
-        zero = RhsField.from_components(2, lambda t, y: (0.0, 0.0))
+        zero = component_field(2, lambda t, y: (0.0, 0.0))
     else:
         zero = constant_field([0.0, 0.0])
     y0 = np.array([1e308, 1e308])
@@ -380,32 +386,32 @@ def test_huge_finite_components_are_not_a_blowup(as_components):
 
 
 @pytest.mark.parametrize(
-    "field",
+    "field, message",
     [
-        RhsField(dim=3, evaluate=lambda t, y: y[:2]),
-        RhsField.from_components(3, lambda t, y: (0.0, 0.0)),
-        RhsField.from_components(3, lambda t, y: (0.0, 0.0, 0.0, 0.0)),
+        (RhsField(dim=3, evaluate=lambda t, y: y[:2]), "returned 2 values, expected 3"),
+        (component_field(3, lambda t, y: (0.0, 0.0)), r"not enough values .*expected 3"),
+        (component_field(3, lambda t, y: (0.0,) * 4), r"too many values .*expected 3"),
     ],
     ids=["array-short", "components-short", "components-long"],
 )
-def test_wrong_length_field_results_are_rejected(field):
+def test_wrong_length_field_results_are_rejected(field, message):
     y = np.ones(3)
-    with pytest.raises(ValueError, match="values, expected 3"):
+    with pytest.raises(ValueError, match=message):
         heun_substep(field, 0.0, y, 0.1)
-    with pytest.raises(ValueError, match="values, expected 3"):
+    with pytest.raises(ValueError, match=message):
         advance_one_step(field, 0.0, y, 0.3)
-    with pytest.raises(ValueError, match="values, expected 3"):
+    with pytest.raises(ValueError, match=message):
         integrate(field, y, build_grid(0.0, 1.0, 0.5))
 
 
 def test_wrong_length_results_after_the_first_step_are_rejected():
     calls = []
 
-    def components(t, y):
+    def evaluate(t, y):
         calls.append(t)
-        return (0.0,) * (3 if len(calls) <= 6 else 4)
+        return np.zeros(3 if len(calls) <= 6 else 4)
 
-    field = RhsField.from_components(3, components)
+    field = RhsField(dim=3, evaluate=evaluate)
     with pytest.raises(ValueError):
         integrate(field, np.ones(3), build_grid(0.0, 1.0, 0.25))
 
@@ -425,7 +431,7 @@ def test_field_dimension_accepts_numpy_integers():
 
 
 def test_component_form_field_evaluates_arrays():
-    field = RhsField.from_components(2, lambda t, y: (t * y[1], -y[0]))
+    field = component_field(2, lambda t, y: (t * y[1], -y[0]))
     out = field.evaluate(2.0, np.array([3.0, 4.0]))
     assert isinstance(out, np.ndarray)
     assert out.tolist() == [8.0, -3.0]
@@ -441,11 +447,12 @@ def _shadowing_field():
     return RhsField.from_source(
         2,
         """
+        e0 = t13 * t
+        p0 = g - t
         a0 = a1 * y1 * y2 + e0
         f1 = h * y1 - w * y2 + a0
         f2 = y * y1 * y1 - r1 * y2 + p0
         """,
-        time_terms="e0 = t13 * t\np0 = g - t",
         constants=_SHADOWING,
     )
 
@@ -477,6 +484,49 @@ def test_source_names_never_meet_the_kernel_names():
     assert integrate(field, y, grid).states.tobytes() == expected.tobytes()
 
 
+def _steps(field, y):
+    """The bytes of every way of stepping ``field`` from ``y`` at t = 0.4."""
+    grid = build_grid(0.0, 0.5, 0.01)
+    return [
+        field.evaluate(0.4, y).tobytes(),
+        *(advance_one_step(field, 0.4, y, 0.3, sign).tobytes() for sign in SignConvention),
+        *(heun_substep(field, 0.4, y, 0.1, sign).tobytes() for sign in SignConvention),
+        integrate(field, y, grid).states.tobytes(),
+    ]
+
+
+def test_time_terms_between_rate_statements_step_as_if_written_first():
+    times = []
+
+    def tick(at):
+        times.append(at)
+        return at
+
+    rates = {
+        "c0": "c0 = a1 * y1 * y2",
+        "e0": "e0 = t13 * tick(t)",
+        "f1": "f1 = h * y1 - w * y2 + c0 + e0",
+        "p0": "p0 = g - t",
+        "f2": "f2 = y * y1 * y1 - r1 * y2 + p0",
+    }
+    y = np.array([0.3, -0.7])
+    runs = []
+    for order in (("c0", "e0", "f1", "p0", "f2"), ("e0", "p0", "c0", "f1", "f2")):
+        text = "\n".join(rates[name] for name in order)
+        steps = _steps(RhsField.from_source(2, text, constants={**_SHADOWING, "tick": tick}), y)
+        runs.append((steps, times[:]))
+        times.clear()
+    assert runs[0] == runs[1]
+
+
+def test_a_t_only_statement_after_a_state_assignment_stays_a_rate():
+    # u = t reassigns a rate local, so it must run where it is written
+    field = RhsField.from_source(1, "u = y1\nu = t\nf1 = u * y1", constants={})
+    by_hand = RhsField(dim=1, evaluate=lambda t, y: t * y)
+    y = np.array([0.75])
+    assert _steps(field, y) == _steps(by_hand, y)
+
+
 def test_strings_and_f_strings_of_the_source_are_written_as_they_are():
     # the literal holds the first characters the generator could mark names with
     field = RhsField.from_source(
@@ -489,7 +539,7 @@ def test_strings_and_f_strings_of_the_source_are_written_as_they_are():
 
 
 @pytest.mark.parametrize(
-    "rates, time_terms, constants, message",
+    "rates, first, constants, message",
     [
         ("f1 = y1\nprint(f1)\nf2 = y2", "", {}, "rates, line 2: only assignments"),
         ("f1 = y1 + z\nf2 = y2", "", {}, "unknown name 'z'"),
@@ -498,8 +548,9 @@ def test_strings_and_f_strings_of_the_source_are_written_as_they_are():
         ("c = 1.0\nf1 = c\nf2 = y2", "", {"c": 2.0}, "'c' cannot be assigned"),
         ("u = 1.0\nf1 = u\nf2 = y2", "u = t", {}, "'u' cannot be assigned"),
         ("f1 = y1", "", {}, "rates never assign f2"),
-        ("f1 = u\nf2 = y2", "u = y1", {}, "time_terms, line 1: unknown name 'y1'"),
-        ("f2 = y2", "f1 = t", {}, "'f1' cannot be assigned"),
+        # hoisting the time term u = t would let the later u = 2.0 change f1
+        ("f1 = u * y1\nu = 2.0\nf2 = y2", "u = t", {}, "line 3: 'u' cannot be assigned"),
+        ("f2 = y2\nu, f1 = t, y1", "u = t", {}, "line 3: 'u' cannot be assigned"),
         ("f1 = [x for x in (y1,)][0]\nf2 = y2", "", {}, "comprehension is not allowed"),
         ("f1 = (lambda: y1)()\nf2 = y2", "", {}, "Lambda is not allowed"),
         ("f1.x = y1\nf2 = y2", "", {}, "only names may be assigned"),
@@ -508,8 +559,10 @@ def test_strings_and_f_strings_of_the_source_are_written_as_they_are():
         ("f1 = y1\nf2 = y2", "", {"not a name": 1.0}, "not an identifier"),
     ],
 )
-def test_malformed_source_is_rejected_on_first_use(rates, time_terms, constants, message):
-    field = RhsField.from_source(2, rates, time_terms=time_terms, constants=constants)
+def test_malformed_source_is_rejected_on_first_use(rates, first, constants, message):
+    # ``first`` is a line written before ``rates``
+    text = f"{first}\n{rates}" if first else rates
+    field = RhsField.from_source(2, text, constants=constants)
     y = np.ones(2)
     with pytest.raises(ValueError, match=message):
         field.evaluate(0.0, y)
@@ -543,6 +596,37 @@ def test_integrate_rejects_dimension_mismatch():
     grid = build_grid(0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         integrate(GROWTH, np.ones(3), grid)
+
+
+STEPPERS = {
+    "heun_substep": lambda f, y: heun_substep(f, 0.0, y, 0.1),
+    "advance_one_step": lambda f, y: advance_one_step(f, 0.0, y, 0.3),
+    "composed_step": lambda f, y: composed_step(f, 0.0, y, 0.3),
+}
+
+
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        (np.ones((2, 5)), "1-D"),
+        (np.array(1.0), "1-D"),
+        ([[1.0] * 5] * 2, "1-D"),
+        (np.array([1.0, 1.0, math.inf, 1.0, 1.0]), "finite"),
+    ],
+    ids=["2x5", "0-d", "nested-list", "non-finite"],
+)
+@pytest.mark.parametrize("step", STEPPERS)
+def test_malformed_states_are_rejected_before_the_kernel(step, y, message):
+    field = cp_rhs(preset("cameroon-1960").params)
+    with pytest.raises(ValueError, match=message):
+        STEPPERS[step](field, y)
+
+
+@pytest.mark.parametrize("step", STEPPERS)
+def test_a_list_state_steps_as_its_array(step):
+    field = cp_rhs(preset("cameroon-1960").params)
+    y = preset("cameroon-1960").y0
+    assert STEPPERS[step](field, y.tolist()).tobytes() == STEPPERS[step](field, y).tobytes()
 
 
 def test_update_ratio_tends_to_field_value():

@@ -22,7 +22,7 @@ from .numerics import (
     build_grid,
     convergence_rate,
     discrete_l2_time_norm,
-    era_indices,
+    era_starts,
     sup_norm,
 )
 from .scheme import (
@@ -71,7 +71,7 @@ __all__ = [
     "cp_rhs",
     "discrete_l2_time_norm",
     "effective_contact_rates",
-    "era_indices",
+    "era_starts",
     "era_summary",
     "example1",
     "example2",

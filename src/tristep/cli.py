@@ -16,14 +16,12 @@ import csv
 import math
 import sys
 from pathlib import Path
-from typing import Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .config import parse_config, preset_from_config
 from .cpmodel import PRESET_LABELS, preset
 from .manufactured import PROBLEM_LABELS, problem
-from .numerics import Trajectory, build_grid
+from .numerics import TimeGrid, Trajectory, build_grid
 from .scheme import (
     NumericalBlowupError,
     SignConvention,
@@ -31,6 +29,9 @@ from .scheme import (
     zero_stability_roots,
 )
 from .studies import ConvergenceRow, EraSummaryRow, run_convergence_study, run_scenario
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EXIT_BLOWUP",
@@ -89,16 +90,20 @@ def trajectory_row_indices(last_index: int, every: int) -> list[int]:
 
 
 def write_trajectory_csv(stream: TextIO, trajectory: Trajectory, every: int = 1) -> None:
-    _write_trajectory_rows(stream, trajectory.grid.times(), trajectory.states, every)
+    _write_trajectory_rows(stream, trajectory.grid, trajectory.states, every)
 
 
 _CSV_BLOCK_ROWS = 4096
 
 
 def _write_trajectory_rows(
-    stream: TextIO, times: np.ndarray, states: np.ndarray, every: int
+    stream: TextIO, grid: TimeGrid, states: np.ndarray, every: int
 ) -> None:
-    """Emit the rows ``trajectory_row_indices`` picks from ``states`` and their times."""
+    """Emit the rows ``trajectory_row_indices`` picks from ``states``, each with its grid time.
+
+    ``states`` holds the first rows of ``grid``'s points, all of them or the
+    accepted ones of a run that diverged.
+    """
     indices = trajectory_row_indices(states.shape[0] - 1, every)
     dim = states.shape[1]
     stream.write(",".join(["t"] + [f"y{i + 1}" for i in range(dim)]) + "\n")
@@ -107,12 +112,14 @@ def _write_trajectory_rows(
     # rows are gathered a block at a time, so memory stays bounded
     for start in range(0, len(indices), _CSV_BLOCK_ROWS):
         block = indices[start : start + _CSV_BLOCK_ROWS]
-        for row in np.column_stack((times[block], states[block])).tolist():
-            stream.write(line % tuple(row))
+        for n, row in zip(block, states[block].tolist()):
+            stream.write(line % (grid.time(n), *row))
 
 
 def read_trajectory_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
     """Parse a trajectory CSV back into (times, states) arrays."""
+    import numpy as np
+
     reader = csv.reader(stream)
     header = next(reader)
     dim = len(header) - 1
@@ -249,10 +256,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         if args.out is not None:
-            times = build_grid(scenario.t0, scenario.T, scenario.k).times()
+            grid = build_grid(scenario.t0, scenario.T, scenario.k)
             try:
                 _write_csv(
-                    args.out, _write_trajectory_rows, times, err.partial_states, args.every
+                    args.out, _write_trajectory_rows, grid, err.partial_states, args.every
                 )
             except _Failure as failure:  # the blow-up decides the exit code
                 raise _Failure(EXIT_BLOWUP, str(failure))

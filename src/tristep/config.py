@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .cpmodel import CpParams, EraPreset, alpha_mismatch
 from .scheme import SignConvention
 
@@ -170,7 +168,7 @@ def preset_from_config(config: RunConfig, label: str = "config") -> EraPreset:
     return EraPreset(
         label=label,
         params=config.params,
-        y0=np.asarray(config.y0, dtype=np.float64),
+        y0=config.y0,
         t0=config.t0,
         T=config.T,
         k=config.k,

@@ -18,17 +18,23 @@ people into the honest class.
 
 Summing the five equations cancels every exchange term pairwise and leaves
 d(total)/dt = theta - gamma*total, the model's conservation identity.
+
+Presets load without numpy: an :class:`EraPreset` keeps its initial state
+as checked floats and checks its grid and eras on Python numbers.  numpy is
+imported when a state is first read as an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from .numerics import as_state, build_grid, era_indices
+from .numerics import as_state, build_grid, era_starts, finite_state_floats
 from .scheme import RhsField
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CpParams",
@@ -204,21 +210,47 @@ def alpha_mismatch(params: CpParams, tol: float = 1e-6) -> bool:
     return abs(params.alpha1 - derived1) > tol or abs(params.alpha2 - derived2) > tol
 
 
+class _CompartmentState:
+    """A dataclass field holding five finite compartments, read as a new array.
+
+    Assigned, the value is checked as five finite reals and kept as a tuple
+    of floats in the instance attribute ``_<name>``.  Read on an instance, it
+    is a new float64 array, so changing that array leaves the instance as it
+    was.  Read on the class, it raises ``AttributeError``, which a dataclass
+    takes for a field without default.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.floats = f"_{name}"
+
+    def __get__(self, instance: object, owner: type | None = None) -> np.ndarray:
+        if instance is None:
+            raise AttributeError(f"{self.floats[1:]} is a field of each instance")
+        import numpy as np
+
+        return np.array(getattr(instance, self.floats), dtype=np.float64)
+
+    def __set__(self, instance: object, values: Iterable[float]) -> None:
+        vars(instance)[self.floats] = finite_state_floats(values, dim=5)
+
+
 @dataclass(frozen=True, eq=False)
 class EraPreset:
     """A ready-to-run scenario: rates, initial state, horizon and eras.
 
-    ``era_boundaries`` partitions [t0, T] for the summary tables; it must be
-    strictly increasing, start at t0, end at T and leave no era without a
-    point of the grid ``build_grid(t0, T, k)``, whose points must fit in
-    memory.  ``alpha_warning`` marks presets whose stored contact rates
-    disagree with p*(1 - beta); the stored values drive the dynamics, the
-    flag surfaces the discrepancy.
+    ``y0`` must hold five finite reals and sum to N within 0.1%; it is kept
+    as floats and reads as a new float64 array.  ``era_boundaries``
+    partitions [t0, T] for the summary tables; it must be strictly
+    increasing, start at t0, end at T and leave no era without a point of the
+    grid ``build_grid(t0, T, k)``, whose points must fit in memory.
+    ``alpha_warning`` marks presets whose stored contact rates disagree with
+    p*(1 - beta); the stored values drive the dynamics, the flag surfaces the
+    discrepancy.
     """
 
     label: str
     params: CpParams
-    y0: np.ndarray
+    y0: np.ndarray = _CompartmentState()
     t0: float
     T: float
     k: float
@@ -226,7 +258,6 @@ class EraPreset:
     alpha_warning: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "y0", as_state(self.y0, dim=5))
         object.__setattr__(
             self, "era_boundaries", tuple(float(b) for b in self.era_boundaries)
         )
@@ -239,14 +270,17 @@ class EraPreset:
             raise ValueError("preset step size k must be positive")
         grid = build_grid(self.t0, self.T, self.k)
         try:
-            times = grid.times()
-        except (MemoryError, ValueError):  # numpy refuses sizes beyond its index range
+            # ask the allocator for the grid's points as float64, untouched
+            bytes(8 * (grid.M + 1))
+        except (MemoryError, OverflowError):  # OverflowError beyond the index range
             raise ValueError(
                 f"step size k={self.k!r} is too small: "
                 f"the grid's {grid.M + 1} points do not fit in memory"
             ) from None
-        era_indices(times, bounds)
-        total = float(self.y0.sum())
+        era_starts(grid, bounds)
+        total, *rest = self._y0
+        for value in rest:  # left to right, as numpy sums five values
+            total += value
         if abs(total - self.params.N) > 1e-3 * self.params.N:
             raise ValueError(
                 f"initial compartments sum to {total!r}, expected N={self.params.N!r}"
@@ -261,7 +295,7 @@ def _era_preset(label, *, t0, T, y0, eras, **rates) -> EraPreset:
     return EraPreset(
         label=label,
         params=params,
-        y0=np.asarray(y0, dtype=np.float64),
+        y0=y0,
         t0=t0,
         T=T,
         k=1e-3,

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .numerics import BLOCK_ROWS, TimeGrid
 from .scheme import RhsField
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ManufacturedProblem", "PROBLEM_LABELS", "example1", "example2", "problem"]
 
@@ -33,6 +34,8 @@ class _ClosedForm:
         self.solution = solution
 
     def __call__(self, t: float) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.solution(t))
 
 
@@ -58,6 +61,8 @@ class ManufacturedProblem:
         come from that form, bitwise the same values; any other ``exact``
         is called once per grid point.
         """
+        import numpy as np
+
         exact = self.exact
         solution = exact.solution if isinstance(exact, _ClosedForm) else exact
         states = np.empty((grid.M + 1, self.field.dim))

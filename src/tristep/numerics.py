@@ -1,16 +1,19 @@
-"""State vectors, uniform time grids, and the discrete norms of the studies.
+"""State vectors, uniform time grids, era bounds and the discrete norms of the studies.
 
 Everything here is a pure function of its inputs; values can be shared
-freely across threads.
+freely across threads.  Grids, era bounds and state checks run on Python
+floats and ints; numpy is imported only by the functions that make or read
+arrays (``as_state``, ``TimeGrid.times`` and the norms).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TimeGrid",
@@ -19,7 +22,7 @@ __all__ = [
     "build_grid",
     "convergence_rate",
     "discrete_l2_time_norm",
-    "era_indices",
+    "era_starts",
     "sup_norm",
 ]
 
@@ -29,8 +32,41 @@ __all__ = [
 BLOCK_ROWS = 1024
 
 
+_NOT_A_STATE = "state vector must be a nonempty 1-D sequence of reals"
+
+
+def state_floats(values: Iterable[float], dim: int | None = None) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, checked to be a nonempty 1-D sequence of reals.
+
+    Finiteness is not checked.
+
+    Raises:
+      ValueError: On empty input, text, an array that is not 1-D, an entry
+        that is not a real, or a dimension other than ``dim``, when it is given.
+    """
+    if isinstance(values, (str, bytes)) or getattr(values, "ndim", 1) != 1:
+        raise ValueError(_NOT_A_STATE)
+    try:
+        y = tuple(map(float, values))
+    except TypeError:
+        raise ValueError(_NOT_A_STATE) from None
+    if not y:
+        raise ValueError(_NOT_A_STATE)
+    if dim is not None and len(y) != dim:
+        raise ValueError(f"state vector has dimension {len(y)}, expected {dim}")
+    return y
+
+
+def finite_state_floats(values: Iterable[float], dim: int | None = None) -> tuple[float, ...]:
+    """:func:`state_floats`, with every entry also checked to be finite."""
+    y = state_floats(values, dim)
+    if not all(map(math.isfinite, y)):
+        raise ValueError("state vector entries must be finite")
+    return y
+
+
 def as_state(values: Iterable[float], dim: int | None = None) -> np.ndarray:
-    """Coerce ``values`` to a 1-D float64 state vector and validate it.
+    """Coerce ``values`` to a new 1-D float64 state vector and validate it.
 
     Args:
       values: Any sequence of reals.
@@ -39,14 +75,9 @@ def as_state(values: Iterable[float], dim: int | None = None) -> np.ndarray:
     Raises:
       ValueError: On empty input, a dimension mismatch, or non-finite entries.
     """
-    y = np.asarray(values, dtype=np.float64)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("state vector must be a nonempty 1-D sequence of reals")
-    if dim is not None and y.size != dim:
-        raise ValueError(f"state vector has dimension {y.size}, expected {dim}")
-    if not np.isfinite(y).all():
-        raise ValueError("state vector entries must be finite")
-    return y
+    import numpy as np
+
+    return np.array(finite_state_floats(values, dim), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -78,7 +109,9 @@ class TimeGrid:
         return self.t0 + n * self.k
 
     def times(self) -> np.ndarray:
-        """All grid points t_0 .. t_M."""
+        """All grid points t_0 .. t_M, equal to ``time(n)`` point by point."""
+        import numpy as np
+
         return self.t0 + self.k * np.arange(self.M + 1)
 
 
@@ -113,6 +146,8 @@ def sup_norm(y: Sequence[float] | np.ndarray) -> float:
     Raises:
       ValueError: If ``y`` is empty.
     """
+    import numpy as np
+
     v = np.asarray(y, dtype=np.float64)
     if v.size == 0:
         raise ValueError("sup_norm of an empty vector")
@@ -128,6 +163,8 @@ def discrete_l2_time_norm(per_step_norms: Sequence[float] | np.ndarray, k: float
     Raises:
       ValueError: If the sequence is empty or ``k`` is not positive.
     """
+    import numpy as np
+
     v = np.asarray(per_step_norms, dtype=np.float64)
     if v.size == 0:
         raise ValueError("discrete L2 norm of an empty sequence")
@@ -172,21 +209,35 @@ def build_grid(t0: float, T: float, k_request: float) -> TimeGrid:
     return TimeGrid(t0=float(t0), T=float(T), M=m, k=(T - t0) / m)
 
 
-def era_indices(times: np.ndarray, boundaries: Sequence[float]) -> np.ndarray:
-    """Era index of every time, for strictly increasing era ``boundaries``.
+def era_starts(grid: TimeGrid, boundaries: Sequence[float]) -> tuple[int, ...]:
+    """First grid index of every era, then M + 1, for strictly increasing ``boundaries``.
 
-    Eras are left-closed and right-open, except the final era which also
-    includes its right endpoint.  A time before the first boundary gets -1.
+    Era j holds the grid points ``starts[j]`` to ``starts[j + 1] - 1``.  Eras
+    are left-closed and right-open, except the final era, which holds every
+    point from its left boundary on, the right endpoint included.  Points
+    before the first boundary belong to no era.  Grid point n sits at
+    ``t0 + n * k``, which never decreases with n, so each start is found by
+    bisection over n, in O(log M) and with no array of times.
 
     Raises:
-      ValueError: If some era holds none of the times.
+      ValueError: If some era holds no grid point; the message names the
+        first such era.
     """
     bounds = tuple(float(b) for b in boundaries)
-    n_eras = len(bounds) - 1
-    index = np.minimum(np.searchsorted(bounds, times, side="right") - 1, n_eras - 1)
-    # slot 0 counts the times before the first boundary
-    held = np.bincount(index + 1, minlength=n_eras + 1)[1:]
-    if not held.all():
-        j = int(np.argmin(held))
-        raise ValueError(f"era [{bounds[j]!r}, {bounds[j + 1]!r}) holds no grid point")
-    return index
+    t0, k, end = grid.t0, grid.k, grid.M + 1
+    starts: list[int] = []
+    lo = 0
+    for bound in bounds[:-1]:
+        hi = end
+        while lo < hi:  # the first n with t0 + n * k >= bound
+            mid = (lo + hi) // 2
+            if t0 + mid * k < bound:
+                lo = mid + 1
+            else:
+                hi = mid
+        starts.append(lo)
+    starts.append(end)
+    for j in range(len(starts) - 1):
+        if starts[j] == starts[j + 1]:
+            raise ValueError(f"era [{bounds[j]!r}, {bounds[j + 1]!r}) holds no grid point")
+    return tuple(starts)

@@ -16,6 +16,10 @@ constants in local variables, and the component form and the substep are
 generated apart, each only when used.  It gives bitwise the results of the
 same update written in numpy arithmetic, which :func:`composed_step` keeps.
 
+numpy is imported by the functions that make or read arrays, when first
+called, never by the generated kernel: building a field, checking its text
+and the characteristic roots need no numpy.
+
 The default :class:`SignConvention` adds the averaged slopes, which is the
 choice forced by the second-order conditions.  ``MINUS`` subtracts them
 instead; that variant drives the state away from the solution and exists
@@ -33,11 +37,19 @@ import math
 import operator
 import textwrap
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-import numpy as np
+from .numerics import (
+    BLOCK_ROWS,
+    TimeGrid,
+    Trajectory,
+    as_state,
+    finite_state_floats,
+    state_floats,
+)
 
-from .numerics import BLOCK_ROWS, TimeGrid, Trajectory, as_state
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NumericalBlowupError",
@@ -71,7 +83,8 @@ Components = Callable[[float, tuple[float, ...]], Sequence[float]]
 class _Source:
     """A field's equations as text, with the constants the text names.
 
-    Called, it is the field's array ``evaluate``.  ``components``,
+    Called, it is the field's array ``evaluate``: it checks the state's
+    shape and dimension, not its finiteness.  ``components``,
     ``substep`` and ``march`` are each generated from the text and compiled
     on first use, once per text, and bound to ``constants`` by value once
     per source; see :func:`_compiled`.
@@ -82,7 +95,9 @@ class _Source:
     constants: Mapping[str, object]
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(self.components(t, tuple(map(float, y))))
+        import numpy as np
+
+        return np.array(self.components(t, state_floats(y, self.dim)))
 
     def _bound(self, function: str) -> Callable:
         bind = _compiled(function, self.dim, self.rates, tuple(self.constants))
@@ -173,12 +188,6 @@ class NumericalBlowupError(ArithmeticError):
         self.partial_states = partial_states
 
 
-def _check_finite(out: np.ndarray, t: float, y: np.ndarray) -> None:
-    """Raise on a non-finite result of the substep that started at (t, y)."""
-    if not np.isfinite(out).all():
-        raise _blowup(t, y)
-
-
 def _blowup(t: float, y: np.ndarray) -> NumericalBlowupError:
     """The error for a non-finite result of the substep that started at (t, y)."""
     return NumericalBlowupError(
@@ -191,6 +200,7 @@ def _source(f: RhsField) -> _Source:
     evaluate, dim = f.evaluate, f.dim
     if isinstance(evaluate, _Source):
         return evaluate
+    import numpy as np
 
     def g(t: float, y: tuple[float, ...]) -> list[float]:
         values = evaluate(t, np.array(y)).tolist()
@@ -219,6 +229,8 @@ def _step_blowup(
     the first non-finite substep is found among the step's own intermediates
     without evaluating the field again.
     """
+    import numpy as np
+
     if not _finite(y13):
         return _blowup(t, np.array(y))
     if not _finite(y23):
@@ -476,10 +488,12 @@ def heun_substep(
     """
     if not h > 0.0:
         raise ValueError("substep length h must be positive")
-    y = as_state(y, dim=f.dim)
-    out = _source(f).substep(t, y.tolist(), h, sign.factor * (h / 2.0))
+    import numpy as np
+
+    y = finite_state_floats(y, dim=f.dim)
+    out = _source(f).substep(t, y, h, sign.factor * (h / 2.0))
     if not _finite(out):
-        raise _blowup(t, y)
+        raise _blowup(t, np.array(y))
     return np.array(out)
 
 
@@ -497,11 +511,13 @@ def advance_one_step(
     """
     if not k > 0.0:
         raise ValueError("step size k must be positive")
-    y = as_state(y, dim=f.dim)
+    import numpy as np
+
+    y = finite_state_floats(y, dim=f.dim)
     h = k / 3.0
     rows: list[float] = []
     # with k = -0.0 the step starts at t_n + 0 * -0.0, which is t_n exactly, -0.0 too
-    _source(f).march(t_n, -0.0, 0, 1, y.tolist(), h, sign.factor * (h / 2.0), rows)
+    _source(f).march(t_n, -0.0, 0, 1, y, h, sign.factor * (h / 2.0), rows)
     return np.array(rows)
 
 
@@ -526,17 +542,20 @@ def composed_step(
     g1 = f.evaluate(t_n, y)
     g2 = f.evaluate(t_n + h, y + h * g1)
     y13 = y + w * (g1 + g2)
-    _check_finite(y13, t_n, y)
+    if not _finite(y13):
+        raise _blowup(t_n, y)
     t13 = t_n + h
     g3 = f.evaluate(t13, y13)
     g4 = f.evaluate(t13 + h, y13 + h * g3)
     y23 = y13 + w * (g3 + g4)
-    _check_finite(y23, t13, y13)
+    if not _finite(y23):
+        raise _blowup(t13, y13)
     t23 = t13 + h
     g5 = f.evaluate(t23, y23)
     g6 = f.evaluate(t23 + h, y23 + h * g5)
     out = y + w * (g1 + g2) + w * (g3 + g4) + w * (g5 + g6)
-    _check_finite(out, t23, y23)
+    if not _finite(out):
+        raise _blowup(t23, y23)
     return out
 
 
@@ -556,6 +575,8 @@ def integrate(
       NumericalBlowupError: Carrying the failing step index, the last finite
         state and the partial run, as soon as any intermediate is non-finite.
     """
+    import numpy as np
+
     y = as_state(y0, dim=f.dim)
     h = grid.k / 3.0
     w = sign.factor * (h / 2.0)
@@ -591,22 +612,16 @@ def integrate(
     return Trajectory(grid=grid, states=states)
 
 
-# First characteristic polynomial of the three-substep recurrence, in the
-# one-substep shift variable z: P(z) = z**3 - 1.
-_CHARACTERISTIC_COEFFS = (1.0, 0.0, 0.0, -1.0)
-
-
 def zero_stability_roots() -> tuple[complex, complex, complex]:
-    """Roots of the first characteristic polynomial z**3 - 1.
+    """Roots of the first characteristic polynomial z**3 - 1 of the recurrence.
 
-    Ordered by descending real part, then ascending imaginary part:
-    1, -1/2 - i*sqrt(3)/2, -1/2 + i*sqrt(3)/2.
+    The polynomial is in the one-substep shift variable z, and its roots are
+    the cube roots of unity, in closed form.  Ordered by descending real
+    part, then ascending imaginary part: 1, -1/2 - i*sqrt(3)/2,
+    -1/2 + i*sqrt(3)/2.
     """
-    roots = sorted(
-        (complex(r) for r in np.roots(_CHARACTERISTIC_COEFFS)),
-        key=lambda z: (-z.real, z.imag),
-    )
-    return roots[0], roots[1], roots[2]
+    half_sqrt3 = math.sqrt(3.0) / 2.0
+    return complex(1.0, 0.0), complex(-0.5, -half_sqrt3), complex(-0.5, half_sqrt3)
 
 
 def zero_stability_root_moduli() -> tuple[float, float, float]:

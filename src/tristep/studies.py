@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .cpmodel import EraPreset, cp_rhs
 from .manufactured import ManufacturedProblem
 from .numerics import (
@@ -20,7 +18,7 @@ from .numerics import (
     build_grid,
     convergence_rate,
     discrete_l2_time_norm,
-    era_indices,
+    era_starts,
 )
 from .scheme import SignConvention, integrate
 
@@ -90,6 +88,8 @@ def run_convergence_study(
     if not grids:
         raise ValueError("exponents must be integers >= 1")
 
+    import numpy as np
+
     rows: list[ConvergenceRow] = []
     previous_error: float | None = None
     for grid in grids:
@@ -141,17 +141,15 @@ def era_summary(
     if abs(bounds[0] - grid.t0) > tol or abs(bounds[-1] - grid.T) > tol:
         raise ValueError("era boundaries must span exactly the trajectory's time range")
 
-    n_eras = len(bounds) - 1
-    era_index = era_indices(grid.times(), bounds)
-    era_means = np.empty((n_eras, trajectory.dim))
-    for j in range(n_eras):
-        era_means[j] = trajectory.states[era_index == j].mean(axis=0)
-    overall = trajectory.states.mean(axis=0)
+    starts = era_starts(grid, bounds)
+    states = trajectory.states
+    era_means = [states[a:b].mean(axis=0) for a, b in zip(starts, starts[1:])]
+    overall = states.mean(axis=0)
 
     return [
         EraSummaryRow(
             compartment=f"y{i + 1}",
-            era_averages=tuple(float(v) for v in era_means[:, i]),
+            era_averages=tuple(float(means[i]) for means in era_means),
             overall_average=float(overall[i]),
             share_percent=float(overall[i] / N * 100.0),
         )

@@ -426,6 +426,16 @@ def test_round_half_away_from_zero():
     assert round_half_away(99.96) == 100.0
 
 
+def test_roots_prints_the_four_lines_of_the_closed_form(capsys):
+    assert main(["roots"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "re,im,modulus\n"
+        "1,0,1\n"
+        "-0.5,-0.866025403784439,1\n"
+        "-0.5,0.866025403784439,1\n"
+    )
+
+
 def test_cli_runs_as_a_module():
     result = subprocess.run(
         [sys.executable, "-m", "tristep.cli", "roots"],

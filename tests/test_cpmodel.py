@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -244,6 +245,31 @@ def test_alpha_mismatch_helper():
     assert alpha_mismatch(preset("cameroon-1960").params)
     assert not alpha_mismatch(preset("cameroon-1986").params)
     assert not alpha_mismatch(preset("cameroon-2002").params)
+
+
+def test_preset_y0_reads_as_a_new_array_each_time():
+    scenario = preset("cameroon-1960")
+    y0 = scenario.y0
+    assert y0.dtype == np.float64 and y0.shape == (5,)
+    y0[0] = -1.0
+    assert scenario.y0[0] == 3.5e6
+    assert scenario.y0 is not scenario.y0
+
+
+@pytest.mark.parametrize(
+    "y0, message",
+    [
+        ((1.0, 2.0, 3.0, 4.0), "dimension 4, expected 5"),
+        (np.ones((1, 5)), "1-D"),
+        ((1.0, 2.0, math.nan, 4.0, 5.0), "finite"),
+        ("12345", "1-D"),
+    ],
+    ids=["four", "2-D", "nan", "text"],
+)
+def test_era_preset_rejects_a_malformed_initial_state(y0, message):
+    scenario = preset("cameroon-1986")
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(scenario, y0=y0)
 
 
 def test_era_preset_validation():

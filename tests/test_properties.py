@@ -8,6 +8,7 @@ from dataclasses import fields
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -24,6 +25,8 @@ from tristep import (
     composed_step,
     conservation_residual,
     cp_rhs,
+    era_starts,
+    era_summary,
     format_config,
     heun_substep,
     integrate,
@@ -347,3 +350,74 @@ def test_trajectory_csv_round_trip_is_exact(trajectory, every):
     idx = trajectory_row_indices(trajectory.grid.M, every)
     assert times.tobytes() == trajectory.grid.times()[idx].tobytes()
     assert states.tobytes() == trajectory.states[idx].tobytes()
+
+
+def _era_index_oracle(grid, bounds):
+    """Era of every grid point by ``searchsorted`` over the grid's times, or the error text."""
+    times = grid.times()
+    n_eras = len(bounds) - 1
+    index = np.minimum(np.searchsorted(bounds, times, side="right") - 1, n_eras - 1)
+    held = np.bincount(index + 1, minlength=n_eras + 1)[1:]
+    if not held.all():
+        j = int(np.argmin(held))
+        return f"era [{bounds[j]!r}, {bounds[j + 1]!r}) holds no grid point"
+    return index
+
+
+@st.composite
+def grids_and_eras(draw):
+    """A grid and increasing era boundaries, often on a grid point or one ulp below it."""
+    t0 = draw(st.floats(-1e4, 1e4))
+    span = draw(st.floats(1e-3, 1e3))
+    grid = build_grid(t0, t0 + span, span / draw(st.integers(1, 300)))
+    point = st.integers(0, grid.M).map(grid.time)
+    bound = st.one_of(
+        point,
+        point.map(lambda t: math.nextafter(t, -math.inf)),
+        st.floats(t0 - span / 8.0, grid.T + span / 8.0),
+    )
+    bounds = sorted(set(draw(st.lists(bound, min_size=2, max_size=8))))
+    assume(len(bounds) >= 2)
+    return grid, tuple(bounds)
+
+
+@PROPERTY
+@given(grids_and_eras())
+def test_era_starts_agree_with_a_searchsorted_oracle(case):
+    grid, bounds = case
+    expected = _era_index_oracle(grid, bounds)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            era_starts(grid, bounds)
+        assert str(info.value) == expected
+        return
+    starts = era_starts(grid, bounds)
+    assert len(starts) == len(bounds) and starts[-1] == grid.M + 1
+    index = np.full(grid.M + 1, -1)
+    for j, (a, b) in enumerate(zip(starts, starts[1:])):
+        index[a:b] = j
+    assert np.array_equal(index, expected)
+
+
+@st.composite
+def trajectories_and_eras(draw):
+    """Any finite states over a grid, with era boundaries that leave no era empty."""
+    trajectory = draw(trajectories())
+    grid = trajectory.grid
+    inner = draw(st.lists(st.integers(1, grid.M), max_size=6, unique=True))
+    bounds = (grid.t0, *sorted(grid.time(n) for n in inner), grid.T)
+    assume(all(a < b for a, b in zip(bounds, bounds[1:])))
+    return trajectory, bounds
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # means of the largest doubles overflow
+@PROPERTY
+@given(trajectories_and_eras())
+def test_era_means_are_bitwise_the_masked_means(case):
+    trajectory, bounds = case
+    index = _era_index_oracle(trajectory.grid, bounds)
+    rows = era_summary(trajectory, bounds, 1.0)
+    for j in range(len(bounds) - 1):
+        masked = trajectory.states[index == j].mean(axis=0)
+        sliced = np.array([row.era_averages[j] for row in rows])
+        assert sliced.tobytes() == masked.tobytes()

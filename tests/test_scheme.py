@@ -622,6 +622,31 @@ def test_malformed_states_are_rejected_before_the_kernel(step, y, message):
         STEPPERS[step](field, y)
 
 
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        (np.ones(3), "dimension 3, expected 5"),
+        (np.ones((2, 5)), "1-D"),
+        (np.array(1.0), "1-D"),
+        ([[1.0] * 5] * 2, "1-D"),
+        ([], "1-D"),
+        ("12345", "1-D"),
+    ],
+    ids=["dim-3", "2x5", "0-d", "nested-list", "empty", "text"],
+)
+def test_malformed_states_are_rejected_by_a_source_field_evaluate(y, message):
+    field = cp_rhs(preset("cameroon-1960").params)
+    with pytest.raises(ValueError, match=message):
+        field.evaluate(0.0, y)
+
+
+def test_a_source_field_evaluate_takes_overflowed_states():
+    # stage inputs of a diverging step may hold inf or nan; the steppers report them
+    field = cp_rhs(preset("cameroon-1960").params)
+    rates = field.evaluate(0.0, np.array([math.inf, 1.0, math.nan, 1.0, 1.0]))
+    assert rates.shape == (5,) and not np.isfinite(rates).all()
+
+
 @pytest.mark.parametrize("step", STEPPERS)
 def test_a_list_state_steps_as_its_array(step):
     field = cp_rhs(preset("cameroon-1960").params)

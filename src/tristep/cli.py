@@ -16,6 +16,7 @@ import csv
 import math
 import sys
 from pathlib import Path
+from struct import Struct
 from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .config import parse_config, preset_from_config
@@ -31,6 +32,8 @@ from .scheme import (
 from .studies import ConvergenceRow, EraSummaryRow, run_convergence_study, run_scenario
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 __all__ = [
@@ -90,30 +93,25 @@ def trajectory_row_indices(last_index: int, every: int) -> list[int]:
 
 
 def write_trajectory_csv(stream: TextIO, trajectory: Trajectory, every: int = 1) -> None:
-    _write_trajectory_rows(stream, trajectory.grid, trajectory.states, every)
-
-
-_CSV_BLOCK_ROWS = 4096
+    _write_trajectory_rows(stream, trajectory.grid, trajectory.values, trajectory.dim, every)
 
 
 def _write_trajectory_rows(
-    stream: TextIO, grid: TimeGrid, states: np.ndarray, every: int
+    stream: TextIO, grid: TimeGrid, values: array | np.ndarray, dim: int, every: int
 ) -> None:
-    """Emit the rows ``trajectory_row_indices`` picks from ``states``, each with its grid time.
+    """Emit the rows ``trajectory_row_indices`` picks from ``values``, each with its grid time.
 
-    ``states`` holds the first rows of ``grid``'s points, all of them or the
-    accepted ones of a run that diverged.
+    ``values`` is a buffer of float64 rows of ``dim`` entries, a
+    trajectory's flat ``array('d')`` or a C-ordered numpy array: the first
+    rows of ``grid``'s points, all of them or the accepted ones of a run
+    that diverged.  Only the emitted rows are read.
     """
-    indices = trajectory_row_indices(states.shape[0] - 1, every)
-    dim = states.shape[1]
+    row = Struct(f"{dim}d")
     stream.write(",".join(["t"] + [f"y{i + 1}" for i in range(dim)]) + "\n")
     # "%.17g" formats a float exactly as _g17 does
     line = ",".join(["%.17g"] * (dim + 1)) + "\n"
-    # rows are gathered a block at a time, so memory stays bounded
-    for start in range(0, len(indices), _CSV_BLOCK_ROWS):
-        block = indices[start : start + _CSV_BLOCK_ROWS]
-        for n, row in zip(block, states[block].tolist()):
-            stream.write(line % (grid.time(n), *row))
+    for n in trajectory_row_indices(memoryview(values).nbytes // row.size - 1, every):
+        stream.write(line % (grid.time(n), *row.unpack_from(values, n * row.size)))
 
 
 def read_trajectory_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
@@ -258,8 +256,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.out is not None:
             grid = build_grid(scenario.t0, scenario.T, scenario.k)
             try:
+                partial = err.partial_states
                 _write_csv(
-                    args.out, _write_trajectory_rows, grid, err.partial_states, args.every
+                    args.out, _write_trajectory_rows, grid, partial, partial.shape[1], args.every
                 )
             except _Failure as failure:  # the blow-up decides the exit code
                 raise _Failure(EXIT_BLOWUP, str(failure))

@@ -1,15 +1,19 @@
 """State vectors, uniform time grids, era bounds and the discrete norms of the studies.
 
 Everything here is a pure function of its inputs; values can be shared
-freely across threads.  Grids, era bounds and state checks run on Python
-floats and ints; numpy is imported only by the functions that make or read
-arrays (``as_state``, ``TimeGrid.times`` and the norms).
+freely across threads.  Grids, era bounds, state checks and trajectories
+run on Python floats and ints; a trajectory keeps its states in one flat
+``array('d')``.  numpy is imported only by the functions that make or read
+numpy arrays (``as_state``, ``TimeGrid.times``, ``Trajectory.states`` and
+the norms).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -119,25 +123,34 @@ class TimeGrid:
 class Trajectory:
     """Grid samples of one integration run.
 
-    ``states`` holds the M + 1 state vectors row-wise, starting with the
-    initial condition.  ``negativity_flag`` is true when any stored entry
-    is negative; negative values are reported, never clamped.
+    ``values`` holds the M + 1 state vectors one after the other, starting
+    with the initial condition, as one flat ``array('d')``; ``states`` reads
+    it as an ``(M + 1, dim)`` float64 numpy array that shares its memory.
+    ``negativity_flag`` is true when any stored entry is negative (-0.0 is
+    not); negative values are reported, never clamped.
     """
 
     grid: TimeGrid
-    states: np.ndarray
+    values: array
 
     def __post_init__(self) -> None:
-        if self.states.ndim != 2 or self.states.shape[0] != self.grid.M + 1:
+        if not self.values or len(self.values) % (self.grid.M + 1):
             raise ValueError("trajectory must hold exactly M + 1 state samples")
 
     @property
     def dim(self) -> int:
-        return int(self.states.shape[1])
+        return len(self.values) // (self.grid.M + 1)
+
+    @property
+    def states(self) -> np.ndarray:
+        import numpy as np
+
+        return np.frombuffer(self.values, dtype=np.float64).reshape(self.grid.M + 1, -1)
 
     @property
     def negativity_flag(self) -> bool:
-        return bool((self.states < 0.0).any())
+        # from 0.0, neither -0.0 nor a NaN is ever smaller, so neither hides a negative entry
+        return min(chain((0.0,), self.values)) < 0.0
 
 
 def sup_norm(y: Sequence[float] | np.ndarray) -> float:

@@ -16,9 +16,11 @@ constants in local variables, and the component form and the substep are
 generated apart, each only when used.  It gives bitwise the results of the
 same update written in numpy arithmetic, which :func:`composed_step` keeps.
 
-numpy is imported by the functions that make or read arrays, when first
-called, never by the generated kernel: building a field, checking its text
-and the characteristic roots need no numpy.
+numpy is imported by the functions that make or read numpy arrays, when
+first called, never by the generated kernel: building a field, checking its
+text, the characteristic roots and an :func:`integrate` run that completes
+need no numpy.  ``integrate`` keeps its states in one flat ``array('d')``;
+only its blow-up error carries numpy arrays.
 
 The default :class:`SignConvention` adds the averaged slopes, which is the
 choice forced by the second-order conditions.  ``MINUS`` subtracts them
@@ -36,6 +38,7 @@ import keyword
 import math
 import operator
 import textwrap
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -567,31 +570,30 @@ def integrate(
 ) -> Trajectory:
     """March the scheme across the grid from the exact initial state.
 
-    Returns a :class:`Trajectory` holding all M + 1 samples.
+    Returns a :class:`Trajectory` holding all M + 1 samples in one flat
+    ``array('d')``, allocated before the first step and written a block of
+    ``BLOCK_ROWS`` steps at a time; a run that completes imports no numpy.
 
     Raises:
       ValueError: If ``y0`` is not a finite state of the field's dimension,
         or the grid's M + 1 states do not fit in memory.
       NumericalBlowupError: Carrying the failing step index, the last finite
-        state and the partial run, as soon as any intermediate is non-finite.
+        state and the partial run as numpy arrays, as soon as any
+        intermediate is non-finite.
     """
-    import numpy as np
-
-    y = as_state(y0, dim=f.dim)
+    y = finite_state_floats(y0, dim=f.dim)
     h = grid.k / 3.0
     w = sign.factor * (h / 2.0)
+    t0, k, dim = grid.t0, grid.k, f.dim
     try:
-        states = np.empty((grid.M + 1, f.dim), dtype=np.float64)
-    except (MemoryError, ValueError):  # numpy refuses sizes beyond its index range
+        values = array("d", [0.0]) * ((grid.M + 1) * dim)
+    except (MemoryError, OverflowError):  # OverflowError beyond the index range
         raise ValueError(
             f"step size k={grid.k!r} is too small: "
             f"the run's {grid.M + 1} states do not fit in memory"
         ) from None
-    states[0] = y
+    values[:dim] = array("d", y)
     march = _source(f).march
-    flat = states.reshape(-1)
-    t0, k, dim = grid.t0, grid.k, f.dim
-    y = y.tolist()
     for first in range(0, grid.M, BLOCK_ROWS):
         stop = min(first + BLOCK_ROWS, grid.M)
         rows: list[float] = []
@@ -599,17 +601,20 @@ def integrate(
             # step n starts at t0 + n * k, which is grid.time(n)
             y = march(t0, k, first, stop, y, h, w, rows)
         except NumericalBlowupError as err:
+            import numpy as np
+
             n = first + len(rows) // dim
-            flat[(first + 1) * dim : (n + 1) * dim] = rows
+            values[(first + 1) * dim : (n + 1) * dim] = array("d", rows)
+            accepted = np.array(values[: (n + 1) * dim]).reshape(n + 1, dim)
             raise NumericalBlowupError(
                 f"integration diverged during step {n} (from t={grid.time(n)!r})",
                 t=err.t,
                 step_index=n,
-                last_state=states[n].copy(),
-                partial_states=states[: n + 1].copy(),
+                last_state=accepted[n].copy(),
+                partial_states=accepted,
             ) from err
-        flat[(first + 1) * dim : (stop + 1) * dim] = rows
-    return Trajectory(grid=grid, states=states)
+        values[(first + 1) * dim : (stop + 1) * dim] = array("d", rows)
+    return Trajectory(grid, values)
 
 
 def zero_stability_roots() -> tuple[complex, complex, complex]:

@@ -1,14 +1,21 @@
 """Convergence-study and era-summary harnesses over the integrator.
 
 Each unit of work is pure; different step sizes or presets could run
-concurrently, with result order fixed by input order.
+concurrently, with result order fixed by input order.  A scenario run
+(:func:`run_scenario`) stays on Python floats: its states are one flat
+``array('d')`` and its era averages are folded from it by a function
+generated per state dimension, so it imports no numpy.  The convergence
+study imports numpy for its norms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 from .cpmodel import EraPreset, cp_rhs
 from .manufactured import ManufacturedProblem
@@ -116,6 +123,58 @@ def run_convergence_study(
     return rows
 
 
+def _column_sums(
+    values: array, starts: Sequence[int]
+) -> tuple[list[tuple[float, ...]], tuple[float, ...]]:
+    """The sums of a one-column trajectory, by numpy.
+
+    numpy's mean sums a single column pairwise, not row by row, so its bits
+    cannot be had from a fold in order.
+    """
+    import numpy as np
+
+    column = np.frombuffer(values, dtype=np.float64)
+    eras = [(float(np.add.reduce(column[a:b])),) for a, b in zip(starts, starts[1:])]
+    return eras, (float(np.add.reduce(column)),)
+
+
+@functools.cache
+def _fold(dim: int) -> Callable[[array, Sequence[int]], tuple[list, tuple]]:
+    """``fold(values, starts)``: the column sums of every era, then of all rows.
+
+    ``values`` holds rows of ``dim`` floats one after the other, and
+    ``starts`` is :func:`era_starts`' result.  Every sum starts from 0.0 and
+    adds its rows in order, one local per column, which is bitwise how
+    numpy's axis-0 mean of two or more columns sums them (an all -0.0 column
+    sums to 0.0 there too).  The fold is generated once per dimension with
+    the rows unpacked into locals, as the scheme's ``march`` is, and never
+    calls ``sum``, which compensates its rounding since Python 3.12.
+    """
+    if dim == 1:
+        return _column_sums
+
+    def names(name: str, between: str = ", ") -> str:
+        return between.join(f"{name}{i}" for i in range(dim))
+
+    lines = [
+        "def fold(values, starts):",
+        f"    rows = zip(*[iter(values)] * {dim})",
+        f"    {names('o', ' = ')} = 0.0",
+        f"    for {names('y')} in islice(rows, starts[0]):",  # rows before the first era
+        *(f"        o{i} += y{i}" for i in range(dim)),
+        "    eras = []",
+        "    for a, b in zip(starts, starts[1:]):",
+        f"        {names('e', ' = ')} = 0.0",
+        f"        for {names('y')} in islice(rows, b - a):",
+        *(f"            {sums}{i} += y{i}" for i in range(dim) for sums in "eo"),
+        f"        eras.append(({names('e')}))",
+        f"    return eras, ({names('o')})",
+    ]
+    namespace = {"islice": islice}
+    exec("\n".join(lines), namespace)
+    return namespace["fold"]
+
+
 def era_summary(
     trajectory: Trajectory, boundaries: Iterable[float], N: float
 ) -> list[EraSummaryRow]:
@@ -123,8 +182,10 @@ def era_summary(
 
     Eras are left-closed and right-open, except the final era which also
     includes the right endpoint.  The overall average runs over all samples
-    in [t0, T], and the share is overall_average / N * 100.  Rounding for
-    display happens at emission only; the returned rows keep raw values.
+    in [t0, T], and the share is overall_average / N * 100.  Averages are
+    sample means: the sum of an era's grid samples over their count,
+    bitwise numpy's ``states[a:b].mean(axis=0)``.  Rounding for display
+    happens at emission only; the returned rows keep raw values.
 
     Raises:
       ValueError: If the boundaries do not span the trajectory's time range,
@@ -142,16 +203,15 @@ def era_summary(
         raise ValueError("era boundaries must span exactly the trajectory's time range")
 
     starts = era_starts(grid, bounds)
-    states = trajectory.states
-    era_means = [states[a:b].mean(axis=0) for a, b in zip(starts, starts[1:])]
-    overall = states.mean(axis=0)
-
+    era_sums, overall_sums = _fold(trajectory.dim)(trajectory.values, starts)
+    counts = [b - a for a, b in zip(starts, starts[1:])]
+    samples = grid.M + 1
     return [
         EraSummaryRow(
             compartment=f"y{i + 1}",
-            era_averages=tuple(float(means[i]) for means in era_means),
-            overall_average=float(overall[i]),
-            share_percent=float(overall[i] / N * 100.0),
+            era_averages=tuple(sums[i] / count for sums, count in zip(era_sums, counts)),
+            overall_average=overall_sums[i] / samples,
+            share_percent=overall_sums[i] / samples / N * 100.0,
         )
         for i in range(trajectory.dim)
     ]
@@ -167,5 +227,6 @@ def run_scenario(
     and the partial run.  Identical inputs produce bitwise-identical output.
     """
     grid = build_grid(preset.t0, preset.T, preset.k)
-    trajectory = integrate(cp_rhs(preset.params), preset.y0, grid, sign)
+    # the preset's own floats: reading preset.y0 would build a numpy array
+    trajectory = integrate(cp_rhs(preset.params), preset._y0, grid, sign)
     return trajectory, era_summary(trajectory, preset.era_boundaries, preset.params.N)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -205,6 +206,6 @@ def test_time_grid_rejects_inconsistent_step():
 def test_trajectory_requires_full_sample_count():
     grid = build_grid(0.0, 1.0, 0.25)
     with pytest.raises(ValueError):
-        Trajectory(grid=grid, states=np.zeros((3, 2)))
-    traj = Trajectory(grid=grid, states=np.zeros((5, 2)))
+        Trajectory(grid=grid, values=array("d", [0.0]) * 6)
+    traj = Trajectory(grid=grid, values=array("d", [0.0]) * 10)
     assert traj.dim == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+from array import array
 from dataclasses import fields
 from unittest import mock
 
@@ -337,7 +338,7 @@ def trajectories(draw):
     dim = draw(st.integers(1, 5))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     states = draw(arrays(np.float64, (grid.M + 1, dim), elements=finite))
-    return Trajectory(grid=grid, states=states)
+    return Trajectory(grid=grid, values=array("d", states.tobytes()))
 
 
 @PROPERTY
@@ -421,3 +422,47 @@ def test_era_means_are_bitwise_the_masked_means(case):
         masked = trajectory.states[index == j].mean(axis=0)
         sliced = np.array([row.era_averages[j] for row in rows])
         assert sliced.tobytes() == masked.tobytes()
+
+
+@st.composite
+def rows_and_eras(draw):
+    """States of dimension 1-7, either sign, some columns all -0.0, over a grid
+    split into random eras; magnitudes span a random range inside 1e-300 to
+    1e300, narrow ranges included, where the order of the additions shows."""
+    grid = build_grid(0.0, float(draw(st.integers(1, 60))), 1.0)
+    dim = draw(st.integers(1, 7))
+    low = draw(st.integers(-300, 299))
+    magnitude = st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 10.0),
+        st.integers(low, draw(st.integers(low, 299))),
+    )
+    element = st.one_of(magnitude, st.sampled_from([0.0, -0.0]))
+    states = draw(arrays(np.float64, (grid.M + 1, dim), elements=element))
+    for column in draw(st.sets(st.integers(0, dim - 1))):
+        states[:, column] = -0.0
+    inner = draw(st.sets(st.integers(1, grid.M - 1) if grid.M > 1 else st.nothing()))
+    # a first bound inside era_summary's tolerance past t0 leaves row 0 in no era
+    first = draw(st.sampled_from([0.0, 1e-12])) if min(inner, default=2) > 1 else 0.0
+    bounds = (first, *map(float, sorted(inner)), float(grid.M))
+    N = draw(st.floats(1.0, 1e9))
+    return Trajectory(grid=grid, values=array("d", states.tobytes())), bounds, N
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # sums of the largest doubles overflow
+@PROPERTY
+@given(rows_and_eras())
+def test_era_summary_is_bitwise_numpys_mean(case):
+    trajectory, bounds, N = case
+    states = trajectory.states
+    starts = era_starts(trajectory.grid, bounds)
+    rows = era_summary(trajectory, bounds, N)
+    for j, (a, b) in enumerate(zip(starts, starts[1:])):
+        era = np.array([row.era_averages[j] for row in rows])
+        assert era.tobytes() == states[a:b].mean(axis=0).tobytes()
+    overall = states.mean(axis=0)
+    assert np.array([row.overall_average for row in rows]).tobytes() == overall.tobytes()
+    shares = np.array([row.share_percent for row in rows])
+    assert shares.tobytes() == (overall / N * 100.0).tobytes()
+    assert trajectory.negativity_flag == bool((states < 0.0).any())

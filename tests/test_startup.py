@@ -1,4 +1,5 @@
-"""What runs without numpy: start-up, input loading and the roots command."""
+"""What runs without numpy: start-up, input loading, writing a configuration,
+the roots command and a successful ``simulate`` run."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from tristep import (
     PRESET_LABELS,
     PROBLEM_LABELS,
     build_grid,
+    format_config,
     parse_config,
     preset,
     preset_from_config,
@@ -45,6 +47,12 @@ work = Path(sys.argv[1])
 (work / "tiny.cfg").write_text(CONFIG.replace("k = 0.001", "k = 1e-15"), encoding="utf-8")
 assert main(["simulate", "--config", str(work / "bad.cfg")]) == 2
 assert main(["simulate", "--config", str(work / "tiny.cfg")]) == 2
+
+format_config(preset(PRESET_LABELS[0]))
+run = ["--out", str(work / "run.csv"), "--summary-out", str(work / "summary.csv")]
+assert main(["simulate", "--preset", PRESET_LABELS[0], *run]) == 0
+(work / "run.cfg").write_text(CONFIG, encoding="utf-8")
+assert main(["simulate", "--config", str(work / "run.cfg"), "--every", "1000", *run]) == 0
 print("numpy" in sys.modules)
 """
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ REFERENCE_ERA_TABLE_1960 = {
 
 def constant_trajectory(grid, values):
     states = np.tile(np.asarray(values, dtype=float), (grid.M + 1, 1))
-    return Trajectory(grid=grid, states=states)
+    return Trajectory(grid=grid, values=array("d", states.tobytes()))
 
 
 def balanced_preset():
@@ -173,7 +175,7 @@ def test_era_summary_of_constant_trajectory():
 def test_era_summary_matches_sample_mean_oracle_on_a_ramp():
     grid = build_grid(0.0, 2.0, 0.25)
     states = np.outer(grid.times(), np.array([1.0, 2.0]))
-    traj = Trajectory(grid=grid, states=states)
+    traj = Trajectory(grid=grid, values=array("d", states.tobytes()))
     rows = era_summary(traj, (0.0, 1.0, 2.0), 10.0)
     # era 1 holds t in {0, .25, .5, .75}; era 2 holds t in {1, ..., 2}
     assert rows[0].era_averages == pytest.approx((0.375, 1.5), rel=1e-15)

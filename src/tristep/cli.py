@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence, TextIO
 from .config import parse_config, preset_from_config
 from .cpmodel import PRESET_LABELS, preset
 from .manufactured import PROBLEM_LABELS, problem
-from .numerics import TimeGrid, Trajectory, build_grid
+from .numerics import TimeGrid, Trajectory
 from .scheme import (
     NumericalBlowupError,
     SignConvention,
@@ -225,13 +225,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scenario, sign = preset(args.preset), SignConvention.PLUS
     else:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
+            config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+            scenario, sign = preset_from_config(config), config.sign
         except OSError as exc:
             raise _Failure(EXIT_IO, f"cannot read {args.config}: {exc}")
-        try:
-            config = parse_config(text)
-            scenario, sign = preset_from_config(config), config.sign
-        except ValueError as exc:  # ConfigError included
+        except ValueError as exc:  # ConfigError and UnicodeDecodeError included
             raise _Failure(EXIT_USAGE, f"{args.config}: {exc}")
     if args.sign is not None:
         sign = SignConvention(args.sign)
@@ -254,11 +252,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         if args.out is not None:
-            grid = build_grid(scenario.t0, scenario.T, scenario.k)
             try:
                 partial = err.partial_states
                 _write_csv(
-                    args.out, _write_trajectory_rows, grid, partial, partial.shape[1], args.every
+                    args.out,
+                    _write_trajectory_rows,
+                    scenario.grid,
+                    partial,
+                    partial.shape[1],
+                    args.every,
                 )
             except _Failure as failure:  # the blow-up decides the exit code
                 raise _Failure(EXIT_BLOWUP, str(failure))

@@ -19,18 +19,20 @@ people into the honest class.
 Summing the five equations cancels every exchange term pairwise and leaves
 d(total)/dt = theta - gamma*total, the model's conservation identity.
 
-Presets load without numpy: an :class:`EraPreset` keeps its initial state
-as checked floats and checks its grid and eras on Python numbers.  numpy is
-imported when a state is first read as an array.
+The presets are one table, ``_PRESETS``, of each scenario's horizon,
+initial state, eras and rates.  Presets load without numpy: an
+:class:`EraPreset` keeps its initial state as checked floats and builds and
+checks its grid and eras on Python numbers.  numpy is imported when a state
+is first read as an array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from .numerics import as_state, build_grid, era_starts, finite_state_floats
+from .numerics import TimeGrid, as_state, build_grid, era_starts, finite_state_floats
 from .scheme import RhsField
 
 if TYPE_CHECKING:
@@ -241,8 +243,9 @@ class EraPreset:
     ``y0`` must hold five finite reals and sum to N within 0.1%; it is kept
     as floats and reads as a new float64 array.  ``era_boundaries``
     partitions [t0, T] for the summary tables; it must be strictly
-    increasing, start at t0, end at T and leave no era without a point of the
-    grid ``build_grid(t0, T, k)``, whose points must fit in memory.
+    increasing, start at t0, end at T and leave no era without a point of
+    ``grid``, which is ``build_grid(t0, T, k)``, derived and never passed;
+    its points must fit in memory.
     ``alpha_warning`` marks presets whose stored contact rates disagree with
     p*(1 - beta); the stored values drive the dynamics, the flag surfaces the
     discrepancy.
@@ -256,6 +259,7 @@ class EraPreset:
     k: float
     era_boundaries: tuple[float, ...]
     alpha_warning: bool = False
+    grid: TimeGrid = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -278,6 +282,7 @@ class EraPreset:
                 f"the grid's {grid.M + 1} points do not fit in memory"
             ) from None
         era_starts(grid, bounds)
+        object.__setattr__(self, "grid", grid)
         total, *rest = self._y0
         for value in rest:  # left to right, as numpy sums five values
             total += value
@@ -287,124 +292,103 @@ class EraPreset:
             )
 
 
-PRESET_LABELS = ("cameroon-1960", "cameroon-1986", "cameroon-2002")
-
-
-def _era_preset(label, *, t0, T, y0, eras, **rates) -> EraPreset:
-    params = CpParams(**rates)
-    return EraPreset(
-        label=label,
-        params=params,
-        y0=y0,
-        t0=t0,
-        T=T,
-        k=1e-3,
-        era_boundaries=eras,
-        alpha_warning=alpha_mismatch(params),
-    )
-
-
-def _preset_1960() -> EraPreset:
-    # alpha1 = 0.018 is the scenario's stated contact rate even though
-    # p1*(1 - beta1) = 0.12; the mismatch flag warns downstream consumers.
-    # rho and mu are chosen so the prison outflow splits exactly into
-    # rho*mu = 0.55 toward honest and rho*(1 - mu) = 0.45 back to corrupt.
-    return _era_preset(
-        "cameroon-1960",
+_PRESETS = {
+    "cameroon-1960": dict(
         t0=1960.0,
         T=1986.0,
         y0=(3.5e6, 1.5e6, 1.5e6, 0.5e6, 3.0e6),
-        eras=(1960.0, 1965.0, 1970.0, 1975.0, 1980.0, 1986.0),
-        theta=0.2,
-        gamma=0.2,
-        rho=1.0,
-        mu=0.55,
-        p1=0.3,
-        p2=0.1,
-        beta1=0.6,
-        beta2=0.7,
-        alpha1=0.018,
-        alpha2=0.03,
-        r1=0.45,
-        r2=0.5,
-        tau=0.6,
-        b1=0.3,
-        b2=0.3,
-        sigma=0.9,
-        N=1.0e7,
-    )
-
-
-def _preset_1986() -> EraPreset:
-    return _era_preset(
-        "cameroon-1986",
+        era_boundaries=(1960.0, 1965.0, 1970.0, 1975.0, 1980.0, 1986.0),
+        # alpha1 = 0.018 is the scenario's stated contact rate even though
+        # p1*(1 - beta1) = 0.12; the mismatch flag warns downstream consumers.
+        # rho and mu are chosen so the prison outflow splits exactly into
+        # rho*mu = 0.55 toward honest and rho*(1 - mu) = 0.45 back to corrupt.
+        rates=dict(
+            theta=0.2,
+            gamma=0.2,
+            rho=1.0,
+            mu=0.55,
+            p1=0.3,
+            p2=0.1,
+            beta1=0.6,
+            beta2=0.7,
+            alpha1=0.018,
+            alpha2=0.03,
+            r1=0.45,
+            r2=0.5,
+            tau=0.6,
+            b1=0.3,
+            b2=0.3,
+            sigma=0.9,
+            N=1.0e7,
+        ),
+    ),
+    "cameroon-1986": dict(
         t0=1986.0,
         T=2002.0,
         y0=(2.4e6, 3.2e6, 6.4e6, 2.4e6, 1.6e6),
-        eras=(1986.0, 1990.0, 1994.0, 1998.0, 2002.0),
-        theta=0.3,
-        gamma=0.3,
-        rho=1.0,
-        mu=0.3,
-        p1=0.8,
-        p2=0.4,
-        beta1=0.1,
-        beta2=0.15,
-        alpha1=0.72,
-        alpha2=0.34,
-        r1=0.8,
-        r2=0.9,
-        tau=0.15,
-        b1=0.1,
-        b2=0.12,
-        sigma=0.6,
-        N=1.6e7,
-    )
-
-
-def _preset_2002() -> EraPreset:
-    return _era_preset(
-        "cameroon-2002",
+        era_boundaries=(1986.0, 1990.0, 1994.0, 1998.0, 2002.0),
+        rates=dict(
+            theta=0.3,
+            gamma=0.3,
+            rho=1.0,
+            mu=0.3,
+            p1=0.8,
+            p2=0.4,
+            beta1=0.1,
+            beta2=0.15,
+            alpha1=0.72,
+            alpha2=0.34,
+            r1=0.8,
+            r2=0.9,
+            tau=0.15,
+            b1=0.1,
+            b2=0.12,
+            sigma=0.6,
+            N=1.6e7,
+        ),
+    ),
+    "cameroon-2002": dict(
         t0=2002.0,
         T=2022.0,
         y0=(5.0e6, 4.25e6, 9.5e6, 3.0e6, 3.25e6),
-        eras=(2002.0, 2006.0, 2010.0, 2014.0, 2018.0, 2022.0),
-        theta=0.25,
-        gamma=0.25,
-        rho=1.0,
-        mu=0.35,
-        p1=0.75,
-        p2=0.38,
-        beta1=0.25,
-        beta2=0.4,
-        alpha1=0.5625,
-        alpha2=0.228,
-        r1=0.75,
-        r2=0.8,
-        tau=0.3,
-        b1=0.15,
-        b2=0.15,
-        sigma=0.8,
-        N=2.5e7,
-    )
-
-
-_PRESET_BUILDERS = {
-    "cameroon-1960": _preset_1960,
-    "cameroon-1986": _preset_1986,
-    "cameroon-2002": _preset_2002,
+        era_boundaries=(2002.0, 2006.0, 2010.0, 2014.0, 2018.0, 2022.0),
+        rates=dict(
+            theta=0.25,
+            gamma=0.25,
+            rho=1.0,
+            mu=0.35,
+            p1=0.75,
+            p2=0.38,
+            beta1=0.25,
+            beta2=0.4,
+            alpha1=0.5625,
+            alpha2=0.228,
+            r1=0.75,
+            r2=0.8,
+            tau=0.3,
+            b1=0.15,
+            b2=0.15,
+            sigma=0.8,
+            N=2.5e7,
+        ),
+    ),
 }
+
+PRESET_LABELS = tuple(_PRESETS)
 
 
 def preset(label: str) -> EraPreset:
-    """Return the era preset registered under ``label``.
+    """Return a new era preset registered under ``label``, stepped at k = 1e-3.
 
     Raises:
       ValueError: If the label is not one of :data:`PRESET_LABELS`.
     """
     try:
-        build = _PRESET_BUILDERS[label]
+        spec = dict(_PRESETS[label])
     except KeyError:
         known = ", ".join(PRESET_LABELS)
         raise ValueError(f"unknown preset {label!r}; expected one of: {known}") from None
-    return build()
+    params = CpParams(**spec.pop("rates"))
+    return EraPreset(
+        label=label, params=params, k=1e-3, alpha_warning=alpha_mismatch(params), **spec
+    )

@@ -1,7 +1,8 @@
 """State vectors, uniform time grids, era bounds and the discrete norms of the studies.
 
 Everything here is a pure function of its inputs; values can be shared
-freely across threads.  Grids, era bounds, state checks and trajectories
+freely across threads.  A grid is stated by its span and step count, and
+derives its step from them.  Grids, era bounds, state checks and trajectories
 run on Python floats and ints; a trajectory keeps its states in one flat
 ``array('d')``.  numpy is imported only by the functions that make or read
 numpy arrays (``as_state``, ``TimeGrid.times``, ``Trajectory.states`` and
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -88,6 +89,7 @@ def as_state(values: Iterable[float], dim: int | None = None) -> np.ndarray:
 class TimeGrid:
     """Uniform partition of [t0, T] into M steps of size k = (T - t0) / M.
 
+    The step ``k`` is derived from the other three fields, never passed.
     Grid point ``n`` sits at ``t0 + n * k`` for n = 0..M; the last point
     lands on T up to one unit in the last place.
     """
@@ -95,18 +97,14 @@ class TimeGrid:
     t0: float
     T: float
     M: int
-    k: float
+    k: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.T > self.t0:
             raise ValueError("time grid requires T > t0")
         if self.M < 1:
             raise ValueError("time grid requires at least one step")
-        if not self.k > 0.0:
-            raise ValueError("time grid requires a positive step size")
-        span = self.T - self.t0
-        if abs(self.M * self.k - span) > 4.0 * math.ulp(span):
-            raise ValueError("inconsistent grid: M * k must equal T - t0")
+        object.__setattr__(self, "k", (self.T - self.t0) / self.M)
 
     def time(self, n: int) -> float:
         """The grid point t_n = t0 + n * k."""
@@ -218,8 +216,7 @@ def build_grid(t0: float, T: float, k_request: float) -> TimeGrid:
         raise ValueError(
             f"step request {k_request!r} is too small for a grid over [{t0!r}, {T!r}]"
         )
-    m = max(1, round(steps))
-    return TimeGrid(t0=float(t0), T=float(T), M=m, k=(T - t0) / m)
+    return TimeGrid(t0=float(t0), T=float(T), M=max(1, round(steps)))
 
 
 def era_starts(grid: TimeGrid, boundaries: Sequence[float]) -> tuple[int, ...]:
@@ -233,10 +230,13 @@ def era_starts(grid: TimeGrid, boundaries: Sequence[float]) -> tuple[int, ...]:
     bisection over n, in O(log M) and with no array of times.
 
     Raises:
-      ValueError: If some era holds no grid point; the message names the
-        first such era.
+      ValueError: If the boundaries are fewer than two or not strictly
+        increasing, or if some era holds no grid point; the message names
+        the first such era.
     """
     bounds = tuple(float(b) for b in boundaries)
+    if len(bounds) < 2 or not all(b < c for b, c in zip(bounds, bounds[1:])):  # NaN too
+        raise ValueError("era boundaries must be strictly increasing, two or more")
     t0, k, end = grid.t0, grid.k, grid.M + 1
     starts: list[int] = []
     lo = 0

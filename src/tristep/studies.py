@@ -193,16 +193,14 @@ def era_summary(
         N is not positive.
     """
     bounds = tuple(float(b) for b in boundaries)
-    if len(bounds) < 2 or any(b >= c for b, c in zip(bounds, bounds[1:])):
-        raise ValueError("era boundaries must be strictly increasing, two or more")
+    grid = trajectory.grid
+    starts = era_starts(grid, bounds)
     if not N > 0.0:
         raise ValueError("population size N must be positive")
-    grid = trajectory.grid
     tol = 1e-9 * max(1.0, abs(grid.t0), abs(grid.T))
     if abs(bounds[0] - grid.t0) > tol or abs(bounds[-1] - grid.T) > tol:
         raise ValueError("era boundaries must span exactly the trajectory's time range")
 
-    starts = era_starts(grid, bounds)
     era_sums, overall_sums = _fold(trajectory.dim)(trajectory.values, starts)
     counts = [b - a for a, b in zip(starts, starts[1:])]
     samples = grid.M + 1
@@ -226,7 +224,6 @@ def run_scenario(
     propagates as ``NumericalBlowupError`` carrying the failing step index
     and the partial run.  Identical inputs produce bitwise-identical output.
     """
-    grid = build_grid(preset.t0, preset.T, preset.k)
     # the preset's own floats: reading preset.y0 would build a numpy array
-    trajectory = integrate(cp_rhs(preset.params), preset._y0, grid, sign)
+    trajectory = integrate(cp_rhs(preset.params), preset._y0, preset.grid, sign)
     return trajectory, era_summary(trajectory, preset.era_boundaries, preset.params.N)

@@ -241,6 +241,15 @@ def test_simulate_missing_config_file_is_io_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_simulate_undecodable_config_is_a_parse_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"\xff\xfe bad")
+    assert main(["simulate", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and "decode" in err
+    assert err.count("\n") == 1
+
+
 def test_simulate_rejects_an_era_without_grid_points_before_the_run(
     tmp_path, capsys, monkeypatch
 ):

@@ -13,6 +13,7 @@ from tristep import (
     EraPreset,
     PRESET_LABELS,
     alpha_mismatch,
+    build_grid,
     conservation_residual,
     cp_rhs,
     effective_contact_rates,
@@ -234,6 +235,22 @@ def test_preset_2002_population_and_rates():
 def test_preset_initial_population_sums_to_n(label):
     scenario = preset(label)
     assert float(scenario.y0.sum()) == scenario.params.N
+
+
+def test_preset_labels_keep_their_order():
+    assert PRESET_LABELS == ("cameroon-1960", "cameroon-1986", "cameroon-2002")
+
+
+@pytest.mark.parametrize("label", PRESET_LABELS)
+def test_preset_grid_is_derived_from_its_step(label):
+    scenario = preset(label)
+    assert scenario.grid == build_grid(scenario.t0, scenario.T, 1e-3)
+    finer = dataclasses.replace(scenario, k=2e-3)
+    assert finer.grid == build_grid(scenario.t0, scenario.T, 2e-3)
+    assert finer.grid.M == round((scenario.T - scenario.t0) / 2e-3)
+    assert "grid" not in repr(finer)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(scenario, grid=finer.grid)
 
 
 def test_preset_unknown_label_is_usage_error():

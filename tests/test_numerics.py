@@ -14,6 +14,7 @@ from tristep import (
     build_grid,
     convergence_rate,
     discrete_l2_time_norm,
+    era_starts,
     example1,
     sup_norm,
 )
@@ -198,9 +199,33 @@ def test_grid_times_match_pointwise_formula():
 
 def test_time_grid_rejects_inconsistent_step():
     with pytest.raises(ValueError):
-        TimeGrid(t0=0.0, T=1.0, M=10, k=0.2)
+        TimeGrid(t0=0.0, T=1.0, M=0)
     with pytest.raises(ValueError):
-        TimeGrid(t0=0.0, T=1.0, M=0, k=0.1)
+        TimeGrid(t0=1.0, T=1.0, M=4)
+
+
+@pytest.mark.parametrize(
+    "t0, T, k_request",
+    [(0.0, 1.0, 0.3), (1960.0, 1986.0, 1e-3), (0.1, 0.7, 0.01), (-3.5, 2e3, 0.07)],
+)
+def test_time_grid_derives_build_grids_step(t0, T, k_request):
+    built = build_grid(t0, T, k_request)
+    grid = TimeGrid(t0, T, built.M)
+    assert grid.k.hex() == built.k.hex() == ((T - t0) / built.M).hex()
+    assert grid == built
+    with pytest.raises(TypeError):
+        TimeGrid(t0=t0, T=T, M=built.M, k=built.k)  # the step is derived, never passed
+
+
+@pytest.mark.parametrize(
+    "boundaries",
+    [(1.0, 0.0), (), (0.5,), (0.0, math.nan, 1.0)],
+    ids=["decreasing", "none", "one", "nan"],
+)
+def test_era_starts_rejects_boundaries_that_do_not_increase(boundaries):
+    grid = build_grid(0.0, 1.0, 0.25)
+    with pytest.raises(ValueError, match="strictly increasing, two or more"):
+        era_starts(grid, boundaries)
 
 
 def test_trajectory_requires_full_sample_count():

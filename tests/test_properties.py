@@ -400,6 +400,19 @@ def test_era_starts_agree_with_a_searchsorted_oracle(case):
     assert np.array_equal(index, expected)
 
 
+@PROPERTY
+@given(
+    grids_and_eras(),
+    st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0]) | st.floats(-1e4, 1e4)),
+)
+def test_era_starts_rejects_any_boundaries_that_do_not_increase(case, offsets):
+    grid, _ = case
+    bounds = tuple(grid.t0 + offset for offset in offsets)
+    assume(len(bounds) < 2 or any(b >= c for b, c in zip(bounds, bounds[1:])))
+    with pytest.raises(ValueError, match="strictly increasing, two or more"):
+        era_starts(grid, bounds)
+
+
 @st.composite
 def trajectories_and_eras(draw):
     """Any finite states over a grid, with era boundaries that leave no era empty."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from array import array
 
 import numpy as np
@@ -227,6 +228,15 @@ def test_balanced_scenario_freezes_y1_and_y5():
     assert np.max(np.abs(y5)) <= 1e-6 * 1e6
     assert len(rows) == 5
     assert all(len(row.era_averages) == 2 for row in rows)
+
+
+def test_run_scenario_steps_the_presets_grid():
+    scenario = dataclasses.replace(preset("cameroon-1986"), k=2e-3)
+    trajectory, rows = run_scenario(scenario)
+    assert trajectory.grid == build_grid(1986.0, 2002.0, 2e-3)
+    assert trajectory.grid.M == 8000
+    assert len(trajectory.values) == 5 * 8001
+    assert all(len(row.era_averages) == 4 for row in rows)
 
 
 def test_scenario_is_bitwise_deterministic():

@@ -5,8 +5,8 @@ Commands:
   simulate  integrate the compartment model from a preset or a config file
   roots     print the characteristic roots and their moduli
 
-Exit codes: 0 success, 2 usage or parse failure, 3 I/O failure,
-4 numerical blow-up (the partial trajectory is still written).
+Exit codes: 0 success, 2 usage or parse failure, 3 I/O failure (standard
+output included), 4 numerical blow-up (the partial trajectory is still written).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 from struct import Struct
@@ -55,15 +56,9 @@ EXIT_IO = 3
 EXIT_BLOWUP = 4
 
 
-def _g17(value: float) -> str:
-    """Full-precision decimal (17 significant digits) that re-parses exactly."""
-    return format(float(value), ".17g")
-
-
-def round_half_away(value: float, ndigits: int = 1) -> float:
-    """Round half away from zero, e.g. 35.45 -> 35.5 and -35.45 -> -35.5."""
-    scale = 10.0**ndigits
-    return math.copysign(math.floor(abs(value) * scale + 0.5), value) / scale
+def round_half_away(value: float) -> float:
+    """Round to one decimal, half away from zero: 35.45 -> 35.5, -35.45 -> -35.5."""
+    return math.copysign(math.floor(abs(value) * 10.0 + 0.5), value) / 10.0
 
 
 # ---------------------------------------------------------------- CSV emission
@@ -75,11 +70,11 @@ def write_convergence_csv(stream: TextIO, rows: Sequence[ConvergenceRow]) -> Non
     for row in rows:
         writer.writerow(
             [
-                _g17(row.k),
-                _g17(row.exact_norm),
-                _g17(row.numeric_norm),
-                _g17(row.error_norm),
-                "" if row.rate is None else _g17(row.rate),
+                "%.17g" % row.k,
+                "%.17g" % row.exact_norm,
+                "%.17g" % row.numeric_norm,
+                "%.17g" % row.error_norm,
+                "" if row.rate is None else "%.17g" % row.rate,
             ]
         )
 
@@ -108,7 +103,6 @@ def _write_trajectory_rows(
     """
     row = Struct(f"{dim}d")
     stream.write(",".join(["t"] + [f"y{i + 1}" for i in range(dim)]) + "\n")
-    # "%.17g" formats a float exactly as _g17 does
     line = ",".join(["%.17g"] * (dim + 1)) + "\n"
     for n in trajectory_row_indices(memoryview(values).nbytes // row.size - 1, every):
         stream.write(line % (grid.time(n), *row.unpack_from(values, n * row.size)))
@@ -119,7 +113,9 @@ def read_trajectory_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     reader = csv.reader(stream)
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("trajectory CSV has no header row")
     dim = len(header) - 1
     times: list[float] = []
     states: list[list[float]] = []
@@ -143,8 +139,8 @@ def write_summary_csv(
     for row in rows:
         writer.writerow(
             [row.compartment]
-            + [_g17(v) for v in row.era_averages]
-            + [_g17(row.overall_average), f"{round_half_away(row.share_percent):.1f}"]
+            + ["%.17g" % v for v in row.era_averages]
+            + ["%.17g" % row.overall_average, f"{round_half_away(row.share_percent):.1f}"]
         )
 
 
@@ -225,7 +221,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scenario, sign = preset(args.preset), SignConvention.PLUS
     else:
         try:
-            config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+            config = parse_config(Path(args.config).read_text(encoding="utf-8-sig"))
             scenario, sign = preset_from_config(config), config.sign
         except OSError as exc:
             raise _Failure(EXIT_IO, f"cannot read {args.config}: {exc}")
@@ -288,8 +284,14 @@ def _cmd_roots(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file: TextIO | None = None) -> None:
+        # argparse would ignore a failed write; main makes it exit 3
+        print(self.format_help(), end="", file=file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tristep",
         description="Convergence studies and corruption-poverty scenario runs "
         "of the three-substep explicit integrator.",
@@ -341,14 +343,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse reports its own usage errors
-        return int(exc.code or 0)
-    try:
-        return args.handler(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse reports its own usage errors and --help
+            code = int(exc.code or 0)
+        else:
+            code = args.handler(args)
+        if sys.stdout is not None:  # None when started with the descriptor closed
+            sys.stdout.flush()
+        return code
     except _Failure as failure:
         print(f"error: {failure}", file=sys.stderr)
         return failure.code
+    except OSError as exc:  # files report their own; this one is standard output
+        # leave the unwritten rest to the null device, or the flush at exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -204,12 +204,12 @@ def conservation_residual(params: CpParams, y: np.ndarray) -> float:
     return float(rates.sum() - (params.theta - params.gamma * state.sum()))
 
 
-def alpha_mismatch(params: CpParams, tol: float = 1e-6) -> bool:
-    """True when the stored contact rates disagree with p*(1 - beta) beyond tol."""
+def alpha_mismatch(params: CpParams) -> bool:
+    """True when a stored contact rate differs from p*(1 - beta) by more than 1e-6."""
     derived1, derived2 = effective_contact_rates(
         params.p1, params.beta1, params.p2, params.beta2
     )
-    return abs(params.alpha1 - derived1) > tol or abs(params.alpha2 - derived2) > tol
+    return abs(params.alpha1 - derived1) > 1e-6 or abs(params.alpha2 - derived2) > 1e-6
 
 
 class _CompartmentState:
@@ -241,11 +241,11 @@ class EraPreset:
     """A ready-to-run scenario: rates, initial state, horizon and eras.
 
     ``y0`` must hold five finite reals and sum to N within 0.1%; it is kept
-    as floats and reads as a new float64 array.  ``era_boundaries``
-    partitions [t0, T] for the summary tables; it must be strictly
-    increasing, start at t0, end at T and leave no era without a point of
-    ``grid``, which is ``build_grid(t0, T, k)``, derived and never passed;
-    its points must fit in memory.
+    as floats and reads as a new float64 array.  ``grid`` is
+    ``build_grid(t0, T, k)``, derived and never passed; its points must fit
+    in memory.  ``era_boundaries`` partitions [t0, T] for the summary
+    tables: ``era_starts`` checks them against ``grid``, and they must start
+    at t0 and end at T.
     ``alpha_warning`` marks presets whose stored contact rates disagree with
     p*(1 - beta); the stored values drive the dynamics, the flag surfaces the
     discrepancy.
@@ -265,11 +265,6 @@ class EraPreset:
         object.__setattr__(
             self, "era_boundaries", tuple(float(b) for b in self.era_boundaries)
         )
-        bounds = self.era_boundaries
-        if len(bounds) < 2 or any(b >= c for b, c in zip(bounds, bounds[1:])):
-            raise ValueError("era boundaries must be strictly increasing")
-        if bounds[0] != self.t0 or bounds[-1] != self.T:
-            raise ValueError("era boundaries must start at t0 and end at T")
         if not self.k > 0.0:
             raise ValueError("preset step size k must be positive")
         grid = build_grid(self.t0, self.T, self.k)
@@ -281,7 +276,10 @@ class EraPreset:
                 f"step size k={self.k!r} is too small: "
                 f"the grid's {grid.M + 1} points do not fit in memory"
             ) from None
+        bounds = self.era_boundaries
         era_starts(grid, bounds)
+        if bounds[0] != self.t0 or bounds[-1] != self.T:
+            raise ValueError("era boundaries must start at t0 and end at T")
         object.__setattr__(self, "grid", grid)
         total, *rest = self._y0
         for value in rest:  # left to right, as numpy sums five values

@@ -40,14 +40,14 @@ BLOCK_ROWS = 1024
 _NOT_A_STATE = "state vector must be a nonempty 1-D sequence of reals"
 
 
-def state_floats(values: Iterable[float], dim: int | None = None) -> tuple[float, ...]:
-    """``values`` as a tuple of floats, checked to be a nonempty 1-D sequence of reals.
+def state_floats(values: Iterable[float], dim: int) -> tuple[float, ...]:
+    """``values`` as a tuple of ``dim`` floats, checked to be a 1-D sequence of reals.
 
     Finiteness is not checked.
 
     Raises:
       ValueError: On empty input, text, an array that is not 1-D, an entry
-        that is not a real, or a dimension other than ``dim``, when it is given.
+        that is not a real, or a dimension other than ``dim``.
     """
     if isinstance(values, (str, bytes)) or getattr(values, "ndim", 1) != 1:
         raise ValueError(_NOT_A_STATE)
@@ -57,12 +57,12 @@ def state_floats(values: Iterable[float], dim: int | None = None) -> tuple[float
         raise ValueError(_NOT_A_STATE) from None
     if not y:
         raise ValueError(_NOT_A_STATE)
-    if dim is not None and len(y) != dim:
+    if len(y) != dim:
         raise ValueError(f"state vector has dimension {len(y)}, expected {dim}")
     return y
 
 
-def finite_state_floats(values: Iterable[float], dim: int | None = None) -> tuple[float, ...]:
+def finite_state_floats(values: Iterable[float], dim: int) -> tuple[float, ...]:
     """:func:`state_floats`, with every entry also checked to be finite."""
     y = state_floats(values, dim)
     if not all(map(math.isfinite, y)):
@@ -70,12 +70,8 @@ def finite_state_floats(values: Iterable[float], dim: int | None = None) -> tupl
     return y
 
 
-def as_state(values: Iterable[float], dim: int | None = None) -> np.ndarray:
-    """Coerce ``values`` to a new 1-D float64 state vector and validate it.
-
-    Args:
-      values: Any sequence of reals.
-      dim: Required dimension, when the caller knows it.
+def as_state(values: Iterable[float], dim: int) -> np.ndarray:
+    """Coerce ``values`` to a new 1-D float64 state vector of ``dim`` entries and validate it.
 
     Raises:
       ValueError: On empty input, a dimension mismatch, or non-finite entries.

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tristep
 from tristep import (
     build_grid,
     cp_rhs,
@@ -250,6 +254,34 @@ def test_simulate_undecodable_config_is_a_parse_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_simulate_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):
+    text = format_config(preset("cameroon-1986"))
+    assert not text.startswith("\ufeff")
+    written = []
+    for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text, encoding=encoding)
+        out, summary = tmp_path / f"{name}.csv", tmp_path / f"{name}.summary.csv"
+        argv = ["--config", str(config), "--out", str(out), "--summary-out", str(summary)]
+        assert main(["simulate", *argv]) == EXIT_OK
+        written.append((config.read_bytes(), out.read_bytes(), summary.read_bytes()))
+    capsys.readouterr()
+    (plain, *plain_csvs), (marked, *marked_csvs) = written
+    assert marked == codecs.BOM_UTF8 + plain
+    assert marked_csvs == plain_csvs
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_simulate_rejects_a_horizon_not_after_t0(horizon, tmp_path, capsys):
+    config = tmp_path / "backwards.cfg"
+    text = FROZEN_CONFIG.replace("\nT = 1\n", f"\nT = {horizon}\n")
+    config.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
+    assert "requires T > t0" in err
+
+
 def test_simulate_rejects_an_era_without_grid_points_before_the_run(
     tmp_path, capsys, monkeypatch
 ):
@@ -443,6 +475,85 @@ def test_roots_prints_the_four_lines_of_the_closed_form(capsys):
         "-0.5,-0.866025403784439,1\n"
         "-0.5,0.866025403784439,1\n"
     )
+
+
+def test_read_trajectory_csv_rejects_an_empty_stream():
+    with pytest.raises(ValueError, match="no header"):
+        read_trajectory_csv(io.StringIO(""))
+
+
+# ------------------------------------------------------ unwritable stdout
+
+SRC = Path(tristep.__file__).resolve().parent.parent
+
+UNWRITABLE_STDOUT_COMMANDS = [
+    pytest.param(["roots"], id="roots"),
+    pytest.param(["--help"], id="help"),
+    pytest.param(["simulate", "--help"], id="simulate-help"),
+    pytest.param(["converge", "example1", "4..6"], id="converge"),
+    pytest.param(["simulate", "--preset", "cameroon-1986", "--every", "1000"], id="simulate"),
+]
+
+
+def _run_cli(argv, stdout, *, buffered=True):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "tristep.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        check=False,
+    )
+
+
+def _assert_one_stdout_error(result):
+    assert result.returncode == EXIT_IO
+    assert result.stderr.startswith("error: cannot write standard output: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", UNWRITABLE_STDOUT_COMMANDS)
+def test_a_pipe_without_reader_is_an_io_error(argv, buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _run_cli(argv, write_end, buffered=buffered)
+    finally:
+        os.close(write_end)
+    _assert_one_stdout_error(result)
+    assert "Broken pipe" in result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", UNWRITABLE_STDOUT_COMMANDS)
+def test_a_full_device_on_stdout_is_an_io_error(argv):
+    with open("/dev/full", "w") as full:
+        _assert_one_stdout_error(_run_cli(argv, full))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_unwritable_stdout_keeps_the_csvs_and_the_blowup_exit_code(tmp_path):
+    summary = tmp_path / "summary.csv"
+    argv = ["simulate", "--preset", "cameroon-1986", "--summary-out", str(summary)]
+    with open("/dev/full", "w") as full:
+        _assert_one_stdout_error(_run_cli(argv, full))
+    assert summary.read_text(encoding="utf-8").startswith("compartment,")
+
+    config = tmp_path / "stiff.cfg"
+    config.write_text(STIFF_CONFIG, encoding="utf-8")
+    out = tmp_path / "partial.csv"
+    with open("/dev/full", "w") as full:
+        result = _run_cli(["simulate", "--config", str(config), "--out", str(out)], full)
+    assert result.returncode == EXIT_BLOWUP
+    assert result.stderr.startswith("error: numerical blow-up")
+    assert result.stderr.count("\n") == 1
+    assert out.read_text(encoding="utf-8").startswith("t,y1")
 
 
 def test_cli_runs_as_a_module():

@@ -313,6 +313,17 @@ def test_era_preset_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [(), (1986.0,), (1986.0, 1994.0, 1994.0, 2002.0), (1986.0, 1998.0, 1994.0, 2002.0)],
+    ids=["none", "one", "repeated", "decreasing"],
+)
+def test_era_preset_rejects_eras_that_are_not_strictly_increasing(bounds):
+    scenario = preset("cameroon-1986")
+    with pytest.raises(ValueError, match="strictly increasing, two or more"):
+        dataclasses.replace(scenario, era_boundaries=bounds)
+
+
 # ---------------------------------------------------------- positivity bound
 
 

@@ -6,13 +6,22 @@ Commands:
   roots     print the characteristic roots and their moduli
 
 Exit codes: 0 success, 2 usage or parse failure, 3 I/O failure (standard
-output included), 4 numerical blow-up (the partial trajectory is still written).
+output included, also when the process started with it closed), 4 numerical
+blow-up (the partial trajectory is still written).
+
+:func:`main` runs every command with ``OPENBLAS_NUM_THREADS=1`` in the
+process environment and restores the caller's value, or its absence, on
+return.  ``import tristep.cli`` loads no numpy, so the setting is in place
+when a ``converge`` or blow-up run first imports it, which is when numpy's
+OpenBLAS reads it: no BLAS worker thread is started, and the norms of a
+convergence table get the same bits whatever the core count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
 import os
 import sys
@@ -109,7 +118,15 @@ def _write_trajectory_rows(
 
 
 def read_trajectory_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a trajectory CSV back into (times, states) arrays."""
+    """Parse a trajectory CSV back into (times, states) arrays.
+
+    ``states`` has shape ``(rows, dim)``, ``dim`` being the header's
+    length less one, also when there are no rows.
+
+    Raises:
+      ValueError: If there is no header row, or a record does not have
+        the header's number of fields.
+    """
     import numpy as np
 
     reader = csv.reader(stream)
@@ -122,9 +139,14 @@ def read_trajectory_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
     for record in reader:
         if not record:
             continue
+        if len(record) != dim + 1:
+            raise ValueError(
+                f"trajectory CSV line {reader.line_num}: expected {dim + 1} fields, "
+                f"got {len(record)}"
+            )
         times.append(float(record[0]))
-        states.append([float(v) for v in record[1 : dim + 1]])
-    return np.asarray(times), np.asarray(states)
+        states.append([float(v) for v in record[1:]])
+    return np.asarray(times), np.array(states).reshape(len(times), dim)
 
 
 def era_column_labels(boundaries: Sequence[float]) -> list[str]:
@@ -340,7 +362,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ClosedStdout:
+    """``sys.stdout`` for a process started with descriptor 1 closed: writes fail."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self) -> None:
+        pass
+
+
+# read by numpy's OpenBLAS when numpy is first imported; see the module docstring
+_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    blas_threads = os.environ.get(_BLAS_THREADS)
+    os.environ[_BLAS_THREADS] = "1"
+    stdout = sys.stdout  # None when started with the descriptor closed
+    if stdout is None:
+        sys.stdout = _ClosedStdout()
+    try:
+        return _run(argv)
+    finally:
+        sys.stdout = stdout
+        if blas_threads is None:
+            os.environ.pop(_BLAS_THREADS, None)
+        else:
+            os.environ[_BLAS_THREADS] = blas_threads
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         try:
@@ -349,15 +401,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = int(exc.code or 0)
         else:
             code = args.handler(args)
-        if sys.stdout is not None:  # None when started with the descriptor closed
-            sys.stdout.flush()
+        sys.stdout.flush()
         return code
     except _Failure as failure:
         print(f"error: {failure}", file=sys.stderr)
         return failure.code
     except OSError as exc:  # files report their own; this one is standard output
-        # leave the unwritten rest to the null device, or the flush at exit fails again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(sys.stdout, _ClosedStdout):
+            # leave the unwritten rest to the null device, or the flush at exit fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -165,7 +165,12 @@ def discrete_l2_time_norm(per_step_norms: Sequence[float] | np.ndarray, k: float
     """Time-discrete L2 aggregate sqrt(k * sum_n v_n**2).
 
     The sequence covers grid points 1..M only; the initial sample is
-    deliberately excluded from the sum.
+    deliberately excluded from the sum.  The sum of squares is numpy's
+    ``np.dot``, a BLAS call.  OpenBLAS 0.3.31 on x86-64 splits it across its
+    threads above 10 000 values, and the split can change the last bits, so
+    a longer sequence's result depends on the BLAS thread count.
+    ``tristep.cli.main`` runs with OpenBLAS on one thread; a library caller's
+    own setting applies here.
 
     Raises:
       ValueError: If the sequence is empty or ``k`` is not positive.

@@ -5,7 +5,8 @@ concurrently, with result order fixed by input order.  A scenario run
 (:func:`run_scenario`) stays on Python floats: its states are one flat
 ``array('d')`` and its era averages are folded from it by a function
 generated per state dimension, so it imports no numpy.  The convergence
-study imports numpy for its norms.
+study imports numpy for its norms, whose last bits can depend on the BLAS
+thread count on long grids (:func:`~tristep.numerics.discrete_l2_time_norm`).
 """
 
 from __future__ import annotations

@@ -1,0 +1,100 @@
+"""``tristep.cli.main`` runs with numpy's OpenBLAS on one thread.
+
+Each test starts a fresh interpreter, because OpenBLAS reads
+``OPENBLAS_NUM_THREADS`` once, when numpy is first imported.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tristep
+
+SRC = Path(tristep.__file__).resolve().parent.parent
+
+VARIABLE = "OPENBLAS_NUM_THREADS"
+
+
+def _python(script, *args, blas_threads=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop(VARIABLE, None)
+    if blas_threads is not None:
+        env[VARIABLE] = blas_threads
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+THREADS_AFTER_CONVERGE = """
+import os
+from tristep.cli import main
+
+assert main(["converge", "example1", "4..6"]) == 0
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+# On a 1-CPU host OpenBLAS starts no worker thread whatever the setting, so
+# there this test cannot fail.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_a_converge_run_leaves_the_process_one_thread():
+    assert _python(THREADS_AFTER_CONVERGE).splitlines()[-1] == "1"
+
+
+CONVERGE_TO = """
+import sys
+from tristep.cli import main
+
+sys.exit(main(["converge", "example1", "4..15", "--out", sys.argv[1]]))
+"""
+
+
+def test_convergence_csvs_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    # OpenBLAS splits a dot product of more than 10 000 values across its
+    # threads; with two of them the 2^-15 row of this table changes
+    tables = {}
+    for setting in (None, "1", "2"):
+        out = tmp_path / f"threads-{setting}.csv"
+        _python(CONVERGE_TO, str(out), blas_threads=setting)
+        tables[setting] = out.read_bytes()
+    assert tables[None] == tables["1"] == tables["2"]
+
+
+ENVIRONMENT_AFTER_MAIN = """
+import os
+from tristep.cli import main
+
+changed = []
+for setting in (None, "3"):
+    if setting is None:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = setting
+    for argv, code in (
+        (["roots"], 0),
+        (["converge", "example1", "4..5"], 0),
+        (["converge", "example1", "5..4"], 2),
+        (["converge", "nope", "4..5"], 2),
+    ):
+        before = dict(os.environ)
+        assert main(argv) == code, argv
+        if dict(os.environ) != before:
+            changed.append((setting, argv))
+print(changed)
+"""
+
+
+def test_main_restores_the_callers_environment():
+    assert _python(ENVIRONMENT_AFTER_MAIN).splitlines()[-1] == "[]"

@@ -482,6 +482,25 @@ def test_read_trajectory_csv_rejects_an_empty_stream():
         read_trajectory_csv(io.StringIO(""))
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        pytest.param("t,y1,y2\n0,1\n", 2, id="short"),
+        pytest.param("t,y1,y2\n0,1,2\n1,1,2,9\n", 3, id="long"),
+    ],
+)
+def test_read_trajectory_csv_rejects_a_record_of_the_wrong_length(text, line):
+    with pytest.raises(ValueError, match=f"line {line}: expected 3 fields"):
+        read_trajectory_csv(io.StringIO(text))
+
+
+def test_read_trajectory_csv_of_no_rows_has_states_of_the_header_dimension():
+    times, states = read_trajectory_csv(io.StringIO("t,y1,y2\n"))
+    assert times.shape == (0,)
+    assert states.shape == (0, 2)
+    assert states.dtype == np.float64
+
+
 # ------------------------------------------------------ unwritable stdout
 
 SRC = Path(tristep.__file__).resolve().parent.parent
@@ -495,7 +514,7 @@ UNWRITABLE_STDOUT_COMMANDS = [
 ]
 
 
-def _run_cli(argv, stdout, *, buffered=True):
+def _run_cli(argv, stdout, *, buffered=True, preexec_fn=None):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
@@ -507,7 +526,12 @@ def _run_cli(argv, stdout, *, buffered=True):
         env=env,
         text=True,
         check=False,
+        preexec_fn=preexec_fn,
     )
+
+
+def _close_stdout():
+    os.close(1)
 
 
 def _assert_one_stdout_error(result):
@@ -550,6 +574,25 @@ def test_an_unwritable_stdout_keeps_the_csvs_and_the_blowup_exit_code(tmp_path):
     out = tmp_path / "partial.csv"
     with open("/dev/full", "w") as full:
         result = _run_cli(["simulate", "--config", str(config), "--out", str(out)], full)
+    assert result.returncode == EXIT_BLOWUP
+    assert result.stderr.startswith("error: numerical blow-up")
+    assert result.stderr.count("\n") == 1
+    assert out.read_text(encoding="utf-8").startswith("t,y1")
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_STDOUT_COMMANDS)
+def test_a_closed_stdout_is_an_io_error(argv):
+    result = _run_cli(argv, None, preexec_fn=_close_stdout)
+    _assert_one_stdout_error(result)
+    assert "Bad file descriptor" in result.stderr
+
+
+def test_a_closed_stdout_keeps_the_blowup_exit_code_and_its_csv(tmp_path):
+    config = tmp_path / "stiff.cfg"
+    config.write_text(STIFF_CONFIG, encoding="utf-8")
+    out = tmp_path / "partial.csv"
+    argv = ["simulate", "--config", str(config), "--out", str(out)]
+    result = _run_cli(argv, None, preexec_fn=_close_stdout)
     assert result.returncode == EXIT_BLOWUP
     assert result.stderr.startswith("error: numerical blow-up")
     assert result.stderr.count("\n") == 1

@@ -7,14 +7,17 @@ Commands:
 
 Exit codes: 0 success, 2 usage or parse failure, 3 I/O failure (standard
 output included, also when the process started with it closed), 4 numerical
-blow-up (the partial trajectory is still written).
+blow-up (the partial trajectory is still written), 130 interrupted
+(``KeyboardInterrupt``, such as from Ctrl-C).  Every failure prints one
+``error: <message>`` line to standard error; a process started with standard
+error closed drops that line and keeps the exit code.
 
 :func:`main` runs every command with ``OPENBLAS_NUM_THREADS=1`` in the
 process environment and restores the caller's value, or its absence, on
 return.  ``import tristep.cli`` loads no numpy, so the setting is in place
-when a ``converge`` or blow-up run first imports it, which is when numpy's
-OpenBLAS reads it: no BLAS worker thread is started, and the norms of a
-convergence table get the same bits whatever the core count.
+when a ``converge`` run first imports it, which is when numpy's OpenBLAS
+reads it: no BLAS worker thread is started, and the norms of a convergence
+table get the same bits whatever the core count.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "EXIT_BLOWUP",
+    "EXIT_INTERRUPT",
     "EXIT_IO",
     "EXIT_OK",
     "EXIT_USAGE",
@@ -63,6 +67,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_BLOWUP = 4
+EXIT_INTERRUPT = 130
 
 
 def round_half_away(value: float) -> float:
@@ -101,19 +106,18 @@ def write_trajectory_csv(stream: TextIO, trajectory: Trajectory, every: int = 1)
 
 
 def _write_trajectory_rows(
-    stream: TextIO, grid: TimeGrid, values: array | np.ndarray, dim: int, every: int
+    stream: TextIO, grid: TimeGrid, values: array, dim: int, every: int
 ) -> None:
     """Emit the rows ``trajectory_row_indices`` picks from ``values``, each with its grid time.
 
-    ``values`` is a buffer of float64 rows of ``dim`` entries, a
-    trajectory's flat ``array('d')`` or a C-ordered numpy array: the first
-    rows of ``grid``'s points, all of them or the accepted ones of a run
-    that diverged.  Only the emitted rows are read.
+    ``values`` is a flat ``array('d')`` of rows of ``dim`` entries: the
+    first rows of ``grid``'s points, all of them or the accepted ones of a
+    run that diverged.  Only the emitted rows are read.
     """
     row = Struct(f"{dim}d")
     stream.write(",".join(["t"] + [f"y{i + 1}" for i in range(dim)]) + "\n")
     line = ",".join(["%.17g"] * (dim + 1)) + "\n"
-    for n in trajectory_row_indices(memoryview(values).nbytes // row.size - 1, every):
+    for n in trajectory_row_indices(len(values) // dim - 1, every):
         stream.write(line % (grid.time(n), *row.unpack_from(values, n * row.size)))
 
 
@@ -271,13 +275,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         if args.out is not None:
             try:
-                partial = err.partial_states
                 _write_csv(
                     args.out,
                     _write_trajectory_rows,
                     scenario.grid,
-                    partial,
-                    partial.shape[1],
+                    err.partial_states,
+                    len(err.last_state),
                     args.every,
                 )
             except _Failure as failure:  # the blow-up decides the exit code
@@ -372,6 +375,19 @@ class _ClosedStdout:
         pass
 
 
+class _ClosedStderr:
+    """``sys.stderr`` for a process started with descriptor 2 closed: writes are dropped.
+
+    ``print(file=None)`` would write to standard output instead.
+    """
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
 # read by numpy's OpenBLAS when numpy is first imported; see the module docstring
 _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
@@ -379,13 +395,15 @@ _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 def main(argv: Sequence[str] | None = None) -> int:
     blas_threads = os.environ.get(_BLAS_THREADS)
     os.environ[_BLAS_THREADS] = "1"
-    stdout = sys.stdout  # None when started with the descriptor closed
+    stdout, stderr = sys.stdout, sys.stderr  # None when started with the descriptor closed
     if stdout is None:
         sys.stdout = _ClosedStdout()
+    if stderr is None:
+        sys.stderr = _ClosedStderr()
     try:
         return _run(argv)
     finally:
-        sys.stdout = stdout
+        sys.stdout, sys.stderr = stdout, stderr
         if blas_threads is None:
             os.environ.pop(_BLAS_THREADS, None)
         else:
@@ -412,6 +430,9 @@ def _run(argv: Sequence[str] | None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
 
 
 if __name__ == "__main__":

@@ -152,8 +152,7 @@ def format_config(preset: EraPreset, sign: SignConvention = SignConvention.PLUS)
         f"k = {_fmt(preset.k)}",
         f"sign = {sign.value}",
         *(f"{key} = {_fmt(getattr(p, name))}" for name, key in _PARAM_KEYS.items()),
-        # the preset's own floats: reading preset.y0 would build a numpy array
-        "y0 = " + ", ".join(_fmt(v) for v in preset._y0),
+        "y0 = " + ", ".join(_fmt(v) for v in preset.y0),
         "eras = " + ", ".join(_fmt(b) for b in preset.era_boundaries),
     ]
     return "\n".join(lines) + "\n"

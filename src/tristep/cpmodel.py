@@ -21,16 +21,16 @@ d(total)/dt = theta - gamma*total, the model's conservation identity.
 
 The presets are one table, ``_PRESETS``, of each scenario's horizon,
 initial state, eras and rates.  Presets load without numpy: an
-:class:`EraPreset` keeps its initial state as checked floats and builds and
-checks its grid and eras on Python numbers.  numpy is imported when a state
-is first read as an array.
+:class:`EraPreset` keeps its initial state as a tuple of checked floats and
+builds and checks its grid and eras on Python numbers.  numpy is imported
+only by :func:`positivity_step_bound` and :func:`conservation_residual`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .numerics import TimeGrid, as_state, build_grid, era_starts, finite_state_floats
 from .scheme import RhsField
@@ -212,36 +212,12 @@ def alpha_mismatch(params: CpParams) -> bool:
     return abs(params.alpha1 - derived1) > 1e-6 or abs(params.alpha2 - derived2) > 1e-6
 
 
-class _CompartmentState:
-    """A dataclass field holding five finite compartments, read as a new array.
-
-    Assigned, the value is checked as five finite reals and kept as a tuple
-    of floats in the instance attribute ``_<name>``.  Read on an instance, it
-    is a new float64 array, so changing that array leaves the instance as it
-    was.  Read on the class, it raises ``AttributeError``, which a dataclass
-    takes for a field without default.
-    """
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.floats = f"_{name}"
-
-    def __get__(self, instance: object, owner: type | None = None) -> np.ndarray:
-        if instance is None:
-            raise AttributeError(f"{self.floats[1:]} is a field of each instance")
-        import numpy as np
-
-        return np.array(getattr(instance, self.floats), dtype=np.float64)
-
-    def __set__(self, instance: object, values: Iterable[float]) -> None:
-        vars(instance)[self.floats] = finite_state_floats(values, dim=5)
-
-
 @dataclass(frozen=True, eq=False)
 class EraPreset:
     """A ready-to-run scenario: rates, initial state, horizon and eras.
 
     ``y0`` must hold five finite reals and sum to N within 0.1%; it is kept
-    as floats and reads as a new float64 array.  ``grid`` is
+    as a tuple of floats, checked before anything else.  ``grid`` is
     ``build_grid(t0, T, k)``, derived and never passed; its points must fit
     in memory.  ``era_boundaries`` partitions [t0, T] for the summary
     tables: ``era_starts`` checks them against ``grid``, and they must start
@@ -253,7 +229,7 @@ class EraPreset:
 
     label: str
     params: CpParams
-    y0: np.ndarray = _CompartmentState()
+    y0: tuple[float, ...]
     t0: float
     T: float
     k: float
@@ -262,6 +238,7 @@ class EraPreset:
     grid: TimeGrid = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "y0", finite_state_floats(self.y0, dim=5))
         object.__setattr__(
             self, "era_boundaries", tuple(float(b) for b in self.era_boundaries)
         )
@@ -281,7 +258,7 @@ class EraPreset:
         if bounds[0] != self.t0 or bounds[-1] != self.T:
             raise ValueError("era boundaries must start at t0 and end at T")
         object.__setattr__(self, "grid", grid)
-        total, *rest = self._y0
+        total, *rest = self.y0
         for value in rest:  # left to right, as numpy sums five values
             total += value
         if abs(total - self.params.N) > 1e-3 * self.params.N:

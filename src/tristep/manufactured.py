@@ -25,46 +25,29 @@ if TYPE_CHECKING:
 __all__ = ["ManufacturedProblem", "PROBLEM_LABELS", "example1", "example2", "problem"]
 
 
-class _ClosedForm:
-    """The array ``exact`` derived from a closed form on floats, which it exposes."""
-
-    __slots__ = ("solution",)
-
-    def __init__(self, solution: Callable[[float], Sequence[float]]) -> None:
-        self.solution = solution
-
-    def __call__(self, t: float) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.solution(t))
-
-
 @dataclass(frozen=True)
 class ManufacturedProblem:
-    """A vector field together with the closed-form solution it was built for."""
+    """A vector field together with the closed-form solution it was built for.
+
+    ``exact(t)`` gives the solution at ``t`` as a sequence of floats.
+    """
 
     label: str
     field: RhsField
-    exact: Callable[[float], np.ndarray]
+    exact: Callable[[float], Sequence[float]]
     t0: float = 0.0
     T: float = 1.0
 
     @property
-    def y0(self) -> np.ndarray:
+    def y0(self) -> tuple[float, ...]:
         """Initial state, by construction equal to ``exact(t0)``."""
-        return self.exact(self.t0)
+        return tuple(self.exact(self.t0))
 
     def exact_states(self, grid: TimeGrid) -> np.ndarray:
-        """``exact`` at every grid point t_0..t_M, one row each.
-
-        When ``exact`` is derived from a closed form on floats, the rows
-        come from that form, bitwise the same values; any other ``exact``
-        is called once per grid point.
-        """
+        """``exact`` at every grid point t_0..t_M, one row each."""
         import numpy as np
 
         exact = self.exact
-        solution = exact.solution if isinstance(exact, _ClosedForm) else exact
         states = np.empty((grid.M + 1, self.field.dim))
         flat = states.reshape(-1)
         t0, k, dim = grid.t0, grid.k, self.field.dim
@@ -72,7 +55,7 @@ class ManufacturedProblem:
             stop = min(first + BLOCK_ROWS, grid.M + 1)
             rows: list[float] = []
             for n in range(first, stop):
-                rows.extend(solution(t0 + n * k))  # t0 + n * k is grid.time(n)
+                rows.extend(exact(t0 + n * k))  # t0 + n * k is grid.time(n)
             flat[first * dim : stop * dim] = rows
         return states
 
@@ -100,7 +83,7 @@ def example1() -> ManufacturedProblem:
     f3 = y2 * y2 + g3
     """
     field = RhsField.from_source(3, rates, constants=_MATH)
-    return ManufacturedProblem(label="example1", field=field, exact=_ClosedForm(_solution))
+    return ManufacturedProblem(label="example1", field=field, exact=_solution)
 
 
 def example2() -> ManufacturedProblem:
@@ -120,7 +103,7 @@ def example2() -> ManufacturedProblem:
     f3 = y2 * y2 + g3
     """
     field = RhsField.from_source(3, rates, constants=_MATH)
-    return ManufacturedProblem(label="example2", field=field, exact=_ClosedForm(_solution))
+    return ManufacturedProblem(label="example2", field=field, exact=_solution)
 
 
 _PROBLEM_BUILDERS = {"example1": example1, "example2": example2}

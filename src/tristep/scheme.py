@@ -19,8 +19,9 @@ same update written in numpy arithmetic, which :func:`composed_step` keeps.
 numpy is imported by the functions that make or read numpy arrays, when
 first called, never by the generated kernel: building a field, checking its
 text, the characteristic roots and an :func:`integrate` run that completes
-need no numpy.  ``integrate`` keeps its states in one flat ``array('d')``;
-only its blow-up error carries numpy arrays.
+need no numpy.  ``integrate`` keeps its states in one flat ``array('d')``,
+and its blow-up error carries floats: the last state as a tuple, the
+partial run as that buffer's accepted rows.
 
 The default :class:`SignConvention` adds the averaged slopes, which is the
 choice forced by the second-order conditions.  ``MINUS`` subtracts them
@@ -171,8 +172,9 @@ class NumericalBlowupError(ArithmeticError):
     Attributes:
       t: time at which the failing substep started.
       step_index: macro-step index, when known.
-      last_state: last finite accepted state, when known.
-      partial_states: states accepted before the failure, when known.
+      last_state: last finite accepted state as a tuple of floats, when known.
+      partial_states: states accepted before the failure, one flat
+        ``array('d')`` of rows as in ``Trajectory.values``, when known.
     """
 
     def __init__(
@@ -181,8 +183,8 @@ class NumericalBlowupError(ArithmeticError):
         *,
         t: float,
         step_index: int | None = None,
-        last_state: np.ndarray | None = None,
-        partial_states: np.ndarray | None = None,
+        last_state: tuple[float, ...] | None = None,
+        partial_states: array | None = None,
     ) -> None:
         super().__init__(message)
         self.t = t
@@ -191,10 +193,10 @@ class NumericalBlowupError(ArithmeticError):
         self.partial_states = partial_states
 
 
-def _blowup(t: float, y: np.ndarray) -> NumericalBlowupError:
+def _blowup(t: float, y: Sequence[float]) -> NumericalBlowupError:
     """The error for a non-finite result of the substep that started at (t, y)."""
     return NumericalBlowupError(
-        f"non-finite state in substep starting at t={t!r}", t=t, last_state=y
+        f"non-finite state in substep starting at t={t!r}", t=t, last_state=tuple(y)
     )
 
 
@@ -232,13 +234,11 @@ def _step_blowup(
     the first non-finite substep is found among the step's own intermediates
     without evaluating the field again.
     """
-    import numpy as np
-
     if not _finite(y13):
-        return _blowup(t, np.array(y))
+        return _blowup(t, y)
     if not _finite(y23):
-        return _blowup(t13, np.array(y13))
-    return _blowup(t23, np.array(y23))
+        return _blowup(t13, y13)
+    return _blowup(t23, y23)
 
 
 # ------------------------------------------------------------ the generated kernel
@@ -496,7 +496,7 @@ def heun_substep(
     y = finite_state_floats(y, dim=f.dim)
     out = _source(f).substep(t, y, h, sign.factor * (h / 2.0))
     if not _finite(out):
-        raise _blowup(t, np.array(y))
+        raise _blowup(t, y)
     return np.array(out)
 
 
@@ -546,19 +546,19 @@ def composed_step(
     g2 = f.evaluate(t_n + h, y + h * g1)
     y13 = y + w * (g1 + g2)
     if not _finite(y13):
-        raise _blowup(t_n, y)
+        raise _blowup(t_n, y.tolist())
     t13 = t_n + h
     g3 = f.evaluate(t13, y13)
     g4 = f.evaluate(t13 + h, y13 + h * g3)
     y23 = y13 + w * (g3 + g4)
     if not _finite(y23):
-        raise _blowup(t13, y13)
+        raise _blowup(t13, y13.tolist())
     t23 = t13 + h
     g5 = f.evaluate(t23, y23)
     g6 = f.evaluate(t23 + h, y23 + h * g5)
     out = y + w * (g1 + g2) + w * (g3 + g4) + w * (g5 + g6)
     if not _finite(out):
-        raise _blowup(t23, y23)
+        raise _blowup(t23, y23.tolist())
     return out
 
 
@@ -578,8 +578,8 @@ def integrate(
       ValueError: If ``y0`` is not a finite state of the field's dimension,
         or the grid's M + 1 states do not fit in memory.
       NumericalBlowupError: Carrying the failing step index, the last finite
-        state and the partial run as numpy arrays, as soon as any
-        intermediate is non-finite.
+        state as a tuple and the accepted states as a flat ``array('d')``,
+        as soon as any intermediate is non-finite.
     """
     y = finite_state_floats(y0, dim=f.dim)
     h = grid.k / 3.0
@@ -601,17 +601,14 @@ def integrate(
             # step n starts at t0 + n * k, which is grid.time(n)
             y = march(t0, k, first, stop, y, h, w, rows)
         except NumericalBlowupError as err:
-            import numpy as np
-
             n = first + len(rows) // dim
             values[(first + 1) * dim : (n + 1) * dim] = array("d", rows)
-            accepted = np.array(values[: (n + 1) * dim]).reshape(n + 1, dim)
             raise NumericalBlowupError(
                 f"integration diverged during step {n} (from t={grid.time(n)!r})",
                 t=err.t,
                 step_index=n,
-                last_state=accepted[n].copy(),
-                partial_states=accepted,
+                last_state=tuple(values[n * dim : (n + 1) * dim]),
+                partial_states=values[: (n + 1) * dim],
             ) from err
         values[(first + 1) * dim : (stop + 1) * dim] = array("d", rows)
     return Trajectory(grid, values)

@@ -225,6 +225,5 @@ def run_scenario(
     propagates as ``NumericalBlowupError`` carrying the failing step index
     and the partial run.  Identical inputs produce bitwise-identical output.
     """
-    # the preset's own floats: reading preset.y0 would build a numpy array
-    trajectory = integrate(cp_rhs(preset.params), preset._y0, preset.grid, sign)
+    trajectory = integrate(cp_rhs(preset.params), preset.y0, preset.grid, sign)
     return trajectory, era_summary(trajectory, preset.era_boundaries, preset.params.N)

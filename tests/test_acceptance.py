@@ -203,7 +203,7 @@ def test_criterion_07_total_population_oracle():
     trajectory = integrate(cp_rhs(params), scenario.y0, grid)
     totals = trajectory.states.sum(axis=1)
     equilibrium = params.theta / params.gamma
-    target = equilibrium + (float(scenario.y0.sum()) - equilibrium) * np.exp(
+    target = equilibrium + (float(np.asarray(scenario.y0).sum()) - equilibrium) * np.exp(
         -params.gamma * (grid.times() - scenario.t0)
     )
     worst = float(np.max(np.abs(totals - target) / target))
@@ -231,7 +231,7 @@ def test_criterion_08_scenario_tables():
         deterministic = (
             np.array_equal(trajectory_a.states, trajectory_b.states) and rows_a == rows_b
         )
-        initial_share = float(scenario.y0.sum() / scenario.params.N * 100.0)
+        initial_share = float(np.asarray(scenario.y0).sum() / scenario.params.N * 100.0)
         shares_ok = abs(initial_share - 100.0) <= 1e-9
         warning_ok = scenario.alpha_warning == (label == "cameroon-1960")
         ok = ok and shape_ok and deterministic and shares_ok and warning_ok
@@ -249,7 +249,9 @@ def test_criterion_09_manufactured_residuals():
         problem = build()
         for t in np.linspace(0.0, 1.0, 101):
             t = float(t)
-            derivative = (problem.exact(t + 1e-6) - problem.exact(t - 1e-6)) / 2e-6
+            derivative = (
+                np.asarray(problem.exact(t + 1e-6)) - np.asarray(problem.exact(t - 1e-6))
+            ) / 2e-6
             residual = sup_norm(derivative - problem.field.evaluate(t, problem.exact(t)))
             worst = max(worst, residual)
     ok = worst <= 1e-8

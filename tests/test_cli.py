@@ -25,6 +25,7 @@ from tristep import (
 )
 from tristep.cli import (
     EXIT_BLOWUP,
+    EXIT_INTERRUPT,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -597,6 +598,54 @@ def test_a_closed_stdout_keeps_the_blowup_exit_code_and_its_csv(tmp_path):
     assert result.stderr.startswith("error: numerical blow-up")
     assert result.stderr.count("\n") == 1
     assert out.read_text(encoding="utf-8").startswith("t,y1")
+
+
+def _close_stderr():
+    os.close(2)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["converge", "example1", "5..4"], EXIT_USAGE),
+        # cameroon-1960 warns of its contact rates before it blows up
+        (["simulate", "--preset", "cameroon-1960", "--sign", "minus"], EXIT_BLOWUP),
+    ],
+    ids=["usage", "blowup"],
+)
+def test_a_closed_stderr_drops_the_messages_and_keeps_the_exit_code(argv, code):
+    # print(file=None) would send error: and warning: lines to standard output
+    result = _run_cli(argv, subprocess.PIPE, preexec_fn=_close_stderr)
+    assert result.returncode == code
+    assert result.stdout == ""
+
+
+def test_main_restores_a_closed_stderr(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == EXIT_IO
+    assert sys.stderr is None
+
+
+# the child interrupts itself while the convergence study runs
+INTERRUPTED_RUN = """
+import os, signal, sys, threading
+from tristep.cli import main
+threading.Timer(0.5, os.kill, (os.getpid(), signal.SIGINT)).start()
+sys.exit(main(["converge", "example1", "4..20"]))
+"""
+
+
+def test_an_interrupt_is_one_error_line_and_exit_130():
+    result = subprocess.run(
+        [sys.executable, "-c", INTERRUPTED_RUN],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        check=False,
+        timeout=120,
+    )
+    assert result.returncode == EXIT_INTERRUPT == 130
+    assert result.stderr == "error: interrupted\n"
 
 
 def test_cli_runs_as_a_module():

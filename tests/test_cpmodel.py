@@ -159,7 +159,7 @@ def test_balanced_inflow_freezes_the_total():
     params = CpParams(
         **{
             **{f: getattr(scenario.params, f) for f in scenario.params.__dataclass_fields__},
-            "theta": scenario.params.gamma * float(scenario.y0.sum()),
+            "theta": scenario.params.gamma * float(np.asarray(scenario.y0).sum()),
         }
     )
     rates = cp_rhs(params).evaluate(0.0, scenario.y0)
@@ -224,7 +224,7 @@ def test_preset_2002_population_and_rates():
     scenario = preset("cameroon-2002")
     p = scenario.params
     assert p.N == 2.5e7
-    assert float(scenario.y0.sum()) == p.N
+    assert float(np.asarray(scenario.y0).sum()) == p.N
     assert (p.alpha1, p.alpha2) == (0.5625, 0.228)
     assert p.p2 == 0.38
     assert scenario.era_boundaries == (2002.0, 2006.0, 2010.0, 2014.0, 2018.0, 2022.0)
@@ -234,7 +234,7 @@ def test_preset_2002_population_and_rates():
 @pytest.mark.parametrize("label", PRESET_LABELS)
 def test_preset_initial_population_sums_to_n(label):
     scenario = preset(label)
-    assert float(scenario.y0.sum()) == scenario.params.N
+    assert float(np.asarray(scenario.y0).sum()) == scenario.params.N
 
 
 def test_preset_labels_keep_their_order():
@@ -264,13 +264,17 @@ def test_alpha_mismatch_helper():
     assert not alpha_mismatch(preset("cameroon-2002").params)
 
 
-def test_preset_y0_reads_as_a_new_array_each_time():
+def test_preset_y0_is_a_tuple_of_floats_checked_again_on_replace():
     scenario = preset("cameroon-1960")
-    y0 = scenario.y0
-    assert y0.dtype == np.float64 and y0.shape == (5,)
-    y0[0] = -1.0
-    assert scenario.y0[0] == 3.5e6
-    assert scenario.y0 is not scenario.y0
+    assert scenario.y0 == (3.5e6, 1.5e6, 1.5e6, 0.5e6, 3.0e6)
+    assert all(type(v) is float for v in scenario.y0)
+    moved = dataclasses.replace(scenario, y0=np.array([3.0e6, 2.0e6, 1.5e6, 0.5e6, 3.0e6]))
+    assert moved.y0 == (3.0e6, 2.0e6, 1.5e6, 0.5e6, 3.0e6)
+    assert all(type(v) is float for v in moved.y0)
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(moved, y0=(3.0e6, 2.0e6, math.inf, 0.5e6, 3.0e6))
+    with pytest.raises(ValueError, match="sum to"):
+        dataclasses.replace(moved, y0=(3.0e6, 2.0e6, 1.5e6, 0.5e6, 4.0e6))
 
 
 @pytest.mark.parametrize(

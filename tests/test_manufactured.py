@@ -11,7 +11,7 @@ from tristep import example1, example2, problem, sup_norm
 
 
 def central_difference(exact, t, h=1e-6):
-    return (exact(t + h) - exact(t - h)) / (2.0 * h)
+    return (np.asarray(exact(t + h)) - np.asarray(exact(t - h))) / (2.0 * h)
 
 
 @pytest.mark.parametrize("build", [example1, example2])
@@ -19,6 +19,7 @@ def test_exact_solution_starts_at_zero(build):
     prob = build()
     assert np.array_equal(prob.exact(0.0), np.zeros(3))
     assert np.array_equal(prob.y0, np.zeros(3))
+    assert type(prob.y0) is tuple and prob.y0 == tuple(prob.exact(0.0))
 
 
 def test_exact_solution_vanishes_at_one():

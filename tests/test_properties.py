@@ -115,7 +115,7 @@ def _run(field, y0, grid, sign):
     try:
         return integrate(field, y0, grid, sign).states.tobytes()
     except NumericalBlowupError as err:
-        return err.step_index, repr(err.t), err.last_state.tobytes(), err.partial_states.tobytes()
+        return err.step_index, repr(err.t), array("d", err.last_state).tobytes(), err.partial_states.tobytes()
 
 
 @PROPERTY
@@ -279,7 +279,7 @@ def test_config_round_trip_is_exact(case):
     rebuilt = preset_from_config(config)
     assert config.sign is sign
     assert rebuilt.params == scenario.params
-    assert rebuilt.y0.tolist() == scenario.y0.tolist()
+    assert np.asarray(rebuilt.y0).tolist() == np.asarray(scenario.y0).tolist()
     assert (rebuilt.t0, rebuilt.T, rebuilt.k) == (scenario.t0, scenario.T, scenario.k)
     assert rebuilt.era_boundaries == scenario.era_boundaries
 

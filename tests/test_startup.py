@@ -1,5 +1,6 @@
 """What runs without numpy: start-up, input loading, writing a configuration,
-the roots command and a successful ``simulate`` run."""
+the roots command and every ``simulate`` outcome: a run that succeeds and
+one that blows up (exit 4, its partial CSV written)."""
 
 from __future__ import annotations
 
@@ -53,6 +54,9 @@ run = ["--out", str(work / "run.csv"), "--summary-out", str(work / "summary.csv"
 assert main(["simulate", "--preset", PRESET_LABELS[0], *run]) == 0
 (work / "run.cfg").write_text(CONFIG, encoding="utf-8")
 assert main(["simulate", "--config", str(work / "run.cfg"), "--every", "1000", *run]) == 0
+minus = ["--sign", "minus", "--out", str(work / "minus.csv")]
+assert main(["simulate", "--preset", PRESET_LABELS[0], *minus]) == 4
+assert (work / "minus.csv").read_text(encoding="utf-8").startswith("t,y1,")
 print("numpy" in sys.modules)
 """
 
@@ -96,3 +100,4 @@ def test_start_up_loading_and_roots_leave_numpy_unimported(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
     assert "too small" in result.stderr and "unknown key" in result.stderr
+    assert "numerical blow-up" in result.stderr

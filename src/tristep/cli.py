@@ -27,10 +27,11 @@ import csv
 import errno
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 from struct import Struct
-from typing import TYPE_CHECKING, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from .config import parse_config, preset_from_config
 from .cpmodel import PRESET_LABELS, preset
@@ -102,23 +103,36 @@ def trajectory_row_indices(last_index: int, every: int) -> list[int]:
 
 
 def write_trajectory_csv(stream: TextIO, trajectory: Trajectory, every: int = 1) -> None:
-    _write_trajectory_rows(stream, trajectory.grid, trajectory.values, trajectory.dim, every)
+    row, values = Struct(f"{trajectory.dim}d"), trajectory.values
+    indices = trajectory_row_indices(trajectory.grid.M, every)
+    rows = (row.unpack_from(values, n * row.size) for n in indices)
+    _write_trajectory_rows(stream, trajectory.grid, trajectory.dim, indices, rows)
+
+
+def _write_kept_rows(
+    stream: TextIO, grid: TimeGrid, kept: array, dim: int, last_index: int, every: int
+) -> None:
+    """Emit the rows a streamed run kept of grid points 0..``last_index``.
+
+    ``kept`` holds the rows ``trajectory_row_indices(last_index, every)``
+    picks, one after the other, as a flat ``array('d')``.
+    """
+    indices = trajectory_row_indices(last_index, every)
+    _write_trajectory_rows(stream, grid, dim, indices, Struct(f"{dim}d").iter_unpack(kept))
 
 
 def _write_trajectory_rows(
-    stream: TextIO, grid: TimeGrid, values: array, dim: int, every: int
+    stream: TextIO,
+    grid: TimeGrid,
+    dim: int,
+    indices: Sequence[int],
+    rows: Iterable[Sequence[float]],
 ) -> None:
-    """Emit the rows ``trajectory_row_indices`` picks from ``values``, each with its grid time.
-
-    ``values`` is a flat ``array('d')`` of rows of ``dim`` entries: the
-    first rows of ``grid``'s points, all of them or the accepted ones of a
-    run that diverged.  Only the emitted rows are read.
-    """
-    row = Struct(f"{dim}d")
+    """Emit the header, then each of ``rows`` with the time of its grid point in ``indices``."""
     stream.write(",".join(["t"] + [f"y{i + 1}" for i in range(dim)]) + "\n")
     line = ",".join(["%.17g"] * (dim + 1)) + "\n"
-    for n in trajectory_row_indices(len(values) // dim - 1, every):
-        stream.write(line % (grid.time(n), *row.unpack_from(values, n * row.size)))
+    for n, values in zip(indices, rows):
+        stream.write(line % (grid.time(n), *values))
 
 
 def read_trajectory_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
@@ -207,12 +221,42 @@ class _Failure(Exception):
 
 
 def _write_csv(path: str, write, *args) -> None:
-    """Open ``path`` and call ``write(stream, *args)``; an ``OSError`` is exit 3."""
+    """Write ``path`` by ``write(stream, *args)``; an ``OSError`` is exit 3.
+
+    A regular file, or a path where there is none yet, is replaced
+    atomically: the text goes to a new file of a unique name in the
+    target's directory, renamed over the target once complete and removed
+    on any failure or interrupt, so the target holds the whole text or what
+    it held before.  Anything else, such as ``/dev/stdout`` or a FIFO, is
+    written in place.
+    """
+    temporary = None
     try:
-        with open(path, "w", encoding="utf-8", newline="") as stream:
+        try:
+            in_place = not stat.S_ISREG(os.stat(path).st_mode)
+        except FileNotFoundError:
+            in_place = False
+        if in_place:
+            target = path
+        else:
+            target = os.path.realpath(path)  # a symbolic link keeps pointing at the file
+            head, name = os.path.split(target)
+            temporary = os.path.join(head, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+        mode = "w" if temporary is None else "x"
+        with open(temporary or target, mode, encoding="utf-8", newline="") as stream:
             write(stream, *args)
-    except OSError as exc:
-        raise _Failure(EXIT_IO, f"cannot write {path}: {exc}")
+        if temporary is not None:
+            os.replace(temporary, target)
+    except BaseException as exc:
+        if temporary is not None:
+            try:
+                os.unlink(temporary)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            # strerror alone: the name of the file that failed may be the temporary one
+            raise _Failure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}")
+        raise
 
 
 def _parse_exponent_range(text: str) -> range:
@@ -263,8 +307,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
+    # the run keeps only the rows the trajectory CSV emits, and none without one
+    every = args.every if args.out is not None else None
     try:
-        trajectory, rows = run_scenario(scenario, sign)
+        run, rows = run_scenario(scenario, sign, streamed=True, every=every)
     except ValueError as exc:
         raise _Failure(EXIT_USAGE, str(exc))
     except NumericalBlowupError as err:
@@ -277,23 +323,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             try:
                 _write_csv(
                     args.out,
-                    _write_trajectory_rows,
+                    _write_kept_rows,
                     scenario.grid,
                     err.partial_states,
                     len(err.last_state),
-                    args.every,
+                    err.step_index,
+                    every,
                 )
             except _Failure as failure:  # the blow-up decides the exit code
                 raise _Failure(EXIT_BLOWUP, str(failure))
         return EXIT_BLOWUP
 
-    if trajectory.negativity_flag:
+    if run.negativity_flag:
         print(
             f"warning: {scenario.label}: trajectory contains negative compartment values",
             file=sys.stderr,
         )
     if args.out is not None:
-        _write_csv(args.out, write_trajectory_csv, trajectory, args.every)
+        _write_csv(args.out, _write_kept_rows, run.grid, run.rows, run.dim, run.grid.M, run.every)
     if args.summary_out is not None:
         _write_csv(args.summary_out, write_summary_csv, rows, scenario.era_boundaries)
     _print_summary_table(rows, scenario.era_boundaries)

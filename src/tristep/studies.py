@@ -2,11 +2,15 @@
 
 Each unit of work is pure; different step sizes or presets could run
 concurrently, with result order fixed by input order.  A scenario run
-(:func:`run_scenario`) stays on Python floats: its states are one flat
-``array('d')`` and its era averages are folded from it by a function
-generated per state dimension, so it imports no numpy.  The convergence
-study imports numpy for its norms, whose last bits can depend on the BLAS
-thread count on long grids (:func:`~tristep.numerics.discrete_l2_time_norm`).
+(:func:`run_scenario`) stays on Python floats and imports no numpy.  Stored,
+its states are one flat ``array('d')`` and :func:`era_summary` folds its
+era sums from it by a function generated per state dimension.  Streamed,
+the kernel adds each state into its era's sums as it steps and keeps only
+every N-th state, and the summary is divided from those sums: bitwise the
+stored run's, with no buffer of all states, no fold and no sign scan.  The
+convergence study imports numpy for its norms, whose last bits can depend on
+the BLAS thread count on long grids
+(:func:`~tristep.numerics.discrete_l2_time_norm`).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Callable, Iterable, Sequence
 from .cpmodel import EraPreset, cp_rhs
 from .manufactured import ManufacturedProblem
 from .numerics import (
+    StreamedRun,
     TimeGrid,
     Trajectory,
     build_grid,
@@ -201,8 +206,18 @@ def era_summary(
     tol = 1e-9 * max(1.0, abs(grid.t0), abs(grid.T))
     if abs(bounds[0] - grid.t0) > tol or abs(bounds[-1] - grid.T) > tol:
         raise ValueError("era boundaries must span exactly the trajectory's time range")
-
     era_sums, overall_sums = _fold(trajectory.dim)(trajectory.values, starts)
+    return _summary_rows(grid, starts, era_sums, overall_sums, N)
+
+
+def _summary_rows(
+    grid: TimeGrid,
+    starts: Sequence[int],
+    era_sums: Sequence[Sequence[float]],
+    overall_sums: Sequence[float],
+    N: float,
+) -> list[EraSummaryRow]:
+    """The summary rows of a run from its era and whole-run sums."""
     counts = [b - a for a, b in zip(starts, starts[1:])]
     samples = grid.M + 1
     return [
@@ -212,18 +227,35 @@ def era_summary(
             overall_average=overall_sums[i] / samples,
             share_percent=overall_sums[i] / samples / N * 100.0,
         )
-        for i in range(trajectory.dim)
+        for i in range(len(overall_sums))
     ]
 
 
 def run_scenario(
-    preset: EraPreset, sign: SignConvention = SignConvention.PLUS
-) -> tuple[Trajectory, list[EraSummaryRow]]:
+    preset: EraPreset,
+    sign: SignConvention = SignConvention.PLUS,
+    *,
+    streamed: bool = False,
+    every: int | None = 1,
+) -> tuple[Trajectory | StreamedRun, list[EraSummaryRow]]:
     """Integrate a preset over its grid and summarize it by era.
 
-    Negativity is surfaced through the trajectory flag; numerical blow-up
+    By default the run is stored: the :class:`Trajectory` holds every state,
+    and :func:`era_summary` folds it.  With ``streamed=True`` the run is
+    streamed by its era starts (see :func:`~tristep.scheme.integrate`): the
+    :class:`StreamedRun` keeps the states at grid points 0, ``every``,
+    2 * ``every``, ... and M (none when ``every`` is None), and the summary
+    is taken from its sums, bitwise the stored run's.
+
+    Negativity is surfaced through the run's flag; numerical blow-up
     propagates as ``NumericalBlowupError`` carrying the failing step index
-    and the partial run.  Identical inputs produce bitwise-identical output.
+    and the partial run (only its kept states when streamed).  Identical
+    inputs produce bitwise-identical output.
     """
-    trajectory = integrate(cp_rhs(preset.params), preset.y0, preset.grid, sign)
-    return trajectory, era_summary(trajectory, preset.era_boundaries, preset.params.N)
+    field = cp_rhs(preset.params)
+    if not streamed:
+        trajectory = integrate(field, preset.y0, preset.grid, sign)
+        return trajectory, era_summary(trajectory, preset.era_boundaries, preset.params.N)
+    starts = era_starts(preset.grid, preset.era_boundaries)
+    run = integrate(field, preset.y0, preset.grid, sign, eras=starts, every=every)
+    return run, _summary_rows(run.grid, run.starts, run.era_sums, run.overall_sums, preset.params.N)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import codecs
 import csv
+import errno
 import io
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from tristep import (
     preset,
     preset_from_config,
 )
+from tristep import cli
 from tristep.cli import (
     EXIT_BLOWUP,
     EXIT_INTERRUPT,
@@ -657,3 +660,152 @@ def test_cli_runs_as_a_module():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("re,im,modulus")
+
+
+# ------------------------------------------------------------ atomic outputs
+
+
+def _open_failing_at(write_number, error):
+    """``open`` whose files written in text mode raise ``error`` at write ``write_number``."""
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        stream = open(path, mode, *args, **kwargs)
+        if "r" not in mode:
+            writes, write = [], stream.write
+
+            def counted(text):
+                writes.append(text)
+                if len(writes) == write_number:
+                    raise error
+                return write(text)
+
+            stream.write = counted
+        return stream
+
+    return failing_open
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), EXIT_IO),
+        (KeyboardInterrupt(), EXIT_INTERRUPT),
+    ],
+    ids=["oserror", "interrupt"],
+)
+@pytest.mark.parametrize("previous", [None, "an earlier run\n"], ids=["new", "replaced"])
+@pytest.mark.parametrize("option", ["--out", "--summary-out"])
+def test_a_failed_write_leaves_the_target_as_it_was_and_no_temporary(
+    option, previous, error, code, tmp_path, capsys, monkeypatch
+):
+    config = tmp_path / "frozen.cfg"
+    config.write_text(FROZEN_CONFIG, encoding="utf-8")
+    target = tmp_path / "target.csv"
+    if previous is not None:
+        target.write_text(previous, encoding="utf-8")
+    # write 1 is the header, write 2 the first row
+    monkeypatch.setattr(cli, "open", _open_failing_at(3, error), raising=False)
+    assert main(["simulate", "--config", str(config), option, str(target)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_IO:
+        assert err == f"error: cannot write {target}: No space left on device\n"
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["frozen.cfg", *(["target.csv"] if previous is not None else [])]
+    )
+    if previous is not None:
+        assert target.read_text(encoding="utf-8") == previous
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failed_partial_csv_keeps_the_blowup_exit_code_and_no_temporary(
+    tmp_path, capsys, monkeypatch
+):
+    config = tmp_path / "stiff.cfg"
+    config.write_text(STIFF_CONFIG, encoding="utf-8")
+    target = tmp_path / "partial.csv"
+    failing_open = _open_failing_at(2, OSError(errno.EIO, "I/O error"))
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert main(["simulate", "--config", str(config), "--out", str(target)]) == EXIT_BLOWUP
+    assert capsys.readouterr().err.splitlines()[1] == f"error: cannot write {target}: I/O error"
+    assert os.listdir(tmp_path) == ["stiff.cfg"]
+
+
+def test_a_complete_write_replaces_the_target_through_a_symbolic_link(tmp_path, capsys):
+    config = tmp_path / "frozen.cfg"
+    config.write_text(FROZEN_CONFIG, encoding="utf-8")
+    target, link = tmp_path / "summary.csv", tmp_path / "link.csv"
+    target.write_text("an earlier run\n", encoding="utf-8")
+    link.symlink_to(target.name)
+    assert main(["simulate", "--config", str(config), "--summary-out", str(link)]) == EXIT_OK
+    capsys.readouterr()
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8").startswith("compartment,0-0.5,0.5-1,")
+    assert sorted(os.listdir(tmp_path)) == ["frozen.cfg", "link.csv", "summary.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_a_fifo_is_written_in_place(tmp_path, capsys):
+    config = tmp_path / "frozen.cfg"
+    config.write_text(FROZEN_CONFIG, encoding="utf-8")
+    fifo = tmp_path / "summary.fifo"
+    os.mkfifo(fifo)
+    got = []
+    # a daemon: were the FIFO renamed over instead, the reader would wait for ever
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["simulate", "--config", str(config), "--summary-out", str(fifo)]) == EXIT_OK
+    reader.join(timeout=60)
+    capsys.readouterr()
+    assert got and got[0].startswith("compartment,0-0.5,0.5-1,")
+    assert sorted(os.listdir(tmp_path)) == ["frozen.cfg", "summary.fifo"]
+
+
+def test_dev_stdout_is_written_in_place():
+    argv = ["simulate", "--preset", "cameroon-1986", "--every", "4000", "--out", "/dev/stdout"]
+    result = _run_cli(argv, subprocess.PIPE)
+    assert result.returncode == EXIT_OK
+    lines = result.stdout.splitlines()
+    assert lines[0] == "t,y1,y2,y3,y4,y5"
+    assert [line.split(",")[0] for line in lines[1:6]] == ["1986", "1990", "1994", "1998", "2002"]
+    assert lines[6].split()[0] == "compartment"  # the summary table follows
+
+
+# ------------------------------------------------------------- memory bound
+
+PEAK_MEMORY = r"""
+import sys
+from tristep.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+@pytest.mark.parametrize("out", [False, True], ids=["no-out", "every-1000-out"])
+def test_simulate_memory_does_not_grow_with_the_horizon(out, tmp_path):
+    # the child reads its own high-water mark: ru_maxrss of a child spawned
+    # from this process would include the pages of this process before exec
+    def peak_kib(k):
+        config = tmp_path / "run.cfg"
+        text = format_config(preset("cameroon-1960"))
+        config.write_text(text.replace("k = 0.001", f"k = {k}"), encoding="utf-8")
+        argv = ["simulate", "--config", str(config)]
+        if out:
+            argv += ["--every", "1000", "--out", str(tmp_path / "run.csv")]
+        result = subprocess.run(
+            [sys.executable, "-c", PEAK_MEMORY, *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            check=False,
+        )
+        code, peak = result.stderr.split()[-2:]
+        assert code == "0", result.stderr
+        return int(peak)
+
+    # 400 000 steps, whose states alone would take 16 MB, against 40 000
+    long_run, short_run = peak_kib(6.5e-5), peak_kib(6.5e-4)
+    assert long_run - short_run <= 2048

@@ -36,7 +36,7 @@ from tristep import (
     preset,
     preset_from_config,
 )
-from tristep import scheme
+from tristep import scheme, studies
 from tristep.cli import read_trajectory_csv, trajectory_row_indices, write_trajectory_csv
 
 # seeded, so that every run of the suite draws the same examples
@@ -316,6 +316,8 @@ def test_each_use_compiles_only_the_function_it_runs():
     assert _compiled_texts(lambda: heun_substep(field, 0.0, y, 1e-3)) == [text("substep")]
     assert _compiled_texts(lambda: field.evaluate(0.0, y)) == [text("components")]
     assert text("march").count("    def ") == 1  # the march alone
+    assert text("march").count("+=") == 1  # its per-step tail keeps the row, and no sums
+    assert _compiled_texts(lambda: integrate(field, y, grid, every=3)) == [text("stream")]
 
 
 @PROPERTY
@@ -479,3 +481,59 @@ def test_era_summary_is_bitwise_numpys_mean(case):
     shares = np.array([row.share_percent for row in rows])
     assert shares.tobytes() == (overall / N * 100.0).tobytes()
     assert trajectory.negativity_flag == bool((states < 0.0).any())
+
+
+@st.composite
+def streamed_runs(draw):
+    """Random policy levers and a state with some -0.0 entries, either sign,
+    a step from safe to divergent, random era starts (row 0 in no era
+    included) and ``every`` from 1 to M + 5 or None."""
+    params, y0 = draw(params_and_state())
+    y0[sorted(draw(st.sets(st.integers(0, 4))))] = -0.0
+    steps = draw(st.integers(1, 60))
+    k = draw(st.sampled_from([1e-3, 0.05, 0.5, 2.0]))
+    grid = build_grid(0.0, k * steps, k)
+    # era_summary cannot put an era boundary at T, so no era starts at M
+    inner = draw(st.sets(st.integers(2, grid.M - 1))) if grid.M > 2 else ()
+    first = draw(st.sampled_from([0, 1]))
+    starts = (first, *sorted(inner), grid.M + 1)
+    every = draw(st.integers(0, grid.M + 5)) or None
+    return params, y0, grid, draw(st.sampled_from(SignConvention)), starts, every
+
+
+def _floats(values):
+    return array("d", values).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a divergent run overflows
+@settings(PROPERTY, max_examples=300)
+@given(streamed_runs())
+def test_a_streamed_run_is_bitwise_the_stored_run(case):
+    params, y0, grid, sign, starts, every = case
+    field = cp_rhs(params)
+    try:
+        stored = integrate(field, y0, grid, sign)
+    except NumericalBlowupError as err:
+        with pytest.raises(NumericalBlowupError) as streamed:
+            integrate(field, y0, grid, sign, eras=starts, every=every)
+        got, n, dim = streamed.value, err.step_index, len(err.last_state)
+        assert (got.step_index, repr(got.t), got.last_state) == (n, repr(err.t), err.last_state)
+        kept = trajectory_row_indices(n, every) if every else []
+        rows = b"".join(_floats(err.partial_states[m * dim : (m + 1) * dim]) for m in kept)
+        assert got.partial_states.tobytes() == rows
+        return
+    run = integrate(field, y0, grid, sign, eras=starts, every=every)
+    # a first era boundary inside era_summary's tolerance past t0 leaves row 0 in no era
+    bounds = [1e-12 if n == 1 else grid.time(n) for n in starts[:-1]] + [grid.T]
+    expected = era_summary(stored, bounds, params.N)
+    got = studies._summary_rows(grid, starts, run.era_sums, run.overall_sums, params.N)
+    assert [row.compartment for row in got] == [row.compartment for row in expected]
+    for row, want in zip(got, expected):
+        assert _floats(row.era_averages) == _floats(want.era_averages)
+        assert _floats([row.overall_average, row.share_percent]) == _floats(
+            [want.overall_average, want.share_percent]
+        )
+    assert era_starts(grid, bounds) == run.starts == starts
+    kept = trajectory_row_indices(grid.M, every) if every else []
+    assert run.rows.tobytes() == stored.states[kept].tobytes()
+    assert run.negativity_flag is stored.negativity_flag

@@ -713,3 +713,48 @@ def test_characteristic_roots_values():
     assert roots[1].real == pytest.approx(-0.5, abs=1e-14)
     assert roots[1].imag == pytest.approx(-math.sqrt(3.0) / 2.0, abs=1e-14)
     assert roots[2].imag == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "eras",
+    [(0,), (0, 5), (0, 12), (-1, 11), (0, 4, 4, 11), (0, 7, 3, 11)],
+    ids=["one", "short", "long", "negative", "repeated", "decreasing"],
+)
+def test_integrate_rejects_era_starts_that_do_not_split_the_grid(eras):
+    grid = build_grid(0.0, 1.0, 0.1)  # M = 10, so the starts end at 11
+    with pytest.raises(ValueError, match="era starts must increase strictly"):
+        integrate(GROWTH, [1.0], grid, eras=eras)
+
+
+def test_integrate_rejects_era_starts_that_are_not_ints():
+    with pytest.raises(TypeError):
+        integrate(GROWTH, [1.0], build_grid(0.0, 1.0, 0.1), eras=(0.0, 11))
+
+
+@pytest.mark.parametrize("every", [0, -3, 2.0, "5"])
+def test_integrate_rejects_an_every_that_is_not_a_positive_int(every):
+    grid = build_grid(0.0, 1.0, 0.1)
+    with pytest.raises(ValueError, match="every must be None or a positive int"):
+        integrate(GROWTH, [1.0], grid, every=every)
+
+
+@pytest.mark.parametrize("every", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n", [0, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+)
+def test_a_streamed_blowup_at_block_edges_keeps_the_stored_rows(n, every):
+    grid = build_grid(0.0, 2.0 * BLOCK_ROWS + 2.0, 1.0)
+    f = infinite_from(n + 0.5, as_components=False)
+    y0 = (1.0, -2.0)
+    with pytest.raises(NumericalBlowupError) as stored:
+        integrate(f, y0, grid)
+    with pytest.raises(NumericalBlowupError) as streamed:
+        integrate(f, y0, grid, eras=(0, BLOCK_ROWS, grid.M + 1), every=every)
+    assert streamed.value.step_index == stored.value.step_index == n
+    assert streamed.value.t == stored.value.t
+    assert streamed.value.last_state == stored.value.last_state
+    rows = stored.value.partial_states
+    kept = [*range(0, n + 1, every), *([n] if n % every else [])]
+    assert streamed.value.partial_states.tolist() == [
+        v for m in kept for v in rows[2 * m : 2 * m + 2]
+    ]

@@ -23,6 +23,8 @@ from tristep import (
     run_convergence_study,
     run_scenario,
 )
+from tristep.cli import trajectory_row_indices
+from tristep.scheme import NumericalBlowupError
 
 # Regression values confirmed against an independently coded run of the same
 # scheme; the fourth-order reference oracle in test_scheme pins correctness.
@@ -263,3 +265,37 @@ def test_scenario_era_averages_are_step_size_robust():
     for row, other in zip(rows, halved_rows):
         for a, b in zip(row.era_averages, other.era_averages):
             assert abs(a - b) <= 1e-3 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("label", ["cameroon-1960", "cameroon-1986", "cameroon-2002"])
+def test_a_streamed_scenario_is_bitwise_the_stored_one(label):
+    # the eras and the kept rows cross the kernel's blocks of BLOCK_ROWS steps
+    scenario = preset(label)
+    trajectory, rows = run_scenario(scenario)
+    M = scenario.grid.M
+    for every in (1, 7, 1000, M, M + 1, None):
+        run, streamed_rows = run_scenario(scenario, streamed=True, every=every)
+        assert repr(streamed_rows) == repr(rows)  # repr tells -0.0 from 0.0
+        kept = trajectory_row_indices(M, every) if every else []
+        assert run.rows.tobytes() == trajectory.states[kept].tobytes()
+        assert run.negativity_flag is trajectory.negativity_flag
+
+
+@pytest.mark.parametrize("label", ["cameroon-1960", "cameroon-1986", "cameroon-2002"])
+def test_a_streamed_blowup_carries_the_kept_rows_of_the_stored_one(label):
+    scenario = preset(label)
+    with pytest.raises(NumericalBlowupError) as stored:
+        run_scenario(scenario, SignConvention.MINUS)
+    n = stored.value.step_index
+    states = np.frombuffer(stored.value.partial_states).reshape(n + 1, 5)
+    for every in (1, 7, 1000, n, n + 1, None):
+        with pytest.raises(NumericalBlowupError) as streamed:
+            run_scenario(scenario, SignConvention.MINUS, streamed=True, every=every)
+        err = streamed.value
+        assert (err.step_index, err.t, err.last_state) == (
+            n,
+            stored.value.t,
+            stored.value.last_state,
+        )
+        kept = trajectory_row_indices(n, every) if every else []
+        assert err.partial_states.tobytes() == states[kept].tobytes()

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 from .config import parse_config, preset_from_config
 from .cpmodel import PRESET_LABELS, preset
 from .manufactured import PROBLEM_LABELS, problem
-from .numerics import TimeGrid, Trajectory
+from .numerics import TimeGrid, Trajectory, trajectory_row_indices
 from .scheme import (
     NumericalBlowupError,
     SignConvention,
@@ -94,15 +94,15 @@ def write_convergence_csv(stream: TextIO, rows: Sequence[ConvergenceRow]) -> Non
         )
 
 
-def trajectory_row_indices(last_index: int, every: int) -> list[int]:
-    """Indices emitted under decimation: every ``every``-th plus the last."""
-    indices = list(range(0, last_index + 1, every))
-    if indices[-1] != last_index:
-        indices.append(last_index)
-    return indices
-
-
 def write_trajectory_csv(stream: TextIO, trajectory: Trajectory, every: int = 1) -> None:
+    """Emit the states of a whole trajectory at ``trajectory_row_indices(M, every)``.
+
+    Raises:
+      ValueError: If ``every`` is neither None nor a positive int, or the
+        trajectory does not hold all M + 1 states.
+    """
+    if trajectory.every != 1:
+        raise ValueError("write_trajectory_csv needs a trajectory of all M + 1 states")
     row, values = Struct(f"{trajectory.dim}d"), trajectory.values
     indices = trajectory_row_indices(trajectory.grid.M, every)
     rows = (row.unpack_from(values, n * row.size) for n in indices)
@@ -112,7 +112,7 @@ def write_trajectory_csv(stream: TextIO, trajectory: Trajectory, every: int = 1)
 def _write_kept_rows(
     stream: TextIO, grid: TimeGrid, kept: array, dim: int, last_index: int, every: int
 ) -> None:
-    """Emit the rows a streamed run kept of grid points 0..``last_index``.
+    """Emit the rows a run kept of grid points 0..``last_index``.
 
     ``kept`` holds the rows ``trajectory_row_indices(last_index, every)``
     picks, one after the other, as a flat ``array('d')``.
@@ -310,7 +310,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # the run keeps only the rows the trajectory CSV emits, and none without one
     every = args.every if args.out is not None else None
     try:
-        run, rows = run_scenario(scenario, sign, streamed=True, every=every)
+        run, rows = run_scenario(scenario, sign, every=every)
     except ValueError as exc:
         raise _Failure(EXIT_USAGE, str(exc))
     except NumericalBlowupError as err:
@@ -340,7 +340,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.out is not None:
-        _write_csv(args.out, _write_kept_rows, run.grid, run.rows, run.dim, run.grid.M, run.every)
+        _write_csv(args.out, _write_kept_rows, run.grid, run.values, run.dim, run.grid.M, every)
     if args.summary_out is not None:
         _write_csv(args.summary_out, write_summary_csv, rows, scenario.era_boundaries)
     _print_summary_table(rows, scenario.era_boundaries)

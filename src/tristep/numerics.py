@@ -3,27 +3,24 @@
 Everything here is a pure function of its inputs; values can be shared
 freely across threads.  A grid is stated by its span and step count, and
 derives its step from them.  Grids, era bounds, state checks and trajectories
-run on Python floats and ints; a trajectory keeps its states in one flat
-``array('d')``, and a streamed run keeps its era sums, a sign flag and every
-N-th state.  numpy is imported only by the functions that make or read
-numpy arrays (``as_state``, ``TimeGrid.times``, ``Trajectory.states`` and
-the norms).
+run on Python floats and ints; a trajectory keeps the states its run kept,
+every N-th or all of them, in one flat ``array('d')``, with the era sums and
+the sign flag its kernel took as it stepped.  numpy is imported only by the
+functions that make or read numpy arrays (``as_state``, ``TimeGrid.times``,
+``Trajectory.states`` and the norms).
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "StreamedRun",
     "TimeGrid",
     "Trajectory",
     "as_state",
@@ -116,65 +113,85 @@ class TimeGrid:
         return self.t0 + self.k * np.arange(self.M + 1)
 
 
+def check_every(every: int | None) -> None:
+    """Check a decimation: keep every ``every``-th state, or none when it is None.
+
+    Raises:
+      ValueError: If ``every`` is neither None nor a positive int.
+    """
+    if every is not None and not (type(every) is int and every >= 1):
+        raise ValueError(f"every must be None or a positive int, got {every!r}")
+
+
+def trajectory_row_indices(last_index: int, every: int | None) -> list[int]:
+    """Grid points kept of 0..``last_index``: every ``every``-th plus the last, none for None.
+
+    Raises:
+      ValueError: As :func:`check_every`.
+    """
+    check_every(every)
+    if every is None:
+        return []
+    indices = list(range(0, last_index + 1, every))
+    if indices[-1] != last_index:
+        indices.append(last_index)
+    return indices
+
+
+def kept_count(last_index: int, every: int | None) -> int:
+    """``len(trajectory_row_indices(last_index, every))``, without the list."""
+    check_every(every)
+    return 0 if every is None else -(-last_index // every) + 1
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Grid samples of one integration run.
+    """Grid samples of one integration run, and the sums its kernel took.
 
-    ``values`` holds the M + 1 state vectors one after the other, starting
-    with the initial condition, as one flat ``array('d')``; ``states`` reads
-    it as an ``(M + 1, dim)`` float64 numpy array that shares its memory.
-    ``negativity_flag`` is true when any stored entry is negative (-0.0 is
-    not); negative values are reported, never clamped.
+    ``values`` holds the kept states one after the other as one flat
+    ``array('d')``: those at the grid points ``trajectory_row_indices(M,
+    every)``, that is 0, ``every``, 2 * ``every``, ... and M, all M + 1 of
+    them by default and none when ``every`` is None.  ``states`` reads it as
+    a ``(rows, dim)`` float64 numpy array that shares its memory.
+
+    :func:`~tristep.scheme.integrate` fills in the fields its kernel computes
+    as it steps; a trajectory built by hand may leave them None.  ``starts``
+    are the era starts the run was summed by, as :func:`era_starts` gives
+    them.  ``era_sums`` holds one tuple of per-component sums per era,
+    ``overall_sums`` the sums over all M + 1 states; each sum starts from 0.0
+    and adds its states in grid order.  ``negativity_flag`` is true when any
+    component of any state is negative (-0.0 is not); negative values are
+    reported, never clamped.
     """
 
     grid: TimeGrid
     values: array
+    every: int | None = 1
+    starts: tuple[int, ...] | None = None
+    era_sums: tuple[tuple[float, ...], ...] | None = None
+    overall_sums: tuple[float, ...] | None = None
+    negativity_flag: bool | None = None
 
     def __post_init__(self) -> None:
-        if not self.values or len(self.values) % (self.grid.M + 1):
-            raise ValueError("trajectory must hold exactly M + 1 state samples")
+        rows = kept_count(self.grid.M, self.every)
+        if rows:
+            whole = self.values and not len(self.values) % rows
+        else:  # no state kept: the sums tell the dimension
+            whole = not self.values and self.overall_sums is not None
+        if not whole:
+            raise ValueError(f"trajectory must hold exactly {rows} state samples")
 
     @property
     def dim(self) -> int:
-        return len(self.values) // (self.grid.M + 1)
+        rows = kept_count(self.grid.M, self.every)
+        return len(self.values) // rows if rows else len(self.overall_sums)
 
     @property
     def states(self) -> np.ndarray:
         import numpy as np
 
-        return np.frombuffer(self.values, dtype=np.float64).reshape(self.grid.M + 1, -1)
-
-    @property
-    def negativity_flag(self) -> bool:
-        # from 0.0, neither -0.0 nor a NaN is ever smaller, so neither hides a negative entry
-        return min(chain((0.0,), self.values)) < 0.0
-
-
-class StreamedRun(
-    namedtuple(
-        "StreamedRun", "grid starts every rows era_sums overall_sums negativity_flag"
-    )
-):
-    """What a streamed integration run keeps: sums, a sign flag and every N-th state.
-
-    ``starts`` are the era starts the run was summed by, as
-    :func:`era_starts` gives them.  ``era_sums`` holds one tuple of
-    per-component sums per era, ``overall_sums`` the sums over all M + 1
-    states; each sum starts from 0.0 and adds its states in grid order.
-    ``rows`` holds the kept states one after the other as one flat
-    ``array('d')``: those at grid points 0, ``every``, 2 * ``every``, ...
-    and M, or none when ``every`` is None.  ``negativity_flag`` is true when
-    any component of any state is negative (-0.0 is not), as for a
-    :class:`Trajectory` of the same run.  A named tuple, built in a small
-    fraction of the millisecond that a dataclass would add to every
-    ``import tristep``.
-    """
-
-    __slots__ = ()
-
-    @property
-    def dim(self) -> int:
-        return len(self.overall_sums)
+        rows = kept_count(self.grid.M, self.every)
+        return np.frombuffer(self.values, dtype=np.float64).reshape(rows, self.dim)
 
 
 def sup_norm(y: Sequence[float] | np.ndarray) -> float:

@@ -12,20 +12,20 @@ statements that read only the time and the constants once per distinct
 time; a field with any other ``evaluate`` is called from it through a
 one-line source.  The kernel is generated once per source text: ``march``
 runs a block of macro steps in one call, with the state and the field's
-constants in local variables, and ``stream`` runs the same steps with
-another per-step tail, which adds each accepted state into era sums and
-whole-run sums, tests its sign and keeps only every N-th state.  The
-component form and the substep are generated apart; each function is
-generated only when used.  The kernel gives bitwise the results of the
-same update written in numpy arithmetic, which :func:`composed_step` keeps.
+constants in local variables, and after each step adds the accepted state
+into era sums and whole-run sums, tests its sign and keeps every N-th
+state.  The component form and the substep are generated apart; each
+function is generated only when used.  The kernel gives bitwise the results
+of the same update written in numpy arithmetic, which :func:`composed_step`
+keeps.
 
 numpy is imported by the functions that make or read numpy arrays, when
 first called, never by the generated kernel: building a field, checking its
 text, the characteristic roots and an :func:`integrate` run that completes
-need no numpy.  ``integrate`` keeps its states in one flat ``array('d')``;
-streamed, it keeps the sums and the chosen states only.  Its blow-up error
-carries floats: the last state as a tuple, the partial run as the accepted
-rows (those kept, when streamed) in one flat ``array('d')``.
+need no numpy.  ``integrate`` has one path: one driver runs ``march`` block
+by block and writes the kept states into one flat ``array('d')``, allocated
+before the first step.  Its blow-up error carries floats: the last state as
+a tuple, the partial run as the kept rows in one flat ``array('d')``.
 
 The default :class:`SignConvention` adds the averaged slopes, which is the
 choice forced by the second-order conditions.  ``MINUS`` subtracts them
@@ -49,11 +49,11 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .numerics import (
     BLOCK_ROWS,
-    StreamedRun,
     TimeGrid,
     Trajectory,
     as_state,
     finite_state_floats,
+    kept_count,
     state_floats,
 )
 
@@ -93,10 +93,10 @@ class _Source:
     """A field's equations as text, with the constants the text names.
 
     Called, it is the field's array ``evaluate``: it checks the state's
-    shape and dimension, not its finiteness.  ``components``,
-    ``substep``, ``march`` and ``stream`` are each generated from the text
-    and compiled on first use, once per text, and bound to ``constants`` by
-    value once per source; see :func:`_compiled`.
+    shape and dimension, not its finiteness.  ``components``, ``substep``
+    and ``march`` are each generated from the text and compiled on first
+    use, once per text, and bound to ``constants`` by value once per
+    source; see :func:`_compiled`.
     """
 
     dim: int
@@ -123,10 +123,6 @@ class _Source:
     @functools.cached_property
     def march(self) -> Callable:
         return self._bound("march")
-
-    @functools.cached_property
-    def stream(self) -> Callable:
-        return self._bound("stream")
 
 
 @dataclass(frozen=True)
@@ -381,16 +377,15 @@ def _names(dim: int, template: str) -> str:
 def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]) -> str:
     """Source of ``bind(constants) -> function`` for a field's text.
 
-    ``function`` is one of ``components``, ``substep``, ``march`` and
-    ``stream``.  The text is written from the field's text and the
-    constants' names alone, never from their values, which ``bind`` takes
-    as arguments and the function keeps as keyword defaults, so that they
-    are its fast locals.  ``march`` chains three substeps of length h from
-    t, t1 = t + h and t2 = t1 + h, so the time terms run at four distinct
-    times per step; a step's result is finite when the sum of its
-    components times 0.0 is 0.0, and otherwise exactly when every component
-    passes ``isfinite``.  ``stream`` takes the same steps with another tail:
-    each accepted state is added into the era sums ``s0..`` and the
+    ``function`` is one of ``components``, ``substep`` and ``march``.  The
+    text is written from the field's text and the constants' names alone,
+    never from their values, which ``bind`` takes as arguments and the
+    function keeps as keyword defaults, so that they are its fast locals.
+    ``march`` chains three substeps of length h from t, t1 = t + h and
+    t2 = t1 + h, so the time terms run at four distinct times per step; a
+    step's result is finite when the sum of its components times 0.0 is
+    0.0, and otherwise exactly when every component passes ``isfinite``.
+    Each accepted state is then added into the era sums ``s0..`` and the
     whole-run sums ``o0..``, in order and never through ``sum``, tested for
     a negative component, and kept when the countdown ``c`` to the next
     kept row reaches zero.
@@ -434,8 +429,6 @@ def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]
         ]
 
     state, p, q, r = (_names(dim, y + "{i}") for y in "ypqr")
-    # the stream's era sums and whole-run sums, named apart from the stage locals
-    sums = _names(dim, "s{i}") + " " + _names(dim, "o{i}")
     if function == "components":
         parameters = "t, y"
         body = [*times(0, "t"), *stage(1, 0, "t", "y", "a"), f"return ({_names(dim, 'a{i}')})"]
@@ -456,29 +449,22 @@ def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]
             "    t2 = t1 + h",
             f"    raise blowup(n, t, ({state}), t1, ({p}), t2, ({q}))",
             *(f"y{i} = r{i}" for i in range(dim)),
+            *(f"{total}{i} += y{i}" for i in range(dim) for total in "so"),
+            f"if {' or '.join(f'y{i} < 0.0' for i in range(dim))}:",
+            "    negative = True",
+            "c -= 1",
+            "if not c:",
+            f"    rows += ({state})",
+            "    c = every",
         ]
-        if function == "march":
-            parameters = "t0, k, first, stop, y, h, w, rows"
-            head, tail = [], [f"rows += ({state})"]
-            result = f"({state})"
-        else:
-            parameters = "t0, k, first, stop, y, h, w, rows, every, c, sums, negative"
-            head = [f"{sums} = sums"]
-            tail = [
-                *(f"{total}{i} += y{i}" for i in range(dim) for total in "so"),
-                f"if {' or '.join(f'y{i} < 0.0' for i in range(dim))}:",
-                "    negative = True",
-                "c -= 1",
-                "if not c:",
-                f"    rows += ({state})",
-                "    c = every",
-            ]
-            result = f"({state}), c, ({sums}), negative"
+        parameters = "t0, k, first, stop, y, h, w, rows, every, c, sums, negative"
+        # the era sums and whole-run sums, named apart from the stage locals
+        sums = _names(dim, "s{i}") + " " + _names(dim, "o{i}")
         body = [
-            *head,
+            f"{sums} = sums",
             "for n in range(first, stop):",
-            *(f"    {line}" for line in [*step, *tail]),
-            f"return {result}",
+            *(f"    {line}" for line in step),
+            f"return ({state}), c, ({sums}), negative",
         ]
     defaults = "".join(f", {name}={name}" for name in bound.values())
     lines = [
@@ -498,15 +484,14 @@ def _compiled(
     """``bind(*values)``: ``function`` of one field text, bound to the constants' values.
 
     ``components`` is ``(t, y) -> tuple``; ``substep`` is ``(t, y, h, w) ->
-    tuple`` with w = s*(h/2); ``march(t0, k, first, stop, y, h, w, rows)``
-    steps from the state ``y`` at t0 + first * k, appends each accepted
-    state's components to ``rows`` and returns the state at t0 + stop * k.
-    ``stream(t0, k, first, stop, y, h, w, rows, every, c, sums, negative)``
-    takes the same steps and returns ``(state, c, sums, negative)``:
+    tuple`` with w = s*(h/2).  ``march(t0, k, first, stop, y, h, w, rows,
+    every, c, sums, negative)`` steps from the state ``y`` at t0 + first * k
+    and returns ``(state, c, sums, negative)``, the state at t0 + stop * k:
     ``sums`` holds the era sums then the whole-run sums, one per component,
     and each accepted state is added into both; ``negative`` becomes true at
-    a negative component; ``c`` counts down to the next kept row, which is
-    appended to ``rows`` as ``c`` reaches zero and is reset to ``every``.
+    a negative component; ``c`` counts down to the next kept row, whose
+    components are appended to ``rows`` as ``c`` reaches zero, and is reset
+    to ``every``.
     Each stage is the field's text inlined, so the field is evaluated six
     times per macro step without a call.
     """
@@ -566,10 +551,12 @@ def advance_one_step(
 
     y = finite_state_floats(y, dim=f.dim)
     h = k / 3.0
-    rows: list[float] = []
-    # with k = -0.0 the step starts at t_n + 0 * -0.0, which is t_n exactly, -0.0 too
-    _source(f).march(t_n, -0.0, 0, 1, y, h, sign.factor * (h / 2.0), rows)
-    return np.array(rows)
+    # with k = -0.0 the step starts at t_n + 0 * -0.0, which is t_n exactly, -0.0 too;
+    # counting down from -1 it keeps no row, and its sums are not read
+    y, *_ = _source(f).march(
+        t_n, -0.0, 0, 1, y, h, sign.factor * (h / 2.0), [], None, -1, y * 2, False
+    )
+    return np.array(y)
 
 
 def composed_step(
@@ -618,44 +605,38 @@ def integrate(
     *,
     eras: Sequence[int] | None = None,
     every: int | None = 1,
-) -> Trajectory | StreamedRun:
+) -> Trajectory:
     """March the scheme across the grid from the exact initial state.
 
-    With the defaults, returns a :class:`Trajectory` holding all M + 1
-    samples in one flat ``array('d')``, allocated before the first step and
-    written a block of ``BLOCK_ROWS`` steps at a time; a run that completes
-    imports no numpy.
+    Returns a :class:`Trajectory` whose flat ``array('d')`` holds the states
+    at grid points 0, ``every``, 2 * ``every``, ... and M: all M + 1 with
+    the default ``every=1``, none when ``every`` is None, so memory does not
+    grow with M unless states are kept.  The array is allocated before the
+    first step and written a block of ``BLOCK_ROWS`` steps at a time; a run
+    that completes imports no numpy.
 
-    Given ``eras`` (first grid index of every era, then M + 1, as
-    :func:`~tristep.numerics.era_starts` gives them) or an ``every`` other
-    than 1, the run is streamed instead and returns a :class:`StreamedRun`:
-    the kernel adds each state into its era's sums and the whole-run sums
-    as it is accepted, notes a negative component, and keeps only the states
-    at grid points 0, ``every``, 2 * ``every``, ... and M (none when
-    ``every`` is None), so memory does not grow with M unless rows are kept.
-    Without ``eras`` the whole run is one era.  The sums start from 0.0 and
-    add the states in grid order, bitwise the axis-0 sums numpy takes of
-    two or more columns, so they give :func:`~tristep.studies.era_summary`'s
-    means; the states are bitwise those of the stored run.
+    As each state is accepted, the kernel adds it into its era's sums and
+    the whole-run sums and notes a negative component.  ``eras`` are the
+    first grid index of every era, then M + 1, as
+    :func:`~tristep.numerics.era_starts` gives them; without them the whole
+    run is one era.  The sums start from 0.0 and add the states in grid
+    order, bitwise the axis-0 sums numpy takes of two or more columns, so
+    they give :func:`~tristep.studies.era_summary`'s means.  The states do
+    not depend on ``eras`` or ``every``.
 
     Raises:
       ValueError: If ``y0`` is not a finite state of the field's dimension,
-        the grid's M + 1 states do not fit in memory (stored runs only),
-        ``eras`` are not strictly increasing from 0 or more to M + 1, or
-        ``every`` is neither None nor a positive int.
+        ``eras`` are not strictly increasing from 0 or more to M + 1,
+        ``every`` is neither None nor a positive int, or the kept states do
+        not fit in memory.
       NumericalBlowupError: As soon as any intermediate is non-finite,
         carrying the failing step index n, the last finite state (that of
-        grid point n) as a tuple and the accepted states as a flat
-        ``array('d')``: all n + 1 of them for a stored run; for a streamed
-        run the kept ones, at grid points 0, ``every``, ... up to n, then
-        the state at n when n is not a multiple of ``every`` (none when
-        ``every`` is None).
+        grid point n) as a tuple and as a flat ``array('d')`` the kept
+        states, at grid points 0, ``every``, ... up to n, then the state at
+        n when n is not a multiple of ``every`` (none when ``every`` is
+        None).
     """
     y = finite_state_floats(y0, dim=f.dim)
-    h = grid.k / 3.0
-    w = sign.factor * (h / 2.0)
-    if eras is None and every == 1:
-        return _stored(_source(f).march, y, grid, h, w)
     starts = (0, grid.M + 1) if eras is None else tuple(map(operator.index, eras))
     if not (
         len(starts) >= 2
@@ -664,9 +645,8 @@ def integrate(
         and all(a < b for a, b in zip(starts, starts[1:]))
     ):
         raise ValueError("era starts must increase strictly from 0 or more to M + 1")
-    if every is not None and not (type(every) is int and every >= 1):
-        raise ValueError(f"every must be None or a positive int, got {every!r}")
-    return _streamed(_source(f).stream, y, grid, h, w, starts, every)
+    h = grid.k / 3.0
+    return _run(_source(f).march, y, grid, h, sign.factor * (h / 2.0), starts, every)
 
 
 def _diverged(err: NumericalBlowupError, grid: TimeGrid, partial: array) -> NumericalBlowupError:
@@ -681,43 +661,29 @@ def _diverged(err: NumericalBlowupError, grid: TimeGrid, partial: array) -> Nume
     )
 
 
-def _stored(
-    march: Callable, y: tuple[float, ...], grid: TimeGrid, h: float, w: float
-) -> Trajectory:
-    t0, k, dim = grid.t0, grid.k, len(y)
-    try:
-        values = array("d", [0.0]) * ((grid.M + 1) * dim)
-    except (MemoryError, OverflowError):  # OverflowError beyond the index range
-        raise ValueError(
-            f"step size k={grid.k!r} is too small: "
-            f"the run's {grid.M + 1} states do not fit in memory"
-        ) from None
-    values[:dim] = array("d", y)
-    for first in range(0, grid.M, BLOCK_ROWS):
-        stop = min(first + BLOCK_ROWS, grid.M)
-        rows: list[float] = []
-        try:
-            # step n starts at t0 + n * k, which is grid.time(n)
-            y = march(t0, k, first, stop, y, h, w, rows)
-        except NumericalBlowupError as err:
-            n = err.step_index
-            values[(first + 1) * dim : (n + 1) * dim] = array("d", rows)
-            raise _diverged(err, grid, values[: (n + 1) * dim]) from err
-        values[(first + 1) * dim : (stop + 1) * dim] = array("d", rows)
-    return Trajectory(grid, values)
-
-
-def _streamed(
-    stream: Callable,
+def _run(
+    march: Callable,
     y: tuple[float, ...],
     grid: TimeGrid,
     h: float,
     w: float,
     starts: tuple[int, ...],
     every: int | None,
-) -> StreamedRun:
+) -> Trajectory:
+    """Run ``march`` over the grid by eras and blocks of steps into one :class:`Trajectory`."""
     t0, k, dim = grid.t0, grid.k, len(y)
-    kept = array("d", y if every else ())
+    rows_kept = kept_count(grid.M, every)
+    try:
+        values = array("d", [0.0]) * (rows_kept * dim)
+    except (MemoryError, OverflowError):  # OverflowError beyond the index range
+        raise ValueError(
+            f"step size k={grid.k!r} is too small: "
+            f"the run's {rows_kept} states do not fit in memory"
+        ) from None
+    kept = 0  # floats of ``values`` written
+    if every:
+        values[:dim] = array("d", y)
+        kept = dim
     c = every or -1  # steps to the next kept row; counting down from -1 it keeps none
     sums = tuple(0.0 + v for v in y) * 2  # the era and the whole-run sums of row 0
     negative = any(v < 0.0 for v in y)
@@ -729,23 +695,25 @@ def _streamed(
             stop = min(first + BLOCK_ROWS, start - 1)
             rows: list[float] = []
             try:
-                y, c, sums, negative = stream(
+                y, c, sums, negative = march(
                     t0, k, first, stop, y, h, w, rows, every, c, sums, negative
                 )
             except NumericalBlowupError as err:
-                kept.fromlist(rows)
+                partial = values[:kept]
+                partial.fromlist(rows)
                 if every and err.step_index % every:
-                    kept.extend(err.partial_states)
-                raise _diverged(err, grid, kept) from err
-            kept.fromlist(rows)
+                    partial.extend(err.partial_states)
+                raise _diverged(err, grid, partial) from err
+            values[kept : kept + len(rows)] = array("d", rows)
+            kept += len(rows)
             first = stop
         if j:  # era j - 1 ends before ``start``; the rows before starts[0] are in no era
             era_sums.append(sums[:dim])
         if start:
             sums = (0.0,) * dim + sums[dim:]
     if every and grid.M % every:
-        kept.extend(y)
-    return StreamedRun(grid, starts, every, kept, tuple(era_sums), sums[dim:], negative)
+        values[kept:] = array("d", y)
+    return Trajectory(grid, values, every, starts, tuple(era_sums), sums[dim:], negative)
 
 
 def zero_stability_roots() -> tuple[complex, complex, complex]:

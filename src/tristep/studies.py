@@ -2,30 +2,25 @@
 
 Each unit of work is pure; different step sizes or presets could run
 concurrently, with result order fixed by input order.  A scenario run
-(:func:`run_scenario`) stays on Python floats and imports no numpy.  Stored,
-its states are one flat ``array('d')`` and :func:`era_summary` folds its
-era sums from it by a function generated per state dimension.  Streamed,
-the kernel adds each state into its era's sums as it steps and keeps only
-every N-th state, and the summary is divided from those sums: bitwise the
-stored run's, with no buffer of all states, no fold and no sign scan.  The
-convergence study imports numpy for its norms, whose last bits can depend on
-the BLAS thread count on long grids
-(:func:`~tristep.numerics.discrete_l2_time_norm`).
+(:func:`run_scenario`) stays on Python floats and imports no numpy: the
+kernel adds each state into its era's sums as it steps and keeps every N-th
+state, and the summary is divided from those sums.  :func:`era_summary`
+takes the same summary from a trajectory's stored states, folding them in
+order; it is the reference those sums are checked against.  The convergence
+study imports numpy for its norms, whose last bits can depend on the BLAS
+thread count on long grids (:func:`~tristep.numerics.discrete_l2_time_norm`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cpmodel import EraPreset, cp_rhs
 from .manufactured import ManufacturedProblem
 from .numerics import (
-    StreamedRun,
     TimeGrid,
     Trajectory,
     build_grid,
@@ -144,41 +139,32 @@ def _column_sums(
     return eras, (float(np.add.reduce(column)),)
 
 
-@functools.cache
-def _fold(dim: int) -> Callable[[array, Sequence[int]], tuple[list, tuple]]:
-    """``fold(values, starts)``: the column sums of every era, then of all rows.
+def _in_order(column: Iterable[float]) -> float:
+    """The sum of ``column`` from 0.0, in order.
 
-    ``values`` holds rows of ``dim`` floats one after the other, and
-    ``starts`` is :func:`era_starts`' result.  Every sum starts from 0.0 and
-    adds its rows in order, one local per column, which is bitwise how
-    numpy's axis-0 mean of two or more columns sums them (an all -0.0 column
-    sums to 0.0 there too).  The fold is generated once per dimension with
-    the rows unpacked into locals, as the scheme's ``march`` is, and never
-    calls ``sum``, which compensates its rounding since Python 3.12.
+    Never ``sum``, which compensates its rounding since Python 3.12.
+    """
+    total = 0.0
+    for v in column:
+        total += v
+    return total
+
+
+def _fold(values: array, starts: Sequence[int], dim: int) -> tuple[list, tuple]:
+    """The column sums of every era, then of all rows, of rows of ``dim`` floats.
+
+    ``values`` holds the rows one after the other, and ``starts`` is
+    :func:`era_starts`' result.  Every sum starts from 0.0 and adds its rows
+    in order, which is bitwise how numpy's axis-0 mean of two or more
+    columns sums them (an all -0.0 column sums to 0.0 there too).
     """
     if dim == 1:
-        return _column_sums
-
-    def names(name: str, between: str = ", ") -> str:
-        return between.join(f"{name}{i}" for i in range(dim))
-
-    lines = [
-        "def fold(values, starts):",
-        f"    rows = zip(*[iter(values)] * {dim})",
-        f"    {names('o', ' = ')} = 0.0",
-        f"    for {names('y')} in islice(rows, starts[0]):",  # rows before the first era
-        *(f"        o{i} += y{i}" for i in range(dim)),
-        "    eras = []",
-        "    for a, b in zip(starts, starts[1:]):",
-        f"        {names('e', ' = ')} = 0.0",
-        f"        for {names('y')} in islice(rows, b - a):",
-        *(f"            {sums}{i} += y{i}" for i in range(dim) for sums in "eo"),
-        f"        eras.append(({names('e')}))",
-        f"    return eras, ({names('o')})",
+        return _column_sums(values, starts)
+    eras = [
+        tuple(_in_order(values[a * dim + i : b * dim : dim]) for i in range(dim))
+        for a, b in zip(starts, starts[1:])
     ]
-    namespace = {"islice": islice}
-    exec("\n".join(lines), namespace)
-    return namespace["fold"]
+    return eras, tuple(_in_order(values[i::dim]) for i in range(dim))
 
 
 def era_summary(
@@ -191,13 +177,17 @@ def era_summary(
     in [t0, T], and the share is overall_average / N * 100.  Averages are
     sample means: the sum of an era's grid samples over their count,
     bitwise numpy's ``states[a:b].mean(axis=0)``.  Rounding for display
-    happens at emission only; the returned rows keep raw values.
+    happens at emission only; the returned rows keep raw values.  The
+    trajectory must hold all M + 1 states; the sums its kernel took are not
+    read.
 
     Raises:
-      ValueError: If the boundaries do not span the trajectory's time range,
-        are not strictly increasing, leave an era without a grid point, or
-        N is not positive.
+      ValueError: If the trajectory does not hold every state, the
+        boundaries do not span its time range, are not strictly increasing,
+        leave an era without a grid point, or N is not positive.
     """
+    if trajectory.every != 1:
+        raise ValueError("era_summary needs a trajectory of all M + 1 states")
     bounds = tuple(float(b) for b in boundaries)
     grid = trajectory.grid
     starts = era_starts(grid, bounds)
@@ -206,7 +196,7 @@ def era_summary(
     tol = 1e-9 * max(1.0, abs(grid.t0), abs(grid.T))
     if abs(bounds[0] - grid.t0) > tol or abs(bounds[-1] - grid.T) > tol:
         raise ValueError("era boundaries must span exactly the trajectory's time range")
-    era_sums, overall_sums = _fold(trajectory.dim)(trajectory.values, starts)
+    era_sums, overall_sums = _fold(trajectory.values, starts, trajectory.dim)
     return _summary_rows(grid, starts, era_sums, overall_sums, N)
 
 
@@ -235,27 +225,22 @@ def run_scenario(
     preset: EraPreset,
     sign: SignConvention = SignConvention.PLUS,
     *,
-    streamed: bool = False,
     every: int | None = 1,
-) -> tuple[Trajectory | StreamedRun, list[EraSummaryRow]]:
+) -> tuple[Trajectory, list[EraSummaryRow]]:
     """Integrate a preset over its grid and summarize it by era.
 
-    By default the run is stored: the :class:`Trajectory` holds every state,
-    and :func:`era_summary` folds it.  With ``streamed=True`` the run is
-    streamed by its era starts (see :func:`~tristep.scheme.integrate`): the
-    :class:`StreamedRun` keeps the states at grid points 0, ``every``,
-    2 * ``every``, ... and M (none when ``every`` is None), and the summary
-    is taken from its sums, bitwise the stored run's.
+    The run is summed by the preset's era starts (see
+    :func:`~tristep.scheme.integrate`), and the summary is divided from its
+    sums, bitwise :func:`era_summary` of the run's states.  The
+    :class:`Trajectory` keeps the states at grid points 0, ``every``,
+    2 * ``every``, ... and M: all of them by default, none when ``every`` is
+    None.
 
     Negativity is surfaced through the run's flag; numerical blow-up
     propagates as ``NumericalBlowupError`` carrying the failing step index
-    and the partial run (only its kept states when streamed).  Identical
-    inputs produce bitwise-identical output.
+    and the partial run's kept states.  Identical inputs produce
+    bitwise-identical output.
     """
-    field = cp_rhs(preset.params)
-    if not streamed:
-        trajectory = integrate(field, preset.y0, preset.grid, sign)
-        return trajectory, era_summary(trajectory, preset.era_boundaries, preset.params.N)
     starts = era_starts(preset.grid, preset.era_boundaries)
-    run = integrate(field, preset.y0, preset.grid, sign, eras=starts, every=every)
-    return run, _summary_rows(run.grid, run.starts, run.era_sums, run.overall_sums, preset.params.N)
+    run = integrate(cp_rhs(preset.params), preset.y0, preset.grid, sign, eras=starts, every=every)
+    return run, _summary_rows(run.grid, starts, run.era_sums, run.overall_sums, preset.params.N)

@@ -36,6 +36,7 @@ from tristep.cli import (
     read_trajectory_csv,
     round_half_away,
     trajectory_row_indices,
+    write_trajectory_csv,
 )
 
 FROZEN_CONFIG = """\
@@ -375,6 +376,26 @@ def test_simulate_blowup_partial_trajectory_honours_every(tmp_path, capsys):
     assert np.array_equal(states, full_states[indices])
     assert np.array_equal(states[-1], full_states[-1])
     assert np.isfinite(states).all()
+
+
+@pytest.mark.parametrize("every", [0, -1])
+def test_row_indices_and_the_csv_writer_reject_every_below_one_as_integrate_does(every):
+    field, grid = cp_rhs(preset("cameroon-1960").params), build_grid(0.0, 1.0, 0.25)
+    trajectory = integrate(field, [1.0] * 5, grid)
+    message = f"every must be None or a positive int, got {every}"
+    with pytest.raises(ValueError, match=message):
+        integrate(field, [1.0] * 5, grid, every=every)
+    with pytest.raises(ValueError, match=message):
+        trajectory_row_indices(grid.M, every)
+    with pytest.raises(ValueError, match=message):
+        write_trajectory_csv(io.StringIO(), trajectory, every)
+
+
+def test_the_csv_writer_rejects_a_decimated_trajectory():
+    grid = build_grid(0.0, 1.0, 0.25)
+    run = integrate(cp_rhs(preset("cameroon-1960").params), [1.0] * 5, grid, every=2)
+    with pytest.raises(ValueError, match="all M \\+ 1 states"):
+        write_trajectory_csv(io.StringIO(), run)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

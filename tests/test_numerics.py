@@ -18,6 +18,7 @@ from tristep import (
     example1,
     sup_norm,
 )
+from tristep.numerics import kept_count, trajectory_row_indices
 
 
 def test_sup_norm_zero_vector():
@@ -234,3 +235,27 @@ def test_trajectory_requires_full_sample_count():
         Trajectory(grid=grid, values=array("d", [0.0]) * 6)
     traj = Trajectory(grid=grid, values=array("d", [0.0]) * 10)
     assert traj.dim == 2
+    assert traj.starts is traj.era_sums is traj.overall_sums is traj.negativity_flag is None
+
+
+def test_a_decimated_trajectory_holds_its_kept_rows():
+    grid = build_grid(0.0, 1.0, 0.2)  # M = 5, rows 0, 2, 4 and 5 kept at every 2
+    assert trajectory_row_indices(grid.M, 2) == [0, 2, 4, 5]
+    assert Trajectory(grid, array("d", range(8)), every=2).states.tolist() == [
+        [0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]
+    ]
+    with pytest.raises(ValueError, match="exactly 4 state samples"):
+        Trajectory(grid, array("d", range(10)), every=2)
+    kept_none = Trajectory(grid, array("d"), every=None, overall_sums=(1.0, 2.0))
+    assert kept_none.dim == 2 and kept_none.states.shape == (0, 2)
+    with pytest.raises(ValueError, match="exactly 0 state samples"):
+        Trajectory(grid, array("d"), every=None)
+    for every in (0, -1, 2.0):
+        with pytest.raises(ValueError, match="every must be None or a positive int"):
+            Trajectory(grid, array("d", range(12)), every=every)
+
+
+def test_kept_count_is_the_number_of_kept_rows():
+    for last in range(30):
+        for every in (*range(1, 9), last + 1, None):
+            assert kept_count(last, every) == len(trajectory_row_indices(last, every))

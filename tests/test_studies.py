@@ -191,6 +191,12 @@ def test_era_summary_matches_sample_mean_oracle_on_a_ramp():
     assert share_total == pytest.approx(mean_total / 10.0 * 100.0, rel=1e-13)
 
 
+def test_era_summary_rejects_a_decimated_trajectory():
+    run, _ = run_scenario(preset("cameroon-1960"), every=2)
+    with pytest.raises(ValueError, match="all M \\+ 1 states"):
+        era_summary(run, preset("cameroon-1960").era_boundaries, 1.0)
+
+
 def test_era_summary_rejects_mismatched_boundaries():
     grid = build_grid(0.0, 2.0, 0.25)
     traj = constant_trajectory(grid, np.ones(5))
@@ -272,30 +278,33 @@ def test_a_streamed_scenario_is_bitwise_the_stored_one(label):
     # the eras and the kept rows cross the kernel's blocks of BLOCK_ROWS steps
     scenario = preset(label)
     trajectory, rows = run_scenario(scenario)
+    states = trajectory.states
+    expected = era_summary(trajectory, scenario.era_boundaries, scenario.params.N)
+    assert repr(rows) == repr(expected)  # repr tells -0.0 from 0.0
+    assert trajectory.negativity_flag is bool((states < 0.0).any())
     M = scenario.grid.M
-    for every in (1, 7, 1000, M, M + 1, None):
-        run, streamed_rows = run_scenario(scenario, streamed=True, every=every)
-        assert repr(streamed_rows) == repr(rows)  # repr tells -0.0 from 0.0
-        kept = trajectory_row_indices(M, every) if every else []
-        assert run.rows.tobytes() == trajectory.states[kept].tobytes()
+    for every in (7, 1000, M, M + 1, None):
+        run, decimated_rows = run_scenario(scenario, every=every)
+        assert repr(decimated_rows) == repr(rows)
+        assert run.values.tobytes() == states[trajectory_row_indices(M, every)].tobytes()
         assert run.negativity_flag is trajectory.negativity_flag
 
 
 @pytest.mark.parametrize("label", ["cameroon-1960", "cameroon-1986", "cameroon-2002"])
 def test_a_streamed_blowup_carries_the_kept_rows_of_the_stored_one(label):
     scenario = preset(label)
-    with pytest.raises(NumericalBlowupError) as stored:
+    with pytest.raises(NumericalBlowupError) as whole:
         run_scenario(scenario, SignConvention.MINUS)
-    n = stored.value.step_index
-    states = np.frombuffer(stored.value.partial_states).reshape(n + 1, 5)
-    for every in (1, 7, 1000, n, n + 1, None):
-        with pytest.raises(NumericalBlowupError) as streamed:
-            run_scenario(scenario, SignConvention.MINUS, streamed=True, every=every)
-        err = streamed.value
+    n = whole.value.step_index
+    states = np.frombuffer(whole.value.partial_states).reshape(n + 1, 5)
+    for every in (7, 1000, n, n + 1, None):
+        with pytest.raises(NumericalBlowupError) as decimated:
+            run_scenario(scenario, SignConvention.MINUS, every=every)
+        err = decimated.value
         assert (err.step_index, err.t, err.last_state) == (
             n,
-            stored.value.t,
-            stored.value.last_state,
+            whole.value.t,
+            whole.value.last_state,
         )
-        kept = trajectory_row_indices(n, every) if every else []
+        kept = trajectory_row_indices(n, every)
         assert err.partial_states.tobytes() == states[kept].tobytes()

@@ -12,6 +12,10 @@ blow-up (the partial trajectory is still written), 130 interrupted
 ``error: <message>`` line to standard error; a process started with standard
 error closed drops that line and keeps the exit code.
 
+A ``simulate`` run keeps only the rows its trajectory CSV emits, every N-th
+and the last, and none without ``--out``.  One writer emits them, for a
+completed run and for the partial states of a blown-up one alike.
+
 :func:`main` runs every command with ``OPENBLAS_NUM_THREADS=1`` in the
 process environment and restores the caller's value, or its absence, on
 return.  ``import tristep.cli`` loads no numpy, so the setting is in place
@@ -31,7 +35,7 @@ import stat
 import sys
 from pathlib import Path
 from struct import Struct
-from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .config import parse_config, preset_from_config
 from .cpmodel import PRESET_LABELS, preset
@@ -94,44 +98,25 @@ def write_convergence_csv(stream: TextIO, rows: Sequence[ConvergenceRow]) -> Non
         )
 
 
-def write_trajectory_csv(stream: TextIO, trajectory: Trajectory, every: int = 1) -> None:
-    """Emit the states of a whole trajectory at ``trajectory_row_indices(M, every)``.
-
-    Raises:
-      ValueError: If ``every`` is neither None nor a positive int, or the
-        trajectory does not hold all M + 1 states.
-    """
-    if trajectory.every != 1:
-        raise ValueError("write_trajectory_csv needs a trajectory of all M + 1 states")
-    row, values = Struct(f"{trajectory.dim}d"), trajectory.values
-    indices = trajectory_row_indices(trajectory.grid.M, every)
-    rows = (row.unpack_from(values, n * row.size) for n in indices)
-    _write_trajectory_rows(stream, trajectory.grid, trajectory.dim, indices, rows)
-
-
-def _write_kept_rows(
-    stream: TextIO, grid: TimeGrid, kept: array, dim: int, last_index: int, every: int
-) -> None:
-    """Emit the rows a run kept of grid points 0..``last_index``.
-
-    ``kept`` holds the rows ``trajectory_row_indices(last_index, every)``
-    picks, one after the other, as a flat ``array('d')``.
-    """
-    indices = trajectory_row_indices(last_index, every)
-    _write_trajectory_rows(stream, grid, dim, indices, Struct(f"{dim}d").iter_unpack(kept))
+def write_trajectory_csv(stream: TextIO, trajectory: Trajectory) -> None:
+    """Emit the states a trajectory kept, at ``trajectory_row_indices(M, every)``."""
+    grid, every = trajectory.grid, trajectory.every
+    _write_trajectory_rows(stream, grid, trajectory.values, trajectory.dim, grid.M, every)
 
 
 def _write_trajectory_rows(
-    stream: TextIO,
-    grid: TimeGrid,
-    dim: int,
-    indices: Sequence[int],
-    rows: Iterable[Sequence[float]],
+    stream: TextIO, grid: TimeGrid, kept: array, dim: int, last_index: int, every: int | None
 ) -> None:
-    """Emit the header, then each of ``rows`` with the time of its grid point in ``indices``."""
+    """Emit the header, then the rows a run kept of grid points 0..``last_index``.
+
+    ``kept`` holds the rows ``trajectory_row_indices(last_index, every)``
+    picks, one after the other, as a flat ``array('d')``; each is written
+    after the time of its grid point.
+    """
+    indices = trajectory_row_indices(last_index, every)
     stream.write(",".join(["t"] + [f"y{i + 1}" for i in range(dim)]) + "\n")
     line = ",".join(["%.17g"] * (dim + 1)) + "\n"
-    for n, values in zip(indices, rows):
+    for n, values in zip(indices, Struct(f"{dim}d").iter_unpack(kept)):
         stream.write(line % (grid.time(n), *values))
 
 
@@ -323,7 +308,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             try:
                 _write_csv(
                     args.out,
-                    _write_kept_rows,
+                    _write_trajectory_rows,
                     scenario.grid,
                     err.partial_states,
                     len(err.last_state),
@@ -340,7 +325,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.out is not None:
-        _write_csv(args.out, _write_kept_rows, run.grid, run.values, run.dim, run.grid.M, every)
+        _write_csv(args.out, write_trajectory_csv, run)
     if args.summary_out is not None:
         _write_csv(args.summary_out, write_summary_csv, rows, scenario.era_boundaries)
     _print_summary_table(rows, scenario.era_boundaries)

@@ -221,7 +221,8 @@ class EraPreset:
     ``build_grid(t0, T, k)``, derived and never passed; its points must fit
     in memory.  ``era_boundaries`` partitions [t0, T] for the summary
     tables: ``era_starts`` checks them against ``grid``, and they must start
-    at t0 and end at T.
+    at t0 and end at T.  ``starts`` keeps that check's result, derived and
+    never passed like ``grid``.
     ``alpha_warning`` marks presets whose stored contact rates disagree with
     p*(1 - beta); the stored values drive the dynamics, the flag surfaces the
     discrepancy.
@@ -236,6 +237,7 @@ class EraPreset:
     era_boundaries: tuple[float, ...]
     alpha_warning: bool = False
     grid: TimeGrid = field(init=False, repr=False)
+    starts: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "y0", finite_state_floats(self.y0, dim=5))
@@ -254,10 +256,11 @@ class EraPreset:
                 f"the grid's {grid.M + 1} points do not fit in memory"
             ) from None
         bounds = self.era_boundaries
-        era_starts(grid, bounds)
+        starts = era_starts(grid, bounds)
         if bounds[0] != self.t0 or bounds[-1] != self.T:
             raise ValueError("era boundaries must start at t0 and end at T")
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "starts", starts)
         total, *rest = self.y0
         for value in rest:  # left to right, as numpy sums five values
             total += value

@@ -4,9 +4,10 @@ Everything here is a pure function of its inputs; values can be shared
 freely across threads.  A grid is stated by its span and step count, and
 derives its step from them.  Grids, era bounds, state checks and trajectories
 run on Python floats and ints; a trajectory keeps the states its run kept,
-every N-th or all of them, in one flat ``array('d')``, with the era sums and
-the sign flag its kernel took as it stepped.  numpy is imported only by the
-functions that make or read numpy arrays (``as_state``, ``TimeGrid.times``,
+every N-th or all of them, in one flat ``array('d')``, with the sums by
+era and the sign flag its kernel took as it stepped; the era starts stay
+with the caller that chose them.  numpy is imported only by the functions
+that make or read numpy arrays (``as_state``, ``TimeGrid.times``,
 ``Trajectory.states`` and the norms).
 """
 
@@ -155,19 +156,17 @@ class Trajectory:
     a ``(rows, dim)`` float64 numpy array that shares its memory.
 
     :func:`~tristep.scheme.integrate` fills in the fields its kernel computes
-    as it steps; a trajectory built by hand may leave them None.  ``starts``
-    are the era starts the run was summed by, as :func:`era_starts` gives
-    them.  ``era_sums`` holds one tuple of per-component sums per era,
-    ``overall_sums`` the sums over all M + 1 states; each sum starts from 0.0
-    and adds its states in grid order.  ``negativity_flag`` is true when any
-    component of any state is negative (-0.0 is not); negative values are
-    reported, never clamped.
+    as it steps; a trajectory built by hand may leave them None.
+    ``era_sums`` holds one tuple of per-component sums per era of the run's
+    era starts, ``overall_sums`` the sums over all M + 1 states; each sum
+    starts from 0.0 and adds its states in grid order.  ``negativity_flag``
+    is true when any component of any state is negative (-0.0 is not);
+    negative values are reported, never clamped.
     """
 
     grid: TimeGrid
     values: array
     every: int | None = 1
-    starts: tuple[int, ...] | None = None
     era_sums: tuple[tuple[float, ...], ...] | None = None
     overall_sums: tuple[float, ...] | None = None
     negativity_flag: bool | None = None

@@ -14,10 +14,10 @@ one-line source.  The kernel is generated once per source text: ``march``
 runs a block of macro steps in one call, with the state and the field's
 constants in local variables, and after each step adds the accepted state
 into era sums and whole-run sums, tests its sign and keeps every N-th
-state.  The component form and the substep are generated apart; each
-function is generated only when used.  The kernel gives bitwise the results
-of the same update written in numpy arithmetic, which :func:`composed_step`
-keeps.
+state.  The component form is generated apart, and :func:`heun_substep`
+runs on it; each function is generated only when used.  The kernel gives
+bitwise the results of the same update written in numpy arithmetic, which
+:func:`composed_step` keeps.
 
 numpy is imported by the functions that make or read numpy arrays, when
 first called, never by the generated kernel: building a field, checking its
@@ -93,10 +93,10 @@ class _Source:
     """A field's equations as text, with the constants the text names.
 
     Called, it is the field's array ``evaluate``: it checks the state's
-    shape and dimension, not its finiteness.  ``components``, ``substep``
-    and ``march`` are each generated from the text and compiled on first
-    use, once per text, and bound to ``constants`` by value once per
-    source; see :func:`_compiled`.
+    shape and dimension, not its finiteness.  ``components`` and ``march``
+    are each generated from the text and compiled on first use, once per
+    text, and bound to ``constants`` by value once per source; see
+    :func:`_compiled`.
     """
 
     dim: int
@@ -115,10 +115,6 @@ class _Source:
     @functools.cached_property
     def components(self) -> Components:
         return self._bound("components")
-
-    @functools.cached_property
-    def substep(self) -> Callable:
-        return self._bound("substep")
 
     @functools.cached_property
     def march(self) -> Callable:
@@ -377,10 +373,10 @@ def _names(dim: int, template: str) -> str:
 def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]) -> str:
     """Source of ``bind(constants) -> function`` for a field's text.
 
-    ``function`` is one of ``components``, ``substep`` and ``march``.  The
-    text is written from the field's text and the constants' names alone,
-    never from their values, which ``bind`` takes as arguments and the
-    function keeps as keyword defaults, so that they are its fast locals.
+    ``function`` is ``components`` or ``march``.  The text is written from
+    the field's text and the constants' names alone, never from their
+    values, which ``bind`` takes as arguments and the function keeps as
+    keyword defaults, so that they are its fast locals.
     ``march`` chains three substeps of length h from t, t1 = t + h and
     t2 = t1 + h, so the time terms run at four distinct times per step; a
     step's result is finite when the sum of its components times 0.0 is
@@ -428,13 +424,10 @@ def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]
             *(f"{out}{i} = {y}{i} + w * (a{i} + b{i})" for i in range(dim)),
         ]
 
-    state, p, q, r = (_names(dim, y + "{i}") for y in "ypqr")
+    state, p, q = (_names(dim, y + "{i}") for y in "ypq")
     if function == "components":
         parameters = "t, y"
         body = [*times(0, "t"), *stage(1, 0, "t", "y", "a"), f"return ({_names(dim, 'a{i}')})"]
-    elif function == "substep":
-        parameters = "t, y, h, w"
-        body = [*times(0, "t"), *substep(1, "t", "t1", "y", "r"), f"return ({r})"]
     else:
         step = [
             *(["t = t0 + n * k"] if ticks else []),
@@ -483,15 +476,14 @@ def _compiled(
 ) -> Callable[..., Callable]:
     """``bind(*values)``: ``function`` of one field text, bound to the constants' values.
 
-    ``components`` is ``(t, y) -> tuple``; ``substep`` is ``(t, y, h, w) ->
-    tuple`` with w = s*(h/2).  ``march(t0, k, first, stop, y, h, w, rows,
-    every, c, sums, negative)`` steps from the state ``y`` at t0 + first * k
-    and returns ``(state, c, sums, negative)``, the state at t0 + stop * k:
-    ``sums`` holds the era sums then the whole-run sums, one per component,
-    and each accepted state is added into both; ``negative`` becomes true at
-    a negative component; ``c`` counts down to the next kept row, whose
-    components are appended to ``rows`` as ``c`` reaches zero, and is reset
-    to ``every``.
+    ``components`` is ``(t, y) -> tuple``.  ``march(t0, k, first, stop, y,
+    h, w, rows, every, c, sums, negative)``, with w = s*(h/2), steps from the
+    state ``y`` at t0 + first * k and returns ``(state, c, sums, negative)``,
+    the state at t0 + stop * k: ``sums`` holds the era sums then the
+    whole-run sums, one per component, and each accepted state is added
+    into both; ``negative`` becomes true at a negative component; ``c``
+    counts down to the next kept row, whose components are appended to
+    ``rows`` as ``c`` reaches zero, and is reset to ``every``.
     Each stage is the field's text inlined, so the field is evaluated six
     times per macro step without a call.
     """
@@ -527,7 +519,11 @@ def heun_substep(
     import numpy as np
 
     y = finite_state_floats(y, dim=f.dim)
-    out = _source(f).substep(t, y, h, sign.factor * (h / 2.0))
+    g, w = _source(f).components, sign.factor * (h / 2.0)
+    # the float operations of march's substep, in the same order
+    a = g(t, y)
+    b = g(t + h, tuple(v + h * d for v, d in zip(y, a)))
+    out = [v + w * (c + d) for v, c, d in zip(y, a, b)]
     if not _finite(out):
         raise _blowup(t, y)
     return np.array(out)
@@ -713,7 +709,7 @@ def _run(
             sums = (0.0,) * dim + sums[dim:]
     if every and grid.M % every:
         values[kept:] = array("d", y)
-    return Trajectory(grid, values, every, starts, tuple(era_sums), sums[dim:], negative)
+    return Trajectory(grid, values, every, tuple(era_sums), sums[dim:], negative)
 
 
 def zero_stability_roots() -> tuple[complex, complex, complex]:

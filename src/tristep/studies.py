@@ -5,16 +5,16 @@ concurrently, with result order fixed by input order.  A scenario run
 (:func:`run_scenario`) stays on Python floats and imports no numpy: the
 kernel adds each state into its era's sums as it steps and keeps every N-th
 state, and the summary is divided from those sums.  :func:`era_summary`
-takes the same summary from a trajectory's stored states, folding them in
-order; it is the reference those sums are checked against.  The convergence
-study imports numpy for its norms, whose last bits can depend on the BLAS
-thread count on long grids (:func:`~tristep.numerics.discrete_l2_time_norm`).
+takes the same summary from a trajectory's stored states as numpy's means;
+it is the reference those sums are checked against.  It and the convergence
+study import numpy; the study's norms can depend in their last bits on the
+BLAS thread count on long grids
+(:func:`~tristep.numerics.discrete_l2_time_norm`).
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -124,49 +124,6 @@ def run_convergence_study(
     return rows
 
 
-def _column_sums(
-    values: array, starts: Sequence[int]
-) -> tuple[list[tuple[float, ...]], tuple[float, ...]]:
-    """The sums of a one-column trajectory, by numpy.
-
-    numpy's mean sums a single column pairwise, not row by row, so its bits
-    cannot be had from a fold in order.
-    """
-    import numpy as np
-
-    column = np.frombuffer(values, dtype=np.float64)
-    eras = [(float(np.add.reduce(column[a:b])),) for a, b in zip(starts, starts[1:])]
-    return eras, (float(np.add.reduce(column)),)
-
-
-def _in_order(column: Iterable[float]) -> float:
-    """The sum of ``column`` from 0.0, in order.
-
-    Never ``sum``, which compensates its rounding since Python 3.12.
-    """
-    total = 0.0
-    for v in column:
-        total += v
-    return total
-
-
-def _fold(values: array, starts: Sequence[int], dim: int) -> tuple[list, tuple]:
-    """The column sums of every era, then of all rows, of rows of ``dim`` floats.
-
-    ``values`` holds the rows one after the other, and ``starts`` is
-    :func:`era_starts`' result.  Every sum starts from 0.0 and adds its rows
-    in order, which is bitwise how numpy's axis-0 mean of two or more
-    columns sums them (an all -0.0 column sums to 0.0 there too).
-    """
-    if dim == 1:
-        return _column_sums(values, starts)
-    eras = [
-        tuple(_in_order(values[a * dim + i : b * dim : dim]) for i in range(dim))
-        for a, b in zip(starts, starts[1:])
-    ]
-    return eras, tuple(_in_order(values[i::dim]) for i in range(dim))
-
-
 def era_summary(
     trajectory: Trajectory, boundaries: Iterable[float], N: float
 ) -> list[EraSummaryRow]:
@@ -175,7 +132,7 @@ def era_summary(
     Eras are left-closed and right-open, except the final era which also
     includes the right endpoint.  The overall average runs over all samples
     in [t0, T], and the share is overall_average / N * 100.  Averages are
-    sample means: the sum of an era's grid samples over their count,
+    sample means: numpy's sum of an era's grid samples over their count,
     bitwise numpy's ``states[a:b].mean(axis=0)``.  Rounding for display
     happens at emission only; the returned rows keep raw values.  The
     trajectory must hold all M + 1 states; the sums its kernel took are not
@@ -196,8 +153,9 @@ def era_summary(
     tol = 1e-9 * max(1.0, abs(grid.t0), abs(grid.T))
     if abs(bounds[0] - grid.t0) > tol or abs(bounds[-1] - grid.T) > tol:
         raise ValueError("era boundaries must span exactly the trajectory's time range")
-    era_sums, overall_sums = _fold(trajectory.values, starts, trajectory.dim)
-    return _summary_rows(grid, starts, era_sums, overall_sums, N)
+    states = trajectory.states
+    era_sums = [states[a:b].sum(axis=0).tolist() for a, b in zip(starts, starts[1:])]
+    return _summary_rows(grid, starts, era_sums, states.sum(axis=0).tolist(), N)
 
 
 def _summary_rows(
@@ -241,6 +199,6 @@ def run_scenario(
     and the partial run's kept states.  Identical inputs produce
     bitwise-identical output.
     """
-    starts = era_starts(preset.grid, preset.era_boundaries)
-    run = integrate(cp_rhs(preset.params), preset.y0, preset.grid, sign, eras=starts, every=every)
-    return run, _summary_rows(run.grid, starts, run.era_sums, run.overall_sums, preset.params.N)
+    grid, starts = preset.grid, preset.starts
+    run = integrate(cp_rhs(preset.params), preset.y0, grid, sign, eras=starts, every=every)
+    return run, _summary_rows(grid, starts, run.era_sums, run.overall_sums, preset.params.N)

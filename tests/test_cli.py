@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 import tristep
 from tristep import (
+    Trajectory,
     build_grid,
     cp_rhs,
     format_config,
@@ -381,21 +383,32 @@ def test_simulate_blowup_partial_trajectory_honours_every(tmp_path, capsys):
 @pytest.mark.parametrize("every", [0, -1])
 def test_row_indices_and_the_csv_writer_reject_every_below_one_as_integrate_does(every):
     field, grid = cp_rhs(preset("cameroon-1960").params), build_grid(0.0, 1.0, 0.25)
-    trajectory = integrate(field, [1.0] * 5, grid)
     message = f"every must be None or a positive int, got {every}"
     with pytest.raises(ValueError, match=message):
         integrate(field, [1.0] * 5, grid, every=every)
     with pytest.raises(ValueError, match=message):
         trajectory_row_indices(grid.M, every)
+    # write_trajectory_csv takes its every from the trajectory, which rejects it
     with pytest.raises(ValueError, match=message):
-        write_trajectory_csv(io.StringIO(), trajectory, every)
+        Trajectory(grid, array("d", [1.0]) * 25, every=every)
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        cli._write_trajectory_rows(stream, grid, array("d"), 5, grid.M, every)
+    assert stream.getvalue() == ""
 
 
-def test_the_csv_writer_rejects_a_decimated_trajectory():
-    grid = build_grid(0.0, 1.0, 0.25)
-    run = integrate(cp_rhs(preset("cameroon-1960").params), [1.0] * 5, grid, every=2)
-    with pytest.raises(ValueError, match="all M \\+ 1 states"):
-        write_trajectory_csv(io.StringIO(), run)
+def test_the_csv_writer_writes_the_rows_a_decimated_trajectory_kept():
+    field, grid = cp_rhs(preset("cameroon-1960").params), build_grid(0.0, 1.0, 0.05)
+    whole = integrate(field, [1.0, 2.0, 3.0, 4.0, 5.0], grid)
+    for every in (1, 7, grid.M, grid.M + 3, None):
+        run = integrate(field, [1.0, 2.0, 3.0, 4.0, 5.0], grid, every=every)
+        stream = io.StringIO()
+        write_trajectory_csv(stream, run)
+        rows = [
+            ",".join("%.17g" % v for v in (grid.time(n), *whole.states[n]))
+            for n in trajectory_row_indices(grid.M, every)
+        ]
+        assert stream.getvalue().splitlines() == ["t,y1,y2,y3,y4,y5", *rows], every
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -17,6 +17,7 @@ from tristep import (
     conservation_residual,
     cp_rhs,
     effective_contact_rates,
+    era_starts,
     positivity_step_bound,
     preset,
 )
@@ -251,6 +252,16 @@ def test_preset_grid_is_derived_from_its_step(label):
     assert "grid" not in repr(finer)
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(scenario, grid=finer.grid)
+
+
+@pytest.mark.parametrize("label", PRESET_LABELS)
+def test_preset_starts_are_its_era_starts_also_after_replace(label):
+    scenario = preset(label)
+    assert scenario.starts == era_starts(scenario.grid, scenario.era_boundaries)
+    coarser = dataclasses.replace(scenario, k=0.25)
+    assert coarser.starts == era_starts(coarser.grid, coarser.era_boundaries)
+    assert coarser.starts != scenario.starts
+    assert "starts" not in repr(coarser)
 
 
 def test_preset_unknown_label_is_usage_error():

@@ -235,7 +235,7 @@ def test_trajectory_requires_full_sample_count():
         Trajectory(grid=grid, values=array("d", [0.0]) * 6)
     traj = Trajectory(grid=grid, values=array("d", [0.0]) * 10)
     assert traj.dim == 2
-    assert traj.starts is traj.era_sums is traj.overall_sums is traj.negativity_flag is None
+    assert traj.era_sums is traj.overall_sums is traj.negativity_flag is None
 
 
 def test_a_decimated_trajectory_holds_its_kept_rows():

@@ -14,7 +14,9 @@ error closed drops that line and keeps the exit code.
 
 A ``simulate`` run keeps only the rows its trajectory CSV emits, every N-th
 and the last, and none without ``--out``.  One writer emits them, for a
-completed run and for the partial states of a blown-up one alike.
+completed run and for the partial states of a blown-up one alike.  Every
+CSV writer joins its fields with commas, none of which needs quoting; only
+:func:`read_trajectory_csv` imports ``csv``, when first called.
 
 :func:`main` runs every command with ``OPENBLAS_NUM_THREADS=1`` in the
 process environment and restores the caller's value, or its absence, on
@@ -27,13 +29,11 @@ table get the same bits whatever the core count.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import math
 import os
 import stat
 import sys
-from pathlib import Path
 from struct import Struct
 from typing import TYPE_CHECKING, Sequence, TextIO
 
@@ -84,17 +84,13 @@ def round_half_away(value: float) -> float:
 
 
 def write_convergence_csv(stream: TextIO, rows: Sequence[ConvergenceRow]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["k", "y_norm", "Y_norm", "E_norm", "rate"])
+    """Emit the header, then one row per table row; an absent rate is an empty field."""
+    stream.write("k,y_norm,Y_norm,E_norm,rate\n")
     for row in rows:
-        writer.writerow(
-            [
-                "%.17g" % row.k,
-                "%.17g" % row.exact_norm,
-                "%.17g" % row.numeric_norm,
-                "%.17g" % row.error_norm,
-                "" if row.rate is None else "%.17g" % row.rate,
-            ]
+        rate = "" if row.rate is None else "%.17g" % row.rate
+        stream.write(
+            "%.17g,%.17g,%.17g,%.17g,%s\n"
+            % (row.k, row.exact_norm, row.numeric_norm, row.error_norm, rate)
         )
 
 
@@ -130,6 +126,8 @@ def read_trajectory_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
       ValueError: If there is no header row, or a record does not have
         the header's number of fields.
     """
+    import csv
+
     import numpy as np
 
     reader = csv.reader(stream)
@@ -159,14 +157,17 @@ def era_column_labels(boundaries: Sequence[float]) -> list[str]:
 def write_summary_csv(
     stream: TextIO, rows: Sequence[EraSummaryRow], boundaries: Sequence[float]
 ) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["compartment", *era_column_labels(boundaries), "average", "rate_percent"])
+    """Emit the header, then one row per compartment: era averages, average, share.
+
+    The fields are joined by commas as they are: compartment names, era
+    labels and numbers hold no comma, quote or line break to quote.
+    """
+    header = ["compartment", *era_column_labels(boundaries), "average", "rate_percent"]
+    stream.write(",".join(header) + "\n")
     for row in rows:
-        writer.writerow(
-            [row.compartment]
-            + ["%.17g" % v for v in row.era_averages]
-            + ["%.17g" % row.overall_average, f"{round_half_away(row.share_percent):.1f}"]
-        )
+        cells = [row.compartment, *("%.17g" % v for v in row.era_averages)]
+        cells += ["%.17g" % row.overall_average, f"{round_half_away(row.share_percent):.1f}"]
+        stream.write(",".join(cells) + "\n")
 
 
 # ------------------------------------------------------------- stdout tables
@@ -276,7 +277,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scenario, sign = preset(args.preset), SignConvention.PLUS
     else:
         try:
-            config = parse_config(Path(args.config).read_text(encoding="utf-8-sig"))
+            with open(args.config, encoding="utf-8-sig") as stream:
+                config = parse_config(stream.read())
             scenario, sign = preset_from_config(config), config.sign
         except OSError as exc:
             raise _Failure(EXIT_IO, f"cannot read {args.config}: {exc}")

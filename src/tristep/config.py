@@ -3,13 +3,15 @@
 `#` starts a comment, blank lines are ignored, keys are case-insensitive,
 and repeating a key is an error at its second occurrence.  `y0` and `eras`
 take comma-separated lists.  Emitted text round-trips: parsing it yields
-the exact same numbers.
+the exact same numbers.  A parsed :class:`RunConfig` is a named tuple; the
+config keys of the rates are the fields of the `CpParams` dataclass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from typing import NamedTuple
 
 from .cpmodel import CpParams, EraPreset, alpha_mismatch
 from .scheme import SignConvention
@@ -40,8 +42,7 @@ _REQUIRED_KEYS = _SCALAR_KEYS + _LIST_KEYS
 _ALL_KEYS = _REQUIRED_KEYS + ("sign",)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed run configuration: horizon, step, sign, rates, state and eras."""
 
     t0: float

@@ -8,14 +8,15 @@ every N-th or all of them, in one flat ``array('d')``, with the sums by
 era and the sign flag its kernel took as it stepped; the era starts stay
 with the caller that chose them.  numpy is imported only by the functions
 that make or read numpy arrays (``as_state``, ``TimeGrid.times``,
-``Trajectory.states`` and the norms).
+``Trajectory.states`` and the norms).  ``TimeGrid`` and ``Trajectory`` are
+read-only ``__slots__`` classes on :class:`Frozen`, not dataclasses, so
+importing the module generates and compiles no methods.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -82,26 +83,56 @@ def as_state(values: Iterable[float], dim: int) -> np.ndarray:
     return np.array(finite_state_floats(values, dim), dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class Frozen:
+    """Base of a value type whose attributes, once ``__init__`` has set them, are read only.
+
+    Assigning or deleting an attribute raises ``AttributeError``; ``__init__``
+    sets them through ``object.__setattr__``.  The ``repr`` names every
+    attribute of ``__slots__``, in order.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TimeGrid(Frozen):
     """Uniform partition of [t0, T] into M steps of size k = (T - t0) / M.
 
     The step ``k`` is derived from the other three fields, never passed.
     Grid point ``n`` sits at ``t0 + n * k`` for n = 0..M; the last point
-    lands on T up to one unit in the last place.
+    lands on T up to one unit in the last place.  Grids are read only, equal
+    when their four fields are, and hashable.
     """
 
-    t0: float
-    T: float
-    M: int
-    k: float = field(init=False)
+    __slots__ = ("t0", "T", "M", "k")
 
-    def __post_init__(self) -> None:
-        if not self.T > self.t0:
+    def __init__(self, t0: float, T: float, M: int) -> None:
+        if not T > t0:
             raise ValueError("time grid requires T > t0")
-        if self.M < 1:
+        if M < 1:
             raise ValueError("time grid requires at least one step")
-        object.__setattr__(self, "k", (self.T - self.t0) / self.M)
+        for name, value in zip(self.__slots__, (t0, T, M, (T - t0) / M)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.t0, self.T, self.M, self.k) == (other.t0, other.T, other.M, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.t0, self.T, self.M, self.k))
+
+    def __reduce__(self) -> tuple:
+        return TimeGrid, (self.t0, self.T, self.M)
 
     def time(self, n: int) -> float:
         """The grid point t_n = t0 + n * k."""
@@ -145,8 +176,7 @@ def kept_count(last_index: int, every: int | None) -> int:
     return 0 if every is None else -(-last_index // every) + 1
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(Frozen):
     """Grid samples of one integration run, and the sums its kernel took.
 
     ``values`` holds the kept states one after the other as one flat
@@ -161,24 +191,34 @@ class Trajectory:
     era starts, ``overall_sums`` the sums over all M + 1 states; each sum
     starts from 0.0 and adds its states in grid order.  ``negativity_flag``
     is true when any component of any state is negative (-0.0 is not);
-    negative values are reported, never clamped.
+    negative values are reported, never clamped.  A trajectory is read only
+    and equal only to itself.
     """
 
-    grid: TimeGrid
-    values: array
-    every: int | None = 1
-    era_sums: tuple[tuple[float, ...], ...] | None = None
-    overall_sums: tuple[float, ...] | None = None
-    negativity_flag: bool | None = None
+    __slots__ = ("grid", "values", "every", "era_sums", "overall_sums", "negativity_flag")
 
-    def __post_init__(self) -> None:
-        rows = kept_count(self.grid.M, self.every)
+    def __init__(
+        self,
+        grid: TimeGrid,
+        values: array,
+        every: int | None = 1,
+        era_sums: tuple[tuple[float, ...], ...] | None = None,
+        overall_sums: tuple[float, ...] | None = None,
+        negativity_flag: bool | None = None,
+    ) -> None:
+        rows = kept_count(grid.M, every)
         if rows:
-            whole = self.values and not len(self.values) % rows
+            whole = values and not len(values) % rows
         else:  # no state kept: the sums tell the dimension
-            whole = not self.values and self.overall_sums is not None
+            whole = not values and overall_sums is not None
         if not whole:
             raise ValueError(f"trajectory must hold exactly {rows} state samples")
+        fields = (grid, values, every, era_sums, overall_sums, negativity_flag)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self) -> tuple:
+        return Trajectory, tuple(getattr(self, n) for n in self.__slots__)
 
     @property
     def dim(self) -> int:

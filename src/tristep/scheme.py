@@ -27,6 +27,11 @@ by block and writes the kept states into one flat ``array('d')``, allocated
 before the first step.  Its blow-up error carries floats: the last state as
 a tuple, the partial run as the kept rows in one flat ``array('d')``.
 
+``RhsField`` is the module's one dataclass, kept for ``dataclasses.replace``;
+the source a field wraps is a plain read-only class, so importing the
+module generates no other methods, and a field's text is dedented as
+``textwrap.dedent`` would, without importing ``textwrap``.
+
 The default :class:`SignConvention` adds the averaged slopes, which is the
 choice forced by the second-order conditions.  ``MINUS`` subtracts them
 instead; that variant drives the state away from the solution and exists
@@ -42,13 +47,14 @@ import itertools
 import keyword
 import math
 import operator
-import textwrap
+import os
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .numerics import (
     BLOCK_ROWS,
+    Frozen,
     TimeGrid,
     Trajectory,
     as_state,
@@ -88,20 +94,26 @@ class SignConvention(enum.Enum):
 Components = Callable[[float, tuple[float, ...]], Sequence[float]]
 
 
-@dataclass(frozen=True, eq=False)
-class _Source:
+class _Source(Frozen):
     """A field's equations as text, with the constants the text names.
 
     Called, it is the field's array ``evaluate``: it checks the state's
     shape and dimension, not its finiteness.  ``components`` and ``march``
     are each generated from the text and compiled on first use, once per
     text, and bound to ``constants`` by value once per source; see
-    :func:`_compiled`.
+    :func:`_compiled`.  A source is read only and equal only to itself.
     """
 
-    dim: int
-    rates: str
-    constants: Mapping[str, object]
+    def __init__(self, dim: int, rates: str, constants: Mapping[str, object]) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "constants", constants)
+
+    def __repr__(self) -> str:
+        return f"_Source(dim={self.dim!r}, rates={self.rates!r}, constants={self.constants!r})"
+
+    def __reduce__(self) -> tuple:
+        return _Source, (self.dim, self.rates, self.constants)
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -270,6 +282,19 @@ _NOT_ALLOWED = (
 )
 
 
+def _dedent(text: str) -> str:
+    """``textwrap.dedent(text)``, without importing ``textwrap``.
+
+    Lines of spaces and tabs only are emptied, then the leading spaces and
+    tabs that every other line shares are removed; lines are split at
+    ``\\n`` alone.  No line is dropped, so a statement keeps its line number.
+    """
+    lines = [line if line.strip(" \t") else "" for line in text.split("\n")]
+    shared = os.path.commonprefix([line for line in lines if line])
+    margin = len(shared) - len(shared.lstrip(" \t"))
+    return "\n".join(line[margin:] for line in lines)
+
+
 def _target_names(target: ast.expr, where: str) -> list[str]:
     if isinstance(target, ast.Name):
         return [target.id]
@@ -386,7 +411,7 @@ def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]
     a negative component, and kept when the countdown ``c`` to the next
     kept row reaches zero.
     """
-    timed, time_names, rated = _check(dim, textwrap.dedent(rates), constants)
+    timed, time_names, rated = _check(dim, _dedent(rates), constants)
     timed, rated = _pieces(timed), _pieces(rated)
     bound = {name: f"{name}__c" for name in constants}
     # the kernel keeps its times t, t1, ... only when the text reads t

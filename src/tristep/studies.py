@@ -9,14 +9,14 @@ takes the same summary from a trajectory's stored states as numpy's means;
 it is the reference those sums are checked against.  It and the convergence
 study import numpy; the study's norms can depend in their last bits on the
 BLAS thread count on long grids
-(:func:`~tristep.numerics.discrete_l2_time_norm`).
+(:func:`~tristep.numerics.discrete_l2_time_norm`).  The rows of a table or
+a summary are named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cpmodel import EraPreset, cp_rhs
 from .manufactured import ManufacturedProblem
@@ -39,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One row of a convergence table.
 
     ``rate`` is the observed order log2 of the error ratio against the
@@ -55,8 +54,7 @@ class ConvergenceRow:
     rate: float | None = None
 
 
-@dataclass(frozen=True)
-class EraSummaryRow:
+class EraSummaryRow(NamedTuple):
     """Per-compartment era averages, whole-run average and population share."""
 
     compartment: str

@@ -3,11 +3,14 @@
 The digests were recorded from the chained-substep scheme before its
 stepping code was reduced to a single kernel; any change to the arithmetic,
 the stage order or the blow-up bookkeeping shows up here as a digest change.
+The era-summary and convergence CSV texts are pinned too, as the CSV
+writers emitted them: a moved era start or a changed field format shows.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from tristep import (
     run_convergence_study,
     run_scenario,
 )
+from tristep.cli import write_convergence_csv, write_summary_csv
 
 
 def sha256(data: bytes) -> str:
@@ -59,6 +63,19 @@ CONVERGENCE_DIGESTS = {
     "example2": "64ad9d051b9ac13c7473b92100f800f8537c5abd1ea6b92a5bf85bd3ae0555f6",
 }
 
+#: digest of the write_summary_csv text of run_scenario(preset(label))
+SUMMARY_CSV_DIGESTS = {
+    "cameroon-1960": "80273722fa32eb247d407d8b7053482122e409cca1c10a463d80ec980045f969",
+    "cameroon-1986": "64cf3fc7babe22342318eb266968c2d5cc12d2d8b0238af697bd929af2f48493",
+    "cameroon-2002": "e46e2cec8f2e27f048a8dfd382bc4a6290a1ce184f36c2c96246cbdc575deb5f",
+}
+
+#: digest of the write_convergence_csv text of the k = 2^-4 .. 2^-13 table
+CONVERGENCE_CSV_DIGESTS = {
+    "example1": "fdc2f21a4c8ce9001813b9edbdc0d21c770a902cd709bcd621a9de2dd75da021",
+    "example2": "3da5c8f67e8d4326bdb639083bfaf4d7c41324847c54b3715f2c2ec13e774990",
+}
+
 
 @pytest.mark.parametrize("label", sorted(TRAJECTORY_DIGESTS))
 def test_preset_trajectory_is_bitwise_pinned(label):
@@ -88,3 +105,20 @@ def test_convergence_table_is_bitwise_pinned(label):
         ]
     )
     assert sha256(table.tobytes()) == CONVERGENCE_DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", sorted(SUMMARY_CSV_DIGESTS))
+def test_summary_csv_is_bitwise_pinned(label):
+    scenario = preset(label)
+    _, rows = run_scenario(scenario, every=None)
+    stream = io.StringIO()
+    write_summary_csv(stream, rows, scenario.era_boundaries)
+    assert sha256(stream.getvalue().encode()) == SUMMARY_CSV_DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", sorted(CONVERGENCE_CSV_DIGESTS))
+def test_convergence_csv_is_bitwise_pinned(label):
+    rows = run_convergence_study(problem(label), range(4, 14))
+    stream = io.StringIO()
+    write_convergence_csv(stream, rows)
+    assert sha256(stream.getvalue().encode()) == CONVERGENCE_CSV_DIGESTS[label]

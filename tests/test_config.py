@@ -8,6 +8,7 @@ import pytest
 from tristep import (
     ConfigError,
     PRESET_LABELS,
+    RunConfig,
     SignConvention,
     format_config,
     parse_config,
@@ -139,3 +140,19 @@ def test_round_tripped_preset_behaves_identically(label):
 def test_preset_from_config_flags_alpha_mismatch():
     config = parse_config(EXAMPLE_1960_CONFIG)
     assert preset_from_config(config).alpha_warning
+
+
+def test_a_run_config_is_a_named_tuple_of_its_fields():
+    config = parse_config(EXAMPLE_1960_CONFIG)
+    scenario = preset("cameroon-1960")
+    assert isinstance(config, RunConfig)
+    assert (config.t0, config.T, config.k) == (1960.0, 1986.0, 0.001)
+    assert config.sign is SignConvention.PLUS and config.params == scenario.params
+    assert config.y0 == scenario.y0 and config.eras == scenario.era_boundaries
+    assert repr(config) == (
+        f"RunConfig(t0=1960.0, T=1986.0, k=0.001, sign={SignConvention.PLUS!r}, "
+        f"params={scenario.params!r}, y0={scenario.y0!r}, eras={scenario.era_boundaries!r})"
+    )
+    assert config == tuple(config) and hash(config) == hash(parse_config(EXAMPLE_1960_CONFIG))
+    with pytest.raises(AttributeError):
+        config.k = 0.01

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from array import array
 
 import numpy as np
@@ -199,9 +201,9 @@ def test_grid_times_match_pointwise_formula():
 
 
 def test_time_grid_rejects_inconsistent_step():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^time grid requires at least one step$"):
         TimeGrid(t0=0.0, T=1.0, M=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^time grid requires T > t0$"):
         TimeGrid(t0=1.0, T=1.0, M=4)
 
 
@@ -227,6 +229,41 @@ def test_era_starts_rejects_boundaries_that_do_not_increase(boundaries):
     grid = build_grid(0.0, 1.0, 0.25)
     with pytest.raises(ValueError, match="strictly increasing, two or more"):
         era_starts(grid, boundaries)
+
+
+def test_a_time_grid_is_a_read_only_hashable_value():
+    grid = TimeGrid(0.0, 1.0, 4)
+    assert grid.k == 0.25
+    assert repr(grid) == "TimeGrid(t0=0.0, T=1.0, M=4, k=0.25)"
+    same = TimeGrid(t0=0.0, T=1.0, M=4)
+    assert grid == same and hash(grid) == hash(same) and len({grid, same}) == 1
+    assert grid != TimeGrid(0.0, 1.0, 5) and grid != TimeGrid(0.0, 2.0, 4)
+    assert grid != (0.0, 1.0, 4, 0.25)
+    assert pickle.loads(pickle.dumps(grid)) == copy.copy(grid) == grid
+    for name in ("t0", "T", "M", "k"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(grid, name, 2)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(grid, name)
+    with pytest.raises(AttributeError):
+        grid.other = 1
+
+
+def test_a_trajectory_is_read_only_and_equal_only_to_itself():
+    grid = build_grid(0.0, 1.0, 0.5)
+    traj = Trajectory(grid, array("d", [1.0, 2.0, 3.0]), overall_sums=(6.0,))
+    assert repr(traj) == (
+        "Trajectory(grid=TimeGrid(t0=0.0, T=1.0, M=2, k=0.5), "
+        "values=array('d', [1.0, 2.0, 3.0]), every=1, era_sums=None, "
+        "overall_sums=(6.0,), negativity_flag=None)"
+    )
+    twin = Trajectory(grid, array("d", [1.0, 2.0, 3.0]), overall_sums=(6.0,))
+    assert traj == traj and traj != twin and len({traj, twin}) == 2
+    with pytest.raises(AttributeError, match="cannot assign to field 'values'"):
+        traj.values = array("d")
+    restored = pickle.loads(pickle.dumps(traj))
+    assert restored.grid == grid and restored.values == traj.values
+    assert restored.overall_sums == (6.0,)
 
 
 def test_trajectory_requires_full_sample_count():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import textwrap
 from array import array
 from dataclasses import fields
 from unittest import mock
@@ -572,3 +573,23 @@ def test_a_streamed_run_is_bitwise_the_stored_run(case):
     kept = trajectory_row_indices(grid.M, every)
     assert run.values.tobytes() == whole.states[kept].tobytes()
     assert run.negativity_flag is whole.negativity_flag is bool((whole.states < 0.0).any())
+
+
+# lines of a shared margin, then more spaces and tabs, then text, whitespace or nothing
+_INDENTED_TEXTS = st.builds(
+    lambda margin, lines: "\n".join(margin + line for line in lines),
+    st.text(" \t", max_size=4),
+    st.lists(
+        st.tuples(
+            st.text(" \t", max_size=3),
+            st.sampled_from(["", " ", "\t", " \t ", "f1 = y1", "a  b", "x\t", "\r", "\x0c"]),
+        ).map("".join),
+        max_size=8,
+    ),
+)
+
+
+@PROPERTY
+@given(st.one_of(_INDENTED_TEXTS, st.text(" \t\nab\r", max_size=40)))
+def test_the_rates_dedent_is_textwraps(text):
+    assert scheme._dedent(text) == textwrap.dedent(text)

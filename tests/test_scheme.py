@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 from array import array
 
 import numpy as np
@@ -571,6 +572,25 @@ def test_malformed_source_is_rejected_on_first_use(rates, first, constants, mess
         advance_one_step(field, 0.0, y, 0.3)
     with pytest.raises(ValueError, match=message):
         integrate(field, y, build_grid(0.0, 1.0, 0.5))
+
+
+def test_a_source_field_is_read_only_and_pickles_before_and_after_it_is_stepped():
+    field = cp_rhs(preset("cameroon-1960").params)
+    with pytest.raises(AttributeError, match="cannot assign to field 'rates'"):
+        field.evaluate.rates = "f1 = 0.0"
+    y = np.full(5, 2e6)
+    before = pickle.loads(pickle.dumps(field))
+    expected = advance_one_step(field, 1960.0, y, 1e-3)
+    after = pickle.loads(pickle.dumps(field))
+    for restored in (before, after):
+        assert repr(restored) == repr(field)
+        assert advance_one_step(restored, 1960.0, y, 1e-3).tobytes() == expected.tobytes()
+
+
+def test_an_opening_blank_line_keeps_the_line_numbers_of_the_rates():
+    field = RhsField.from_source(1, "\n    a = 1.0\n    f1 = undefined\n", constants={})
+    with pytest.raises(ValueError, match="^rates, line 3: unknown name 'undefined'$"):
+        field.evaluate(0.0, np.ones(1))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """What runs without numpy: start-up, input loading, writing a configuration,
 the roots command and every ``simulate`` outcome: a run that succeeds and
-one that blows up (exit 4, its partial CSV written)."""
+one that blows up (exit 4, its partial CSV written).  What ``import
+tristep.cli`` loads: no standard-library module beyond those tristep's
+modules import, and four dataclasses."""
 
 from __future__ import annotations
 
@@ -60,6 +62,50 @@ assert (work / "minus.csv").read_text(encoding="utf-8").startswith("t,y1,")
 print("numpy" in sys.modules)
 """
 
+# The start-up guard, run in a fresh interpreter; it needs neither pytest nor
+# numpy, so CI runs it as it is on every supported Python.  It imports first
+# the standard-library modules that tristep's modules import by name, then
+# checks that ``import tristep.cli`` adds no other one (such as ``textwrap``,
+# ``csv`` or ``pathlib``), whatever this Python's own start-up loaded.
+START_UP_GUARD = r"""
+import sys
+
+import __future__, argparse, array, ast, dataclasses, enum, errno, functools
+import itertools, keyword, math, operator, os, stat, struct, typing
+
+before = set(sys.modules)
+import tristep.cli
+
+added = sorted(
+    name
+    for name in set(sys.modules) - before
+    if name.partition(".")[0] in sys.stdlib_module_names
+)
+assert not added, f"import tristep.cli adds standard-library modules {added}"
+
+from tristep import cp_rhs, preset, problem
+
+found = sorted(
+    value.__name__
+    for name, module in sys.modules.items()
+    if name.startswith("tristep.")
+    for value in vars(module).values()
+    if isinstance(value, type)
+    and value.__module__ == name
+    and dataclasses.is_dataclass(value)
+)
+assert found == ["CpParams", "EraPreset", "ManufacturedProblem", "RhsField"], found
+
+scenario = preset("cameroon-1960")
+assert dataclasses.replace(scenario, k=2e-3).grid.M == 13000
+assert dataclasses.replace(scenario.params, gamma=0.0).gamma == 0.0
+field = cp_rhs(scenario.params)
+assert dataclasses.replace(field, dim=4).dim == 4
+assert dataclasses.replace(problem("example1"), T=0.5).T == 0.5
+assert "numpy" not in sys.modules
+print("ok")
+"""
+
 CONFIG = """\
 t0 = 1960.0
 T = 1986.0
@@ -101,3 +147,18 @@ def test_start_up_loading_and_roots_leave_numpy_unimported(tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
     assert "too small" in result.stderr and "unknown key" in result.stderr
     assert "numerical blow-up" in result.stderr
+
+
+def test_import_adds_no_other_stdlib_module_and_leaves_four_dataclasses():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for flags in ([], ["-S"]):  # with and without site's start-up imports
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", START_UP_GUARD],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "ok\n"

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from tristep import (
+    ConvergenceRow,
     CpParams,
     EraPreset,
+    EraSummaryRow,
     ManufacturedProblem,
     RhsField,
     SignConvention,
@@ -308,3 +310,23 @@ def test_a_streamed_blowup_carries_the_kept_rows_of_the_stored_one(label):
         )
         kept = trajectory_row_indices(n, every)
         assert err.partial_states.tobytes() == states[kept].tobytes()
+
+
+def test_convergence_and_summary_rows_are_named_tuples():
+    row = ConvergenceRow(k=0.5, exact_norm=1.0, numeric_norm=2.0, error_norm=0.25)
+    assert (row.k, row.exact_norm, row.numeric_norm, row.error_norm, row.rate) == (
+        0.5, 1.0, 2.0, 0.25, None
+    )
+    assert repr(row) == (
+        "ConvergenceRow(k=0.5, exact_norm=1.0, numeric_norm=2.0, error_norm=0.25, rate=None)"
+    )
+    assert row == (0.5, 1.0, 2.0, 0.25, None) and row._replace(rate=2.0).rate == 2.0
+    summary = EraSummaryRow("y1", (1.0, 2.0), 1.5, 25.0)
+    assert summary.compartment == "y1" and summary.era_averages == (1.0, 2.0)
+    assert summary.overall_average == 1.5 and summary.share_percent == 25.0
+    assert repr(summary) == (
+        "EraSummaryRow(compartment='y1', era_averages=(1.0, 2.0), "
+        "overall_average=1.5, share_percent=25.0)"
+    )
+    with pytest.raises(AttributeError):
+        summary.share_percent = 1.0

@@ -35,7 +35,6 @@ import os
 import stat
 import sys
 from struct import Struct
-from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .config import parse_config, preset_from_config
 from .cpmodel import PRESET_LABELS, preset
@@ -49,8 +48,10 @@ from .scheme import (
 )
 from .studies import ConvergenceRow, EraSummaryRow, run_convergence_study, run_scenario
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from array import array
+    from typing import Sequence, TextIO
 
     import numpy as np
 

@@ -4,14 +4,13 @@
 and repeating a key is an error at its second occurrence.  `y0` and `eras`
 take comma-separated lists.  Emitted text round-trips: parsing it yields
 the exact same numbers.  A parsed :class:`RunConfig` is a named tuple; the
-config keys of the rates are the fields of the `CpParams` dataclass.
+config keys of the rates are the fields of `CpParams`, in its ``_fields`` order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import fields
-from typing import NamedTuple
+from collections import namedtuple
 
 from .cpmodel import CpParams, EraPreset, alpha_mismatch
 from .scheme import SignConvention
@@ -35,23 +34,17 @@ class ConfigError(ValueError):
 
 # config key of every CpParams field, in field order; keys are
 # case-insensitive, so the population size N is spelled `bign`
-_PARAM_KEYS = {f.name: "bign" if f.name == "N" else f.name for f in fields(CpParams)}
+_PARAM_KEYS = {name: "bign" if name == "N" else name for name in CpParams._fields}
 _SCALAR_KEYS = ("t0", "t", "k") + tuple(_PARAM_KEYS.values())
 _LIST_KEYS = ("y0", "eras")
 _REQUIRED_KEYS = _SCALAR_KEYS + _LIST_KEYS
 _ALL_KEYS = _REQUIRED_KEYS + ("sign",)
 
 
-class RunConfig(NamedTuple):
+class RunConfig(namedtuple("RunConfig", "t0 T k sign params y0 eras")):
     """Parsed run configuration: horizon, step, sign, rates, state and eras."""
 
-    t0: float
-    T: float
-    k: float
-    sign: SignConvention
-    params: CpParams
-    y0: tuple[float, ...]
-    eras: tuple[float, ...]
+    __slots__ = ()
 
 
 def _parse_number(key: str, text: str, line: int) -> float:

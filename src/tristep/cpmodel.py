@@ -29,12 +29,19 @@ only by :func:`positivity_step_bound` and :func:`conservation_residual`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from .numerics import TimeGrid, as_state, build_grid, era_starts, finite_state_floats
+from .numerics import (
+    Record,
+    TimeGrid,
+    as_state,
+    build_grid,
+    era_starts,
+    finite_state_floats,
+    fits_in_memory,
+)
 from .scheme import RhsField
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -65,29 +72,53 @@ _NONNEGATIVE_FIELDS = (
 _UNIT_INTERVAL_FIELDS = ("mu", "p1", "p2", "beta1", "beta2")
 
 
-@dataclass(frozen=True)
-class CpParams:
+class CpParams(Record):
     """Model rates; the module docstring names the flow each one drives."""
 
-    theta: float  # recruitment inflow, persons/time
-    gamma: float  # death removal rate, 1/time
-    rho: float  # prison release rate, 1/time
-    mu: float  # fraction of released prisoners who turn honest
-    p1: float  # corruption transmission probability per contact
-    p2: float  # poverty transmission probability per contact
-    beta1: float  # anti-corruption effort, in [0, 1]
-    beta2: float  # anti-poverty effort, in [0, 1]
-    alpha1: float  # effective corruption contact rate
-    alpha2: float  # effective poverty contact rate
-    r1: float  # corrupt -> poor rate
-    r2: float  # poor -> corrupt rate
-    tau: float  # prosecution rate of the corrupt
-    b1: float  # corrupt -> honest rate
-    b2: float  # poor -> honest rate
-    sigma: float  # susceptible -> honest rate
-    N: float  # constant population size, persons
+    __slots__ = _fields = (
+        "theta",  # recruitment inflow, persons/time
+        "gamma",  # death removal rate, 1/time
+        "rho",  # prison release rate, 1/time
+        "mu",  # fraction of released prisoners who turn honest
+        "p1",  # corruption transmission probability per contact
+        "p2",  # poverty transmission probability per contact
+        "beta1",  # anti-corruption effort, in [0, 1]
+        "beta2",  # anti-poverty effort, in [0, 1]
+        "alpha1",  # effective corruption contact rate
+        "alpha2",  # effective poverty contact rate
+        "r1",  # corrupt -> poor rate
+        "r2",  # poor -> corrupt rate
+        "tau",  # prosecution rate of the corrupt
+        "b1",  # corrupt -> honest rate
+        "b2",  # poor -> honest rate
+        "sigma",  # susceptible -> honest rate
+        "N",  # constant population size, persons
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        theta: float,
+        gamma: float,
+        rho: float,
+        mu: float,
+        p1: float,
+        p2: float,
+        beta1: float,
+        beta2: float,
+        alpha1: float,
+        alpha2: float,
+        r1: float,
+        r2: float,
+        tau: float,
+        b1: float,
+        b2: float,
+        sigma: float,
+        N: float,
+    ) -> None:
+        self._set(
+            theta, gamma, rho, mu, p1, p2, beta1, beta2, alpha1, alpha2, r1, r2, tau, b1, b2,
+            sigma, N,
+        )
         for name in _NONNEGATIVE_FIELDS:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -96,10 +127,10 @@ class CpParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"parameter {name} must lie in [0, 1], got {value!r}")
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError(f"parameter rho must be finite and > 0, got {self.rho!r}")
-        if not (math.isfinite(self.N) and self.N > 0.0):
-            raise ValueError(f"parameter N must be finite and > 0, got {self.N!r}")
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise ValueError(f"parameter rho must be finite and > 0, got {rho!r}")
+        if not (math.isfinite(N) and N > 0.0):
+            raise ValueError(f"parameter N must be finite and > 0, got {N!r}")
 
 
 def effective_contact_rates(
@@ -212,8 +243,7 @@ def alpha_mismatch(params: CpParams) -> bool:
     return abs(params.alpha1 - derived1) > 1e-6 or abs(params.alpha2 - derived2) > 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class EraPreset:
+class EraPreset(Record):
     """A ready-to-run scenario: rates, initial state, horizon and eras.
 
     ``y0`` must hold five finite reals and sum to N within 0.1%; it is kept
@@ -225,49 +255,46 @@ class EraPreset:
     never passed like ``grid``.
     ``alpha_warning`` marks presets whose stored contact rates disagree with
     p*(1 - beta); the stored values drive the dynamics, the flag surfaces the
-    discrepancy.
+    discrepancy.  A preset is equal only to itself.
     """
 
-    label: str
-    params: CpParams
-    y0: tuple[float, ...]
-    t0: float
-    T: float
-    k: float
-    era_boundaries: tuple[float, ...]
-    alpha_warning: bool = False
-    grid: TimeGrid = field(init=False, repr=False)
-    starts: tuple[int, ...] = field(init=False, repr=False)
+    _fields = ("label", "params", "y0", "t0", "T", "k", "era_boundaries", "alpha_warning")
+    __slots__ = _fields + ("grid", "starts")
+    grid: TimeGrid  # derived: the annotations give ``dataclasses.fields`` their types
+    starts: tuple[int, ...]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "y0", finite_state_floats(self.y0, dim=5))
-        object.__setattr__(
-            self, "era_boundaries", tuple(float(b) for b in self.era_boundaries)
-        )
-        if not self.k > 0.0:
+    def __init__(
+        self,
+        label: str,
+        params: CpParams,
+        y0: tuple[float, ...],
+        t0: float,
+        T: float,
+        k: float,
+        era_boundaries: tuple[float, ...],
+        alpha_warning: bool = False,
+    ) -> None:
+        y0 = finite_state_floats(y0, dim=5)
+        bounds = tuple(float(b) for b in era_boundaries)
+        if not k > 0.0:
             raise ValueError("preset step size k must be positive")
-        grid = build_grid(self.t0, self.T, self.k)
-        try:
-            # ask the allocator for the grid's points as float64, untouched
-            bytes(8 * (grid.M + 1))
-        except (MemoryError, OverflowError):  # OverflowError beyond the index range
+        grid = build_grid(t0, T, k)
+        if not fits_in_memory(8 * (grid.M + 1)):  # the grid's points as float64
             raise ValueError(
-                f"step size k={self.k!r} is too small: "
+                f"step size k={k!r} is too small: "
                 f"the grid's {grid.M + 1} points do not fit in memory"
-            ) from None
-        bounds = self.era_boundaries
+            )
         starts = era_starts(grid, bounds)
-        if bounds[0] != self.t0 or bounds[-1] != self.T:
+        if bounds[0] != t0 or bounds[-1] != T:
             raise ValueError("era boundaries must start at t0 and end at T")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "starts", starts)
-        total, *rest = self.y0
+        total, *rest = y0
         for value in rest:  # left to right, as numpy sums five values
             total += value
-        if abs(total - self.params.N) > 1e-3 * self.params.N:
-            raise ValueError(
-                f"initial compartments sum to {total!r}, expected N={self.params.N!r}"
-            )
+        if abs(total - params.N) > 1e-3 * params.N:
+            raise ValueError(f"initial compartments sum to {total!r}, expected N={params.N!r}")
+        self._set(label, params, y0, t0, T, k, bounds, alpha_warning, grid, starts)
 
 
 _PRESETS = {

@@ -13,30 +13,36 @@ errors are therefore directly measurable at every grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
 
-from .numerics import BLOCK_ROWS, TimeGrid
+from .numerics import BLOCK_ROWS, Record, TimeGrid
 from .scheme import RhsField
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Callable, Sequence
+
     import numpy as np
 
 __all__ = ["ManufacturedProblem", "PROBLEM_LABELS", "example1", "example2", "problem"]
 
 
-@dataclass(frozen=True)
-class ManufacturedProblem:
+class ManufacturedProblem(Record):
     """A vector field together with the closed-form solution it was built for.
 
     ``exact(t)`` gives the solution at ``t`` as a sequence of floats.
     """
 
-    label: str
-    field: RhsField
-    exact: Callable[[float], Sequence[float]]
-    t0: float = 0.0
-    T: float = 1.0
+    __slots__ = _fields = ("label", "field", "exact", "t0", "T")
+
+    def __init__(
+        self,
+        label: str,
+        field: RhsField,
+        exact: Callable[[float], Sequence[float]],
+        t0: float = 0.0,
+        T: float = 1.0,
+    ) -> None:
+        self._set(label, field, exact, t0, T)
 
     @property
     def y0(self) -> tuple[float, ...]:

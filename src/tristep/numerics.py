@@ -9,17 +9,21 @@ era and the sign flag its kernel took as it stepped; the era starts stay
 with the caller that chose them.  numpy is imported only by the functions
 that make or read numpy arrays (``as_state``, ``TimeGrid.times``,
 ``Trajectory.states`` and the norms).  ``TimeGrid`` and ``Trajectory`` are
-read-only ``__slots__`` classes on :class:`Frozen`, not dataclasses, so
-importing the module generates and compiles no methods.
+read-only ``__slots__`` classes on :class:`Frozen`; the value types of the
+other modules are :class:`Record` classes, which ``dataclasses.fields`` and
+``dataclasses.replace`` accept.  Importing the module imports neither
+``dataclasses`` nor ``typing``, and generates and compiles no methods.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import TYPE_CHECKING, Iterable, Sequence
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Iterable, Sequence
+
     import numpy as np
 
 __all__ = [
@@ -87,8 +91,9 @@ class Frozen:
     """Base of a value type whose attributes, once ``__init__`` has set them, are read only.
 
     Assigning or deleting an attribute raises ``AttributeError``; ``__init__``
-    sets them through ``object.__setattr__``.  The ``repr`` names every
-    attribute of ``__slots__``, in order.
+    sets them through ``object.__setattr__``, as ``_set`` does.  The ``repr``
+    names every attribute of ``__slots__``, in order.  A value type stated by
+    its fields, which ``dataclasses`` accepts, is a :class:`Record`.
     """
 
     __slots__ = ()
@@ -102,6 +107,89 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set(self, *values: object) -> None:
+        """Set the attributes of ``__slots__`` to ``values``, in order; for ``__init__``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+
+class _DataclassFields:
+    """``__dataclass_fields__`` of a :class:`Record` class, built on first read.
+
+    The fields are those :func:`dataclasses.make_dataclass` gives a class of
+    the record's ``__slots__``, in order: each typed by its annotation on
+    ``__init__`` or in the class body, each of ``_fields`` with its
+    ``__init__`` default if it has one, every other one with ``init=False``
+    and ``repr=False``.  The dict is then kept on the record's class, so it
+    is built once.
+    """
+
+    def __get__(self, record: Record | None, cls: type[Record]) -> dict:
+        if not cls._fields:  # Record itself
+            raise AttributeError("__dataclass_fields__")
+        import dataclasses
+
+        init = cls.__init__
+        annotations = {**cls.__annotations__, **init.__annotations__}
+        defaults = dict(zip(reversed(cls._fields), reversed(init.__defaults__ or ())))
+        specs = [
+            (
+                name,
+                annotations.get(name, "object"),
+                dataclasses.field(default=defaults.get(name, dataclasses.MISSING))
+                if name in cls._fields
+                else dataclasses.field(init=False, repr=False),
+            )
+            for name in cls.__slots__
+        ]
+        made = dataclasses.make_dataclass(cls.__name__, specs, init=False, repr=False, eq=False)
+        cls.__dataclass_fields__ = fields = made.__dataclass_fields__
+        return fields
+
+
+class Record(Frozen):
+    """A :class:`Frozen` value type stated by its fields, which ``dataclasses`` accepts.
+
+    ``_fields`` names the arguments of ``__init__``, in order, as the first
+    attributes of ``__slots__``; any attribute after them is derived by
+    ``__init__``.  ``repr`` shows the fields; a record is equal to another of
+    its class whose fields are equal, and hashes them.  It pickles, copies
+    and ``__replace__``-s through ``__init__``, so its checks run again and
+    its derived attributes are derived again.
+
+    ``__dataclass_fields__`` is built on first read (see
+    :class:`_DataclassFields`), so ``dataclasses.fields``,
+    ``dataclasses.replace`` and ``dataclasses.is_dataclass`` accept a record
+    class and its values, and only a caller of them imports ``dataclasses``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __replace__(self, **changes: object) -> Record:
+        import dataclasses
+
+        return dataclasses.replace(self, **changes)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
 
 class TimeGrid(Frozen):
@@ -120,8 +208,7 @@ class TimeGrid(Frozen):
             raise ValueError("time grid requires T > t0")
         if M < 1:
             raise ValueError("time grid requires at least one step")
-        for name, value in zip(self.__slots__, (t0, T, M, (T - t0) / M)):
-            object.__setattr__(self, name, value)
+        self._set(t0, T, M, (T - t0) / M)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -170,6 +257,22 @@ def trajectory_row_indices(last_index: int, every: int | None) -> list[int]:
     return indices
 
 
+def fits_in_memory(size: int) -> bool:
+    """Whether the allocator grants ``size`` bytes, asked for and released untouched."""
+    try:
+        bytes(size)
+    except (MemoryError, OverflowError):  # OverflowError beyond the index range
+        return False
+    return True
+
+
+def states_do_not_fit(k: float, rows: int) -> ValueError:
+    """The error of a run at step ``k`` whose ``rows`` states do not fit in memory."""
+    return ValueError(
+        f"step size k={k!r} is too small: the run's {rows} states do not fit in memory"
+    )
+
+
 def kept_count(last_index: int, every: int | None) -> int:
     """``len(trajectory_row_indices(last_index, every))``, without the list."""
     check_every(every)
@@ -213,9 +316,7 @@ class Trajectory(Frozen):
             whole = not values and overall_sums is not None
         if not whole:
             raise ValueError(f"trajectory must hold exactly {rows} state samples")
-        fields = (grid, values, every, era_sums, overall_sums, negativity_flag)
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
+        self._set(grid, values, every, era_sums, overall_sums, negativity_flag)
 
     def __reduce__(self) -> tuple:
         return Trajectory, tuple(getattr(self, n) for n in self.__slots__)

@@ -27,10 +27,12 @@ by block and writes the kept states into one flat ``array('d')``, allocated
 before the first step.  Its blow-up error carries floats: the last state as
 a tuple, the partial run as the kept rows in one flat ``array('d')``.
 
-``RhsField`` is the module's one dataclass, kept for ``dataclasses.replace``;
-the source a field wraps is a plain read-only class, so importing the
-module generates no other methods, and a field's text is dedented as
-``textwrap.dedent`` would, without importing ``textwrap``.
+``RhsField`` is a :class:`~tristep.numerics.Record`, which
+``dataclasses.replace`` accepts; the source a field wraps is a plain
+read-only class.  Importing the module imports neither ``dataclasses`` nor
+``typing`` and generates no methods; ``ast`` is imported when a field's
+text is first parsed, and the text is dedented as ``textwrap.dedent``
+would, without importing ``textwrap``.
 
 The default :class:`SignConvention` adds the averaged slopes, which is the
 choice forced by the second-order conditions.  ``MINUS`` subtracts them
@@ -40,7 +42,6 @@ only as an opt-in so the difference stays observable in the studies.
 
 from __future__ import annotations
 
-import ast
 import enum
 import functools
 import itertools
@@ -49,21 +50,25 @@ import math
 import operator
 import os
 from array import array
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .numerics import (
     BLOCK_ROWS,
     Frozen,
+    Record,
     TimeGrid,
     Trajectory,
     as_state,
     finite_state_floats,
     kept_count,
     state_floats,
+    states_do_not_fit,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import ast
+    from typing import Callable, Mapping, Sequence
+
     import numpy as np
 
 __all__ = [
@@ -88,10 +93,6 @@ class SignConvention(enum.Enum):
     @property
     def factor(self) -> float:
         return 1.0 if self is SignConvention.PLUS else -1.0
-
-
-#: A field's component form: ``(t, (y1, ..., yd)) -> (f1, ..., fd)`` on floats.
-Components = Callable[[float, tuple[float, ...]], Sequence[float]]
 
 
 class _Source(Frozen):
@@ -125,7 +126,8 @@ class _Source(Frozen):
         return bind(*self.constants.values())
 
     @functools.cached_property
-    def components(self) -> Components:
+    def components(self) -> Callable[[float, tuple[float, ...]], Sequence[float]]:
+        """The field's component form: ``(t, (y1, ..., yd)) -> (f1, ..., fd)`` on floats."""
         return self._bound("components")
 
     @functools.cached_property
@@ -133,8 +135,7 @@ class _Source(Frozen):
         return self._bound("march")
 
 
-@dataclass(frozen=True)
-class RhsField:
+class RhsField(Record):
     """Right-hand side f(t, y) of a first-order system y' = f(t, y).
 
     ``dim`` is a positive integer.  ``evaluate`` must be deterministic and
@@ -144,14 +145,13 @@ class RhsField:
     arrays.
     """
 
-    dim: int
-    evaluate: Callable[[float, np.ndarray], np.ndarray]
+    __slots__ = _fields = ("dim", "evaluate")
 
-    def __post_init__(self) -> None:
-        dim = operator.index(self.dim)
+    def __init__(self, dim: int, evaluate: Callable[[float, np.ndarray], np.ndarray]) -> None:
+        dim = operator.index(dim)
         if dim < 1:
             raise ValueError(f"field dimension must be at least 1, got {dim}")
-        object.__setattr__(self, "dim", dim)
+        self._set(dim, evaluate)
 
     @classmethod
     def from_source(cls, dim: int, rates: str, *, constants: Mapping[str, object]) -> RhsField:
@@ -270,18 +270,6 @@ def _step_blowup(
 # the suffixes hold no "_", so no renamed name can meet a kernel name or
 # another renamed name, whatever names the field uses.
 
-# expressions that bind names of their own, which the renaming does not
-# follow, or that would turn the kernel into something else than a function
-_NOT_ALLOWED = (
-    ast.Lambda,
-    ast.NamedExpr,
-    ast.comprehension,
-    ast.Await,
-    ast.Yield,
-    ast.YieldFrom,
-)
-
-
 def _dedent(text: str) -> str:
     """``textwrap.dedent(text)``, without importing ``textwrap``.
 
@@ -296,6 +284,8 @@ def _dedent(text: str) -> str:
 
 
 def _target_names(target: ast.expr, where: str) -> list[str]:
+    import ast
+
     if isinstance(target, ast.Name):
         return [target.id]
     if isinstance(target, (ast.Tuple, ast.List)):
@@ -312,6 +302,18 @@ def _check(
     rate statements, each in the order of the text; raises ``ValueError``
     on the first rule broken.
     """
+    import ast
+
+    # expressions that bind names of their own, which the renaming does not
+    # follow, or that would turn the kernel into something else than a function
+    not_allowed = (
+        ast.Lambda,
+        ast.NamedExpr,
+        ast.comprehension,
+        ast.Await,
+        ast.Yield,
+        ast.YieldFrom,
+    )
     state = {f"y{j}" for j in range(1, dim + 1)}
     slopes = {f"f{j}" for j in range(1, dim + 1)}
     for name in constants:
@@ -336,7 +338,7 @@ def _check(
             raise ValueError(f"{where}: only assignments are allowed")
         nodes = list(ast.walk(statement.value))
         for node in nodes:
-            if isinstance(node, _NOT_ALLOWED):
+            if isinstance(node, not_allowed):
                 raise ValueError(f"{where}: {type(node).__name__} is not allowed")
         for node in nodes:
             if isinstance(node, ast.Name) and node.id not in known:
@@ -368,6 +370,8 @@ def _pieces(body: list[ast.stmt]) -> list[list[str]]:
     character that the statements written without marks do not hold.  It
     is printable, so a name inside an f-string keeps its marks as they are.
     """
+    import ast
+
     module = ast.Module(body=body, type_ignores=[])
     plain = ast.unparse(module)
     mark = next(c for c in map(chr, itertools.count(0x100)) if c.isprintable() and c not in plain)
@@ -697,10 +701,7 @@ def _run(
     try:
         values = array("d", [0.0]) * (rows_kept * dim)
     except (MemoryError, OverflowError):  # OverflowError beyond the index range
-        raise ValueError(
-            f"step size k={grid.k!r} is too small: "
-            f"the run's {rows_kept} states do not fit in memory"
-        ) from None
+        raise states_do_not_fit(grid.k, rows_kept) from None
     kept = 0  # floats of ``values`` written
     if every:
         values[:dim] = array("d", y)

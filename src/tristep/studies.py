@@ -10,13 +10,13 @@ it is the reference those sums are checked against.  It and the convergence
 study import numpy; the study's norms can depend in their last bits on the
 BLAS thread count on long grids
 (:func:`~tristep.numerics.discrete_l2_time_norm`).  The rows of a table or
-a summary are named tuples.
+a summary are named tuples (``collections.namedtuple``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
 
 from .cpmodel import EraPreset, cp_rhs
 from .manufactured import ManufacturedProblem
@@ -27,8 +27,14 @@ from .numerics import (
     convergence_rate,
     discrete_l2_time_norm,
     era_starts,
+    fits_in_memory,
+    states_do_not_fit,
 )
 from .scheme import SignConvention, integrate
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Sequence
 
 __all__ = [
     "ConvergenceRow",
@@ -39,7 +45,11 @@ __all__ = [
 ]
 
 
-class ConvergenceRow(NamedTuple):
+class ConvergenceRow(
+    namedtuple(
+        "ConvergenceRow", "k exact_norm numeric_norm error_norm rate", defaults=(None,)
+    )
+):
     """One row of a convergence table.
 
     ``rate`` is the observed order log2 of the error ratio against the
@@ -47,20 +57,15 @@ class ConvergenceRow(NamedTuple):
     error norm vanishes.
     """
 
-    k: float
-    exact_norm: float
-    numeric_norm: float
-    error_norm: float
-    rate: float | None = None
+    __slots__ = ()
 
 
-class EraSummaryRow(NamedTuple):
+class EraSummaryRow(
+    namedtuple("EraSummaryRow", "compartment era_averages overall_average share_percent")
+):
     """Per-compartment era averages, whole-run average and population share."""
 
-    compartment: str
-    era_averages: tuple[float, ...]
-    overall_average: float
-    share_percent: float
+    __slots__ = ()
 
 
 def run_convergence_study(
@@ -72,7 +77,8 @@ def run_convergence_study(
 
     Every grid is built before the first integration, so a step too small
     for its grid fails before any work, at the first such exponent (k is
-    0.0 for e > 1074, and no exponent is too large).  Per grid point
+    0.0 for e > 1074, and no exponent is too large); so does a finest grid
+    whose states the allocator refuses.  Per grid point
     n = 1..M the study takes the sup norms (row maxima of magnitudes) of the
     exact solution, the numerical solution and their difference, then
     aggregates each sequence with the discrete L2-in-time norm.
@@ -93,6 +99,9 @@ def run_convergence_study(
         previous = e
     if not grids:
         raise ValueError("exponents must be integers >= 1")
+    finest = grids[-1]
+    if not fits_in_memory((finest.M + 1) * problem.field.dim * 8):
+        raise states_do_not_fit(finest.k, finest.M + 1)
 
     import numpy as np
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -159,6 +160,30 @@ def test_converge_rejects_states_that_do_not_fit_in_memory(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "9007199254740993 states do not fit in memory" in err
+
+
+def test_converge_rejects_a_finest_grid_too_large_for_memory_before_any_work(
+    capsys, monkeypatch
+):
+    # 4..53 would integrate e = 4..52, days of stepping, before e = 53
+    # asked for its (2^53 + 1) x 3 doubles; the study asks first
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a grid before the finest grid was checked")
+
+    monkeypatch.setattr("tristep.studies.integrate", no_integration)
+    tracemalloc.start()
+    try:
+        assert main(["converge", "example1", "4..53"]) == EXIT_USAGE
+        lasting, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == (
+        "error: step size k=1.1102230246251565e-16 is too small: "
+        "the run's 9007199254740993 states do not fit in memory\n"
+    )
+    assert lasting < 1 << 20
 
 
 def test_converge_unwritable_path_is_io_error(capsys):

@@ -2,7 +2,8 @@
 the roots command and every ``simulate`` outcome: a run that succeeds and
 one that blows up (exit 4, its partial CSV written).  What ``import
 tristep.cli`` loads: no standard-library module beyond those tristep's
-modules import, and four dataclasses."""
+modules import, and neither it nor loading inputs loads ``dataclasses``,
+``inspect``, ``typing`` or ``ast``; yet ``dataclasses`` accepts four types."""
 
 from __future__ import annotations
 
@@ -66,12 +67,20 @@ print("numpy" in sys.modules)
 # numpy, so CI runs it as it is on every supported Python.  It imports first
 # the standard-library modules that tristep's modules import by name, then
 # checks that ``import tristep.cli`` adds no other one (such as ``textwrap``,
-# ``csv`` or ``pathlib``), whatever this Python's own start-up loaded.
+# ``csv`` or ``pathlib``), whatever this Python's own start-up loaded, and
+# that neither it nor loading a preset, a configuration and a problem loads
+# ``dataclasses``, ``inspect``, ``typing`` or ``ast`` (none of which is loaded
+# before it under ``-S``).  Only then does it import ``dataclasses``, to check
+# the four types it accepts.
 START_UP_GUARD = r"""
 import sys
 
-import __future__, argparse, array, ast, dataclasses, enum, errno, functools
-import itertools, keyword, math, operator, os, stat, struct, typing
+HEAVY = {"dataclasses", "inspect", "typing", "ast"}
+absent = HEAVY - set(sys.modules)
+assert absent == HEAVY or not sys.flags.no_site, sorted(HEAVY - absent)
+
+import __future__, argparse, array, collections, enum, errno, functools
+import itertools, keyword, math, operator, os, stat, struct
 
 before = set(sys.modules)
 import tristep.cli
@@ -82,8 +91,18 @@ added = sorted(
     if name.partition(".")[0] in sys.stdlib_module_names
 )
 assert not added, f"import tristep.cli adds standard-library modules {added}"
+loaded = sorted(absent & set(sys.modules))
+assert not loaded, f"import tristep.cli loads {loaded}"
 
-from tristep import cp_rhs, preset, problem
+from tristep import cp_rhs, format_config, parse_config, preset, preset_from_config, problem
+
+scenario = preset("cameroon-1960")
+config = preset_from_config(parse_config(format_config(scenario)))
+example = problem("example1")
+loaded = sorted(absent & set(sys.modules))
+assert not loaded, f"loading a preset, a configuration and a problem loads {loaded}"
+
+import dataclasses
 
 found = sorted(
     value.__name__
@@ -96,12 +115,18 @@ found = sorted(
 )
 assert found == ["CpParams", "EraPreset", "ManufacturedProblem", "RhsField"], found
 
-scenario = preset("cameroon-1960")
 assert dataclasses.replace(scenario, k=2e-3).grid.M == 13000
-assert dataclasses.replace(scenario.params, gamma=0.0).gamma == 0.0
+assert dataclasses.replace(config.params, gamma=0.0).gamma == 0.0
 field = cp_rhs(scenario.params)
 assert dataclasses.replace(field, dim=4).dim == 4
-assert dataclasses.replace(problem("example1"), T=0.5).T == 0.5
+assert dataclasses.replace(example, T=0.5).T == 0.5
+if sys.version_info >= (3, 13):
+    import copy
+
+    assert copy.replace(scenario, k=2e-3).grid.M == 13000
+    assert copy.replace(config.params, gamma=0.0).gamma == 0.0
+    assert copy.replace(field, dim=4).dim == 4
+    assert copy.replace(example, T=0.5).T == 0.5
 assert "numpy" not in sys.modules
 print("ok")
 """
@@ -149,7 +174,7 @@ def test_start_up_loading_and_roots_leave_numpy_unimported(tmp_path):
     assert "numerical blow-up" in result.stderr
 
 
-def test_import_adds_no_other_stdlib_module_and_leaves_four_dataclasses():
+def test_start_up_loads_no_dataclasses_inspect_typing_or_ast_yet_dataclasses_takes_four_types():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     for flags in ([], ["-S"]):  # with and without site's start-up imports

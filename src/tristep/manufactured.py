@@ -53,17 +53,26 @@ class ManufacturedProblem(Record):
         """``exact`` at every grid point t_0..t_M, one row each."""
         import numpy as np
 
-        exact = self.exact
         states = np.empty((grid.M + 1, self.field.dim))
-        flat = states.reshape(-1)
-        t0, k, dim = grid.t0, grid.k, self.field.dim
-        for first in range(0, grid.M + 1, BLOCK_ROWS):
-            stop = min(first + BLOCK_ROWS, grid.M + 1)
-            rows: list[float] = []
-            for n in range(first, stop):
-                rows.extend(exact(t0 + n * k))  # t0 + n * k is grid.time(n)
-            flat[first * dim : stop * dim] = rows
+        self.exact_rows(states, grid, 0, 1)
         return states
+
+    def exact_rows(self, out: np.ndarray, grid: TimeGrid, first: int, step: int) -> None:
+        """Write ``exact`` at grid points first, first + step, ... into the rows of ``out``.
+
+        ``out`` holds one row per point, and may be a strided view such as
+        ``states[1::2]``.  The solution is evaluated at ``grid.time(n)``,
+        ``BLOCK_ROWS`` rows at a time.
+        """
+        import numpy as np
+
+        exact, t0, k, count = self.exact, grid.t0, grid.k, len(out)
+        for a in range(0, count, BLOCK_ROWS):
+            b = min(a + BLOCK_ROWS, count)
+            rows: list[float] = []
+            for n in range(first + a * step, first + b * step, step):
+                rows.extend(exact(t0 + n * k))  # t0 + n * k is grid.time(n)
+            out[a:b] = np.fromiter(rows, np.float64, len(rows)).reshape(b - a, -1)
 
 
 def _solution(t: float) -> tuple[float, float, float]:
@@ -78,15 +87,17 @@ _MATH = {"exp": math.exp, "cos": math.cos, "sin": math.sin}
 def example1() -> ManufacturedProblem:
     """Problem whose second and third equations couple through y2**2."""
     rates = """
+    tt = t * t
     e1 = exp(-t)
-    q = t * t - t
+    q = tt - t
     qq = q * q * exp(-2.0 * t)
-    g1 = t * t + t - 1.0
-    g2 = qq - (t * t - 3.0 * t + 1.0) * e1 - t * t + t
+    g1 = tt + t - 1.0
+    g2 = qq - (tt - 3.0 * t + 1.0) * e1 - tt + t
     g3 = -qq + (t - 1.0) * cos(t) + sin(t)
+    sq = y2 * y2
     f1 = -y1 + g1
-    f2 = y1 - y2 * y2 + g2
-    f3 = y2 * y2 + g3
+    f2 = y1 - sq + g2
+    f3 = sq + g3
     """
     field = RhsField.from_source(3, rates, constants=_MATH)
     return ManufacturedProblem(label="example1", field=field, exact=_solution)
@@ -95,14 +106,16 @@ def example1() -> ManufacturedProblem:
 def example2() -> ManufacturedProblem:
     """Problem whose first two equations couple through y2*y3."""
     rates = """
+    tt = t * t
+    tm = t - 1.0
     e1 = exp(-t)
     s = sin(t)
     # t*(t-1)**2 * exp(-t) * sin(t) equals y2*y3 along the exact solution
-    w = t * (t - 1.0) ** 2 * e1 * s
-    q = t * t - t
-    g1 = t * t + t - 1.0 - w
-    g2 = t - t * t - (t * t - 3.0 * t + 1.0) * e1 + w
-    g3 = -(q * q) * exp(-2.0 * t) + (t - 1.0) * cos(t) + s
+    w = t * tm ** 2 * e1 * s
+    q = tt - t
+    g1 = tt + t - 1.0 - w
+    g2 = t - tt - (tt - 3.0 * t + 1.0) * e1 + w
+    g3 = -(q * q) * exp(-2.0 * t) + tm * cos(t) + s
     y23 = y2 * y3
     f1 = -y1 + y23 + g1
     f2 = y1 - y23 + g2

@@ -353,9 +353,12 @@ def discrete_l2_time_norm(per_step_norms: Sequence[float] | np.ndarray, k: float
 
     The sequence covers grid points 1..M only; the initial sample is
     deliberately excluded from the sum.  The sum of squares is numpy's
-    ``np.dot``, a BLAS call.  OpenBLAS 0.3.31 on x86-64 splits it across its
-    threads above 10 000 values, and the split can change the last bits, so
-    a longer sequence's result depends on the BLAS thread count.
+    ``np.dot``, a BLAS call, and its last bits depend on the BLAS kernel
+    that runs it.  OpenBLAS picks its kernel by CPU (``OPENBLAS_CORETYPE``
+    overrides the choice), and the kernels' sums can differ at any length.
+    OpenBLAS 0.3.31 on x86-64 also splits the sum across its threads above
+    10 000 values, and the split can change the last bits, so a longer
+    sequence's result depends on the BLAS thread count too.
     ``tristep.cli.main`` runs with OpenBLAS on one thread; a library caller's
     own setting applies here.
 

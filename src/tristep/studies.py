@@ -1,14 +1,17 @@
 """Convergence-study and era-summary harnesses over the integrator.
 
-Each unit of work is pure; different step sizes or presets could run
-concurrently, with result order fixed by input order.  A scenario run
-(:func:`run_scenario`) stays on Python floats and imports no numpy: the
-kernel adds each state into its era's sums as it steps and keeps every N-th
-state, and the summary is divided from those sums.  :func:`era_summary`
-takes the same summary from a trajectory's stored states as numpy's means;
-it is the reference those sums are checked against.  It and the convergence
-study import numpy; the study's norms can depend in their last bits on the
-BLAS thread count on long grids
+Each scenario run is pure, and presets could run concurrently.  The grids
+of a convergence study are not independent: they run coarse to fine, and a
+grid that halves the previous one's step takes its even points' exact
+states from that grid instead of evaluating the solution again.  A
+scenario run (:func:`run_scenario`) stays on Python floats and imports no
+numpy: the kernel adds each state into its era's sums as it steps and keeps
+every N-th state, and the summary is divided from those sums.
+:func:`era_summary` takes the same summary from a trajectory's stored
+states as numpy's means; it is the reference those sums are checked
+against.  It and the convergence study import numpy; the study's norms can
+depend in their last bits on the OpenBLAS kernel the CPU selects, and on
+the BLAS thread count on long grids
 (:func:`~tristep.numerics.discrete_l2_time_norm`).  The rows of a table or
 a summary are named tuples (``collections.namedtuple``).
 """
@@ -16,6 +19,7 @@ a summary are named tuples (``collections.namedtuple``).
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 from .cpmodel import EraPreset, cp_rhs
@@ -35,6 +39,8 @@ from .scheme import SignConvention, integrate
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Iterable, Sequence
+
+    import numpy as np
 
 __all__ = [
     "ConvergenceRow",
@@ -81,7 +87,10 @@ def run_convergence_study(
     whose states the allocator refuses.  Per grid point
     n = 1..M the study takes the sup norms (row maxima of magnitudes) of the
     exact solution, the numerical solution and their difference, then
-    aggregates each sequence with the discrete L2-in-time norm.
+    aggregates each sequence with the discrete L2-in-time norm.  The exact
+    solution is evaluated once per distinct grid point of the study: where
+    a grid halves the previous one's step, its even points are that grid's
+    points, bit for bit, and their states are copied.
 
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,
@@ -90,7 +99,11 @@ def run_convergence_study(
     """
     grids: list[TimeGrid] = []
     previous = 0
-    for e in map(int, exponents):
+    for e in exponents:
+        try:
+            e = operator.index(e)
+        except TypeError:
+            raise ValueError("exponents must be integers >= 1") from None
         if e < 1:
             raise ValueError("exponents must be integers >= 1")
         if e <= previous:
@@ -103,32 +116,62 @@ def run_convergence_study(
     if not fits_in_memory((finest.M + 1) * problem.field.dim * 8):
         raise states_do_not_fit(finest.k, finest.M + 1)
 
-    import numpy as np
-
     rows: list[ConvergenceRow] = []
     previous_error: float | None = None
+    coarse: TimeGrid | None = None
+    exact = None  # the exact states on ``coarse``
     for grid in grids:
         trajectory = integrate(problem.field, problem.y0, grid, sign)
-        computed = trajectory.states[1:]
-        reference = problem.exact_states(grid)[1:]
-        sup_exact = np.abs(reference).max(axis=1)
-        sup_numeric = np.abs(computed).max(axis=1)
-        sup_error = np.abs(reference - computed).max(axis=1)
-        error_norm = discrete_l2_time_norm(sup_error, grid.k)
+        # the coarse states are dropped here, before the norms need their memory
+        exact = _exact_states(problem, grid, coarse, exact)
+        coarse = grid
+        exact_norm, numeric_norm, error_norm = _norms(exact[1:], trajectory.states[1:], grid.k)
         rate = None
         if previous_error is not None and previous_error > 0.0 and error_norm > 0.0:
             rate = convergence_rate(previous_error, error_norm)
-        rows.append(
-            ConvergenceRow(
-                k=grid.k,
-                exact_norm=discrete_l2_time_norm(sup_exact, grid.k),
-                numeric_norm=discrete_l2_time_norm(sup_numeric, grid.k),
-                error_norm=error_norm,
-                rate=rate,
-            )
-        )
+        rows.append(ConvergenceRow(grid.k, exact_norm, numeric_norm, error_norm, rate))
         previous_error = error_norm
     return rows
+
+
+def _exact_states(
+    problem: ManufacturedProblem,
+    grid: TimeGrid,
+    coarse: TimeGrid | None,
+    coarse_states: np.ndarray | None,
+) -> np.ndarray:
+    """``problem.exact_states(grid)``, with the rows it shares with ``coarse`` copied.
+
+    When ``grid`` halves the step of ``coarse`` exactly, its point 2m is
+    point m of ``coarse``: t0 + (2m) * k and t0 + m * (2k) round the same
+    real number, so the times are bitwise equal, and so are the states in
+    ``coarse_states``.  Only the odd rows then call ``exact``.  Any other
+    pair of grids calls it at every point.
+    """
+    if coarse is None or not (
+        grid.t0 == coarse.t0 and grid.M == 2 * coarse.M and coarse.k == 2.0 * grid.k
+    ):
+        return problem.exact_states(grid)
+    import numpy as np
+
+    states = np.empty((grid.M + 1, problem.field.dim))
+    states[::2] = coarse_states
+    problem.exact_rows(states[1::2], grid, 1, 2)
+    return states
+
+
+def _norms(reference: np.ndarray, computed: np.ndarray, k: float) -> tuple[float, float, float]:
+    """L2-in-time norms of the row maxima of |reference|, |computed| and |reference - computed|.
+
+    One array of magnitudes is alive at a time, and none outlives the call.
+    """
+    import numpy as np
+
+    exact_norm = discrete_l2_time_norm(np.abs(reference).max(axis=1), k)
+    numeric_norm = discrete_l2_time_norm(np.abs(computed).max(axis=1), k)
+    error = reference - computed
+    error_norm = discrete_l2_time_norm(np.abs(error, out=error).max(axis=1), k)
+    return exact_norm, numeric_norm, error_norm
 
 
 def era_summary(

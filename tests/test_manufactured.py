@@ -3,11 +3,66 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tristep import example1, example2, problem, sup_norm
+from tristep import (
+    NumericalBlowupError,
+    RhsField,
+    TimeGrid,
+    example1,
+    example2,
+    integrate,
+    problem,
+    sup_norm,
+)
+
+# seeded, so that every run of the suite draws the same examples
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+#: The fields' texts as first written, each repeated subexpression spelled
+#: out where it is used; the built-in texts name each one once.
+ORIGINAL_RATES = {
+    "example1": """
+    e1 = exp(-t)
+    q = t * t - t
+    qq = q * q * exp(-2.0 * t)
+    g1 = t * t + t - 1.0
+    g2 = qq - (t * t - 3.0 * t + 1.0) * e1 - t * t + t
+    g3 = -qq + (t - 1.0) * cos(t) + sin(t)
+    f1 = -y1 + g1
+    f2 = y1 - y2 * y2 + g2
+    f3 = y2 * y2 + g3
+    """,
+    "example2": """
+    e1 = exp(-t)
+    s = sin(t)
+    w = t * (t - 1.0) ** 2 * e1 * s
+    q = t * t - t
+    g1 = t * t + t - 1.0 - w
+    g2 = t - t * t - (t * t - 3.0 * t + 1.0) * e1 + w
+    g3 = -(q * q) * exp(-2.0 * t) + (t - 1.0) * cos(t) + s
+    y23 = y2 * y3
+    f1 = -y1 + y23 + g1
+    f2 = y1 - y23 + g2
+    f3 = y2 * y2 + g3
+    """,
+}
+
+_MATH = {"exp": math.exp, "cos": math.cos, "sin": math.sin}
+
+
+def original_field(label: str) -> RhsField:
+    return RhsField.from_source(3, ORIGINAL_RATES[label], constants=_MATH)
+
+
+def bits(values) -> bytes:
+    values = list(values)
+    return struct.pack(f"{len(values)}d", *values)
 
 
 def central_difference(exact, t, h=1e-6):
@@ -85,3 +140,35 @@ def test_problem_registry_lookup():
     assert problem("example2").label == "example2"
     with pytest.raises(ValueError):
         problem("example3")
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    st.sampled_from(sorted(ORIGINAL_RATES)),
+    st.floats(-2.0, 2.0) | st.floats(-100.0, 100.0),
+    st.tuples(*[st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False)] * 3),
+)
+def test_field_text_is_bitwise_its_original(label, t, y):
+    # times and states near the solution's scale, where rounding differs
+    # most often, and any finite state: overflow to inf or nan is compared
+    # bit for bit too
+    rewritten = problem(label).field.evaluate.components(t, y)
+    assert bits(rewritten) == bits(original_field(label).evaluate.components(t, y))
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(ORIGINAL_RATES)),
+    st.floats(-2.0, 2.0),
+    st.integers(1, 40),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+)
+def test_integrate_on_the_field_text_is_bitwise_its_original(label, t0, M, y0):
+    grid = TimeGrid(t0=t0, T=t0 + 1.0, M=M)
+    runs = []
+    for field in (problem(label).field, original_field(label)):
+        try:
+            runs.append(bits(integrate(field, y0, grid).values))
+        except NumericalBlowupError as err:
+            runs.append((err.step_index, err.t, bits(err.partial_states)))
+    assert runs[0] == runs[1]

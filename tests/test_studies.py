@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -25,6 +26,7 @@ from tristep import (
     run_convergence_study,
     run_scenario,
 )
+from tristep import studies
 from tristep.cli import trajectory_row_indices
 from tristep.scheme import NumericalBlowupError
 
@@ -153,6 +155,83 @@ def test_exponent_validation():
         run_convergence_study(example1(), [4, 4])
     with pytest.raises(ValueError):
         run_convergence_study(example1(), [5, 4])
+    # an exponent that is not an integer is an error, not truncated to one
+    for exponents in ([4.5, 5.9], ["4", "5"], [4, 5.0], [np.float64(4.0)]):
+        with pytest.raises(ValueError, match="integers"):
+            run_convergence_study(example1(), exponents)
+    numpy_ints = run_convergence_study(example1(), np.arange(4, 6))
+    assert numpy_ints == run_convergence_study(example1(), [4, 5])
+
+
+# ------------------------------------------------- exact states across grids
+
+
+def counting(build):
+    """``build()`` with its ``exact`` wrapped to record every time it is called at."""
+    built = build()
+    times = []
+
+    def exact(t):
+        times.append(t)
+        return built.exact(t)
+
+    return dataclasses.replace(built, exact=exact), times
+
+
+def test_each_exact_state_is_evaluated_once_per_study():
+    counted, times = counting(example1)
+    run_convergence_study(counted, range(4, 14))
+    # t0 is read once more by each of the ten integrations, as y0
+    assert times.count(0.0) == 1 + 10
+    assert len(times) == 8193 + 10
+    # every point of the finest grid once: the coarser grids' points are among them
+    assert set(times) == set(build_grid(0.0, 1.0, 2.0**-13).times().tolist())
+
+
+@pytest.mark.parametrize(
+    "build, exponents",
+    [
+        (example1, range(4, 14)),
+        (example2, range(4, 12)),
+        (example1, (4, 6, 9)),  # no grid halves the one before it
+        # over [0.1, 1.3] only some grids halve the one before them
+        (lambda: dataclasses.replace(example1(), t0=0.1, T=1.3), range(4, 12)),
+    ],
+)
+def test_reused_exact_states_are_bitwise_evaluated_ones(build, exponents, monkeypatch):
+    reused = run_convergence_study(build(), exponents)
+    monkeypatch.setattr(
+        studies, "_exact_states", lambda problem, grid, *coarse: problem.exact_states(grid)
+    )
+    # repr tells every bit of a float apart, the sign of zero included
+    assert repr(reused) == repr(run_convergence_study(build(), exponents))
+
+
+def test_study_holds_at_most_four_grids_of_states_at_once():
+    run_convergence_study(example1(), [4, 5])  # generates and compiles the kernel
+    finest = (2**13 + 1) * 3 * 8  # bytes of the states of one k = 2^-13 grid
+    tracemalloc.start()
+    try:
+        run_convergence_study(example1(), range(4, 14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the computed states, the exact ones, one array of magnitudes, and the
+    # coarse exact states or a block of rows, with room to spare
+    assert peak < 4 * finest
+
+
+def test_exact_states_halving_is_detected_over_any_interval():
+    counted, times = counting(lambda: dataclasses.replace(example1(), t0=0.1, T=1.3))
+    grids = [build_grid(0.1, 1.3, 2.0**-e) for e in range(4, 12)]
+    run_convergence_study(counted, range(4, 12))
+    expected = 0
+    for coarse, grid in zip([None, *grids], grids):
+        halves = coarse is not None and grid.M == 2 * coarse.M
+        expected += grid.M // 2 if halves else grid.M + 1
+    pairs = list(zip(grids, grids[1:]))
+    assert any(a.M == 2 * b.M for b, a in pairs) and any(a.M != 2 * b.M for b, a in pairs)
+    assert len(times) == expected + len(grids)
 
 
 # --------------------------------------------------------------- era summary

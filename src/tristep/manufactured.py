@@ -50,29 +50,18 @@ class ManufacturedProblem(Record):
         return tuple(self.exact(self.t0))
 
     def exact_states(self, grid: TimeGrid) -> np.ndarray:
-        """``exact`` at every grid point t_0..t_M, one row each."""
+        """``exact`` at every grid point t_0..t_M, one row each, in blocks of ``BLOCK_ROWS``."""
         import numpy as np
 
-        states = np.empty((grid.M + 1, self.field.dim))
-        self.exact_rows(states, grid, 0, 1)
-        return states
-
-    def exact_rows(self, out: np.ndarray, grid: TimeGrid, first: int, step: int) -> None:
-        """Write ``exact`` at grid points first, first + step, ... into the rows of ``out``.
-
-        ``out`` holds one row per point, and may be a strided view such as
-        ``states[1::2]``.  The solution is evaluated at ``grid.time(n)``,
-        ``BLOCK_ROWS`` rows at a time.
-        """
-        import numpy as np
-
-        exact, t0, k, count = self.exact, grid.t0, grid.k, len(out)
+        exact, t0, k, count = self.exact, grid.t0, grid.k, grid.M + 1
+        states = np.empty((count, self.field.dim))
         for a in range(0, count, BLOCK_ROWS):
             b = min(a + BLOCK_ROWS, count)
             rows: list[float] = []
-            for n in range(first + a * step, first + b * step, step):
+            for n in range(a, b):
                 rows.extend(exact(t0 + n * k))  # t0 + n * k is grid.time(n)
-            out[a:b] = np.fromiter(rows, np.float64, len(rows)).reshape(b - a, -1)
+            states[a:b] = np.fromiter(rows, np.float64, len(rows)).reshape(b - a, -1)
+        return states
 
 
 def _solution(t: float) -> tuple[float, float, float]:

@@ -140,9 +140,9 @@ class RhsField(Record):
 
     ``dim`` is a positive integer.  ``evaluate`` must be deterministic and
     side-effect free, and must return a vector of the same dimension as its
-    input.  A field built with :meth:`from_source` is stepped on its source;
-    any other ``evaluate`` is stepped through a source that calls it on
-    arrays.
+    input.  A field built with :meth:`from_source` is stepped on its source,
+    whose dimension ``dim`` must be; any other ``evaluate`` is stepped
+    through a source that calls it on arrays.
     """
 
     __slots__ = _fields = ("dim", "evaluate")
@@ -151,6 +151,10 @@ class RhsField(Record):
         dim = operator.index(dim)
         if dim < 1:
             raise ValueError(f"field dimension must be at least 1, got {dim}")
+        if isinstance(evaluate, _Source) and evaluate.dim != dim:
+            raise ValueError(
+                f"field dimension {dim} differs from its source's dimension {evaluate.dim}"
+            )
         self._set(dim, evaluate)
 
     @classmethod

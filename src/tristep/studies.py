@@ -1,12 +1,13 @@
 """Convergence-study and era-summary harnesses over the integrator.
 
 Each scenario run is pure, and presets could run concurrently.  The grids
-of a convergence study are not independent: they run coarse to fine, and a
-grid that halves the previous one's step takes its even points' exact
-states from that grid instead of evaluating the solution again.  A
-scenario run (:func:`run_scenario`) stays on Python floats and imports no
-numpy: the kernel adds each state into its era's sums as it steps and keeps
-every N-th state, and the summary is divided from those sums.
+of a convergence study are not independent: their exact states are taken
+first, finest grid first, and a grid that the next finer grid halves reads
+every second row of that grid's states as a view instead of evaluating the
+solution again; the grids then run coarse to fine.  A scenario run
+(:func:`run_scenario`) stays on Python floats and imports no numpy: the
+kernel adds each state into its era's sums as it steps and keeps every
+N-th state, and the summary is divided from those sums.
 :func:`era_summary` takes the same summary from a trajectory's stored
 states as numpy's means; it is the reference those sums are checked
 against.  It and the convergence study import numpy; the study's norms can
@@ -88,9 +89,11 @@ def run_convergence_study(
     n = 1..M the study takes the sup norms (row maxima of magnitudes) of the
     exact solution, the numerical solution and their difference, then
     aggregates each sequence with the discrete L2-in-time norm.  The exact
-    solution is evaluated once per distinct grid point of the study: where
-    a grid halves the previous one's step, its even points are that grid's
-    points, bit for bit, and their states are copied.
+    states of every grid are taken before the first integration, finest
+    grid first: a grid that the next finer grid halves exactly is every
+    second point of that grid, bit for bit, and reads its states as a
+    ``[::2]`` view, so the exact solution is evaluated once per distinct
+    grid point of the study.
 
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,
@@ -118,13 +121,8 @@ def run_convergence_study(
 
     rows: list[ConvergenceRow] = []
     previous_error: float | None = None
-    coarse: TimeGrid | None = None
-    exact = None  # the exact states on ``coarse``
-    for grid in grids:
+    for grid, exact in zip(grids, _exact_states(problem, grids)):
         trajectory = integrate(problem.field, problem.y0, grid, sign)
-        # the coarse states are dropped here, before the norms need their memory
-        exact = _exact_states(problem, grid, coarse, exact)
-        coarse = grid
         exact_norm, numeric_norm, error_norm = _norms(exact[1:], trajectory.states[1:], grid.k)
         rate = None
         if previous_error is not None and previous_error > 0.0 and error_norm > 0.0:
@@ -134,30 +132,22 @@ def run_convergence_study(
     return rows
 
 
-def _exact_states(
-    problem: ManufacturedProblem,
-    grid: TimeGrid,
-    coarse: TimeGrid | None,
-    coarse_states: np.ndarray | None,
-) -> np.ndarray:
-    """``problem.exact_states(grid)``, with the rows it shares with ``coarse`` copied.
+def _exact_states(problem: ManufacturedProblem, grids: Sequence[TimeGrid]) -> list[np.ndarray]:
+    """``problem.exact_states`` of each grid, taken finest grid first.
 
-    When ``grid`` halves the step of ``coarse`` exactly, its point 2m is
-    point m of ``coarse``: t0 + (2m) * k and t0 + m * (2k) round the same
-    real number, so the times are bitwise equal, and so are the states in
-    ``coarse_states``.  Only the odd rows then call ``exact``.  Any other
-    pair of grids calls it at every point.
+    A grid that the next finer grid halves exactly (same t0, twice its M,
+    half its k) is every second point of that grid: t0 + m * (2k) and
+    t0 + (2m) * k round the same real number, so the times are bitwise
+    equal, and so are the states.  Such a grid gets the view
+    ``finer_states[::2]``; any other grid is evaluated in full.
     """
-    if coarse is None or not (
-        grid.t0 == coarse.t0 and grid.M == 2 * coarse.M and coarse.k == 2.0 * grid.k
-    ):
-        return problem.exact_states(grid)
-    import numpy as np
-
-    states = np.empty((grid.M + 1, problem.field.dim))
-    states[::2] = coarse_states
-    problem.exact_rows(states[1::2], grid, 1, 2)
-    return states
+    states = [problem.exact_states(grids[-1])]
+    for finer, grid in zip(reversed(grids), reversed(grids[:-1])):
+        if grid.t0 == finer.t0 and finer.M == 2 * grid.M and grid.k == 2.0 * finer.k:
+            states.append(states[-1][::2])
+        else:
+            states.append(problem.exact_states(grid))
+    return states[::-1]
 
 
 def _norms(reference: np.ndarray, computed: np.ndarray, k: float) -> tuple[float, float, float]:

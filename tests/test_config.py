@@ -110,6 +110,26 @@ def test_y0_must_have_five_entries():
     assert "y0" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("k = 0.001", "k 0.001", "line 4: expected `key = value`"),
+        ("k = 0.001", "k =  # no step", "line 4: empty value for key 'k'"),
+        ("tau = 0.6", "tau = inf", "line 17: non-finite value for key 'tau'"),
+        ("tau = 0.6", "tau = nan", "line 17: non-finite value for key 'tau'"),
+        ("0.5e6, 3e6", "0.5e6, -inf", "line 22: non-finite value for key 'y0'"),
+        (", 1965, 1970, 1975, 1980, 1986", "", "line 23: eras must hold at least 2 values"),
+    ],
+    ids=["no-equals", "empty", "inf", "nan", "list-inf", "one-era-bound"],
+)
+def test_malformed_lines_are_rejected_with_their_line(old, new, message):
+    text = EXAMPLE_1960_CONFIG.replace(old, new)
+    assert text != EXAMPLE_1960_CONFIG
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert str(excinfo.value) == message
+
+
 def test_parameter_range_violations_are_config_errors():
     text = EXAMPLE_1960_CONFIG.replace("mu = 0.55", "mu = 1.55")
     with pytest.raises(ConfigError) as excinfo:

@@ -178,6 +178,10 @@ def test_build_grid_rejects_bad_spans():
         build_grid(0.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="too small"):
         build_grid(1960.0, 1986.0, 5e-324)
+    for k_request in (-0.1, -math.inf, math.nan):
+        with pytest.raises(ValueError) as excinfo:
+            build_grid(0.0, 1.0, k_request)
+        assert str(excinfo.value) == "build_grid requires a positive step request"
 
 
 def test_grid_lands_on_horizon():

@@ -27,7 +27,7 @@ from tristep import (
     zero_stability_root_moduli,
     zero_stability_roots,
 )
-from tristep.numerics import BLOCK_ROWS
+from tristep.numerics import BLOCK_ROWS, TimeGrid
 
 
 def constant_field(values):
@@ -426,6 +426,17 @@ def test_field_dimension_must_be_a_positive_integer(dim, error):
         RhsField(dim=dim, evaluate=lambda t, y: y)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_a_source_field_keeps_its_sources_dimension(dim):
+    field = cp_rhs(preset("cameroon-1960").params)
+    message = f"field dimension {dim} differs from its source's dimension 5"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(field, dim=dim)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RhsField(dim, field.evaluate)
+    assert dataclasses.replace(field, dim=5) == field
+
+
 def test_field_dimension_accepts_numpy_integers():
     field = RhsField(dim=np.int64(2), evaluate=lambda t, y: y)
     assert type(field.dim) is int and field.dim == 2
@@ -617,6 +628,35 @@ def test_integrate_rejects_dimension_mismatch():
     grid = build_grid(0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         integrate(GROWTH, np.ones(3), grid)
+
+
+def test_integrate_rejects_a_grid_whose_states_do_not_fit():
+    # the size of 2**62 + 1 rows overflows before any allocation is asked for
+    grid = TimeGrid(0.0, 1.0, 2**62)
+    message = (
+        f"step size k={grid.k!r} is too small: "
+        f"the run's {2**62 + 1} states do not fit in memory"
+    )
+    with pytest.raises(ValueError) as excinfo:
+        integrate(GROWTH, np.ones(1), grid)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("substep", [2, 3])
+def test_composed_step_blowup_names_the_failing_substep(substep):
+    # with k = 3 the substeps start at t = 0, 1 and 2, and each evaluates at
+    # its start and one unit later; the field is infinite from t = 2 or t = 3
+    ts = float(substep)
+    f = RhsField(dim=2, evaluate=lambda t, y: np.array([math.inf if t >= ts else 1.0, 0.0]))
+    y = np.array([0.5, 0.25])
+    with pytest.raises(NumericalBlowupError) as excinfo:
+        composed_step(f, 0.0, y, 3.0)
+    err = excinfo.value
+    start = float(substep - 1)
+    assert str(err) == f"non-finite state in substep starting at t={start!r}"
+    assert err.t == start
+    # the state the failing substep started from: each substep before it added 0.5 * (1 + 1)
+    assert err.last_state == (0.5 + (substep - 1), 0.25)
 
 
 STEPPERS = {

@@ -5,9 +5,12 @@ from __future__ import annotations
 import dataclasses
 import tracemalloc
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tristep import (
     ConvergenceRow,
@@ -188,6 +191,11 @@ def test_each_exact_state_is_evaluated_once_per_study():
     assert set(times) == set(build_grid(0.0, 1.0, 2.0**-13).times().tolist())
 
 
+def evaluated_per_grid(problem, grids):
+    """``studies._exact_states`` with every grid's states evaluated in full."""
+    return [problem.exact_states(grid) for grid in grids]
+
+
 @pytest.mark.parametrize(
     "build, exponents",
     [
@@ -200,9 +208,7 @@ def test_each_exact_state_is_evaluated_once_per_study():
 )
 def test_reused_exact_states_are_bitwise_evaluated_ones(build, exponents, monkeypatch):
     reused = run_convergence_study(build(), exponents)
-    monkeypatch.setattr(
-        studies, "_exact_states", lambda problem, grid, *coarse: problem.exact_states(grid)
-    )
+    monkeypatch.setattr(studies, "_exact_states", evaluated_per_grid)
     # repr tells every bit of a float apart, the sign of zero included
     assert repr(reused) == repr(run_convergence_study(build(), exponents))
 
@@ -232,6 +238,40 @@ def test_exact_states_halving_is_detected_over_any_interval():
     pairs = list(zip(grids, grids[1:]))
     assert any(a.M == 2 * b.M for b, a in pairs) and any(a.M != 2 * b.M for b, a in pairs)
     assert len(times) == expected + len(grids)
+
+
+def halving_calls(grids):
+    """Calls of ``exact`` at grid points when a grid that halves the one before it reuses it."""
+    calls = 0
+    for coarse, grid in zip([None, *grids], grids):
+        halves = coarse is not None and grid.M == 2 * coarse.M
+        calls += grid.M // 2 if halves else grid.M + 1
+    return calls
+
+
+# seeded, so that every run of the suite draws the same examples
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(
+    st.sampled_from([example1, example2]),
+    st.floats(-2.0, 2.0),
+    # any span, and spans over which every grid halves the one before it
+    st.floats(0.01, 2.0) | st.sampled_from([0.25, 1.0, 2.0]),
+    # at most three exponents from 1..9: the finest grid has at most 2 * 2**9 = 2**10 steps
+    st.integers(1, 7),
+    st.integers(1, 3),
+)
+def test_reuse_holds_over_random_intervals_and_exponents(build, t0, span, first, count):
+    problem = dataclasses.replace(build(), t0=t0, T=t0 + span)
+    exponents = range(first, first + count)
+    grids = [build_grid(problem.t0, problem.T, 2.0**-e) for e in exponents]
+    counted, times = counting(lambda: problem)
+    reused = run_convergence_study(counted, exponents)
+    # once per distinct grid point, and t0 once more per integration, as y0
+    assert len(times) == halving_calls(grids) + len(grids)
+    with mock.patch.object(studies, "_exact_states", evaluated_per_grid):
+        evaluated = run_convergence_study(problem, exponents)
+    # repr tells every bit of a float apart, the sign of zero included
+    assert repr(reused) == repr(evaluated)
 
 
 # --------------------------------------------------------------- era summary

@@ -20,10 +20,12 @@ CSV writer joins its fields with commas, none of which needs quoting; only
 
 :func:`main` runs every command with ``OPENBLAS_NUM_THREADS=1`` in the
 process environment and restores the caller's value, or its absence, on
-return.  ``import tristep.cli`` loads no numpy, so the setting is in place
-when a ``converge`` run first imports it, which is when numpy's OpenBLAS
-reads it: no BLAS worker thread is started, and the norms of a convergence
-table get the same bits whatever the core count.
+return.  ``import tristep.cli`` loads neither numpy nor its OpenBLAS, so
+the setting is in place when a ``converge`` run loads that library, at its
+first norm, which is when OpenBLAS reads it: no BLAS worker thread is
+started, and the norms of a convergence table get the same bits whatever
+the core count.  Such a run imports no numpy where numpy's wheel bundles
+the library (:func:`~tristep.numerics.discrete_l2_time_norm`).
 """
 
 from __future__ import annotations
@@ -423,7 +425,7 @@ class _ClosedStderr:
         pass
 
 
-# read by numpy's OpenBLAS when numpy is first imported; see the module docstring
+# read by numpy's OpenBLAS when the library is first loaded; see the module docstring
 _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 

@@ -13,6 +13,7 @@ errors are therefore directly measurable at every grid point.
 from __future__ import annotations
 
 import math
+from array import array
 
 from .numerics import BLOCK_ROWS, Record, TimeGrid
 from .scheme import RhsField
@@ -49,19 +50,33 @@ class ManufacturedProblem(Record):
         """Initial state, by construction equal to ``exact(t0)``."""
         return tuple(self.exact(self.t0))
 
+    def exact_values(self, grid: TimeGrid) -> array:
+        """``exact`` at every grid point t_0..t_M, row after row, in one flat ``array('d')``.
+
+        The rows are gathered in blocks of ``BLOCK_ROWS``.
+
+        Raises:
+          ValueError: If ``exact`` returns a row whose length is not the
+            field's dimension.
+        """
+        exact, t0, k, dim, count = self.exact, grid.t0, grid.k, self.field.dim, grid.M + 1
+        values = array("d")
+        for a in range(0, count, BLOCK_ROWS):
+            rows: list[float] = []
+            for n in range(a, min(a + BLOCK_ROWS, count)):
+                row = exact(t0 + n * k)  # t0 + n * k is grid.time(n)
+                if len(row) != dim:
+                    raise ValueError(f"exact returned {len(row)} values, expected {dim}")
+                rows.extend(row)
+            values.fromlist(rows)
+        return values
+
     def exact_states(self, grid: TimeGrid) -> np.ndarray:
-        """``exact`` at every grid point t_0..t_M, one row each, in blocks of ``BLOCK_ROWS``."""
+        """:meth:`exact_values` as a ``(M + 1, dim)`` float64 array that shares its memory."""
         import numpy as np
 
-        exact, t0, k, count = self.exact, grid.t0, grid.k, grid.M + 1
-        states = np.empty((count, self.field.dim))
-        for a in range(0, count, BLOCK_ROWS):
-            b = min(a + BLOCK_ROWS, count)
-            rows: list[float] = []
-            for n in range(a, b):
-                rows.extend(exact(t0 + n * k))  # t0 + n * k is grid.time(n)
-            states[a:b] = np.fromiter(rows, np.float64, len(rows)).reshape(b - a, -1)
-        return states
+        values = self.exact_values(grid)
+        return np.frombuffer(values, dtype=np.float64).reshape(grid.M + 1, self.field.dim)
 
 
 def _solution(t: float) -> tuple[float, float, float]:

@@ -8,7 +8,10 @@ every N-th or all of them, in one flat ``array('d')``, with the sums by
 era and the sign flag its kernel took as it stepped; the era starts stay
 with the caller that chose them.  numpy is imported only by the functions
 that make or read numpy arrays (``as_state``, ``TimeGrid.times``,
-``Trajectory.states`` and the norms).  ``TimeGrid`` and ``Trajectory`` are
+``Trajectory.states`` and ``sup_norm``).  The L2 norm sums its squares with
+the ``cblas_ddot`` of the OpenBLAS numpy's wheel bundles, loaded through
+``ctypes`` at the first norm without importing numpy, and with ``np.dot``
+only where that library is missing.  ``TimeGrid`` and ``Trajectory`` are
 read-only ``__slots__`` classes on :class:`Frozen`; the value types of the
 other modules are :class:`Record` classes, which ``dataclasses.fields`` and
 ``dataclasses.replace`` accept.  Importing the module imports neither
@@ -17,12 +20,14 @@ other modules are :class:`Record` classes, which ``dataclasses.fields`` and
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from array import array
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, Sequence
+    from typing import Callable, Iterable, Sequence
 
     import numpy as np
 
@@ -352,27 +357,74 @@ def discrete_l2_time_norm(per_step_norms: Sequence[float] | np.ndarray, k: float
     """Time-discrete L2 aggregate sqrt(k * sum_n v_n**2).
 
     The sequence covers grid points 1..M only; the initial sample is
-    deliberately excluded from the sum.  The sum of squares is numpy's
-    ``np.dot``, a BLAS call, and its last bits depend on the BLAS kernel
-    that runs it.  OpenBLAS picks its kernel by CPU (``OPENBLAS_CORETYPE``
-    overrides the choice), and the kernels' sums can differ at any length.
-    OpenBLAS 0.3.31 on x86-64 also splits the sum across its threads above
-    10 000 values, and the split can change the last bits, so a longer
-    sequence's result depends on the BLAS thread count too.
+    deliberately excluded from the sum.  The sum of squares is OpenBLAS's
+    ``cblas_ddot`` of the sequence with itself, the function numpy's
+    ``np.dot`` of two float64 vectors calls: taken from the OpenBLAS that
+    numpy's wheel bundles, through ``ctypes`` and without importing numpy
+    (:func:`_blas_ddot`), and from ``np.dot`` where there is no such library.
+    Its last bits depend on the BLAS kernel that runs it.  OpenBLAS picks
+    its kernel by CPU (``OPENBLAS_CORETYPE`` overrides the choice), and the
+    kernels' sums can differ at any length.  OpenBLAS 0.3.31 on x86-64 also
+    splits the sum across its threads above 10 000 values, and the split can
+    change the last bits, so a longer sequence's result depends on the BLAS
+    thread count too.  OpenBLAS reads both settings once, when the library
+    is loaded: at the first norm or numpy's import, whichever comes first.
     ``tristep.cli.main`` runs with OpenBLAS on one thread; a library caller's
     own setting applies here.
 
     Raises:
       ValueError: If the sequence is empty or ``k`` is not positive.
     """
-    import numpy as np
-
-    v = np.asarray(per_step_norms, dtype=np.float64)
-    if v.size == 0:
+    v = per_step_norms
+    if not (isinstance(v, array) and v.typecode == "d"):
+        v = array("d", v)
+    if not v:
         raise ValueError("discrete L2 norm of an empty sequence")
     if not k > 0.0:
         raise ValueError("step size k must be positive")
-    return math.sqrt(k * float(np.dot(v, v)))
+    ddot = _blas_ddot()[1]
+    if ddot is None:
+        import numpy as np
+
+        w = np.frombuffer(v, dtype=np.float64)
+        return math.sqrt(k * float(np.dot(w, w)))
+    address, size = v.buffer_info()
+    return math.sqrt(k * ddot(size, address, 1, address, 1))
+
+
+@functools.cache
+def _blas_ddot() -> tuple[str | None, Callable[..., float] | None]:
+    """The OpenBLAS numpy's wheel bundles and its ``cblas_ddot``, or ``(None, None)``.
+
+    The library is ``numpy.libs/libscipy_openblas64_*.so`` beside the numpy
+    package, found with ``importlib.util.find_spec``, which imports no numpy,
+    and loaded at the first call.  Loading reads OpenBLAS's settings, as
+    numpy's import would; where numpy has loaded the library already, this
+    is the same library, settings and all.  ``(None, None)`` where there is
+    no such library or symbol, or no ``ctypes``.
+    """
+    import glob
+    import importlib.util
+
+    try:
+        import ctypes
+
+        spec = importlib.util.find_spec("numpy")
+    except (ImportError, ValueError):  # no ctypes; numpy in sys.modules without a spec
+        return None, None
+    for location in (spec and spec.submodule_search_locations) or ():
+        libs = os.path.join(os.path.dirname(location), "numpy.libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+            try:
+                ddot = ctypes.CDLL(path).scipy_cblas_ddot64_
+            except (OSError, AttributeError):
+                continue
+            # cblas_ddot(n, x, incx, y, incy) of the 64-bit-integer interface
+            n, pointer = ctypes.c_int64, ctypes.c_void_p
+            ddot.argtypes = [n, pointer, n, pointer, n]
+            ddot.restype = ctypes.c_double
+            return path, ddot
+    return None, None
 
 
 def convergence_rate(e_coarse: float, e_fine: float) -> float:

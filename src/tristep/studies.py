@@ -2,26 +2,31 @@
 
 Each scenario run is pure, and presets could run concurrently.  The grids
 of a convergence study are not independent: their exact states are taken
-first, finest grid first, and a grid that the next finer grid halves reads
-every second row of that grid's states as a view instead of evaluating the
-solution again; the grids then run coarse to fine.  A scenario run
-(:func:`run_scenario`) stays on Python floats and imports no numpy: the
-kernel adds each state into its era's sums as it steps and keeps every
-N-th state, and the summary is divided from those sums.
-:func:`era_summary` takes the same summary from a trajectory's stored
-states as numpy's means; it is the reference those sums are checked
-against.  It and the convergence study import numpy; the study's norms can
-depend in their last bits on the OpenBLAS kernel the CPU selects, and on
-the BLAS thread count on long grids
+first, finest grid first, into flat ``array('d')``s, and a grid whose
+points are every 2**j-th point of a grid evaluated before it reads that
+grid's rows instead of evaluating the solution again; the grids then run
+coarse to fine.  A scenario run (:func:`run_scenario`) stays on Python
+floats and imports no numpy: the kernel adds each state into its era's
+sums as it steps and keeps every N-th state, and the summary is divided
+from those sums.  :func:`era_summary` takes the same summary from a
+trajectory's stored states as numpy's means; it is the reference those
+sums are checked against, and it imports numpy.  The convergence study
+takes its per-point maxima on Python floats and sums their squares with
+the OpenBLAS numpy's wheel bundles, without importing numpy where that
+library is there; its norms can depend in their last bits on the OpenBLAS
+kernel the CPU selects, and on the BLAS thread count on long grids
 (:func:`~tristep.numerics.discrete_l2_time_norm`).  The rows of a table or
 a summary are named tuples (``collections.namedtuple``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from array import array
 from collections import namedtuple
+from itertools import islice
 
 from .cpmodel import EraPreset, cp_rhs
 from .manufactured import ManufacturedProblem
@@ -39,9 +44,7 @@ from .scheme import SignConvention, integrate
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, Sequence
-
-    import numpy as np
+    from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "ConvergenceRow",
@@ -89,15 +92,17 @@ def run_convergence_study(
     n = 1..M the study takes the sup norms (row maxima of magnitudes) of the
     exact solution, the numerical solution and their difference, then
     aggregates each sequence with the discrete L2-in-time norm.  The exact
-    states of every grid are taken before the first integration, finest
-    grid first: a grid that the next finer grid halves exactly is every
-    second point of that grid, bit for bit, and reads its states as a
-    ``[::2]`` view, so the exact solution is evaluated once per distinct
-    grid point of the study.
+    states are taken before the first integration, finest grid first: a
+    grid whose points are every 2**j-th point of a grid evaluated before
+    it, bit for bit, reads every 2**j-th row of that grid's states, copied
+    out just before its norms.  So where every grid's points are among the
+    finest grid's, as for k = 2**-e over [0, 1], the exact solution is
+    evaluated once per point of the finest grid.
 
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,
-        or a step is too small for its grid or its states.
+        a step is too small for its grid or its states, or ``exact`` returns
+        a row whose length is not the field's dimension.
       NumericalBlowupError: Propagated from a diverging integration.
     """
     grids: list[TimeGrid] = []
@@ -121,9 +126,11 @@ def run_convergence_study(
 
     rows: list[ConvergenceRow] = []
     previous_error: float | None = None
-    for grid, exact in zip(grids, _exact_states(problem, grids)):
+    for grid, (values, largest, stride) in zip(grids, _exact_sources(problem, grids)):
         trajectory = integrate(problem.field, problem.y0, grid, sign)
-        exact_norm, numeric_norm, error_norm = _norms(exact[1:], trajectory.states[1:], grid.k)
+        exact_norm, numeric_norm, error_norm = _norms(
+            values, largest, stride, trajectory, grid.k
+        )
         rate = None
         if previous_error is not None and previous_error > 0.0 and error_norm > 0.0:
             rate = convergence_rate(previous_error, error_norm)
@@ -132,36 +139,113 @@ def run_convergence_study(
     return rows
 
 
-def _exact_states(problem: ManufacturedProblem, grids: Sequence[TimeGrid]) -> list[np.ndarray]:
-    """``problem.exact_states`` of each grid, taken finest grid first.
+def _exact_sources(
+    problem: ManufacturedProblem, grids: Sequence[TimeGrid]
+) -> list[tuple[array, array, int]]:
+    """Per grid, ``(values, largest, stride)``: where its exact states and their maxima are.
 
-    A grid that the next finer grid halves exactly (same t0, twice its M,
-    half its k) is every second point of that grid: t0 + m * (2k) and
-    t0 + (2m) * k round the same real number, so the times are bitwise
-    equal, and so are the states.  Such a grid gets the view
-    ``finer_states[::2]``; any other grid is evaluated in full.
+    ``values`` are the flat exact states of a grid evaluated in full,
+    ``largest`` holds max |row| of each of their rows, and the grid's
+    states are every ``stride``-th row of ``values``.  The grids are
+    walked finest first.  A grid whose points are every
+    2**j-th point (j >= 1) of a grid evaluated before it, that is with the
+    same t0, 2**j times fewer steps and a step 2**j times as long, reads
+    that grid's states: t0 + m * (2**j * k) and t0 + (2**j * m) * k round
+    the same real number, so the times are bitwise equal, and so are the
+    states.  Any other grid is evaluated in full (stride 1), and the
+    coarser grids may read it in turn.
     """
-    states = [problem.exact_states(grids[-1])]
-    for finer, grid in zip(reversed(grids), reversed(grids[:-1])):
-        if grid.t0 == finer.t0 and finer.M == 2 * grid.M and grid.k == 2.0 * finer.k:
-            states.append(states[-1][::2])
+    largest_of = _row_maxima(problem.field.dim, deviations=False)
+    evaluated: list[tuple[TimeGrid, tuple[array, array]]] = []
+    sources = []
+    for grid in reversed(grids):
+        for finer, source in evaluated:
+            stride = finer.M // grid.M
+            if (
+                stride > 1
+                and not stride & (stride - 1)
+                and finer.M == stride * grid.M
+                and grid.t0 == finer.t0
+                and grid.k == stride * finer.k
+            ):
+                break
         else:
-            states.append(problem.exact_states(grid))
-    return states[::-1]
+            values = problem.exact_values(grid)
+            source, stride = (values, largest_of(values)), 1
+            evaluated.append((grid, source))
+        sources.append((*source, stride))
+    return sources[::-1]
 
 
-def _norms(reference: np.ndarray, computed: np.ndarray, k: float) -> tuple[float, float, float]:
-    """L2-in-time norms of the row maxima of |reference|, |computed| and |reference - computed|.
+def _norms(
+    values: array, largest: array, stride: int, trajectory: Trajectory, k: float
+) -> tuple[float, float, float]:
+    """L2-in-time norms of the row maxima of |exact|, |computed| and |exact - computed|.
 
-    One array of magnitudes is alive at a time, and none outlives the call.
+    The exact states are every ``stride``-th row of ``values``, and their
+    maxima every ``stride``-th value of ``largest``; with a stride above 1
+    the states are copied out here, and the copy does not outlive the call.
+    Grid point 0 is not in the norms.
     """
-    import numpy as np
+    dim = trajectory.dim
+    exact = values
+    if stride > 1:
+        exact = array("d", [0.0]) * (dim * (trajectory.grid.M + 1))
+        for c in range(dim):
+            exact[c::dim] = values[c :: stride * dim]
+    deviations = _row_maxima(dim, deviations=True)
+    computed = trajectory.values
+    computed_max, error_max = deviations(islice(exact, dim, None), islice(computed, dim, None))
+    maxima = (largest[stride::stride], computed_max, error_max)
+    return tuple(discrete_l2_time_norm(per_point, k) for per_point in maxima)
 
-    exact_norm = discrete_l2_time_norm(np.abs(reference).max(axis=1), k)
-    numeric_norm = discrete_l2_time_norm(np.abs(computed).max(axis=1), k)
-    error = reference - computed
-    error_norm = discrete_l2_time_norm(np.abs(error, out=error).max(axis=1), k)
-    return exact_norm, numeric_norm, error_norm
+
+@functools.cache
+def _row_maxima(dim: int, deviations: bool) -> Callable[..., array | tuple[array, array]]:
+    """A loop, written out for rows of ``dim`` values, that takes row maxima of magnitudes.
+
+    Without ``deviations`` it is ``maxima(exact)``, which gives max |exact|
+    per row; with ``deviations``, ``maxima(exact, computed)``, which gives max
+    |computed| and max |exact - computed| per row.  Each argument gives
+    floats row after row, ``dim`` to a row, and each result is an
+    ``array('d')`` of one value per row of the shortest argument.  A NaN
+    anywhere in a row makes its maximum NaN and -0.0 counts as 0.0, as in
+    numpy's ``np.abs(rows).max(axis=1)``.  The loop unpacks each row from
+    ``zip`` into ``dim`` names and compares them in written-out
+    expressions, so it builds no list or tuple per row.
+    """
+    if deviations:
+        rows = {"e": "exact", "c": "computed"}
+        terms = [[f"c{i}" for i in range(dim)], [f"e{i} - c{i}" for i in range(dim)]]
+    else:
+        rows = {"e": "exact"}
+        terms = [[f"e{i}" for i in range(dim)]]
+    outs = [f"out{j}" for j in range(len(terms))]
+
+    def largest(values: list[str], out: str) -> list[str]:
+        lines = [f"a{i} = abs({value})" for i, value in enumerate(values)]
+        m = "a0"
+        for i in range(1, dim):  # a NaN on either side wins
+            lines.append(f"m = {m} if {m} > a{i} or {m} != {m} else a{i}")
+            m = "m"
+        return [*lines, f"{out}.append({m})"]
+
+    text = "\n".join(
+        [
+            f"def maxima({', '.join(rows.values())}):",
+            *(f"    {out} = array('d')" for out in outs),
+            *(f"    {name} = iter({argument})" for name, argument in rows.items()),
+            # each name with a comma, so that a row of one value unpacks too
+            f"    for {''.join(f'{name}{i}, ' for name in rows for i in range(dim))}in zip(",
+            f"        {', '.join(name for name in rows for _ in range(dim))}",
+            "    ):",
+            *(f"        {line}" for out, row in zip(outs, terms) for line in largest(row, out)),
+            f"    return {', '.join(outs)}",
+        ]
+    )
+    namespace = {"array": array}
+    exec(text, namespace)
+    return namespace["maxima"]
 
 
 def era_summary(

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 import pickle
+import random
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,10 @@ from tristep import (
     example1,
     sup_norm,
 )
+from tristep import numerics, run_convergence_study
 from tristep.numerics import kept_count, trajectory_row_indices
+
+SRC = Path(numerics.__file__).resolve().parent.parent
 
 
 def test_sup_norm_zero_vector():
@@ -114,6 +122,69 @@ def test_l2_rejects_empty_sequence_and_bad_step():
         discrete_l2_time_norm([1.0], 0.0)
     with pytest.raises(ValueError):
         discrete_l2_time_norm([1.0], -0.5)
+
+
+# The ddot is bound before numpy is imported, as in a converge process; numpy's
+# import then finds the library loaded and calls the same function.
+DDOT_IS_NP_DOT = r"""
+import math
+import random
+from array import array
+
+from tristep import numerics
+
+path, ddot = numerics._blas_ddot()
+import numpy as np
+
+rng = random.Random(20)
+lengths = [1, 2, 3, 10_000, 10_001, 20_000, *(rng.randint(1, 20_000) for _ in range(60))]
+differ = []
+for n in lengths:
+    # magnitudes over 16 decades, so that the order of the additions shows in the bits
+    v = array("d", (rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n)))
+    w = np.frombuffer(v, dtype=np.float64)
+    address = v.buffer_info()[0]
+    expected = float(np.dot(w, w))
+    got = ddot(n, address, 1, address, 1)
+    norm = numerics.discrete_l2_time_norm(v.tolist(), 0.125)
+    if repr(got) != repr(expected) or repr(norm) != repr(math.sqrt(0.125 * expected)):
+        differ.append(n)
+print(path, differ)
+"""
+
+
+@pytest.mark.skipif(numerics._blas_ddot()[1] is None, reason="numpy bundles no OpenBLAS here")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_the_bound_ddot_is_np_dot_bitwise_at_any_length(threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", DDOT_IS_NP_DOT],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    path, differ = result.stdout.split(maxsplit=1)
+    assert os.path.basename(path).startswith("libscipy_openblas64_")
+    assert differ.strip() == "[]"
+
+
+def test_the_np_dot_fallback_gives_the_same_bits(monkeypatch):
+    rng = random.Random(5)
+    vectors = [
+        [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n)]
+        for n in (1, 2, 3, 17, 1000, 10_001)
+    ]
+    vectors.append(np.linspace(0.0, 1.0, 33))
+    norms = [discrete_l2_time_norm(v, 0.25) for v in vectors]
+    table = run_convergence_study(example1(), range(4, 9))
+    monkeypatch.setattr(numerics, "_blas_ddot", lambda: (None, None))
+    assert repr([discrete_l2_time_norm(v, 0.25) for v in vectors]) == repr(norms)
+    assert repr(run_convergence_study(example1(), range(4, 9))) == repr(table)
+    with pytest.raises(ValueError, match="empty"):
+        discrete_l2_time_norm([], 0.1)
 
 
 def test_rate_of_reference_error_pair():

@@ -1,9 +1,10 @@
 """What runs without numpy: start-up, input loading, writing a configuration,
-the roots command and every ``simulate`` outcome: a run that succeeds and
-one that blows up (exit 4, its partial CSV written).  What ``import
-tristep.cli`` loads: no standard-library module beyond those tristep's
-modules import, and neither it nor loading inputs loads ``dataclasses``,
-``inspect``, ``typing`` or ``ast``; yet ``dataclasses`` accepts four types."""
+the roots command, every ``simulate`` outcome (a run that succeeds and one
+that blows up, exit 4, its partial CSV written) and, where numpy's wheel
+bundles its OpenBLAS, ``converge``.  What ``import tristep.cli`` loads: no
+standard-library module beyond those tristep's modules import, and neither
+it nor loading inputs loads ``dataclasses``, ``inspect``, ``typing``, ``ast``
+or ``ctypes``; yet ``dataclasses`` accepts four types."""
 
 from __future__ import annotations
 
@@ -69,13 +70,13 @@ print("numpy" in sys.modules)
 # checks that ``import tristep.cli`` adds no other one (such as ``textwrap``,
 # ``csv`` or ``pathlib``), whatever this Python's own start-up loaded, and
 # that neither it nor loading a preset, a configuration and a problem loads
-# ``dataclasses``, ``inspect``, ``typing`` or ``ast`` (none of which is loaded
-# before it under ``-S``).  Only then does it import ``dataclasses``, to check
-# the four types it accepts.
+# ``dataclasses``, ``inspect``, ``typing``, ``ast`` or ``ctypes`` (none of
+# which is loaded before it under ``-S``).  Only then does it import
+# ``dataclasses``, to check the four types it accepts.
 START_UP_GUARD = r"""
 import sys
 
-HEAVY = {"dataclasses", "inspect", "typing", "ast"}
+HEAVY = {"dataclasses", "inspect", "typing", "ast", "ctypes"}
 absent = HEAVY - set(sys.modules)
 assert absent == HEAVY or not sys.flags.no_site, sorted(HEAVY - absent)
 
@@ -173,6 +174,36 @@ def test_start_up_loading_and_roots_leave_numpy_unimported(tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
     assert "too small" in result.stderr and "unknown key" in result.stderr
     assert "numerical blow-up" in result.stderr
+
+
+CONVERGE = """
+import sys
+from tristep.cli import main
+
+assert main(["converge", "example1", "4..8"]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+def test_converge_leaves_numpy_unimported_where_numpy_bundles_its_openblas():
+    # imported here: CI imports this module for START_UP_GUARD without pytest
+    import pytest
+
+    from tristep import numerics
+
+    if numerics._blas_ddot()[1] is None:
+        pytest.skip("numpy's wheel bundles no libscipy_openblas64_ here, so the norms call np.dot")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", CONVERGE],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_start_up_loads_no_dataclasses_inspect_typing_or_ast_yet_dataclasses_takes_four_types():

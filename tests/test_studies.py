@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import tracemalloc
 from array import array
 from unittest import mock
@@ -191,9 +192,42 @@ def test_each_exact_state_is_evaluated_once_per_study():
     assert set(times) == set(build_grid(0.0, 1.0, 2.0**-13).times().tolist())
 
 
+def test_a_study_over_gapped_exponents_evaluates_each_finest_point_once():
+    counted, times = counting(example1)
+    run_convergence_study(counted, (4, 6, 9))
+    # the points of k = 2^-4 and 2^-6 are every 8th and every 64th point of k = 2^-9
+    assert len(times) == 513 + 3
+    assert set(times) == set(build_grid(0.0, 1.0, 2.0**-9).times().tolist())
+
+
+@pytest.mark.parametrize("row", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+def test_an_exact_row_of_the_wrong_length_is_rejected(row):
+    # right at t0, so that only the rows after the first would be misaligned
+    problem = dataclasses.replace(example1(), exact=lambda t: (0.0, 0.0, 0.0) if t == 0.0 else row)
+    message = f"^exact returned {len(row)} values, expected 3$"
+    with pytest.raises(ValueError, match=message):
+        run_convergence_study(problem, [2, 3])
+    with pytest.raises(ValueError, match=message):
+        problem.exact_states(build_grid(0.0, 1.0, 0.5))
+
+
+def test_an_exact_solution_of_numpy_arrays_gives_the_same_table():
+    problem = example1()
+    arrays = dataclasses.replace(problem, exact=lambda t: np.array(problem.exact(t)))
+    states = arrays.exact_states(build_grid(0.0, 1.0, 2.0**-4))
+    assert states.tolist() == problem.exact_states(build_grid(0.0, 1.0, 2.0**-4)).tolist()
+    expected = run_convergence_study(problem, range(4, 9))
+    assert repr(run_convergence_study(arrays, range(4, 9))) == repr(expected)
+
+
 def evaluated_per_grid(problem, grids):
-    """``studies._exact_states`` with every grid's states evaluated in full."""
-    return [problem.exact_states(grid) for grid in grids]
+    """``studies._exact_sources`` with every grid's states evaluated in full."""
+    sources, dim = [], problem.field.dim
+    for grid in grids:
+        values = problem.exact_values(grid)
+        largest = [max(map(abs, values[n : n + dim])) for n in range(0, len(values), dim)]
+        sources.append((values, array("d", largest), 1))
+    return sources
 
 
 @pytest.mark.parametrize(
@@ -204,11 +238,12 @@ def evaluated_per_grid(problem, grids):
         (example1, (4, 6, 9)),  # no grid halves the one before it
         # over [0.1, 1.3] only some grids halve the one before them
         (lambda: dataclasses.replace(example1(), t0=0.1, T=1.3), range(4, 12)),
+        (example1, (3, 7)),
     ],
 )
 def test_reused_exact_states_are_bitwise_evaluated_ones(build, exponents, monkeypatch):
     reused = run_convergence_study(build(), exponents)
-    monkeypatch.setattr(studies, "_exact_states", evaluated_per_grid)
+    monkeypatch.setattr(studies, "_exact_sources", evaluated_per_grid)
     # repr tells every bit of a float apart, the sign of zero included
     assert repr(reused) == repr(run_convergence_study(build(), exponents))
 
@@ -240,13 +275,24 @@ def test_exact_states_halving_is_detected_over_any_interval():
     assert len(times) == expected + len(grids)
 
 
-def halving_calls(grids):
-    """Calls of ``exact`` at grid points when a grid that halves the one before it reuses it."""
-    calls = 0
-    for coarse, grid in zip([None, *grids], grids):
-        halves = coarse is not None and grid.M == 2 * coarse.M
-        calls += grid.M // 2 if halves else grid.M + 1
+def coarsening_calls(grids):
+    """Calls of ``exact`` at grid points when a grid whose points are every 2**j-th
+    point (j >= 1) of a finer grid evaluated in full reads that grid's states."""
+    calls, evaluated = 0, []
+    for grid in reversed(grids):
+        ratios = [m // grid.M for m in evaluated if m % grid.M == 0]
+        if not any(r > 1 and r.bit_count() == 1 for r in ratios):
+            calls += grid.M + 1
+            evaluated.append(grid.M)
     return calls
+
+
+def study_outcome(problem, exponents):
+    """The study's rows, or the message of the integration that diverged."""
+    try:
+        return run_convergence_study(problem, exponents)
+    except NumericalBlowupError as err:  # a coarse step diverges over some intervals
+        return str(err)
 
 
 # seeded, so that every run of the suite draws the same examples
@@ -265,13 +311,59 @@ def test_reuse_holds_over_random_intervals_and_exponents(build, t0, span, first,
     exponents = range(first, first + count)
     grids = [build_grid(problem.t0, problem.T, 2.0**-e) for e in exponents]
     counted, times = counting(lambda: problem)
-    reused = run_convergence_study(counted, exponents)
-    # once per distinct grid point, and t0 once more per integration, as y0
-    assert len(times) == halving_calls(grids) + len(grids)
-    with mock.patch.object(studies, "_exact_states", evaluated_per_grid):
-        evaluated = run_convergence_study(problem, exponents)
+    studies._exact_sources(counted, grids)
+    # once per distinct grid point
+    assert len(times) == coarsening_calls(grids)
+    reused = study_outcome(problem, exponents)
+    with mock.patch.object(studies, "_exact_sources", evaluated_per_grid):
+        evaluated = study_outcome(problem, exponents)
     # repr tells every bit of a float apart, the sign of zero included
     assert repr(reused) == repr(evaluated)
+
+
+# ------------------------------------------------------- per-point row maxima
+
+# every kind of float: signed zeros, infinities, subnormals and NaN
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 1e-310, 1.0, -1.0]
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda dim: st.tuples(
+            st.just(dim),
+            st.lists(st.lists(FLOATS, min_size=2 * dim, max_size=2 * dim), max_size=12),
+        )
+    )
+)
+def test_row_maxima_are_numpys(case):
+    dim, rows = case
+    exact = np.array([row[:dim] for row in rows], dtype=np.float64).reshape(-1, dim)
+    computed = np.array([row[dim:] for row in rows], dtype=np.float64).reshape(-1, dim)
+    exact_max = studies._row_maxima(dim, deviations=False)(exact.ravel().tolist())
+    deviations = studies._row_maxima(dim, deviations=True)
+    computed_max, error_max = deviations(exact.ravel().tolist(), computed.ravel().tolist())
+    with np.errstate(all="ignore"):  # inf - inf, and differences that overflow
+        error = exact - computed
+    expected = [np.abs(a).max(axis=1).tolist() for a in (exact, computed, error)]
+    # repr tells every bit of a float apart, but not one NaN from another
+    got = [list(m) for m in (exact_max, computed_max, error_max)]
+    assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_a_nan_in_any_position_makes_its_rows_maxima_nan(position):
+    row = [1.0, -2.0, math.inf]
+    row[position] = math.nan
+    (exact_max,) = studies._row_maxima(3, deviations=False)(row)
+    computed_max, error_max = studies._row_maxima(3, deviations=True)(row, [-0.0, 0.5, -3.0])
+    assert math.isnan(exact_max) and math.isnan(error_max[0])
+    assert repr(computed_max[0]) == "3.0"
+    # the same row as the computed one
+    computed_max, error_max = studies._row_maxima(3, deviations=True)([0.0, 0.0, 0.0], row)
+    assert math.isnan(computed_max[0]) and math.isnan(error_max[0])
 
 
 # --------------------------------------------------------------- era summary

@@ -5,8 +5,10 @@ Commands:
   simulate  integrate the compartment model from a preset or a config file
   roots     print the characteristic roots and their moduli
 
-Exit codes: 0 success, 2 usage or parse failure, 3 I/O failure (standard
-output included, also when the process started with it closed), 4 numerical
+Exit codes: 0 success, 2 usage or parse failure (and a ``converge`` where
+numpy is not installed, so that nothing can take its norms, before any
+grid is integrated), 3 I/O failure (standard output included, also when
+the process started with it closed), 4 numerical
 blow-up (the partial trajectory is still written), 130 interrupted
 (``KeyboardInterrupt``, such as from Ctrl-C).  Every failure prints one
 ``error: <message>`` line to standard error; a process started with standard

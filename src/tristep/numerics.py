@@ -10,12 +10,13 @@ with the caller that chose them.  numpy is imported only by the functions
 that make or read numpy arrays (``as_state``, ``TimeGrid.times``,
 ``Trajectory.states`` and ``sup_norm``).  The L2 norm sums its squares with
 the ``cblas_ddot`` of the OpenBLAS numpy's wheel bundles, loaded through
-``ctypes`` at the first norm without importing numpy, and with ``np.dot``
-only where that library is missing.  ``TimeGrid`` and ``Trajectory`` are
-read-only ``__slots__`` classes on :class:`Frozen`; the value types of the
-other modules are :class:`Record` classes, which ``dataclasses.fields`` and
-``dataclasses.replace`` accept.  Importing the module imports neither
-``dataclasses`` nor ``typing``, and generates and compiles no methods.
+``ctypes`` at the first norm (or at :func:`load_l2_norm`) without
+importing numpy, and with ``np.dot`` only where that library is missing.
+``TimeGrid`` and ``Trajectory`` are read-only ``__slots__`` classes on
+:class:`Frozen`; the value types of the other modules are :class:`Record`
+classes, which ``dataclasses.fields`` and ``dataclasses.replace`` accept.
+Importing the module imports neither ``dataclasses`` nor ``typing``, and
+generates and compiles no methods.
 """
 
 from __future__ import annotations
@@ -390,6 +391,26 @@ def discrete_l2_time_norm(per_step_norms: Sequence[float] | np.ndarray, k: float
         return math.sqrt(k * float(np.dot(w, w)))
     address, size = v.buffer_info()
     return math.sqrt(k * ddot(size, address, 1, address, 1))
+
+
+def load_l2_norm() -> None:
+    """Load now what :func:`discrete_l2_time_norm` sums its squares with.
+
+    That is the bundled OpenBLAS (:func:`_blas_ddot`), or numpy where there
+    is no such library; numpy is imported only then.  A caller that runs
+    this first fails before its work, not at its first norm.
+
+    Raises:
+      ValueError: If neither numpy's bundled OpenBLAS nor numpy can be loaded.
+    """
+    if _blas_ddot()[1] is None:
+        try:
+            import numpy  # noqa: F401
+        except ImportError as err:
+            raise ValueError(
+                "the L2 norms need numpy: neither the OpenBLAS its wheel bundles "
+                f"(numpy.libs/libscipy_openblas64_*.so) nor numpy can be loaded ({err})"
+            ) from None
 
 
 @functools.cache

@@ -11,10 +11,13 @@ sums as it steps and keeps every N-th state, and the summary is divided
 from those sums.  :func:`era_summary` takes the same summary from a
 trajectory's stored states as numpy's means; it is the reference those
 sums are checked against, and it imports numpy.  The convergence study
-takes its per-point maxima on Python floats and sums their squares with
-the OpenBLAS numpy's wheel bundles, without importing numpy where that
-library is there; its norms can depend in their last bits on the OpenBLAS
-kernel the CPU selects, and on the BLAS thread count on long grids
+takes its per-point maxima with numpy where this interpreter has imported
+numpy already, and with generated Python loops otherwise, as in a fresh
+``tristep converge`` process; both give the same bits, and the study never
+imports numpy for them.  It sums their squares with the OpenBLAS numpy's
+wheel bundles, without importing numpy where that library is there; its
+norms can depend in their last bits on the OpenBLAS kernel the CPU
+selects, and on the BLAS thread count on long grids
 (:func:`~tristep.numerics.discrete_l2_time_norm`).  The rows of a table or
 a summary are named tuples (``collections.namedtuple``).
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from array import array
 from collections import namedtuple
 from itertools import islice
@@ -38,13 +42,17 @@ from .numerics import (
     discrete_l2_time_norm,
     era_starts,
     fits_in_memory,
+    load_l2_norm,
     states_do_not_fit,
 )
 from .scheme import SignConvention, integrate
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from types import ModuleType
     from typing import Callable, Iterable, Sequence
+
+    import numpy as np
 
 __all__ = [
     "ConvergenceRow",
@@ -94,15 +102,23 @@ def run_convergence_study(
     aggregates each sequence with the discrete L2-in-time norm.  The exact
     states are taken before the first integration, finest grid first: a
     grid whose points are every 2**j-th point of a grid evaluated before
-    it, bit for bit, reads every 2**j-th row of that grid's states, copied
-    out just before its norms.  So where every grid's points are among the
-    finest grid's, as for k = 2**-e over [0, 1], the exact solution is
-    evaluated once per point of the finest grid.
+    it, bit for bit, reads every 2**j-th row of that grid's states at its
+    norms.  So where every grid's points are among the finest grid's, as
+    for k = 2**-e over [0, 1], the exact solution is evaluated once per
+    point of the finest grid.
+
+    The row maxima are taken with numpy where this interpreter has imported
+    numpy already, and with Python loops otherwise, as in a fresh
+    ``tristep converge`` process; the study never imports numpy for them.
+    Both give the same bits.  What the norms sum their squares with is
+    loaded before the first integration
+    (:func:`~tristep.numerics.load_l2_norm`).
 
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,
-        a step is too small for its grid or its states, or ``exact`` returns
-        a row whose length is not the field's dimension.
+        a step is too small for its grid or its states, ``exact`` returns
+        a row whose length is not the field's dimension, or neither numpy's
+        bundled OpenBLAS nor numpy can be loaded for the norms.
       NumericalBlowupError: Propagated from a diverging integration.
     """
     grids: list[TimeGrid] = []
@@ -123,6 +139,7 @@ def run_convergence_study(
     finest = grids[-1]
     if not fits_in_memory((finest.M + 1) * problem.field.dim * 8):
         raise states_do_not_fit(finest.k, finest.M + 1)
+    load_l2_norm()
 
     rows: list[ConvergenceRow] = []
     previous_error: float | None = None
@@ -155,7 +172,7 @@ def _exact_sources(
     states.  Any other grid is evaluated in full (stride 1), and the
     coarser grids may read it in turn.
     """
-    largest_of = _row_maxima(problem.field.dim, deviations=False)
+    np, dim = sys.modules.get("numpy"), problem.field.dim
     evaluated: list[tuple[TimeGrid, tuple[array, array]]] = []
     sources = []
     for grid in reversed(grids):
@@ -171,7 +188,11 @@ def _exact_sources(
                 break
         else:
             values = problem.exact_values(grid)
-            source, stride = (values, largest_of(values)), 1
+            if np is None:
+                largest = _row_maxima(dim, deviations=False)(values)
+            else:
+                largest = _numpy_row_maxima(np, np.frombuffer(values).reshape(-1, dim))
+            source, stride = (values, largest), 1
             evaluated.append((grid, source))
         sources.append((*source, stride))
     return sources[::-1]
@@ -183,21 +204,64 @@ def _norms(
     """L2-in-time norms of the row maxima of |exact|, |computed| and |exact - computed|.
 
     The exact states are every ``stride``-th row of ``values``, and their
-    maxima every ``stride``-th value of ``largest``; with a stride above 1
-    the states are copied out here, and the copy does not outlive the call.
-    Grid point 0 is not in the norms.
+    maxima every ``stride``-th value of ``largest``.  Where this interpreter
+    has imported numpy, the maxima of |computed| and |exact - computed| are
+    taken with numpy (:func:`_numpy_row_maxima`) on views of the states,
+    which copy nothing; otherwise by :func:`_row_maxima`'s loops, and with
+    a stride above 1 the exact states are copied out first, a copy that
+    does not outlive the call.  Grid point 0 is not in the norms.
     """
     dim = trajectory.dim
-    exact = values
-    if stride > 1:
-        exact = array("d", [0.0]) * (dim * (trajectory.grid.M + 1))
-        for c in range(dim):
-            exact[c::dim] = values[c :: stride * dim]
-    deviations = _row_maxima(dim, deviations=True)
-    computed = trajectory.values
-    computed_max, error_max = deviations(islice(exact, dim, None), islice(computed, dim, None))
+    np = sys.modules.get("numpy")
+    if np is None:
+        exact = values
+        if stride > 1:
+            exact = array("d", [0.0]) * (dim * (trajectory.grid.M + 1))
+            for c in range(dim):
+                exact[c::dim] = values[c :: stride * dim]
+        deviations = _row_maxima(dim, deviations=True)
+        computed = trajectory.values
+        computed_max, error_max = deviations(islice(exact, dim, None), islice(computed, dim, None))
+    else:
+        exact = np.frombuffer(values).reshape(-1, dim)[::stride]
+        computed = np.frombuffer(trajectory.values).reshape(-1, dim)
+        computed_max, error_max = _numpy_row_maxima(np, exact[1:], computed[1:])
     maxima = (largest[stride::stride], computed_max, error_max)
     return tuple(discrete_l2_time_norm(per_point, k) for per_point in maxima)
+
+
+def _numpy_row_maxima(
+    np: ModuleType, exact: np.ndarray, computed: np.ndarray | None = None
+) -> array | tuple[array, array]:
+    """:func:`_row_maxima`'s maxima with numpy, for ``(rows, dim)`` float64 arrays.
+
+    ``_numpy_row_maxima(np, exact)`` gives max |exact| per row, and
+    ``_numpy_row_maxima(np, exact, computed)`` max |computed| and
+    max |exact - computed|, each an ``array('d')`` of one value per row,
+    bitwise :func:`_row_maxima`'s: ``np.maximum`` lets a NaN win as the
+    loops do, and ``np.abs`` maps -0.0 to 0.0.  Each maximum is taken
+    column by column into its result, so the only temporary is one column.
+    """
+    rows, dim = exact.shape
+    column = np.empty(rows)
+
+    def largest(magnitude: Callable[[int, np.ndarray], np.ndarray]) -> array:
+        result = array("d", [0.0]) * rows
+        out = np.frombuffer(result)
+        magnitude(0, out)
+        for c in range(1, dim):
+            np.maximum(out, magnitude(c, column), out=out)
+        return result
+
+    if computed is None:
+        return largest(lambda c, out: np.abs(exact[:, c], out=out))
+    with np.errstate(all="ignore"):  # inf - inf, and differences that overflow
+        return (
+            largest(lambda c, out: np.abs(computed[:, c], out=out)),
+            largest(
+                lambda c, out: np.abs(np.subtract(exact[:, c], computed[:, c], out=out), out=out)
+            ),
+        )
 
 
 @functools.cache

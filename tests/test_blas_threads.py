@@ -1,7 +1,9 @@
 """``tristep.cli.main`` runs with numpy's OpenBLAS on one thread.
 
 Each test starts a fresh interpreter, because OpenBLAS reads
-``OPENBLAS_NUM_THREADS`` once, when numpy is first imported.
+``OPENBLAS_NUM_THREADS`` once, when the library is first loaded: by
+tristep's L2 norm, which loads the OpenBLAS numpy's wheel bundles, or by
+numpy's import, whichever comes first.
 """
 
 from __future__ import annotations

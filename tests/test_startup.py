@@ -1,10 +1,12 @@
 """What runs without numpy: start-up, input loading, writing a configuration,
 the roots command, every ``simulate`` outcome (a run that succeeds and one
 that blows up, exit 4, its partial CSV written) and, where numpy's wheel
-bundles its OpenBLAS, ``converge``.  What ``import tristep.cli`` loads: no
-standard-library module beyond those tristep's modules import, and neither
-it nor loading inputs loads ``dataclasses``, ``inspect``, ``typing``, ``ast``
-or ``ctypes``; yet ``dataclasses`` accepts four types."""
+bundles its OpenBLAS, ``converge``; where numpy is missing, ``converge``
+ends in one error line and exit 2 before it integrates.  What ``import
+tristep.cli`` loads: no standard-library module beyond those tristep's
+modules import, and neither it nor loading inputs loads ``dataclasses``,
+``inspect``, ``typing``, ``ast`` or ``ctypes``; yet ``dataclasses`` accepts
+four types."""
 
 from __future__ import annotations
 
@@ -204,6 +206,41 @@ def test_converge_leaves_numpy_unimported_where_numpy_bundles_its_openblas():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
+
+
+# As where numpy is not installed: the norm lookup finds no numpy, and its import fails.
+CONVERGE_WITHOUT_NUMPY = """
+import sys
+
+sys.modules["numpy"] = None
+from tristep import studies
+from tristep.cli import main
+
+
+def integrate(*args, **kwargs):
+    raise AssertionError("a grid was integrated")
+
+
+studies.integrate = integrate
+sys.exit(main(["converge", "example1", "4..6"]))
+"""
+
+
+def test_converge_without_numpy_fails_with_one_error_line_before_integrating():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", CONVERGE_WITHOUT_NUMPY],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: the L2 norms need numpy: ")
 
 
 def test_start_up_loads_no_dataclasses_inspect_typing_or_ast_yet_dataclasses_takes_four_types():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from array import array
 from unittest import mock
@@ -30,7 +31,7 @@ from tristep import (
     run_convergence_study,
     run_scenario,
 )
-from tristep import studies
+from tristep import numerics, studies
 from tristep.cli import trajectory_row_indices
 from tristep.scheme import NumericalBlowupError
 
@@ -262,6 +263,53 @@ def test_study_holds_at_most_four_grids_of_states_at_once():
     assert peak < 4 * finest
 
 
+@pytest.fixture
+def hide_numpy(monkeypatch):
+    """A function that hides numpy from ``sys.modules`` for the rest of the test,
+    as in an interpreter that has not imported it."""
+    # bound first: the lookup is cached, and under the blocker it would find no
+    # library and pin the np.dot fallback, which then cannot import numpy
+    if numerics._blas_ddot()[1] is None:
+        pytest.skip("numpy's wheel bundles no libscipy_openblas64_ here, so the norms need numpy")
+    return lambda: monkeypatch.setitem(sys.modules, "numpy", None)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the maxima of the other path were taken")
+
+
+def nan_at_one_point():
+    """example1's field with an exact solution of -0.0 but for a NaN in y2 at t = 0.5."""
+    return dataclasses.replace(
+        example1(), exact=lambda t: (-0.0, math.nan if t == 0.5 else -0.0, -0.0)
+    )
+
+
+@pytest.mark.parametrize("build", [example1, example2, nan_at_one_point])
+@pytest.mark.parametrize("exponents", [range(4, 11), (4, 6, 9), (3, 7)])
+def test_the_numpy_and_the_python_maxima_give_the_same_study(
+    build, exponents, hide_numpy, monkeypatch
+):
+    with monkeypatch.context() as patched:  # numpy is loaded, so its path is taken
+        patched.setattr(studies, "_row_maxima", refuse)
+        on_numpy = run_convergence_study(build(), exponents)
+    hide_numpy()
+    monkeypatch.setattr(studies, "_numpy_row_maxima", refuse)
+    on_python = run_convergence_study(build(), exponents)
+    # repr tells every bit of a float apart, the sign of zero included
+    assert repr(on_python) == repr(on_numpy)
+    if build is nan_at_one_point:
+        assert all(math.isnan(row.exact_norm) and math.isnan(row.error_norm) for row in on_numpy)
+
+
+def test_study_on_python_maxima_holds_at_most_four_grids_of_states_at_once(
+    hide_numpy, monkeypatch
+):
+    hide_numpy()
+    monkeypatch.setattr(studies, "_numpy_row_maxima", refuse)
+    test_study_holds_at_most_four_grids_of_states_at_once()
+
+
 def test_exact_states_halving_is_detected_over_any_interval():
     counted, times = counting(lambda: dataclasses.replace(example1(), t0=0.1, T=1.3))
     grids = [build_grid(0.1, 1.3, 2.0**-e) for e in range(4, 12)]
@@ -351,6 +399,11 @@ def test_row_maxima_are_numpys(case):
     # repr tells every bit of a float apart, but not one NaN from another
     got = [list(m) for m in (exact_max, computed_max, error_max)]
     assert repr(got) == repr(expected)
+    # and the same maxima from numpy, on the rows as views of other arrays
+    exact, computed = np.hstack([exact, computed])[:, :dim], np.hstack([computed, exact])[:, :dim]
+    on_numpy = [studies._numpy_row_maxima(np, exact)]
+    on_numpy += studies._numpy_row_maxima(np, exact, computed)
+    assert repr([list(m) for m in on_numpy]) == repr(expected)
 
 
 @pytest.mark.parametrize("position", range(3))
@@ -363,6 +416,12 @@ def test_a_nan_in_any_position_makes_its_rows_maxima_nan(position):
     assert repr(computed_max[0]) == "3.0"
     # the same row as the computed one
     computed_max, error_max = studies._row_maxima(3, deviations=True)([0.0, 0.0, 0.0], row)
+    assert math.isnan(computed_max[0]) and math.isnan(error_max[0])
+    rows = np.array([row, [-0.0, 0.5, -3.0]])
+    (exact_max,) = studies._numpy_row_maxima(np, rows[:1])
+    computed_max, error_max = studies._numpy_row_maxima(np, rows[:1], rows[1:])
+    assert math.isnan(exact_max) and math.isnan(error_max[0]) and repr(computed_max[0]) == "3.0"
+    computed_max, error_max = studies._numpy_row_maxima(np, rows[1:], rows[:1])
     assert math.isnan(computed_max[0]) and math.isnan(error_max[0])
 
 

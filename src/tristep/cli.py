@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 usage or parse failure (and a ``converge`` where
 numpy is not installed, so that nothing can take its norms, before any
 grid is integrated), 3 I/O failure (standard output included, also when
 the process started with it closed), 4 numerical
-blow-up (the partial trajectory is still written), 130 interrupted
+blow-up (a ``simulate`` run still writes its partial trajectory; a
+``converge`` run writes no table), 130 interrupted
 (``KeyboardInterrupt``, such as from Ctrl-C).  Every failure prints one
 ``error: <message>`` line to standard error; a process started with standard
 error closed drops that line and keeps the exit code.
@@ -23,11 +24,16 @@ CSV writer joins its fields with commas, none of which needs quoting; only
 :func:`main` runs every command with ``OPENBLAS_NUM_THREADS=1`` in the
 process environment and restores the caller's value, or its absence, on
 return.  ``import tristep.cli`` loads neither numpy nor its OpenBLAS, so
-the setting is in place when a ``converge`` run loads that library, at its
+where tristep loads that library first, as in a fresh ``tristep``
+process, the setting is in place when a ``converge`` run loads it, at its
 first norm, which is when OpenBLAS reads it: no BLAS worker thread is
 started, and the norms of a convergence table get the same bits whatever
-the core count.  Such a run imports no numpy where numpy's wheel bundles
-the library (:func:`~tristep.numerics.discrete_l2_time_norm`).
+the core count.  An interpreter that imported numpy before calling
+:func:`main` loaded OpenBLAS with the thread count it had then.  A
+``converge`` run imports no numpy where numpy's wheel bundles the library
+(:func:`~tristep.numerics.discrete_l2_time_norm`); the child it may fork
+for its finest grid runs no BLAS at all
+(:func:`~tristep.studies.run_convergence_study`).
 """
 
 from __future__ import annotations
@@ -269,6 +275,10 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         rows = run_convergence_study(problem(args.problem), exponents)
     except ValueError as exc:
         raise _Failure(EXIT_USAGE, str(exc))
+    except NumericalBlowupError as err:
+        raise _Failure(
+            EXIT_BLOWUP, f"numerical blow-up at step {err.step_index} (t={err.t:g}); aborting"
+        )
     if args.out is not None:
         _write_csv(args.out, write_convergence_csv, rows)
     _print_convergence_table(rows)

@@ -5,7 +5,12 @@ of a convergence study are not independent: their exact states are taken
 first, finest grid first, into flat ``array('d')``s, and a grid whose
 points are every 2**j-th point of a grid evaluated before it reads that
 grid's rows instead of evaluating the solution again; the grids then run
-coarse to fine.  A scenario run (:func:`run_scenario`) stays on Python
+coarse to fine.  Where the process runs one thread and may run on two CPUs
+or more, as a fresh ``tristep converge`` process does on such a host, the
+finest grid runs meanwhile in a forked child on another CPU, which sends
+back its states alone; the parent takes every norm, so the table is
+bitwise the serial one.  ``taskset -c 0 tristep converge ...`` runs
+serially.  A scenario run (:func:`run_scenario`) stays on Python
 floats and imports no numpy: the kernel adds each state into its era's
 sums as it steps and keeps every N-th state, and the summary is divided
 from those sums.  :func:`era_summary` takes the same summary from a
@@ -27,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 import sys
 from array import array
 from collections import namedtuple
@@ -50,7 +56,7 @@ from .scheme import SignConvention, integrate
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from types import ModuleType
-    from typing import Callable, Iterable, Sequence
+    from typing import BinaryIO, Callable, Iterable, Sequence
 
     import numpy as np
 
@@ -114,6 +120,24 @@ def run_convergence_study(
     loaded before the first integration
     (:func:`~tristep.numerics.load_l2_norm`).
 
+    The finest grid runs in a forked child, while this process takes the
+    exact states and runs the coarser grids, where ``os.fork`` exists,
+    there are two grids or more, the finest has at least
+    ``FORK_MIN_STEPS`` steps, and this process may run on two CPUs or more
+    (``os.sched_getaffinity``) and runs one thread, as Linux reports it.
+    A fresh ``tristep converge`` process does, since its OpenBLAS starts no
+    thread; an interpreter that has imported numpy runs OpenBLAS's threads,
+    and ``taskset -c 0`` leaves one CPU, so there the study runs serially.
+    The child runs on every CPU of this process but the one this process
+    runs on, runs no numpy or BLAS, and writes the flat states of its run,
+    bitwise this process's own, down a pipe; this process takes their
+    norms as any grid's, so the table is bitwise the serial one.  Where
+    the child fails in any way, by a blow-up, a non-zero exit or a short
+    write, this process integrates the finest grid itself, and a blow-up
+    raises the serial error.  The child is killed and reaped however the
+    study ends, a coarser grid's blow-up or an interrupt included, and
+    Linux kills it when a signal ends this process first.
+
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,
         a step is too small for its grid or its states, ``exact`` returns
@@ -141,19 +165,155 @@ def run_convergence_study(
         raise states_do_not_fit(finest.k, finest.M + 1)
     load_l2_norm()
 
-    rows: list[ConvergenceRow] = []
-    previous_error: float | None = None
-    for grid, (values, largest, stride) in zip(grids, _exact_sources(problem, grids)):
-        trajectory = integrate(problem.field, problem.y0, grid, sign)
-        exact_norm, numeric_norm, error_norm = _norms(
-            values, largest, stride, trajectory, grid.k
-        )
-        rate = None
-        if previous_error is not None and previous_error > 0.0 and error_norm > 0.0:
-            rate = convergence_rate(previous_error, error_norm)
-        rows.append(ConvergenceRow(grid.k, exact_norm, numeric_norm, error_norm, rate))
-        previous_error = error_norm
+    cpus = _child_cpus(grids)
+    child = None if cpus is None else _FinestChild.start(problem, finest, sign, cpus)
+    try:
+        rows: list[ConvergenceRow] = []
+        previous_error: float | None = None
+        for grid, (values, largest, stride) in zip(grids, _exact_sources(problem, grids)):
+            trajectory = None
+            if child is not None and grid is finest:
+                trajectory = child.trajectory(problem.field.dim)
+            if trajectory is None:
+                trajectory = integrate(problem.field, problem.y0, grid, sign)
+            exact_norm, numeric_norm, error_norm = _norms(
+                values, largest, stride, trajectory, grid.k
+            )
+            rate = None
+            if previous_error is not None and previous_error > 0.0 and error_norm > 0.0:
+                rate = convergence_rate(previous_error, error_norm)
+            rows.append(ConvergenceRow(grid.k, exact_norm, numeric_norm, error_norm, rate))
+            previous_error = error_norm
+    finally:
+        if child is not None:
+            child.stop()
     return rows
+
+
+#: The fewest steps of a finest grid that a study runs in a forked child.
+FORK_MIN_STEPS = 2000
+
+
+def _child_cpus(grids: Sequence[TimeGrid]) -> set[int] | None:
+    """The CPUs a forked child runs the finest grid of ``grids`` on; None to run serially.
+
+    A study forks only where there are two grids or more, the finest has at
+    least ``FORK_MIN_STEPS`` steps, and this process may run on two CPUs or
+    more and runs one thread (:func:`_threads_and_cpu`): forking a process
+    that has threads is unsafe.  The child gets every CPU of this process
+    but the one it runs on now, since the scheduler may leave a new
+    process on its parent's CPU while another one idles.
+    """
+    if len(grids) < 2 or grids[-1].M < FORK_MIN_STEPS:
+        return None
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    cpus = os.sched_getaffinity(0)
+    state = _threads_and_cpu()
+    if state is None or state[0] != 1 or len(cpus) < 2:
+        return None
+    return cpus - {state[1]}
+
+
+def _threads_and_cpu() -> tuple[int, int] | None:
+    """This process's thread count and the CPU it runs on, as Linux reports them; None elsewhere."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            # the fields after the command name, from the state on
+            fields = stat.read().rpartition(b")")[2].split()
+        return int(fields[17]), int(fields[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _end_with(parent: int) -> None:
+    """Have Linux kill this forked child as soon as its ``parent`` process ends.
+
+    A parent killed by a signal runs no ``finally`` to stop its child, so
+    the kernel does (``PR_SET_PDEATHSIG``).  Raises ``ProcessLookupError``
+    where the parent ended before the request was made.
+    """
+    import ctypes
+    import signal
+
+    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        raise ProcessLookupError(parent)
+
+
+class _FinestChild:
+    """A forked child that integrates a study's finest grid and writes its states down a pipe.
+
+    The child writes the flat ``array('d')`` of the run's states, nothing
+    pickled, and always ends in ``os._exit``: 0 once every byte is written,
+    1 on any failure, a blow-up included.  It runs the parent's code on the
+    parent's inputs, so its states are bitwise the parent's own run.
+    """
+
+    __slots__ = ("grid", "pid", "pipe")
+
+    def __init__(self, grid: TimeGrid, pid: int, pipe: BinaryIO) -> None:
+        self.grid, self.pid, self.pipe = grid, pid, pipe
+
+    @classmethod
+    def start(
+        cls, problem: ManufacturedProblem, grid: TimeGrid, sign: SignConvention, cpus: set[int]
+    ) -> _FinestChild | None:
+        """Fork the child to run on ``cpus``; None where the pipe or the process cannot be made."""
+        try:
+            read_end, write_end = os.pipe()
+        except OSError:
+            return None
+        parent = os.getpid()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            return None
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_end)
+                _end_with(parent)
+                os.sched_setaffinity(0, cpus)
+                values = integrate(problem.field, problem.y0, grid, sign).values
+                with open(write_end, "wb") as pipe:
+                    pipe.write(values)
+                status = 0
+            except BaseException:  # the child reports through its exit status alone
+                pass
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        return cls(grid, pid, open(read_end, "rb", buffering=0))
+
+    def trajectory(self, dim: int) -> Trajectory | None:
+        """The child's run, read and reaped; None where it exited non-zero or wrote short."""
+        values = array("d", [0.0]) * ((self.grid.M + 1) * dim)
+        view = memoryview(values).cast("B")
+        got = 0
+        with self.pipe:
+            while got < len(view):
+                n = self.pipe.readinto(view[got:])
+                if not n:
+                    break
+                got += n
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status or got < len(view):
+            return None
+        return Trajectory(self.grid, values)
+
+    def stop(self) -> None:
+        """Kill and reap the child unless it was reaped already, and close the pipe."""
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.pipe.close()
 
 
 def _exact_sources(

@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from tristep import (
     CpParams,
     EraPreset,
+    ManufacturedProblem,
     NumericalBlowupError,
     RhsField,
     SignConvention,
@@ -593,3 +594,42 @@ _INDENTED_TEXTS = st.builds(
 @given(st.one_of(_INDENTED_TEXTS, st.text(" \t\nab\r", max_size=40)))
 def test_the_rates_dedent_is_textwraps(text):
     assert scheme._dedent(text) == textwrap.dedent(text)
+
+
+@st.composite
+def manufactured_problems(draw):
+    """A dimension-3 problem whose solution is E_i(t) = c_i exp(l_i t) + d_i t**2.
+
+    Each rate is E_i'(t) + l_i (y_i - E_i(t)), plus a bilinear coupling
+    kap (y1 y2 - E1(t) E2(t)) that vanishes on the solution.  The scheme
+    steps the t**2 terms exactly, so every l_i is kept away from 0: there
+    the error would be rounding alone and have no order.
+    """
+    constants = {"exp": math.exp, "kap": draw(st.floats(-1.0, 1.0))}
+    for i in (1, 2, 3):
+        constants[f"l{i}"] = draw(st.floats(-2.0, 1.0).filter(lambda l: abs(l) >= 0.25))
+        constants[f"c{i}"] = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
+        constants[f"d{i}"] = draw(st.floats(-1.0, 1.0))
+    rates = "\n".join(
+        [
+            *(f"x{i} = c{i} * exp(l{i} * t)" for i in (1, 2, 3)),
+            *(f"e{i} = x{i} + d{i} * t * t" for i in (1, 2, 3)),
+            *(f"g{i} = l{i} * x{i} + 2.0 * d{i} * t" for i in (1, 2, 3)),
+            "u = kap * (y1 * y2 - e1 * e2)",
+            *(f"f{i} = g{i} + l{i} * (y{i} - e{i}) {sign} u" for i, sign in zip((1, 2, 3), "+-+")),
+        ]
+    )
+    l, c, d = ([constants[f"{name}{i}"] for i in (1, 2, 3)] for name in "lcd")
+
+    def exact(t):
+        return tuple(ci * math.exp(li * t) + di * t * t for li, ci, di in zip(l, c, d))
+
+    field = RhsField.from_source(3, rates, constants=constants)
+    return ManufacturedProblem("random", field, exact)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(manufactured_problems())
+def test_the_finest_rate_is_second_order_on_random_problems(problem):
+    rows = studies.run_convergence_study(problem, range(5, 9))
+    assert rows[-1].rate == pytest.approx(2.0, abs=0.05)

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
+import hashlib
 import math
+import os
+import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
 from array import array
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -32,7 +39,7 @@ from tristep import (
     run_scenario,
 )
 from tristep import numerics, studies
-from tristep.cli import trajectory_row_indices
+from tristep.cli import main, trajectory_row_indices
 from tristep.scheme import NumericalBlowupError
 
 # Regression values confirmed against an independently coded run of the same
@@ -90,6 +97,17 @@ def balanced_preset():
         k=1e-3,
         era_boundaries=(0.0, 0.5, 1.0),
     )
+
+
+@pytest.fixture(autouse=True)
+def serial_unless_allowed(monkeypatch):
+    """Every study of this module runs serially unless its test lets it fork (allow_fork).
+
+    numpy's OpenBLAS usually runs a thread in this process, which keeps
+    studies serial, but not under ``OPENBLAS_NUM_THREADS=1``; a forked
+    study's child makes calls that the counting tests here would miss.
+    """
+    monkeypatch.setattr(studies, "_threads_and_cpu", lambda: (2, 0))
 
 
 # -------------------------------------------------------- convergence studies
@@ -367,6 +385,341 @@ def test_reuse_holds_over_random_intervals_and_exponents(build, t0, span, first,
         evaluated = study_outcome(problem, exponents)
     # repr tells every bit of a float apart, the sign of zero included
     assert repr(reused) == repr(evaluated)
+
+
+# ----------------------------------------------- the finest grid in a child
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(studies.__file__)))
+
+
+def tristep_env():
+    """This environment, with this checkout's tristep first on the import path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+# the module's own, which serial_unless_allowed replaces in every test
+threads_and_cpu = studies._threads_and_cpu
+MAY_FORK = (
+    hasattr(os, "fork")
+    and hasattr(os, "sched_getaffinity")
+    and len(os.sched_getaffinity(0)) >= 2
+    and threads_and_cpu() is not None
+)
+FORKS = pytest.mark.skipif(
+    not MAY_FORK, reason="a study forks only on two CPUs or more, where Linux reports its threads"
+)
+
+
+def allow_fork(monkeypatch):
+    """Let a study fork in this process, as in one that runs one thread; returns the pids forked."""
+    cpu = threads_and_cpu()[1]
+    monkeypatch.setattr(studies, "_threads_and_cpu", lambda: (1, cpu))
+    forks, fork = [], os.fork
+
+    def counted():
+        with warnings.catch_warnings():  # from Python 3.12, forking with threads warns
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counted_integrate(monkeypatch, fail=None):
+    """Count this process's integrations per grid size; ``fail(grid)`` may raise instead."""
+    grids, real, parent = [], studies.integrate, os.getpid()
+
+    def integrate(field, y0, grid, sign):
+        if os.getpid() == parent:
+            grids.append(grid.M)
+        if fail is not None:
+            fail(grid)
+        return real(field, y0, grid, sign)
+
+    monkeypatch.setattr(studies, "integrate", integrate)
+    return grids
+
+
+@FORKS
+@pytest.mark.parametrize(
+    "build, exponents",
+    [
+        (example1, range(4, 14)),
+        (example2, range(4, 14)),
+        (example1, (4, 6, 9, 12)),
+        (example2, (4, 6, 9, 12)),
+        (lambda: dataclasses.replace(example1(), t0=0.1, T=1.3), range(4, 14)),
+    ],
+)
+def test_a_forked_study_is_bitwise_the_serial_one(build, exponents, monkeypatch):
+    serial = run_convergence_study(build(), exponents)
+    forks = allow_fork(monkeypatch)
+    integrated = counted_integrate(monkeypatch)
+    forked = run_convergence_study(build(), exponents)
+    # repr tells every bit of a float apart, the sign of zero included
+    assert repr(forked) == repr(serial)
+    assert len(forks) == 1
+    grids = [build_grid(build().t0, build().T, 2.0**-e) for e in exponents]
+    assert integrated == [grid.M for grid in grids[:-1]]  # the child ran the finest
+    assert_no_child_left()
+
+
+CONVERGE_PROCESS = """
+import os, sys
+
+forks, fork = [], os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
+
+from tristep.cli import main
+
+code = main(["converge", sys.argv[1], "4..13", "--out", sys.argv[2]])
+print(len(forks), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("label", ["example1", "example2"])
+def test_a_converge_process_writes_the_pinned_csv(label, tmp_path):
+    from test_bitwise_fence import CONVERGENCE_CSV_DIGESTS
+
+    out = tmp_path / f"{label}.csv"
+    result = subprocess.run(
+        [sys.executable, "-c", CONVERGE_PROCESS, label, str(out)],
+        capture_output=True,
+        text=True,
+        env=tristep_env(),
+        check=False,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERGENCE_CSV_DIGESTS[label]
+    # a fresh process runs one thread, so it forks wherever the study may
+    forks = 1 if MAY_FORK else 0
+    assert result.stderr == f"{forks}\n"
+
+
+# the parent reports its child's pid, then runs until the test stops it
+TERMINATED_PROCESS = """
+import os, sys
+
+fork = os.fork
+def reported():
+    pid = fork()
+    if pid:
+        print(pid, file=sys.stderr, flush=True)
+    return pid
+os.fork = reported
+
+from tristep.cli import main
+
+sys.exit(main(["converge", "example1", "4..17"]))
+"""
+
+
+def running(pid):
+    """Whether the process ``pid`` has not ended; a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as stat:
+            return stat.read().rpartition(b")")[2].split()[0] != b"Z"
+    except FileNotFoundError:
+        return False
+
+
+@FORKS
+def test_the_child_ends_with_a_parent_killed_by_a_signal():
+    process = subprocess.Popen(
+        [sys.executable, "-c", TERMINATED_PROCESS],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=tristep_env(),
+    )
+    try:
+        child = int(process.stderr.readline())
+        process.terminate()  # the parent ends at once, running no finally
+        process.wait(timeout=60)
+        # the child's grid of 2^17 steps would take it ~0.5 s more
+        deadline = time.monotonic() + 0.25
+        while running(child) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert not running(child)
+    finally:
+        process.kill()
+        process.wait()
+        process.stderr.close()
+
+
+def refuse_fork():
+    raise AssertionError("the study forked")
+
+
+@pytest.mark.parametrize(
+    "cpus, state, exponents",
+    [
+        ({0}, (1, 0), range(4, 14)),  # one CPU
+        ({0, 1}, (2, 0), range(4, 14)),  # a second thread
+        ({0, 1}, None, range(4, 14)),  # no thread count to read
+        ({0, 1}, (1, 0), range(4, 11)),  # a finest grid of 1 024 steps
+        ({0, 1}, (1, 0), [13]),  # one grid
+    ],
+    ids=["one-cpu", "two-threads", "no-thread-count", "short-finest-grid", "one-grid"],
+)
+def test_the_study_runs_serially_where_it_may_not_fork(cpus, state, exponents, monkeypatch):
+    serial = run_convergence_study(example1(), exponents)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(studies, "_threads_and_cpu", lambda: state)
+    monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
+    assert repr(run_convergence_study(example1(), exponents)) == repr(serial)
+
+
+@FORKS
+def test_a_study_that_cannot_fork_runs_serially(monkeypatch):
+    serial = run_convergence_study(example1(), range(4, 14))
+    allow_fork(monkeypatch)
+
+    def no_process():  # as under a limit on processes
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_process)
+    assert repr(run_convergence_study(example1(), range(4, 14))) == repr(serial)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+def test_the_child_runs_on_every_cpu_but_the_parents(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(studies, "_threads_and_cpu", lambda: (1, 1))
+    coarse = build_grid(0.0, 1.0, 0.5)
+    for steps, cpus in ((studies.FORK_MIN_STEPS, {0, 2}), (studies.FORK_MIN_STEPS - 1, None)):
+        assert studies._child_cpus([coarse, build_grid(0.0, 1.0, 1.0 / steps)]) == cpus
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_the_thread_count_and_cpu_are_this_processs():
+    threads, cpu = threads_and_cpu()
+    assert threads == len(os.listdir("/proc/self/task"))
+    assert cpu in os.sched_getaffinity(0)
+
+
+def blowup(grid):
+    n = 5
+    return NumericalBlowupError(
+        f"integration diverged during step {n} (from t={grid.time(n)!r})",
+        t=grid.time(n),
+        step_index=n,
+    )
+
+
+def blows_up_at(steps):
+    def fail(grid):
+        if grid.M == steps:
+            raise blowup(grid)
+
+    return fail
+
+
+@FORKS
+def test_a_blowup_of_the_finest_grid_in_the_child_is_the_serial_error(monkeypatch):
+    finest = 2**13
+    integrated = counted_integrate(monkeypatch, blows_up_at(finest))
+    with pytest.raises(NumericalBlowupError) as serial:
+        run_convergence_study(example1(), range(4, 14))
+    forks = allow_fork(monkeypatch)
+    integrated.clear()
+    with pytest.raises(NumericalBlowupError) as forked:
+        run_convergence_study(example1(), range(4, 14))
+    assert len(forks) == 1
+    assert integrated[-1] == finest  # the child failed, so the parent ran the grid
+    assert str(forked.value) == str(serial.value)
+    assert forked.value.step_index == serial.value.step_index == 5
+    assert_no_child_left()
+
+
+@FORKS
+def test_a_short_write_of_the_child_is_run_again_in_the_parent(monkeypatch):
+    serial = run_convergence_study(example1(), range(4, 14))
+    forks = allow_fork(monkeypatch)
+    real, parent = studies.integrate, os.getpid()
+
+    def integrate(field, y0, grid, sign):
+        run = real(field, y0, grid, sign)
+        if os.getpid() != parent:  # the child writes half its states, then exits 0
+            return SimpleNamespace(values=run.values[: len(run.values) // 2])
+        return run
+
+    monkeypatch.setattr(studies, "integrate", integrate)
+    assert repr(run_convergence_study(example1(), range(4, 14))) == repr(serial)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@FORKS
+@pytest.mark.parametrize(
+    "fail",
+    [blows_up_at(2**4), blows_up_at(2**12)],
+    ids=["coarsest", "next-to-finest"],
+)
+def test_a_blowup_of_a_coarser_grid_is_the_error_reported(fail, monkeypatch):
+    counted_integrate(monkeypatch, fail)
+    with pytest.raises(NumericalBlowupError) as serial:
+        run_convergence_study(example1(), range(4, 14))
+    forks = allow_fork(monkeypatch)
+    with pytest.raises(NumericalBlowupError) as forked:
+        run_convergence_study(example1(), range(4, 14))
+    assert len(forks) == 1
+    assert str(forked.value) == str(serial.value)
+    assert forked.value.step_index == serial.value.step_index
+    assert_no_child_left()
+
+
+def interrupted_at(steps):
+    parent = os.getpid()
+
+    def fail(grid):
+        if grid.M == steps and os.getpid() == parent:
+            raise KeyboardInterrupt
+
+    return fail
+
+
+@FORKS
+def test_an_interrupt_of_the_parent_propagates_and_leaves_no_child(monkeypatch):
+    forks = allow_fork(monkeypatch)
+    counted_integrate(monkeypatch, interrupted_at(2**8))
+    with pytest.raises(KeyboardInterrupt):
+        run_convergence_study(example1(), range(4, 14))
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@FORKS
+@pytest.mark.parametrize(
+    "fail, code, message",
+    [
+        (blows_up_at(2**13), 4, "error: numerical blow-up at step 5 (t=0.000610352); aborting\n"),
+        (interrupted_at(2**8), 130, "error: interrupted\n"),
+    ],
+    ids=["blowup", "interrupt"],
+)
+def test_a_forked_studys_failures_keep_their_exit_codes(fail, code, message, monkeypatch, capsys):
+    forks = allow_fork(monkeypatch)
+    counted_integrate(monkeypatch, fail)
+    assert main(["converge", "example1", "4..13"]) == code
+    assert len(forks) == 1
+    assert capsys.readouterr() == ("", message)
+    assert_no_child_left()
 
 
 # ------------------------------------------------------- per-point row maxima

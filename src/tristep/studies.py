@@ -5,10 +5,11 @@ of a convergence study are not independent: their exact states are taken
 first, finest grid first, into flat ``array('d')``s, and a grid whose
 points are every 2**j-th point of a grid evaluated before it reads that
 grid's rows instead of evaluating the solution again; the grids then run
-coarse to fine.  Where the process runs one thread and may run on two CPUs
-or more, as a fresh ``tristep converge`` process does on such a host, the
-finest grid runs meanwhile in a forked child on another CPU, which sends
-back its states alone; the parent takes every norm, so the table is
+coarse to fine.  Where the process runs one thread, may run on two CPUs
+or more and finds one of them idle, as a fresh ``tristep converge``
+process does on such a host, and the finest grid has 8 192 steps or
+more, that grid runs meanwhile in a forked child on another CPU, which
+sends back its states alone; the parent takes every norm, so the table is
 bitwise the serial one.  ``taskset -c 0 tristep converge ...`` runs
 serially.  A scenario run (:func:`run_scenario`) stays on Python
 floats and imports no numpy: the kernel adds each state into its era's
@@ -122,21 +123,23 @@ def run_convergence_study(
 
     The finest grid runs in a forked child, while this process takes the
     exact states and runs the coarser grids, where ``os.fork`` exists,
-    there are two grids or more, the finest has at least
-    ``FORK_MIN_STEPS`` steps, and this process may run on two CPUs or more
-    (``os.sched_getaffinity``) and runs one thread, as Linux reports it.
-    A fresh ``tristep converge`` process does, since its OpenBLAS starts no
-    thread; an interpreter that has imported numpy runs OpenBLAS's threads,
-    and ``taskset -c 0`` leaves one CPU, so there the study runs serially.
-    The child runs on every CPU of this process but the one this process
-    runs on, runs no numpy or BLAS, and writes the flat states of its run,
-    bitwise this process's own, down a pipe; this process takes their
-    norms as any grid's, so the table is bitwise the serial one.  Where
-    the child fails in any way, by a blow-up, a non-zero exit or a short
-    write, this process integrates the finest grid itself, and a blow-up
-    raises the serial error.  The child is killed and reaped however the
-    study ends, a coarser grid's blow-up or an interrupt included, and
-    Linux kills it when a signal ends this process first.
+    there are two grids or more, the finest has 8 192 steps or more, this
+    process may run on two CPUs or more (``os.sched_getaffinity``) and
+    runs one thread, and fewer tasks are runnable on the system than this
+    process has CPUs, as Linux reports them.  A fresh ``tristep converge``
+    process runs one thread, since its OpenBLAS starts none; an interpreter
+    that has imported numpy runs OpenBLAS's threads, ``taskset -c 0``
+    leaves one CPU, and a second busy process leaves no CPU idle, so there
+    the study runs serially.  The child runs on every CPU of this process
+    but the one this process runs on, runs no numpy or BLAS, and writes the
+    flat states of its run, bitwise this process's own, down a pipe; this
+    process takes their norms as any grid's, so the table is bitwise the
+    serial one.  Where the child fails in any way, by a blow-up or a short
+    write, or its states do not fit in this process as well, this process
+    integrates the finest grid itself, and a blow-up raises the serial
+    error.  The child is killed and reaped however the study ends, a
+    coarser grid's blow-up or an interrupt included, and Linux kills it
+    when a signal ends this process first.
 
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,
@@ -190,27 +193,34 @@ def run_convergence_study(
     return rows
 
 
-#: The fewest steps of a finest grid that a study runs in a forked child.
-FORK_MIN_STEPS = 2000
+# The fewest steps of a finest grid that a study runs in a forked child:
+# the 8 192 of k = 2**-13 over [0, 1], the shortest grid whose forked study
+# has been measured faster than its serial run.
+_FORK_MIN_STEPS = 8192
 
 
 def _child_cpus(grids: Sequence[TimeGrid]) -> set[int] | None:
     """The CPUs a forked child runs the finest grid of ``grids`` on; None to run serially.
 
     A study forks only where there are two grids or more, the finest has at
-    least ``FORK_MIN_STEPS`` steps, and this process may run on two CPUs or
-    more and runs one thread (:func:`_threads_and_cpu`): forking a process
-    that has threads is unsafe.  The child gets every CPU of this process
-    but the one it runs on now, since the scheduler may leave a new
+    least ``_FORK_MIN_STEPS`` steps, this process may run on two CPUs or
+    more and runs one thread (:func:`_threads_and_cpu`), since forking a
+    process that has threads is unsafe, and fewer tasks are runnable than
+    it has CPUs (:func:`_runnable`): a child that shares a CPU with another
+    busy process slows the study down.  The child gets every CPU of this
+    process but the one it runs on now, since the scheduler may leave a new
     process on its parent's CPU while another one idles.
     """
-    if len(grids) < 2 or grids[-1].M < FORK_MIN_STEPS:
+    if len(grids) < 2 or grids[-1].M < _FORK_MIN_STEPS:
         return None
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
     cpus = os.sched_getaffinity(0)
     state = _threads_and_cpu()
     if state is None or state[0] != 1 or len(cpus) < 2:
+        return None
+    runnable = _runnable()
+    if runnable is None or runnable >= len(cpus):
         return None
     return cpus - {state[1]}
 
@@ -222,6 +232,20 @@ def _threads_and_cpu() -> tuple[int, int] | None:
             # the fields after the command name, from the state on
             fields = stat.read().rpartition(b")")[2].split()
         return int(fields[17]), int(fields[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _runnable() -> int | None:
+    """How many tasks run or are ready to run now, this one included, as Linux counts them.
+
+    The count is the whole system's, not only of this process's CPUs.
+    None where it cannot be read.
+    """
+    try:
+        with open("/proc/loadavg", "rb") as loadavg:
+            # the load averages, then runnable/all tasks
+            return int(loadavg.read().split()[3].partition(b"/")[0])
     except (OSError, IndexError, ValueError):
         return None
 
@@ -245,9 +269,10 @@ class _FinestChild:
     """A forked child that integrates a study's finest grid and writes its states down a pipe.
 
     The child writes the flat ``array('d')`` of the run's states, nothing
-    pickled, and always ends in ``os._exit``: 0 once every byte is written,
-    1 on any failure, a blow-up included.  It runs the parent's code on the
-    parent's inputs, so its states are bitwise the parent's own run.
+    pickled, once the run has returned, and always ends in ``os._exit``: 0
+    once every byte is written, 1 on any failure, a blow-up included.  It
+    runs the parent's code on the parent's inputs, so its states are
+    bitwise the parent's own run.
     """
 
     __slots__ = ("grid", "pid", "pipe")
@@ -289,8 +314,19 @@ class _FinestChild:
         return cls(grid, pid, open(read_end, "rb", buffering=0))
 
     def trajectory(self, dim: int) -> Trajectory | None:
-        """The child's run, read and reaped; None where it exited non-zero or wrote short."""
-        values = array("d", [0.0]) * ((self.grid.M + 1) * dim)
+        """The child's run, read and reaped; None where it wrote short.
+
+        The child writes only once its run has returned, so every byte read
+        is a run that did not blow up, whatever its exit status, which this
+        process may not get (``SIGCHLD`` ignored, or a handler that waits).
+        Where the states do not fit in this process beside the child's, the
+        child is stopped and None returned.
+        """
+        try:
+            values = array("d", [0.0]) * ((self.grid.M + 1) * dim)
+        except MemoryError:
+            self.stop()
+            return None
         view = memoryview(values).cast("B")
         got = 0
         with self.pipe:
@@ -299,21 +335,36 @@ class _FinestChild:
                 if not n:
                     break
                 got += n
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status or got < len(view):
+        self._reap(kill=False)
+        if got < len(view):
             return None
         return Trajectory(self.grid, values)
 
     def stop(self) -> None:
-        """Kill and reap the child unless it was reaped already, and close the pipe."""
-        if self.pid is not None:
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+        """Kill and reap the child unless it has ended, and close the pipe."""
+        self._reap(kill=True)
         self.pipe.close()
+
+    def _reap(self, kill: bool) -> None:
+        """Wait for the child to end, killing it first if ``kill`` and it has not ended.
+
+        A child already reaped, by the system where ``SIGCHLD`` is ignored
+        or by a handler of this process's, is not waited for, and not
+        killed, since its pid may be another process's by now.
+        """
+        pid, self.pid = self.pid, None
+        if pid is None:
+            return
+        try:
+            if kill:
+                if os.waitpid(pid, os.WNOHANG)[0]:
+                    return
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ChildProcessError, ProcessLookupError):  # reaped already
+            pass
 
 
 def _exact_sources(

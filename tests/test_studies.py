@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import errno
 import hashlib
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -398,8 +400,8 @@ def tristep_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-# the module's own, which serial_unless_allowed replaces in every test
-threads_and_cpu = studies._threads_and_cpu
+# the module's own; serial_unless_allowed replaces the first in every test
+threads_and_cpu, runnable = studies._threads_and_cpu, studies._runnable
 MAY_FORK = (
     hasattr(os, "fork")
     and hasattr(os, "sched_getaffinity")
@@ -412,9 +414,13 @@ FORKS = pytest.mark.skipif(
 
 
 def allow_fork(monkeypatch):
-    """Let a study fork in this process, as in one that runs one thread; returns the pids forked."""
+    """Let a study fork in this process, as in one that runs one thread on an idle host.
+
+    Returns the pids forked.
+    """
     cpu = threads_and_cpu()[1]
     monkeypatch.setattr(studies, "_threads_and_cpu", lambda: (1, cpu))
+    monkeypatch.setattr(studies, "_runnable", lambda: 1)
     forks, fork = [], os.fork
 
     def counted():
@@ -463,6 +469,8 @@ def counted_integrate(monkeypatch, fail=None):
 def test_a_forked_study_is_bitwise_the_serial_one(build, exponents, monkeypatch):
     serial = run_convergence_study(build(), exponents)
     forks = allow_fork(monkeypatch)
+    # (4, 6, 9, 12) ends on 4 096 steps, below the fewest a study forks for
+    monkeypatch.setattr(studies, "_FORK_MIN_STEPS", 2**12)
     integrated = counted_integrate(monkeypatch)
     forked = run_convergence_study(build(), exponents)
     # repr tells every bit of a float apart, the sign of zero included
@@ -484,6 +492,8 @@ def counted():
     return pid
 os.fork = counted
 
+from tristep import studies
+studies._runnable = lambda: 1  # as on an idle host, which a test run's may not be
 from tristep.cli import main
 
 code = main(["converge", sys.argv[1], "4..13", "--out", sys.argv[2]])
@@ -524,6 +534,8 @@ def reported():
     return pid
 os.fork = reported
 
+from tristep import studies
+studies._runnable = lambda: 1  # as on an idle host, which a test run's may not be
 from tristep.cli import main
 
 sys.exit(main(["converge", "example1", "4..17"]))
@@ -567,20 +579,33 @@ def refuse_fork():
 
 
 @pytest.mark.parametrize(
-    "cpus, state, exponents",
+    "cpus, state, runnable, exponents",
     [
-        ({0}, (1, 0), range(4, 14)),  # one CPU
-        ({0, 1}, (2, 0), range(4, 14)),  # a second thread
-        ({0, 1}, None, range(4, 14)),  # no thread count to read
-        ({0, 1}, (1, 0), range(4, 11)),  # a finest grid of 1 024 steps
-        ({0, 1}, (1, 0), [13]),  # one grid
+        ({0}, (1, 0), 1, range(4, 14)),  # one CPU
+        ({0, 1}, (2, 0), 1, range(4, 14)),  # a second thread
+        ({0, 1}, None, 1, range(4, 14)),  # no thread count to read
+        ({0, 1}, (1, 0), 2, range(4, 14)),  # another task busy, so no CPU idle
+        ({0, 1}, (1, 0), None, range(4, 14)),  # no count of runnable tasks to read
+        ({0, 1}, (1, 0), 1, range(4, 13)),  # a finest grid of 4 096 steps
+        ({0, 1}, (1, 0), 1, [13]),  # one grid
     ],
-    ids=["one-cpu", "two-threads", "no-thread-count", "short-finest-grid", "one-grid"],
+    ids=[
+        "one-cpu",
+        "two-threads",
+        "no-thread-count",
+        "no-idle-cpu",
+        "no-runnable-count",
+        "short-finest-grid",
+        "one-grid",
+    ],
 )
-def test_the_study_runs_serially_where_it_may_not_fork(cpus, state, exponents, monkeypatch):
+def test_the_study_runs_serially_where_it_may_not_fork(
+    cpus, state, runnable, exponents, monkeypatch
+):
     serial = run_convergence_study(example1(), exponents)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
     monkeypatch.setattr(studies, "_threads_and_cpu", lambda: state)
+    monkeypatch.setattr(studies, "_runnable", lambda: runnable)
     monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
     assert repr(run_convergence_study(example1(), exponents)) == repr(serial)
 
@@ -602,7 +627,9 @@ def test_the_child_runs_on_every_cpu_but_the_parents(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(studies, "_threads_and_cpu", lambda: (1, 1))
     coarse = build_grid(0.0, 1.0, 0.5)
-    for steps, cpus in ((studies.FORK_MIN_STEPS, {0, 2}), (studies.FORK_MIN_STEPS - 1, None)):
+    least = studies._FORK_MIN_STEPS
+    for steps, busy, cpus in ((least, 2, {0, 2}), (least - 1, 2, None), (least, 3, None)):
+        monkeypatch.setattr(studies, "_runnable", lambda: busy)
         assert studies._child_cpus([coarse, build_grid(0.0, 1.0, 1.0 / steps)]) == cpus
 
 
@@ -611,6 +638,11 @@ def test_the_thread_count_and_cpu_are_this_processs():
     threads, cpu = threads_and_cpu()
     assert threads == len(os.listdir("/proc/self/task"))
     assert cpu in os.sched_getaffinity(0)
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/loadavg"), reason="needs /proc/loadavg")
+def test_the_runnable_count_takes_in_this_process():
+    assert runnable() >= 1  # this process runs as it reads the count
 
 
 def blowup(grid):
@@ -719,6 +751,91 @@ def test_a_forked_studys_failures_keep_their_exit_codes(fail, code, message, mon
     assert main(["converge", "example1", "4..13"]) == code
     assert len(forks) == 1
     assert capsys.readouterr() == ("", message)
+    assert_no_child_left()
+
+
+def reap_every_child(signum, frame):
+    """A ``SIGCHLD`` handler such as a caller may install: it waits for every child that ended."""
+    with contextlib.suppress(ChildProcessError):
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
+
+
+@contextlib.contextmanager
+def sigchld(handler):
+    previous = signal.signal(signal.SIGCHLD, handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+# where a forked study's process does not get its child's exit status
+CHILD_STATUS_TAKEN = pytest.mark.parametrize(
+    "handler",
+    [signal.SIG_IGN, reap_every_child],
+    ids=["sigchld-ignored", "sigchld-handler-waits"],
+)
+
+
+@FORKS
+@CHILD_STATUS_TAKEN
+def test_a_forked_study_needs_no_exit_status_of_its_child(handler, monkeypatch):
+    serial = run_convergence_study(example1(), range(4, 14))
+    forks = allow_fork(monkeypatch)
+    integrated = counted_integrate(monkeypatch)
+    with sigchld(handler):
+        forked = run_convergence_study(example1(), range(4, 14))
+    assert repr(forked) == repr(serial)
+    assert len(forks) == 1
+    assert integrated == [2**e for e in range(4, 13)]  # the child's states were taken
+    assert_no_child_left()
+
+
+@FORKS
+@CHILD_STATUS_TAKEN
+def test_a_child_that_ended_and_was_reaped_is_not_killed(handler, monkeypatch):
+    forks = allow_fork(monkeypatch)
+    # a finest grid of 32 steps, whose states fit in the pipe: the child ends at once
+    monkeypatch.setattr(studies, "_FORK_MIN_STEPS", 2**5)
+    parent = os.getpid()
+
+    def fail(grid):  # the parent blows up once its child has ended
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 10.0
+            while running(forks[0]) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise blowup(grid)
+
+    counted_integrate(monkeypatch, fail)
+    kills = []
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(pid))
+    with sigchld(handler), pytest.raises(NumericalBlowupError):
+        run_convergence_study(example1(), (4, 5))
+    assert len(forks) == 1
+    assert kills == []  # its pid may be another process's by now
+    assert_no_child_left()
+
+
+@FORKS
+def test_a_child_whose_states_do_not_fit_twice_is_stopped_and_run_again(monkeypatch):
+    serial = run_convergence_study(example1(), range(4, 14))
+    forks = allow_fork(monkeypatch)
+    integrated = counted_integrate(monkeypatch)
+    refused = (2**13 + 1) * 3  # the finest grid's states, a value each
+
+    class Refusing(array):
+        """An ``array`` that cannot be repeated to ``refused`` values."""
+
+        def __mul__(self, n):
+            if n == refused:
+                raise MemoryError
+            return super().__mul__(n)
+
+    monkeypatch.setattr(studies, "array", Refusing)
+    assert repr(run_convergence_study(example1(), range(4, 14))) == repr(serial)
+    assert len(forks) == 1
+    assert integrated[-1] == 2**13  # the parent ran the finest grid
     assert_no_child_left()
 
 

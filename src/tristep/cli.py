@@ -29,8 +29,9 @@ process, the setting is in place when a ``converge`` run loads it, at its
 first norm, which is when OpenBLAS reads it: no BLAS worker thread is
 started, and the norms of a convergence table get the same bits whatever
 the core count.  An interpreter that imported numpy before calling
-:func:`main` loaded OpenBLAS with the thread count it had then.  A
-``converge`` run imports no numpy where numpy's wheel bundles the library
+:func:`main` loaded OpenBLAS with the thread count it had then; the norms
+set that library to one thread for each sum all the same.  A ``converge``
+run imports no numpy where numpy's wheel bundles the library
 (:func:`~tristep.numerics.discrete_l2_time_norm`); the child it may fork
 for its finest grid runs no BLAS at all
 (:func:`~tristep.studies.run_convergence_study`).

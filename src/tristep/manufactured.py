@@ -7,22 +7,22 @@ Both problems share the solution
 on [0, 1] with y(0) = (0, 0, 0).  Their vector fields differ in the
 coupling term (y2**2 versus y2*y3), and each carries forcing terms chosen
 so that the solution above satisfies the system exactly; integration
-errors are therefore directly measurable at every grid point.
+errors are therefore directly measurable at every grid point.  Each
+problem writes the solution as text over its field's time terms
+(:meth:`~tristep.scheme.RhsField.solution`), so a convergence study's
+kernel takes it from the time terms it computes anyway.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 
-from .numerics import BLOCK_ROWS, Record, TimeGrid
+from .numerics import Record
 from .scheme import RhsField
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Callable, Sequence
-
-    import numpy as np
 
 __all__ = ["ManufacturedProblem", "PROBLEM_LABELS", "example1", "example2", "problem"]
 
@@ -30,7 +30,9 @@ __all__ = ["ManufacturedProblem", "PROBLEM_LABELS", "example1", "example2", "pro
 class ManufacturedProblem(Record):
     """A vector field together with the closed-form solution it was built for.
 
-    ``exact(t)`` gives the solution at ``t`` as a sequence of floats.
+    ``exact(t)`` gives the solution at ``t`` as a sequence of floats.  Given
+    as text, ``exact`` is the field's :meth:`~tristep.scheme.RhsField.solution`
+    of it, which :func:`~tristep.scheme.integrate` inlines into its kernel.
     """
 
     __slots__ = _fields = ("label", "field", "exact", "t0", "T")
@@ -39,49 +41,18 @@ class ManufacturedProblem(Record):
         self,
         label: str,
         field: RhsField,
-        exact: Callable[[float], Sequence[float]],
+        exact: Callable[[float], Sequence[float]] | str,
         t0: float = 0.0,
         T: float = 1.0,
     ) -> None:
+        if isinstance(exact, str):
+            exact = field.solution(exact)
         self._set(label, field, exact, t0, T)
 
     @property
     def y0(self) -> tuple[float, ...]:
         """Initial state, by construction equal to ``exact(t0)``."""
         return tuple(self.exact(self.t0))
-
-    def exact_values(self, grid: TimeGrid) -> array:
-        """``exact`` at every grid point t_0..t_M, row after row, in one flat ``array('d')``.
-
-        The rows are gathered in blocks of ``BLOCK_ROWS``.
-
-        Raises:
-          ValueError: If ``exact`` returns a row whose length is not the
-            field's dimension.
-        """
-        exact, t0, k, dim, count = self.exact, grid.t0, grid.k, self.field.dim, grid.M + 1
-        values = array("d")
-        for a in range(0, count, BLOCK_ROWS):
-            rows: list[float] = []
-            for n in range(a, min(a + BLOCK_ROWS, count)):
-                row = exact(t0 + n * k)  # t0 + n * k is grid.time(n)
-                if len(row) != dim:
-                    raise ValueError(f"exact returned {len(row)} values, expected {dim}")
-                rows.extend(row)
-            values.fromlist(rows)
-        return values
-
-    def exact_states(self, grid: TimeGrid) -> np.ndarray:
-        """:meth:`exact_values` as a ``(M + 1, dim)`` float64 array that shares its memory."""
-        import numpy as np
-
-        values = self.exact_values(grid)
-        return np.frombuffer(values, dtype=np.float64).reshape(grid.M + 1, self.field.dim)
-
-
-def _solution(t: float) -> tuple[float, float, float]:
-    q = t * t - t
-    return (q, q * math.exp(-t), (t - 1.0) * math.sin(t))
 
 
 #: The math functions the forcing terms call, bound as constants.
@@ -104,7 +75,12 @@ def example1() -> ManufacturedProblem:
     f3 = sq + g3
     """
     field = RhsField.from_source(3, rates, constants=_MATH)
-    return ManufacturedProblem(label="example1", field=field, exact=_solution)
+    exact = """
+    y1 = q
+    y2 = q * e1
+    y3 = (t - 1.0) * sin(t)
+    """
+    return ManufacturedProblem(label="example1", field=field, exact=exact)
 
 
 def example2() -> ManufacturedProblem:
@@ -126,7 +102,12 @@ def example2() -> ManufacturedProblem:
     f3 = y2 * y2 + g3
     """
     field = RhsField.from_source(3, rates, constants=_MATH)
-    return ManufacturedProblem(label="example2", field=field, exact=_solution)
+    exact = """
+    y1 = q
+    y2 = q * e1
+    y3 = tm * s
+    """
+    return ManufacturedProblem(label="example2", field=field, exact=exact)
 
 
 _PROBLEM_BUILDERS = {"example1": example1, "example2": example2}

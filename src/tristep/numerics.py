@@ -5,13 +5,15 @@ freely across threads.  A grid is stated by its span and step count, and
 derives its step from them.  Grids, era bounds, state checks and trajectories
 run on Python floats and ints; a trajectory keeps the states its run kept,
 every N-th or all of them, in one flat ``array('d')``, with the sums by
-era and the sign flag its kernel took as it stepped; the era starts stay
+era and the sign flag its kernel took as it stepped, and, for a run
+against an exact solution, its per-point error maxima; the era starts stay
 with the caller that chose them.  numpy is imported only by the functions
 that make or read numpy arrays (``as_state``, ``TimeGrid.times``,
 ``Trajectory.states`` and ``sup_norm``).  The L2 norm sums its squares with
 the ``cblas_ddot`` of the OpenBLAS numpy's wheel bundles, loaded through
 ``ctypes`` at the first norm (or at :func:`load_l2_norm`) without
-importing numpy, and with ``np.dot`` only where that library is missing.
+importing numpy and run on one thread, and with ``np.dot`` only where
+that library is missing.
 ``TimeGrid`` and ``Trajectory`` are read-only ``__slots__`` classes on
 :class:`Frozen`; the value types of the other modules are :class:`Record`
 classes, which ``dataclasses.fields`` and ``dataclasses.replace`` accept.
@@ -300,11 +302,15 @@ class Trajectory(Frozen):
     era starts, ``overall_sums`` the sums over all M + 1 states; each sum
     starts from 0.0 and adds its states in grid order.  ``negativity_flag``
     is true when any component of any state is negative (-0.0 is not);
-    negative values are reported, never clamped.  A trajectory is read only
-    and equal only to itself.
+    negative values are reported, never clamped.  ``maxima``, of a run
+    against an exact solution, holds max |exact|, max |computed| and
+    max |exact - computed| at grid points 1..M, each in its own
+    ``array('d')``.  A trajectory is read only and equal only to itself.
     """
 
-    __slots__ = ("grid", "values", "every", "era_sums", "overall_sums", "negativity_flag")
+    __slots__ = (
+        "grid", "values", "every", "era_sums", "overall_sums", "negativity_flag", "maxima"
+    )
 
     def __init__(
         self,
@@ -314,6 +320,7 @@ class Trajectory(Frozen):
         era_sums: tuple[tuple[float, ...], ...] | None = None,
         overall_sums: tuple[float, ...] | None = None,
         negativity_flag: bool | None = None,
+        maxima: tuple[array, array, array] | None = None,
     ) -> None:
         rows = kept_count(grid.M, every)
         if rows:
@@ -322,7 +329,7 @@ class Trajectory(Frozen):
             whole = not values and overall_sums is not None
         if not whole:
             raise ValueError(f"trajectory must hold exactly {rows} state samples")
-        self._set(grid, values, every, era_sums, overall_sums, negativity_flag)
+        self._set(grid, values, every, era_sums, overall_sums, negativity_flag, maxima)
 
     def __reduce__(self) -> tuple:
         return Trajectory, tuple(getattr(self, n) for n in self.__slots__)
@@ -364,14 +371,15 @@ def discrete_l2_time_norm(per_step_norms: Sequence[float] | np.ndarray, k: float
     numpy's wheel bundles, through ``ctypes`` and without importing numpy
     (:func:`_blas_ddot`), and from ``np.dot`` where there is no such library.
     Its last bits depend on the BLAS kernel that runs it.  OpenBLAS picks
-    its kernel by CPU (``OPENBLAS_CORETYPE`` overrides the choice), and the
-    kernels' sums can differ at any length.  OpenBLAS 0.3.31 on x86-64 also
-    splits the sum across its threads above 10 000 values, and the split can
-    change the last bits, so a longer sequence's result depends on the BLAS
-    thread count too.  OpenBLAS reads both settings once, when the library
-    is loaded: at the first norm or numpy's import, whichever comes first.
-    ``tristep.cli.main`` runs with OpenBLAS on one thread; a library caller's
-    own setting applies here.
+    its kernel by CPU (``OPENBLAS_CORETYPE`` overrides the choice), once,
+    when the library is loaded: at the first norm or numpy's import,
+    whichever comes first; the kernels' sums can differ at any length.
+    OpenBLAS 0.3.31 on x86-64 also splits the sum across its threads above
+    10 000 values, and the split can change the last bits, so the bundled
+    library runs each sum on one thread, whatever thread count it was
+    loaded with (:func:`_blas_ddot`).  The ``np.dot`` fallback is not
+    pinned: there a longer sequence's result depends on the BLAS thread
+    count too.
 
     Raises:
       ValueError: If the sequence is empty or ``k`` is not positive.
@@ -415,14 +423,17 @@ def load_l2_norm() -> None:
 
 @functools.cache
 def _blas_ddot() -> tuple[str | None, Callable[..., float] | None]:
-    """The OpenBLAS numpy's wheel bundles and its ``cblas_ddot``, or ``(None, None)``.
+    """The OpenBLAS numpy's wheel bundles and its ``cblas_ddot`` on one thread, or ``(None, None)``.
 
     The library is ``numpy.libs/libscipy_openblas64_*.so`` beside the numpy
     package, found with ``importlib.util.find_spec``, which imports no numpy,
     and loaded at the first call.  Loading reads OpenBLAS's settings, as
     numpy's import would; where numpy has loaded the library already, this
-    is the same library, settings and all.  ``(None, None)`` where there is
-    no such library or symbol, or no ``ctypes``.
+    is the same library, settings and all.  The function returned sets the
+    library's thread count to one for each call and then back to what it
+    was, so a caller that loaded it with more threads, by importing numpy
+    first, gets the sums of one thread.  ``(None, None)`` where there is no
+    such library or symbol, or no ``ctypes``.
     """
     import glob
     import importlib.util
@@ -437,14 +448,29 @@ def _blas_ddot() -> tuple[str | None, Callable[..., float] | None]:
         libs = os.path.join(os.path.dirname(location), "numpy.libs")
         for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
             try:
-                ddot = ctypes.CDLL(path).scipy_cblas_ddot64_
+                library = ctypes.CDLL(path)
+                ddot = library.scipy_cblas_ddot64_
+                threads = library.scipy_openblas_get_num_threads64_
+                set_threads = library.scipy_openblas_set_num_threads64_
             except (OSError, AttributeError):
                 continue
             # cblas_ddot(n, x, incx, y, incy) of the 64-bit-integer interface
             n, pointer = ctypes.c_int64, ctypes.c_void_p
             ddot.argtypes = [n, pointer, n, pointer, n]
             ddot.restype = ctypes.c_double
-            return path, ddot
+            threads.argtypes, threads.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+
+            def pinned(*arguments: object) -> float:
+                """``cblas_ddot`` on one OpenBLAS thread; the caller's count is restored after."""
+                caller = threads()
+                set_threads(1)
+                try:
+                    return ddot(*arguments)
+                finally:
+                    set_threads(caller)
+
+            return path, pinned
     return None, None
 
 

@@ -14,7 +14,11 @@ one-line source.  The kernel is generated once per source text: ``march``
 runs a block of macro steps in one call, with the state and the field's
 constants in local variables, and after each step adds the accepted state
 into era sums and whole-run sums, tests its sign and keeps every N-th
-state.  The component form is generated apart, and :func:`heun_substep`
+state.  Against an exact solution (:meth:`RhsField.solution`), a
+``march`` generated with the solution's text after each step also takes
+the step's error maxima from the time terms at its end, which the next
+step starts from; any other solution is called from it through a one-line
+text.  The component form is generated apart, and :func:`heun_substep`
 runs on it; each function is generated only when used.  The kernel gives
 bitwise the results of the same update written in numpy arithmetic, which
 :func:`composed_step` keeps.
@@ -121,8 +125,8 @@ class _Source(Frozen):
 
         return np.array(self.components(t, state_floats(y, self.dim)))
 
-    def _bound(self, function: str) -> Callable:
-        bind = _compiled(function, self.dim, self.rates, tuple(self.constants))
+    def _bound(self, function: str, solution: str | None = None) -> Callable:
+        bind = _compiled(function, self.dim, self.rates, tuple(self.constants), solution)
         return bind(*self.constants.values())
 
     @functools.cached_property
@@ -133,6 +137,38 @@ class _Source(Frozen):
     @functools.cached_property
     def march(self) -> Callable:
         return self._bound("march")
+
+
+class _Solution(Frozen):
+    """A closed-form solution, as text over the time terms of a field's source.
+
+    Called, it is ``exact(t)``: the solution at ``t`` as a tuple of floats,
+    generated from the source's time terms and the text.  ``march`` is the
+    source's, with the text inlined after each step (see
+    :func:`_kernel_text`).  Each is compiled on first use, once per text.  A
+    solution is read only and equal only to itself.
+    """
+
+    def __init__(self, source: _Source, text: str) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "text", text)
+
+    def __repr__(self) -> str:
+        return f"_Solution(text={self.text!r})"
+
+    def __reduce__(self) -> tuple:
+        return _Solution, (self.source, self.text)
+
+    def __call__(self, t: float) -> tuple[float, ...]:
+        return self.exact(t)
+
+    @functools.cached_property
+    def exact(self) -> Callable[[float], tuple[float, ...]]:
+        return self.source._bound("exact", self.text)
+
+    @functools.cached_property
+    def march(self) -> Callable:
+        return self.source._bound("march", self.text)
 
 
 class RhsField(Record):
@@ -181,6 +217,19 @@ class RhsField(Record):
         name is assigned, or a rate is never assigned.
         """
         return cls(dim=dim, evaluate=_Source(dim, rates, dict(constants)))
+
+    def solution(self, text: str) -> Callable[[float], tuple[float, ...]]:
+        """A closed-form solution of the field, written as Python assignments.
+
+        ``text`` assigns the solution ``y1..yd`` from ``t``, the field's
+        constants and the names its time terms assign (see
+        :meth:`from_source`), and may assign other names on the way.  The
+        callable returned gives the solution at ``t`` as a tuple of floats;
+        :func:`integrate` inlines the text into its kernel for this field.
+        The text is checked and compiled at first use, which raises
+        ``ValueError`` as :meth:`from_source` does.
+        """
+        return _Solution(_source(self), text)
 
 
 class NumericalBlowupError(ArithmeticError):
@@ -231,6 +280,25 @@ def _source(f: RhsField) -> _Source:
         return values
 
     return _Source(dim, f"{_names(dim, 'f{j}')} = g(t, ({_names(dim, 'y{j}')}))", {"g": g})
+
+
+def _inlined(source: _Source, exact: Callable[[float], Sequence[float]]) -> _Solution:
+    """What the kernel of ``source`` inlines: ``exact``'s own text, or a line calling it."""
+    if isinstance(exact, _Solution) and exact.source is source:
+        return exact
+    dim = source.dim
+
+    def x(t: float) -> array:
+        values = array("d", exact(t))
+        if len(values) != dim:
+            raise ValueError(f"exact returned {len(values)} values, expected {dim}")
+        return values
+
+    name = "exact"  # a constant no name of the field's text is
+    while name in source.rates or name in source.constants:
+        name += "_"
+    source = _Source(dim, source.rates, {**source.constants, name: x})
+    return _Solution(source, f"{_names(dim, 'y{j}')} = {name}(t)")
 
 
 def _finite(y: Sequence[float]) -> bool:
@@ -298,13 +366,16 @@ def _target_names(target: ast.expr, where: str) -> list[str]:
 
 
 def _check(
-    dim: int, rates: str, constants: tuple[str, ...]
+    dim: int, rates: str, constants: tuple[str, ...], outputs: str = "f"
 ) -> tuple[list[ast.stmt], list[str], list[ast.stmt]]:
     """Check a field's text against the rules of :meth:`RhsField.from_source`.
 
     Returns the parsed time terms, the names they assign and the parsed
     rate statements, each in the order of the text; raises ``ValueError``
-    on the first rule broken.
+    on the first rule broken.  With ``outputs="y"`` it checks a solution's
+    text (:meth:`RhsField.solution`) instead: the text must assign
+    ``y1..yd`` and reads no state, and ``constants`` name the field's
+    constants and time terms.
     """
     import ast
 
@@ -318,8 +389,9 @@ def _check(
         ast.Yield,
         ast.YieldFrom,
     )
-    state = {f"y{j}" for j in range(1, dim + 1)}
-    slopes = {f"f{j}" for j in range(1, dim + 1)}
+    what = "rates" if outputs == "f" else "solution"
+    state = {f"y{j}" for j in range(1, dim + 1)} if outputs == "f" else set()
+    slopes = {f"{outputs}{j}" for j in range(1, dim + 1)}
     for name in constants:
         if not name.isidentifier() or keyword.iskeyword(name):
             raise ValueError(f"constant name {name!r} is not an identifier")
@@ -328,7 +400,7 @@ def _check(
     try:
         body = ast.parse(rates).body
     except SyntaxError as err:
-        raise ValueError(f"rates: {err.msg} on line {err.lineno}") from None
+        raise ValueError(f"{what}: {err.msg} on line {err.lineno}") from None
     fixed = {"t", *state, *constants}  # names no statement may assign
     known = set(fixed)  # names a statement may read
     timely = {"t", *constants}  # names a time term may read
@@ -337,7 +409,7 @@ def _check(
     time_names: list[str] = []
     rated: list[ast.stmt] = []
     for statement in body:
-        where = f"rates, line {statement.lineno}"
+        where = f"{what}, line {statement.lineno}"
         if not isinstance(statement, ast.Assign):
             raise ValueError(f"{where}: only assignments are allowed")
         nodes = list(ast.walk(statement.value))
@@ -363,7 +435,7 @@ def _check(
         taken.update(names)
     missing = sorted(slopes - known, key=lambda name: int(name[1:]))
     if missing:
-        raise ValueError(f"rates never assign {', '.join(missing)}")
+        raise ValueError(f"{what} never assign{'' if state else 's'} {', '.join(missing)}")
     return timed, time_names, rated
 
 
@@ -403,13 +475,16 @@ def _names(dim: int, template: str) -> str:
     return ", ".join(template.format(i=i, j=i + 1) for i in range(dim)) + ","
 
 
-def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]) -> str:
+def _kernel_text(
+    function: str, dim: int, rates: str, constants: tuple[str, ...], solution: str | None = None
+) -> str:
     """Source of ``bind(constants) -> function`` for a field's text.
 
-    ``function`` is ``components`` or ``march``.  The text is written from
-    the field's text and the constants' names alone, never from their
-    values, which ``bind`` takes as arguments and the function keeps as
-    keyword defaults, so that they are its fast locals.
+    ``function`` is ``components``, ``march`` or, for a ``solution``,
+    ``exact``.  The text is written from the field's text, the solution's
+    and the constants' names alone, never from their values, which ``bind``
+    takes as arguments and the function keeps as keyword defaults, so that
+    they are its fast locals.
     ``march`` chains three substeps of length h from t, t1 = t + h and
     t2 = t1 + h, so the time terms run at four distinct times per step; a
     step's result is finite when the sum of its components times 0.0 is
@@ -417,17 +492,32 @@ def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]
     Each accepted state is then added into the era sums ``s0..`` and the
     whole-run sums ``o0..``, in order and never through ``sum``, tested for
     a negative component, and kept when the countdown ``c`` to the next
-    kept row reaches zero.
+    kept row reaches zero.  With a ``solution``, the text of a closed-form
+    solution over the field's time terms (:meth:`RhsField.solution`), each
+    step ends at its end time t0 + (n + 1) * k: the time terms there, which
+    the next step starts from, then the solution ``x0..`` and the maxima of
+    its accepted state's magnitudes, as ``exact`` gives them at that time.
     """
     timed, time_names, rated = _check(dim, _dedent(rates), constants)
     timed, rated = _pieces(timed), _pieces(rated)
     bound = {name: f"{name}__c" for name in constants}
-    # the kernel keeps its times t, t1, ... only when the text reads t
-    ticks = any("t" in line[1::2] for line in (*timed, *rated))
+    solved: list[list[str]] = []
+    if solution is not None:
+        # a solution reads no state, so its time terms may run before its other statements
+        terms, _, rest = _check(dim, _dedent(solution), (*constants, *time_names), "y")
+        solved = _pieces(terms + rest)
+    # the kernel keeps its times t, t1, ... only when a text reads t
+    ticks = any("t" in line[1::2] for line in (*timed, *rated, *solved))
+    # the solution's own names take the suffix of the time terms at t, which it cannot assign
+    solved = _renamed(solved, {"t": "t", **{f"y{i + 1}": f"x{i}" for i in range(dim)}, **bound}, "t0")
 
     def times(number: int, t: str) -> list[str]:
         """The time terms at the kernel's time number ``number``, held in ``t``."""
         return _renamed(timed, {"t": t, **bound}, f"t{number}")
+
+    def now(n: str) -> list[str]:
+        """The time t = t0 + ``n`` * k and its time terms."""
+        return [*([f"t = t0 + {n} * k"] if ticks else []), *times(0, "t")]
 
     def stage(number: int, time: int, t: str, y: str, out: str) -> list[str]:
         """Stage ``number``: the rates at time number ``time``, from ``{y}i`` into ``{out}i``."""
@@ -457,14 +547,24 @@ def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]
             *(f"{out}{i} = {y}{i} + w * (a{i} + b{i})" for i in range(dim)),
         ]
 
+    def largest(values: list[str], out: str) -> list[str]:
+        """max |value| of ``values`` into ``{out}[n]``: a NaN wins, and -0.0 counts as 0.0."""
+        lines = [f"u{i} = abs({value})" for i, value in enumerate(values)]
+        m = "u0"
+        for i in range(1, dim):  # a NaN on either side wins
+            lines.append(f"m = {m} if {m} > u{i} or {m} != {m} else u{i}")
+            m = "m"
+        return [*lines, f"{out}[n] = {m}"]
+
     state, p, q = (_names(dim, y + "{i}") for y in "ypq")
     if function == "components":
         parameters = "t, y"
         body = [*times(0, "t"), *stage(1, 0, "t", "y", "a"), f"return ({_names(dim, 'a{i}')})"]
+    elif function == "exact":
+        parameters = "t"
+        body = [*times(0, "t"), *solved, f"return ({_names(dim, 'x{i}')})"]
     else:
         step = [
-            *(["t = t0 + n * k"] if ticks else []),
-            *times(0, "t"),
             *substep(1, "t", "t1", "y", "p"),
             *substep(2, "t1", "t2", "p", "q"),
             *substep(3, "t2", "t3", "q", "r"),
@@ -484,10 +584,23 @@ def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]
             "    c = every",
         ]
         parameters = "t0, k, first, stop, y, h, w, rows, every, c, sums, negative"
+        if solution is None:
+            start, step = [], [*now("n"), *step]
+        else:
+            start = now("first")
+            step += [
+                *now("(n + 1)"),
+                *solved,
+                *largest([f"x{i}" for i in range(dim)], "exact"),
+                *largest([f"y{i}" for i in range(dim)], "computed"),
+                *largest([f"x{i} - y{i}" for i in range(dim)], "error"),
+            ]
+            parameters += ", exact, computed, error"
         # the era sums and whole-run sums, named apart from the stage locals
         sums = _names(dim, "s{i}") + " " + _names(dim, "o{i}")
         body = [
             f"{sums} = sums",
+            *start,
             "for n in range(first, stop):",
             *(f"    {line}" for line in step),
             f"return ({state}), c, ({sums}), negative",
@@ -496,7 +609,7 @@ def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]
     lines = [
         f"def bind({', '.join(bound.values())}):",
         f"    def {function}({parameters}{defaults}):",
-        f"        {state} = y",
+        *([] if function == "exact" else [f"        {state} = y"]),
         *(f"        {line}" for line in body),
         f"    return {function}",
     ]
@@ -505,23 +618,26 @@ def _kernel_text(function: str, dim: int, rates: str, constants: tuple[str, ...]
 
 @functools.cache
 def _compiled(
-    function: str, dim: int, rates: str, constants: tuple[str, ...]
+    function: str, dim: int, rates: str, constants: tuple[str, ...], solution: str | None = None
 ) -> Callable[..., Callable]:
     """``bind(*values)``: ``function`` of one field text, bound to the constants' values.
 
-    ``components`` is ``(t, y) -> tuple``.  ``march(t0, k, first, stop, y,
-    h, w, rows, every, c, sums, negative)``, with w = s*(h/2), steps from the
-    state ``y`` at t0 + first * k and returns ``(state, c, sums, negative)``,
-    the state at t0 + stop * k: ``sums`` holds the era sums then the
-    whole-run sums, one per component, and each accepted state is added
-    into both; ``negative`` becomes true at a negative component; ``c``
-    counts down to the next kept row, whose components are appended to
-    ``rows`` as ``c`` reaches zero, and is reset to ``every``.
+    ``components`` is ``(t, y) -> tuple``, and a ``solution``'s ``exact`` is
+    ``t -> tuple``.  ``march(t0, k, first, stop, y, h, w, rows, every, c,
+    sums, negative)``, with w = s*(h/2), steps from the state ``y`` at t0 +
+    first * k and returns ``(state, c, sums, negative)``, the state at t0 +
+    stop * k: ``sums`` holds the era sums then the whole-run sums, one per
+    component, and each accepted state is added into both; ``negative``
+    becomes true at a negative component; ``c`` counts down to the next
+    kept row, whose components are appended to ``rows`` as ``c`` reaches
+    zero, and is reset to ``every``.  With a ``solution`` it takes three
+    more arguments, arrays that step n writes at index n: max |exact|,
+    max |computed| and max |exact - computed| at grid point n + 1.
     Each stage is the field's text inlined, so the field is evaluated six
     times per macro step without a call.
     """
     namespace = {"isfinite": math.isfinite, "blowup": _step_blowup}
-    exec(_kernel_text(function, dim, rates, constants), namespace)
+    exec(_kernel_text(function, dim, rates, constants, solution), namespace)
     return namespace["bind"]
 
 
@@ -634,6 +750,7 @@ def integrate(
     *,
     eras: Sequence[int] | None = None,
     every: int | None = 1,
+    exact: Callable[[float], Sequence[float]] | None = None,
 ) -> Trajectory:
     """March the scheme across the grid from the exact initial state.
 
@@ -651,13 +768,22 @@ def integrate(
     run is one era.  The sums start from 0.0 and add the states in grid
     order, bitwise the axis-0 sums numpy takes of two or more columns, so
     they give :func:`~tristep.studies.era_summary`'s means.  The states do
-    not depend on ``eras`` or ``every``.
+    not depend on ``eras``, ``every`` or ``exact``.
+
+    Given the ``exact`` solution, the run also takes at every grid point
+    n = 1..M max |exact|, max |computed| and max |exact - computed|, each
+    into its own ``array('d')`` of M values, which ``maxima`` holds: a NaN
+    anywhere in a row makes its maximum NaN, and -0.0 counts as 0.0.  A
+    solution of the field's own text (:meth:`RhsField.solution`) is inlined
+    into the kernel after each step, where it reads the step's time terms;
+    any other ``exact`` is called there through a one-line text.
 
     Raises:
       ValueError: If ``y0`` is not a finite state of the field's dimension,
         ``eras`` are not strictly increasing from 0 or more to M + 1,
-        ``every`` is neither None nor a positive int, or the kept states do
-        not fit in memory.
+        ``every`` is neither None nor a positive int, the kept states or
+        the maxima do not fit in memory, or ``exact`` returns a row whose
+        length is not the field's dimension.
       NumericalBlowupError: As soon as any intermediate is non-finite,
         carrying the failing step index n, the last finite state (that of
         grid point n) as a tuple and as a flat ``array('d')`` the kept
@@ -674,8 +800,15 @@ def integrate(
         and all(a < b for a, b in zip(starts, starts[1:]))
     ):
         raise ValueError("era starts must increase strictly from 0 or more to M + 1")
-    h = grid.k / 3.0
-    return _run(_source(f).march, y, grid, h, sign.factor * (h / 2.0), starts, every)
+    h, source = grid.k / 3.0, _source(f)
+    march, maxima = source.march, ()
+    if exact is not None:
+        march = _inlined(source, exact).march
+        try:
+            maxima = tuple(array("d", [0.0]) * grid.M for _ in range(3))
+        except (MemoryError, OverflowError):  # OverflowError beyond the index range
+            raise states_do_not_fit(grid.k, grid.M + 1) from None
+    return _run(march, y, grid, h, sign.factor * (h / 2.0), starts, every, maxima)
 
 
 def _diverged(err: NumericalBlowupError, grid: TimeGrid, partial: array) -> NumericalBlowupError:
@@ -698,8 +831,12 @@ def _run(
     w: float,
     starts: tuple[int, ...],
     every: int | None,
+    maxima: tuple[array, ...],
 ) -> Trajectory:
-    """Run ``march`` over the grid by eras and blocks of steps into one :class:`Trajectory`."""
+    """Run ``march`` over the grid by eras and blocks of steps into one :class:`Trajectory`.
+
+    ``maxima`` are the arrays a march with a solution writes, none without.
+    """
     t0, k, dim = grid.t0, grid.k, len(y)
     rows_kept = kept_count(grid.M, every)
     try:
@@ -722,7 +859,7 @@ def _run(
             rows: list[float] = []
             try:
                 y, c, sums, negative = march(
-                    t0, k, first, stop, y, h, w, rows, every, c, sums, negative
+                    t0, k, first, stop, y, h, w, rows, every, c, sums, negative, *maxima
                 )
             except NumericalBlowupError as err:
                 partial = values[:kept]
@@ -739,7 +876,7 @@ def _run(
             sums = (0.0,) * dim + sums[dim:]
     if every and grid.M % every:
         values[kept:] = array("d", y)
-    return Trajectory(grid, values, every, tuple(era_sums), sums[dim:], negative)
+    return Trajectory(grid, values, every, tuple(era_sums), sums[dim:], negative, maxima or None)
 
 
 def zero_stability_roots() -> tuple[complex, complex, complex]:

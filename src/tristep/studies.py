@@ -1,43 +1,37 @@
 """Convergence-study and era-summary harnesses over the integrator.
 
-Each scenario run is pure, and presets could run concurrently.  The grids
-of a convergence study are not independent: their exact states are taken
-first, finest grid first, into flat ``array('d')``s, and a grid whose
-points are every 2**j-th point of a grid evaluated before it reads that
-grid's rows instead of evaluating the solution again; the grids then run
-coarse to fine.  Where the process runs one thread, may run on two CPUs
+Each scenario run is pure, and presets could run concurrently.  A
+convergence study integrates each grid once, coarse to fine, with the
+problem's exact solution: the kernel takes max |exact|, max |computed| and
+max |exact - computed| at every grid point as it steps, keeps no state,
+and the study takes the norms of those maxima.  The built-in problems
+write their solution as text over their field's time terms, which the
+kernel inlines.  Where the process runs one thread, may run on two CPUs
 or more and finds one of them idle, as a fresh ``tristep converge``
 process does on such a host, and the finest grid has 8 192 steps or
 more, that grid runs meanwhile in a forked child on another CPU, which
-sends back its states alone; the parent takes every norm, so the table is
+sends back its maxima alone; the parent takes every norm, so the table is
 bitwise the serial one.  ``taskset -c 0 tristep converge ...`` runs
 serially.  A scenario run (:func:`run_scenario`) stays on Python
 floats and imports no numpy: the kernel adds each state into its era's
 sums as it steps and keeps every N-th state, and the summary is divided
 from those sums.  :func:`era_summary` takes the same summary from a
 trajectory's stored states as numpy's means; it is the reference those
-sums are checked against, and it imports numpy.  The convergence study
-takes its per-point maxima with numpy where this interpreter has imported
-numpy already, and with generated Python loops otherwise, as in a fresh
-``tristep converge`` process; both give the same bits, and the study never
-imports numpy for them.  It sums their squares with the OpenBLAS numpy's
-wheel bundles, without importing numpy where that library is there; its
-norms can depend in their last bits on the OpenBLAS kernel the CPU
-selects, and on the BLAS thread count on long grids
-(:func:`~tristep.numerics.discrete_l2_time_norm`).  The rows of a table or
-a summary are named tuples (``collections.namedtuple``).
+sums are checked against, and it imports numpy.  A convergence study
+imports no numpy: it sums the squares of its maxima with the OpenBLAS
+numpy's wheel bundles, without importing numpy where that library is
+there; its norms can depend in their last bits on the OpenBLAS kernel the
+CPU selects (:func:`~tristep.numerics.discrete_l2_time_norm`).  The rows
+of a table or a summary are named tuples (``collections.namedtuple``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
-import sys
 from array import array
 from collections import namedtuple
-from itertools import islice
 
 from .cpmodel import EraPreset, cp_rhs
 from .manufactured import ManufacturedProblem
@@ -56,10 +50,7 @@ from .scheme import SignConvention, integrate
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from types import ModuleType
-    from typing import BinaryIO, Callable, Iterable, Sequence
-
-    import numpy as np
+    from typing import BinaryIO, Iterable, Sequence
 
 __all__ = [
     "ConvergenceRow",
@@ -103,47 +94,39 @@ def run_convergence_study(
     Every grid is built before the first integration, so a step too small
     for its grid fails before any work, at the first such exponent (k is
     0.0 for e > 1074, and no exponent is too large); so does a finest grid
-    whose states the allocator refuses.  Per grid point
-    n = 1..M the study takes the sup norms (row maxima of magnitudes) of the
-    exact solution, the numerical solution and their difference, then
-    aggregates each sequence with the discrete L2-in-time norm.  The exact
-    states are taken before the first integration, finest grid first: a
-    grid whose points are every 2**j-th point of a grid evaluated before
-    it, bit for bit, reads every 2**j-th row of that grid's states at its
-    norms.  So where every grid's points are among the finest grid's, as
-    for k = 2**-e over [0, 1], the exact solution is evaluated once per
-    point of the finest grid.
-
-    The row maxima are taken with numpy where this interpreter has imported
-    numpy already, and with Python loops otherwise, as in a fresh
-    ``tristep converge`` process; the study never imports numpy for them.
-    Both give the same bits.  What the norms sum their squares with is
-    loaded before the first integration
+    whose maxima the allocator refuses.  Each grid is integrated once,
+    keeping no state, against ``problem.exact``
+    (:func:`~tristep.scheme.integrate`): per grid point n = 1..M the run
+    takes the sup norms (row maxima of magnitudes) of the exact solution,
+    the numerical solution and their difference, and the study aggregates
+    each sequence with the discrete L2-in-time norm.  So the exact solution
+    is evaluated at every point of every grid, inlined into the kernel
+    where ``exact`` is the field's own solution text.  What the norms sum
+    their squares with is loaded before the first integration
     (:func:`~tristep.numerics.load_l2_norm`).
 
-    The finest grid runs in a forked child, while this process takes the
-    exact states and runs the coarser grids, where ``os.fork`` exists,
-    there are two grids or more, the finest has 8 192 steps or more, this
-    process may run on two CPUs or more (``os.sched_getaffinity``) and
-    runs one thread, and fewer tasks are runnable on the system than this
-    process has CPUs, as Linux reports them.  A fresh ``tristep converge``
-    process runs one thread, since its OpenBLAS starts none; an interpreter
-    that has imported numpy runs OpenBLAS's threads, ``taskset -c 0``
-    leaves one CPU, and a second busy process leaves no CPU idle, so there
-    the study runs serially.  The child runs on every CPU of this process
-    but the one this process runs on, runs no numpy or BLAS, and writes the
-    flat states of its run, bitwise this process's own, down a pipe; this
-    process takes their norms as any grid's, so the table is bitwise the
-    serial one.  Where the child fails in any way, by a blow-up or a short
-    write, or its states do not fit in this process as well, this process
-    integrates the finest grid itself, and a blow-up raises the serial
-    error.  The child is killed and reaped however the study ends, a
-    coarser grid's blow-up or an interrupt included, and Linux kills it
-    when a signal ends this process first.
+    The finest grid runs in a forked child, while this process runs the
+    coarser grids, where ``os.fork`` exists, there are two grids or more,
+    the finest has 8 192 steps or more, this process may run on two CPUs
+    or more (``os.sched_getaffinity``) and runs one thread, and fewer
+    tasks are runnable on the system than this process has CPUs, as Linux
+    reports them.  A fresh ``tristep converge`` process runs one thread,
+    since its OpenBLAS starts none; an interpreter that has imported numpy
+    runs OpenBLAS's threads, ``taskset -c 0`` leaves one CPU, and a second
+    busy process leaves no CPU idle, so there the study runs serially.  The
+    child runs on every CPU of this process but the one this process runs
+    on, runs no numpy or BLAS, and writes the maxima of its run, bitwise
+    this process's own, down a pipe; this process takes their norms as any
+    grid's, so the table is bitwise the serial one.  Where the child fails
+    in any way, by a blow-up or a short write, or its maxima do not fit in
+    this process as well, this process integrates the finest grid itself,
+    and a blow-up raises the serial error.  The child is killed and reaped
+    however the study ends, a coarser grid's blow-up or an interrupt
+    included, and Linux kills it when a signal ends this process first.
 
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,
-        a step is too small for its grid or its states, ``exact`` returns
+        a step is too small for its grid or its maxima, ``exact`` returns
         a row whose length is not the field's dimension, or neither numpy's
         bundled OpenBLAS nor numpy can be loaded for the norms.
       NumericalBlowupError: Propagated from a diverging integration.
@@ -164,7 +147,7 @@ def run_convergence_study(
     if not grids:
         raise ValueError("exponents must be integers >= 1")
     finest = grids[-1]
-    if not fits_in_memory((finest.M + 1) * problem.field.dim * 8):
+    if not fits_in_memory(3 * finest.M * 8):  # the finest grid's three arrays of maxima
         raise states_do_not_fit(finest.k, finest.M + 1)
     load_l2_norm()
 
@@ -173,14 +156,12 @@ def run_convergence_study(
     try:
         rows: list[ConvergenceRow] = []
         previous_error: float | None = None
-        for grid, (values, largest, stride) in zip(grids, _exact_sources(problem, grids)):
-            trajectory = None
-            if child is not None and grid is finest:
-                trajectory = child.trajectory(problem.field.dim)
-            if trajectory is None:
-                trajectory = integrate(problem.field, problem.y0, grid, sign)
-            exact_norm, numeric_norm, error_norm = _norms(
-                values, largest, stride, trajectory, grid.k
+        for grid in grids:
+            maxima = child.maxima() if child is not None and grid is finest else None
+            # unpacked at once, so that no grid's maxima outlive its norms
+            exact_norm, numeric_norm, error_norm = (
+                discrete_l2_time_norm(per_point, grid.k)
+                for per_point in maxima or _maxima(problem, grid, sign)
             )
             rate = None
             if previous_error is not None and previous_error > 0.0 and error_norm > 0.0:
@@ -191,6 +172,13 @@ def run_convergence_study(
         if child is not None:
             child.stop()
     return rows
+
+
+def _maxima(
+    problem: ManufacturedProblem, grid: TimeGrid, sign: SignConvention
+) -> tuple[array, array, array]:
+    """max |exact|, max |computed| and max |exact - computed| at grid points 1..M of one run."""
+    return integrate(problem.field, problem.y0, grid, sign, every=None, exact=problem.exact).maxima
 
 
 # The fewest steps of a finest grid that a study runs in a forked child:
@@ -266,13 +254,13 @@ def _end_with(parent: int) -> None:
 
 
 class _FinestChild:
-    """A forked child that integrates a study's finest grid and writes its states down a pipe.
+    """A forked child that integrates a study's finest grid and writes its maxima down a pipe.
 
-    The child writes the flat ``array('d')`` of the run's states, nothing
-    pickled, once the run has returned, and always ends in ``os._exit``: 0
-    once every byte is written, 1 on any failure, a blow-up included.  It
-    runs the parent's code on the parent's inputs, so its states are
-    bitwise the parent's own run.
+    The child writes the run's three ``array('d')``s of per-point maxima,
+    nothing pickled, once the run has returned, and always ends in
+    ``os._exit``: 0 once every byte is written, 1 on any failure, a blow-up
+    included.  It runs the parent's code on the parent's inputs, so its
+    maxima are bitwise the parent's own run.
     """
 
     __slots__ = ("grid", "pid", "pipe")
@@ -302,9 +290,10 @@ class _FinestChild:
                 os.close(read_end)
                 _end_with(parent)
                 os.sched_setaffinity(0, cpus)
-                values = integrate(problem.field, problem.y0, grid, sign).values
+                maxima = _maxima(problem, grid, sign)
                 with open(write_end, "wb") as pipe:
-                    pipe.write(values)
+                    for per_point in maxima:
+                        pipe.write(per_point)
                 status = 0
             except BaseException:  # the child reports through its exit status alone
                 pass
@@ -313,32 +302,35 @@ class _FinestChild:
         os.close(write_end)
         return cls(grid, pid, open(read_end, "rb", buffering=0))
 
-    def trajectory(self, dim: int) -> Trajectory | None:
-        """The child's run, read and reaped; None where it wrote short.
+    def maxima(self) -> tuple[array, array, array] | None:
+        """The child's maxima, read and reaped; None where it wrote short.
 
         The child writes only once its run has returned, so every byte read
         is a run that did not blow up, whatever its exit status, which this
         process may not get (``SIGCHLD`` ignored, or a handler that waits).
-        Where the states do not fit in this process beside the child's, the
+        Where the maxima do not fit in this process beside the child's, the
         child is stopped and None returned.
         """
         try:
-            values = array("d", [0.0]) * ((self.grid.M + 1) * dim)
+            maxima = tuple(array("d", [0.0]) * self.grid.M for _ in range(3))
         except MemoryError:
             self.stop()
             return None
+        with self.pipe:
+            whole = all(self._fill(per_point) for per_point in maxima)
+        self._reap(kill=False)
+        return maxima if whole else None
+
+    def _fill(self, values: array) -> bool:
+        """Read ``values`` from the pipe; False where the pipe ends first."""
         view = memoryview(values).cast("B")
         got = 0
-        with self.pipe:
-            while got < len(view):
-                n = self.pipe.readinto(view[got:])
-                if not n:
-                    break
-                got += n
-        self._reap(kill=False)
-        if got < len(view):
-            return None
-        return Trajectory(self.grid, values)
+        while got < len(view):
+            n = self.pipe.readinto(view[got:])
+            if not n:
+                return False
+            got += n
+        return True
 
     def stop(self) -> None:
         """Kill and reap the child unless it has ended, and close the pipe."""
@@ -365,162 +357,6 @@ class _FinestChild:
             os.waitpid(pid, 0)
         except (ChildProcessError, ProcessLookupError):  # reaped already
             pass
-
-
-def _exact_sources(
-    problem: ManufacturedProblem, grids: Sequence[TimeGrid]
-) -> list[tuple[array, array, int]]:
-    """Per grid, ``(values, largest, stride)``: where its exact states and their maxima are.
-
-    ``values`` are the flat exact states of a grid evaluated in full,
-    ``largest`` holds max |row| of each of their rows, and the grid's
-    states are every ``stride``-th row of ``values``.  The grids are
-    walked finest first.  A grid whose points are every
-    2**j-th point (j >= 1) of a grid evaluated before it, that is with the
-    same t0, 2**j times fewer steps and a step 2**j times as long, reads
-    that grid's states: t0 + m * (2**j * k) and t0 + (2**j * m) * k round
-    the same real number, so the times are bitwise equal, and so are the
-    states.  Any other grid is evaluated in full (stride 1), and the
-    coarser grids may read it in turn.
-    """
-    np, dim = sys.modules.get("numpy"), problem.field.dim
-    evaluated: list[tuple[TimeGrid, tuple[array, array]]] = []
-    sources = []
-    for grid in reversed(grids):
-        for finer, source in evaluated:
-            stride = finer.M // grid.M
-            if (
-                stride > 1
-                and not stride & (stride - 1)
-                and finer.M == stride * grid.M
-                and grid.t0 == finer.t0
-                and grid.k == stride * finer.k
-            ):
-                break
-        else:
-            values = problem.exact_values(grid)
-            if np is None:
-                largest = _row_maxima(dim, deviations=False)(values)
-            else:
-                largest = _numpy_row_maxima(np, np.frombuffer(values).reshape(-1, dim))
-            source, stride = (values, largest), 1
-            evaluated.append((grid, source))
-        sources.append((*source, stride))
-    return sources[::-1]
-
-
-def _norms(
-    values: array, largest: array, stride: int, trajectory: Trajectory, k: float
-) -> tuple[float, float, float]:
-    """L2-in-time norms of the row maxima of |exact|, |computed| and |exact - computed|.
-
-    The exact states are every ``stride``-th row of ``values``, and their
-    maxima every ``stride``-th value of ``largest``.  Where this interpreter
-    has imported numpy, the maxima of |computed| and |exact - computed| are
-    taken with numpy (:func:`_numpy_row_maxima`) on views of the states,
-    which copy nothing; otherwise by :func:`_row_maxima`'s loops, and with
-    a stride above 1 the exact states are copied out first, a copy that
-    does not outlive the call.  Grid point 0 is not in the norms.
-    """
-    dim = trajectory.dim
-    np = sys.modules.get("numpy")
-    if np is None:
-        exact = values
-        if stride > 1:
-            exact = array("d", [0.0]) * (dim * (trajectory.grid.M + 1))
-            for c in range(dim):
-                exact[c::dim] = values[c :: stride * dim]
-        deviations = _row_maxima(dim, deviations=True)
-        computed = trajectory.values
-        computed_max, error_max = deviations(islice(exact, dim, None), islice(computed, dim, None))
-    else:
-        exact = np.frombuffer(values).reshape(-1, dim)[::stride]
-        computed = np.frombuffer(trajectory.values).reshape(-1, dim)
-        computed_max, error_max = _numpy_row_maxima(np, exact[1:], computed[1:])
-    maxima = (largest[stride::stride], computed_max, error_max)
-    return tuple(discrete_l2_time_norm(per_point, k) for per_point in maxima)
-
-
-def _numpy_row_maxima(
-    np: ModuleType, exact: np.ndarray, computed: np.ndarray | None = None
-) -> array | tuple[array, array]:
-    """:func:`_row_maxima`'s maxima with numpy, for ``(rows, dim)`` float64 arrays.
-
-    ``_numpy_row_maxima(np, exact)`` gives max |exact| per row, and
-    ``_numpy_row_maxima(np, exact, computed)`` max |computed| and
-    max |exact - computed|, each an ``array('d')`` of one value per row,
-    bitwise :func:`_row_maxima`'s: ``np.maximum`` lets a NaN win as the
-    loops do, and ``np.abs`` maps -0.0 to 0.0.  Each maximum is taken
-    column by column into its result, so the only temporary is one column.
-    """
-    rows, dim = exact.shape
-    column = np.empty(rows)
-
-    def largest(magnitude: Callable[[int, np.ndarray], np.ndarray]) -> array:
-        result = array("d", [0.0]) * rows
-        out = np.frombuffer(result)
-        magnitude(0, out)
-        for c in range(1, dim):
-            np.maximum(out, magnitude(c, column), out=out)
-        return result
-
-    if computed is None:
-        return largest(lambda c, out: np.abs(exact[:, c], out=out))
-    with np.errstate(all="ignore"):  # inf - inf, and differences that overflow
-        return (
-            largest(lambda c, out: np.abs(computed[:, c], out=out)),
-            largest(
-                lambda c, out: np.abs(np.subtract(exact[:, c], computed[:, c], out=out), out=out)
-            ),
-        )
-
-
-@functools.cache
-def _row_maxima(dim: int, deviations: bool) -> Callable[..., array | tuple[array, array]]:
-    """A loop, written out for rows of ``dim`` values, that takes row maxima of magnitudes.
-
-    Without ``deviations`` it is ``maxima(exact)``, which gives max |exact|
-    per row; with ``deviations``, ``maxima(exact, computed)``, which gives max
-    |computed| and max |exact - computed| per row.  Each argument gives
-    floats row after row, ``dim`` to a row, and each result is an
-    ``array('d')`` of one value per row of the shortest argument.  A NaN
-    anywhere in a row makes its maximum NaN and -0.0 counts as 0.0, as in
-    numpy's ``np.abs(rows).max(axis=1)``.  The loop unpacks each row from
-    ``zip`` into ``dim`` names and compares them in written-out
-    expressions, so it builds no list or tuple per row.
-    """
-    if deviations:
-        rows = {"e": "exact", "c": "computed"}
-        terms = [[f"c{i}" for i in range(dim)], [f"e{i} - c{i}" for i in range(dim)]]
-    else:
-        rows = {"e": "exact"}
-        terms = [[f"e{i}" for i in range(dim)]]
-    outs = [f"out{j}" for j in range(len(terms))]
-
-    def largest(values: list[str], out: str) -> list[str]:
-        lines = [f"a{i} = abs({value})" for i, value in enumerate(values)]
-        m = "a0"
-        for i in range(1, dim):  # a NaN on either side wins
-            lines.append(f"m = {m} if {m} > a{i} or {m} != {m} else a{i}")
-            m = "m"
-        return [*lines, f"{out}.append({m})"]
-
-    text = "\n".join(
-        [
-            f"def maxima({', '.join(rows.values())}):",
-            *(f"    {out} = array('d')" for out in outs),
-            *(f"    {name} = iter({argument})" for name, argument in rows.items()),
-            # each name with a comma, so that a row of one value unpacks too
-            f"    for {''.join(f'{name}{i}, ' for name in rows for i in range(dim))}in zip(",
-            f"        {', '.join(name for name in rows for _ in range(dim))}",
-            "    ):",
-            *(f"        {line}" for out, row in zip(outs, terms) for line in largest(row, out)),
-            f"    return {', '.join(outs)}",
-        ]
-    )
-    namespace = {"array": array}
-    exec(text, namespace)
-    return namespace["maxima"]
 
 
 def era_summary(

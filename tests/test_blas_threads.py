@@ -3,7 +3,8 @@
 Each test starts a fresh interpreter, because OpenBLAS reads
 ``OPENBLAS_NUM_THREADS`` once, when the library is first loaded: by
 tristep's L2 norm, which loads the OpenBLAS numpy's wheel bundles, or by
-numpy's import, whichever comes first.
+numpy's import, whichever comes first.  Where numpy loaded it first, the
+norms set the library to one thread for each sum.
 """
 
 from __future__ import annotations
@@ -72,6 +73,25 @@ def test_convergence_csvs_do_not_depend_on_the_callers_blas_threads(tmp_path):
         _python(CONVERGE_TO, str(out), blas_threads=setting)
         tables[setting] = out.read_bytes()
     assert tables[None] == tables["1"] == tables["2"]
+
+
+CONVERGE_AFTER_NUMPY = """
+import sys
+
+import numpy  # loads OpenBLAS with the thread count of the environment
+from tristep.cli import main
+
+sys.exit(main(["converge", "example1", "4..15", "--out", sys.argv[1]]))
+"""
+
+
+def test_a_converge_run_after_numpys_import_writes_the_fresh_processs_table(tmp_path):
+    # numpy, imported first, starts OpenBLAS's two threads before main sets the
+    # variable; the norms run each sum on one thread all the same
+    fresh, after = tmp_path / "fresh.csv", tmp_path / "after-numpy.csv"
+    _python(CONVERGE_TO, str(fresh))
+    _python(CONVERGE_AFTER_NUMPY, str(after), blas_threads="2")
+    assert after.read_bytes() == fresh.read_bytes()
 
 
 ENVIRONMENT_AFTER_MAIN = """

@@ -14,6 +14,7 @@ from tristep import (
     NumericalBlowupError,
     RhsField,
     TimeGrid,
+    build_grid,
     example1,
     example2,
     integrate,
@@ -54,6 +55,12 @@ ORIGINAL_RATES = {
 }
 
 _MATH = {"exp": math.exp, "cos": math.cos, "sin": math.sin}
+
+
+def original_solution(t: float) -> tuple[float, float, float]:
+    """The problems' exact solution as first written, a Python function of its own."""
+    q = t * t - t
+    return (q, q * math.exp(-t), (t - 1.0) * math.sin(t))
 
 
 def original_field(label: str) -> RhsField:
@@ -172,3 +179,63 @@ def test_integrate_on_the_field_text_is_bitwise_its_original(label, t0, M, y0):
         except NumericalBlowupError as err:
             runs.append((err.step_index, err.t, bits(err.partial_states)))
     assert runs[0] == runs[1]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.sampled_from(sorted(ORIGINAL_RATES)), st.floats(-2.0, 2.0) | st.floats(-100.0, 100.0))
+def test_solution_text_is_bitwise_its_original(label, t):
+    assert bits(problem(label).exact(t)) == bits(original_solution(t))
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(ORIGINAL_RATES)),
+    st.floats(-2.0, 2.0),
+    st.integers(4, 12),
+    st.integers(1, 40),
+)
+def test_the_inlined_solution_is_bitwise_its_original_at_grid_times(label, t0, e, M):
+    # M steps of about 2**-e from t0; the kernel takes the solution at t0 + n * k
+    built = problem(label)
+    grid = build_grid(t0, t0 + M * 2.0**-e, 2.0**-e)
+    times = [grid.time(n) for n in range(grid.M + 1)]
+    assert all(bits(built.exact(t)) == bits(original_solution(t)) for t in times)
+    try:
+        computed = integrate(built.field, built.y0, grid).states[1:]
+    except NumericalBlowupError as err:  # some coarse grids diverge before t = 0
+        with pytest.raises(NumericalBlowupError) as inlined:
+            integrate(built.field, built.y0, grid, every=None, exact=built.exact)
+        assert inlined.value.step_index == err.step_index
+        return
+    exact = np.array([original_solution(t) for t in times[1:]])
+    expected = [np.abs(a).max(axis=1) for a in (exact, computed, exact - computed)]
+    inlined = integrate(built.field, built.y0, grid, every=None, exact=built.exact).maxima
+    assert [bits(m) for m in inlined] == [bits(m.tolist()) for m in expected]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("y1 = q\ny2 = sq\ny3 = 0.0", "solution, line 2: unknown name 'sq'"),
+        ("y1 = y2\ny2 = q\ny3 = q", "solution, line 1: unknown name 'y2'"),
+        ("q = 1.0\ny1 = q\ny2 = q\ny3 = q", "solution, line 1: 'q' cannot be assigned"),
+        ("y1 = q\ny3 = q", "solution never assigns y2"),
+        ("y1 = q\ny2 = q\ny3 = (lambda: q)()", "Lambda is not allowed"),
+    ],
+)
+def test_a_malformed_solution_text_is_rejected_on_first_use(text, message):
+    # the solution reads the time terms of the field's text, not its rate statements
+    exact = example1().field.solution(text)
+    with pytest.raises(ValueError, match=message):
+        exact(0.5)
+
+
+@pytest.mark.parametrize("build", [example1, example2])
+def test_a_run_against_the_solution_keeps_the_states_and_sums_of_a_plain_run(build):
+    built = build()
+    grid = TimeGrid(t0=0.0, T=1.0, M=3000)  # three blocks of steps
+    plain = integrate(built.field, built.y0, grid)
+    run = integrate(built.field, built.y0, grid, exact=built.exact)
+    assert plain.maxima is None and [len(m) for m in run.maxima] == [3000] * 3
+    assert bits(run.values) == bits(plain.values)
+    assert run.overall_sums == plain.overall_sums and run.era_sums == plain.era_sums

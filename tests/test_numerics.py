@@ -125,8 +125,11 @@ def test_l2_rejects_empty_sequence_and_bad_step():
 
 
 # The ddot is bound before numpy is imported, as in a converge process; numpy's
-# import then finds the library loaded and calls the same function.
+# import then finds the library loaded and calls the same function.  The bound
+# ddot runs on one thread and leaves the library's thread count as it was, so it
+# is np.dot on one thread, whatever count the library was loaded with.
 DDOT_IS_NP_DOT = r"""
+import ctypes
 import math
 import random
 from array import array
@@ -136,6 +139,10 @@ from tristep import numerics
 path, ddot = numerics._blas_ddot()
 import numpy as np
 
+library = ctypes.CDLL(path)
+threads = library.scipy_openblas_get_num_threads64_
+set_threads = library.scipy_openblas_set_num_threads64_
+loaded = threads()
 rng = random.Random(20)
 lengths = [1, 2, 3, 10_000, 10_001, 20_000, *(rng.randint(1, 20_000) for _ in range(60))]
 differ = []
@@ -144,11 +151,15 @@ for n in lengths:
     v = array("d", (rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n)))
     w = np.frombuffer(v, dtype=np.float64)
     address = v.buffer_info()[0]
+    set_threads(1)
     expected = float(np.dot(w, w))
+    set_threads(loaded)
     got = ddot(n, address, 1, address, 1)
     norm = numerics.discrete_l2_time_norm(v.tolist(), 0.125)
     if repr(got) != repr(expected) or repr(norm) != repr(math.sqrt(0.125 * expected)):
         differ.append(n)
+    if threads() != loaded:
+        differ.append(("threads", n, threads()))
 print(path, differ)
 """
 
@@ -330,7 +341,7 @@ def test_a_trajectory_is_read_only_and_equal_only_to_itself():
     assert repr(traj) == (
         "Trajectory(grid=TimeGrid(t0=0.0, T=1.0, M=2, k=0.5), "
         "values=array('d', [1.0, 2.0, 3.0]), every=1, era_sums=None, "
-        "overall_sums=(6.0,), negativity_flag=None)"
+        "overall_sums=(6.0,), negativity_flag=None, maxima=None)"
     )
     twin = Trajectory(grid, array("d", [1.0, 2.0, 3.0]), overall_sums=(6.0,))
     assert traj == traj and traj != twin and len({traj, twin}) == 2

@@ -16,7 +16,6 @@ import tracemalloc
 import warnings
 from array import array
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,11 +30,13 @@ from tristep import (
     ManufacturedProblem,
     RhsField,
     SignConvention,
+    TimeGrid,
     Trajectory,
     build_grid,
     era_summary,
     example1,
     example2,
+    integrate,
     preset,
     run_convergence_study,
     run_scenario,
@@ -188,7 +189,7 @@ def test_exponent_validation():
     assert numpy_ints == run_convergence_study(example1(), [4, 5])
 
 
-# ------------------------------------------------- exact states across grids
+# ------------------------------------------------ the exact solution of each grid
 
 
 def counting(build):
@@ -203,22 +204,12 @@ def counting(build):
     return dataclasses.replace(built, exact=exact), times
 
 
-def test_each_exact_state_is_evaluated_once_per_study():
-    counted, times = counting(example1)
-    run_convergence_study(counted, range(4, 14))
-    # t0 is read once more by each of the ten integrations, as y0
-    assert times.count(0.0) == 1 + 10
-    assert len(times) == 8193 + 10
-    # every point of the finest grid once: the coarser grids' points are among them
-    assert set(times) == set(build_grid(0.0, 1.0, 2.0**-13).times().tolist())
-
-
-def test_a_study_over_gapped_exponents_evaluates_each_finest_point_once():
+def test_a_called_exact_is_evaluated_at_every_point_of_every_grid():
     counted, times = counting(example1)
     run_convergence_study(counted, (4, 6, 9))
-    # the points of k = 2^-4 and 2^-6 are every 8th and every 64th point of k = 2^-9
-    assert len(times) == 513 + 3
-    assert set(times) == set(build_grid(0.0, 1.0, 2.0**-9).times().tolist())
+    grids = [build_grid(0.0, 1.0, 2.0**-e) for e in (4, 6, 9)]
+    # per grid, t0 as y0, then grid points 1..M as the run steps
+    assert times == [grid.time(n) for grid in grids for n in range(grid.M + 1)]
 
 
 @pytest.mark.parametrize("row", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
@@ -228,45 +219,47 @@ def test_an_exact_row_of_the_wrong_length_is_rejected(row):
     message = f"^exact returned {len(row)} values, expected 3$"
     with pytest.raises(ValueError, match=message):
         run_convergence_study(problem, [2, 3])
-    with pytest.raises(ValueError, match=message):
-        problem.exact_states(build_grid(0.0, 1.0, 0.5))
 
 
 def test_an_exact_solution_of_numpy_arrays_gives_the_same_table():
     problem = example1()
     arrays = dataclasses.replace(problem, exact=lambda t: np.array(problem.exact(t)))
-    states = arrays.exact_states(build_grid(0.0, 1.0, 2.0**-4))
-    assert states.tolist() == problem.exact_states(build_grid(0.0, 1.0, 2.0**-4)).tolist()
     expected = run_convergence_study(problem, range(4, 9))
     assert repr(run_convergence_study(arrays, range(4, 9))) == repr(expected)
 
 
-def evaluated_per_grid(problem, grids):
-    """``studies._exact_sources`` with every grid's states evaluated in full."""
-    sources, dim = [], problem.field.dim
-    for grid in grids:
-        values = problem.exact_values(grid)
-        largest = [max(map(abs, values[n : n + dim])) for n in range(0, len(values), dim)]
-        sources.append((values, array("d", largest), 1))
-    return sources
+def called(problem):
+    """``problem`` with its exact solution called through a function, not inlined."""
+    exact = problem.exact
+    return dataclasses.replace(problem, exact=lambda t: exact(t))
 
 
-@pytest.mark.parametrize(
-    "build, exponents",
-    [
-        (example1, range(4, 14)),
-        (example2, range(4, 12)),
-        (example1, (4, 6, 9)),  # no grid halves the one before it
-        # over [0.1, 1.3] only some grids halve the one before them
-        (lambda: dataclasses.replace(example1(), t0=0.1, T=1.3), range(4, 12)),
-        (example1, (3, 7)),
-    ],
-)
-def test_reused_exact_states_are_bitwise_evaluated_ones(build, exponents, monkeypatch):
-    reused = run_convergence_study(build(), exponents)
-    monkeypatch.setattr(studies, "_exact_sources", evaluated_per_grid)
+def nan_at_one_point():
+    """example1's field with an exact solution of -0.0 but for a NaN in y2 at t = 0.5."""
+    source = example1().field.evaluate
+    field = RhsField.from_source(3, source.rates, constants={**source.constants, "nan": math.nan})
+    exact = "y1 = -0.0\ny2 = nan if t == 0.5 else -0.0\ny3 = -0.0"
+    return ManufacturedProblem(label="nan", field=field, exact=exact)
+
+
+@pytest.mark.parametrize("build", [example1, example2, nan_at_one_point])
+@pytest.mark.parametrize("exponents", [range(4, 11), (4, 6, 9), (3, 7)])
+def test_an_inlined_and_a_called_exact_give_one_study(build, exponents):
+    inlined = run_convergence_study(build(), exponents)
     # repr tells every bit of a float apart, the sign of zero included
-    assert repr(reused) == repr(run_convergence_study(build(), exponents))
+    assert repr(run_convergence_study(called(build()), exponents)) == repr(inlined)
+    if build is nan_at_one_point:
+        assert all(math.isnan(row.exact_norm) and math.isnan(row.error_norm) for row in inlined)
+        assert not any(math.isnan(row.numeric_norm) for row in inlined)
+
+
+def test_a_solution_of_another_field_is_called_not_inlined():
+    problem = example1()
+    other = dataclasses.replace(problem, field=example1().field)
+    assert other.exact.source is not other.field.evaluate
+    assert repr(run_convergence_study(other, range(4, 9))) == repr(
+        run_convergence_study(problem, range(4, 9))
+    )
 
 
 def test_study_holds_at_most_four_grids_of_states_at_once():
@@ -283,6 +276,18 @@ def test_study_holds_at_most_four_grids_of_states_at_once():
     assert peak < 4 * finest
 
 
+def test_a_study_holds_at_most_40_bytes_per_finest_grid_point():
+    run_convergence_study(example1(), [4, 5])  # generates and compiles the kernel
+    tracemalloc.start()
+    try:
+        run_convergence_study(example1(), range(4, 17))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the finest grid's three arrays of maxima take 24 bytes per point
+    assert peak <= 40 * 2**16
+
+
 @pytest.fixture
 def hide_numpy(monkeypatch):
     """A function that hides numpy from ``sys.modules`` for the rest of the test,
@@ -294,65 +299,9 @@ def hide_numpy(monkeypatch):
     return lambda: monkeypatch.setitem(sys.modules, "numpy", None)
 
 
-def refuse(*args, **kwargs):
-    raise AssertionError("the maxima of the other path were taken")
-
-
-def nan_at_one_point():
-    """example1's field with an exact solution of -0.0 but for a NaN in y2 at t = 0.5."""
-    return dataclasses.replace(
-        example1(), exact=lambda t: (-0.0, math.nan if t == 0.5 else -0.0, -0.0)
-    )
-
-
-@pytest.mark.parametrize("build", [example1, example2, nan_at_one_point])
-@pytest.mark.parametrize("exponents", [range(4, 11), (4, 6, 9), (3, 7)])
-def test_the_numpy_and_the_python_maxima_give_the_same_study(
-    build, exponents, hide_numpy, monkeypatch
-):
-    with monkeypatch.context() as patched:  # numpy is loaded, so its path is taken
-        patched.setattr(studies, "_row_maxima", refuse)
-        on_numpy = run_convergence_study(build(), exponents)
+def test_study_on_python_maxima_holds_at_most_four_grids_of_states_at_once(hide_numpy):
     hide_numpy()
-    monkeypatch.setattr(studies, "_numpy_row_maxima", refuse)
-    on_python = run_convergence_study(build(), exponents)
-    # repr tells every bit of a float apart, the sign of zero included
-    assert repr(on_python) == repr(on_numpy)
-    if build is nan_at_one_point:
-        assert all(math.isnan(row.exact_norm) and math.isnan(row.error_norm) for row in on_numpy)
-
-
-def test_study_on_python_maxima_holds_at_most_four_grids_of_states_at_once(
-    hide_numpy, monkeypatch
-):
-    hide_numpy()
-    monkeypatch.setattr(studies, "_numpy_row_maxima", refuse)
     test_study_holds_at_most_four_grids_of_states_at_once()
-
-
-def test_exact_states_halving_is_detected_over_any_interval():
-    counted, times = counting(lambda: dataclasses.replace(example1(), t0=0.1, T=1.3))
-    grids = [build_grid(0.1, 1.3, 2.0**-e) for e in range(4, 12)]
-    run_convergence_study(counted, range(4, 12))
-    expected = 0
-    for coarse, grid in zip([None, *grids], grids):
-        halves = coarse is not None and grid.M == 2 * coarse.M
-        expected += grid.M // 2 if halves else grid.M + 1
-    pairs = list(zip(grids, grids[1:]))
-    assert any(a.M == 2 * b.M for b, a in pairs) and any(a.M != 2 * b.M for b, a in pairs)
-    assert len(times) == expected + len(grids)
-
-
-def coarsening_calls(grids):
-    """Calls of ``exact`` at grid points when a grid whose points are every 2**j-th
-    point (j >= 1) of a finer grid evaluated in full reads that grid's states."""
-    calls, evaluated = 0, []
-    for grid in reversed(grids):
-        ratios = [m // grid.M for m in evaluated if m % grid.M == 0]
-        if not any(r > 1 and r.bit_count() == 1 for r in ratios):
-            calls += grid.M + 1
-            evaluated.append(grid.M)
-    return calls
 
 
 def study_outcome(problem, exponents):
@@ -368,25 +317,20 @@ def study_outcome(problem, exponents):
 @given(
     st.sampled_from([example1, example2]),
     st.floats(-2.0, 2.0),
-    # any span, and spans over which every grid halves the one before it
     st.floats(0.01, 2.0) | st.sampled_from([0.25, 1.0, 2.0]),
     # at most three exponents from 1..9: the finest grid has at most 2 * 2**9 = 2**10 steps
     st.integers(1, 7),
     st.integers(1, 3),
 )
-def test_reuse_holds_over_random_intervals_and_exponents(build, t0, span, first, count):
+def test_the_inlined_solution_is_the_called_one_over_random_intervals(
+    build, t0, span, first, count
+):
     problem = dataclasses.replace(build(), t0=t0, T=t0 + span)
     exponents = range(first, first + count)
-    grids = [build_grid(problem.t0, problem.T, 2.0**-e) for e in exponents]
-    counted, times = counting(lambda: problem)
-    studies._exact_sources(counted, grids)
-    # once per distinct grid point
-    assert len(times) == coarsening_calls(grids)
-    reused = study_outcome(problem, exponents)
-    with mock.patch.object(studies, "_exact_sources", evaluated_per_grid):
-        evaluated = study_outcome(problem, exponents)
     # repr tells every bit of a float apart, the sign of zero included
-    assert repr(reused) == repr(evaluated)
+    assert repr(study_outcome(problem, exponents)) == repr(
+        study_outcome(called(problem), exponents)
+    )
 
 
 # ----------------------------------------------- the finest grid in a child
@@ -444,12 +388,12 @@ def counted_integrate(monkeypatch, fail=None):
     """Count this process's integrations per grid size; ``fail(grid)`` may raise instead."""
     grids, real, parent = [], studies.integrate, os.getpid()
 
-    def integrate(field, y0, grid, sign):
+    def integrate(field, y0, grid, sign, **options):
         if os.getpid() == parent:
             grids.append(grid.M)
         if fail is not None:
             fail(grid)
-        return real(field, y0, grid, sign)
+        return real(field, y0, grid, sign, **options)
 
     monkeypatch.setattr(studies, "integrate", integrate)
     return grids
@@ -685,10 +629,10 @@ def test_a_short_write_of_the_child_is_run_again_in_the_parent(monkeypatch):
     forks = allow_fork(monkeypatch)
     real, parent = studies.integrate, os.getpid()
 
-    def integrate(field, y0, grid, sign):
-        run = real(field, y0, grid, sign)
-        if os.getpid() != parent:  # the child writes half its states, then exits 0
-            return SimpleNamespace(values=run.values[: len(run.values) // 2])
+    def integrate(field, y0, grid, sign, **options):
+        run = real(field, y0, grid, sign, **options)
+        if os.getpid() != parent:  # the child writes half its maxima, then exits 0
+            return SimpleNamespace(maxima=[m[: len(m) // 2] for m in run.maxima])
         return run
 
     monkeypatch.setattr(studies, "integrate", integrate)
@@ -788,7 +732,7 @@ def test_a_forked_study_needs_no_exit_status_of_its_child(handler, monkeypatch):
         forked = run_convergence_study(example1(), range(4, 14))
     assert repr(forked) == repr(serial)
     assert len(forks) == 1
-    assert integrated == [2**e for e in range(4, 13)]  # the child's states were taken
+    assert integrated == [2**e for e in range(4, 13)]  # the child's maxima were taken
     assert_no_child_left()
 
 
@@ -796,7 +740,7 @@ def test_a_forked_study_needs_no_exit_status_of_its_child(handler, monkeypatch):
 @CHILD_STATUS_TAKEN
 def test_a_child_that_ended_and_was_reaped_is_not_killed(handler, monkeypatch):
     forks = allow_fork(monkeypatch)
-    # a finest grid of 32 steps, whose states fit in the pipe: the child ends at once
+    # a finest grid of 32 steps, whose maxima fit in the pipe: the child ends at once
     monkeypatch.setattr(studies, "_FORK_MIN_STEPS", 2**5)
     parent = os.getpid()
 
@@ -822,7 +766,7 @@ def test_a_child_whose_states_do_not_fit_twice_is_stopped_and_run_again(monkeypa
     serial = run_convergence_study(example1(), range(4, 14))
     forks = allow_fork(monkeypatch)
     integrated = counted_integrate(monkeypatch)
-    refused = (2**13 + 1) * 3  # the finest grid's states, a value each
+    refused = 2**13  # one of the finest grid's arrays of maxima, a value per point
 
     class Refusing(array):
         """An ``array`` that cannot be repeated to ``refused`` values."""
@@ -847,52 +791,56 @@ FLOATS = st.floats() | st.sampled_from(
 )
 
 
+def tail_maxima(exact, computed):
+    """The kernel's maxima of one step of a constant field from ``computed`` against ``exact``.
+
+    The step leaves each component as it is, -0.0 to 0.0 aside.  The same
+    row is taken with ``exact`` inlined, as constants of the solution text,
+    and called; both must give the same bits.
+    """
+    dim, grid = len(exact), TimeGrid(0.0, 1.0, 1)
+    names = {f"v{j}": value for j, value in enumerate(exact, 1)}
+    field = RhsField.from_source(
+        dim, "\n".join(f"f{j} = 0.0" for j in range(1, dim + 1)), constants=names
+    )
+    inlined = field.solution("\n".join(f"y{j} = v{j}" for j in range(1, dim + 1)))
+    runs = [
+        integrate(field, computed, grid, every=None, exact=solution).maxima
+        for solution in (inlined, lambda t: exact)
+    ]
+    got = [[m[0] for m in run] for run in runs]
+    assert repr(got[0]) == repr(got[1])
+    return got[0]
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=300)
 @given(
     st.integers(1, 5).flatmap(
         lambda dim: st.tuples(
-            st.just(dim),
-            st.lists(st.lists(FLOATS, min_size=2 * dim, max_size=2 * dim), max_size=12),
+            st.lists(FLOATS, min_size=dim, max_size=dim),
+            # a computed state is finite, or the step has blown up
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
         )
     )
 )
 def test_row_maxima_are_numpys(case):
-    dim, rows = case
-    exact = np.array([row[:dim] for row in rows], dtype=np.float64).reshape(-1, dim)
-    computed = np.array([row[dim:] for row in rows], dtype=np.float64).reshape(-1, dim)
-    exact_max = studies._row_maxima(dim, deviations=False)(exact.ravel().tolist())
-    deviations = studies._row_maxima(dim, deviations=True)
-    computed_max, error_max = deviations(exact.ravel().tolist(), computed.ravel().tolist())
+    exact, computed = (np.array(row, dtype=np.float64) for row in case)
     with np.errstate(all="ignore"):  # inf - inf, and differences that overflow
         error = exact - computed
-    expected = [np.abs(a).max(axis=1).tolist() for a in (exact, computed, error)]
+    expected = [float(np.abs(a).max()) for a in (exact, computed, error)]
     # repr tells every bit of a float apart, but not one NaN from another
-    got = [list(m) for m in (exact_max, computed_max, error_max)]
-    assert repr(got) == repr(expected)
-    # and the same maxima from numpy, on the rows as views of other arrays
-    exact, computed = np.hstack([exact, computed])[:, :dim], np.hstack([computed, exact])[:, :dim]
-    on_numpy = [studies._numpy_row_maxima(np, exact)]
-    on_numpy += studies._numpy_row_maxima(np, exact, computed)
-    assert repr([list(m) for m in on_numpy]) == repr(expected)
+    assert repr(tail_maxima(*case)) == repr(expected)
 
 
 @pytest.mark.parametrize("position", range(3))
 def test_a_nan_in_any_position_makes_its_rows_maxima_nan(position):
     row = [1.0, -2.0, math.inf]
     row[position] = math.nan
-    (exact_max,) = studies._row_maxima(3, deviations=False)(row)
-    computed_max, error_max = studies._row_maxima(3, deviations=True)(row, [-0.0, 0.5, -3.0])
-    assert math.isnan(exact_max) and math.isnan(error_max[0])
-    assert repr(computed_max[0]) == "3.0"
-    # the same row as the computed one
-    computed_max, error_max = studies._row_maxima(3, deviations=True)([0.0, 0.0, 0.0], row)
-    assert math.isnan(computed_max[0]) and math.isnan(error_max[0])
-    rows = np.array([row, [-0.0, 0.5, -3.0]])
-    (exact_max,) = studies._numpy_row_maxima(np, rows[:1])
-    computed_max, error_max = studies._numpy_row_maxima(np, rows[:1], rows[1:])
-    assert math.isnan(exact_max) and math.isnan(error_max[0]) and repr(computed_max[0]) == "3.0"
-    computed_max, error_max = studies._numpy_row_maxima(np, rows[1:], rows[:1])
-    assert math.isnan(computed_max[0]) and math.isnan(error_max[0])
+    exact_max, computed_max, error_max = tail_maxima(row, [-0.0, 0.5, -3.0])
+    assert math.isnan(exact_max) and math.isnan(error_max)
+    assert repr(computed_max) == "3.0"
+    # -0.0 counts as 0.0 in every maximum
+    assert repr(tail_maxima([-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0])) == "[0.0, 0.0, 0.0]"
 
 
 # --------------------------------------------------------------- era summary

@@ -33,8 +33,8 @@ the core count.  An interpreter that imported numpy before calling
 set that library to one thread for each sum all the same.  A ``converge``
 run imports no numpy where numpy's wheel bundles the library
 (:func:`~tristep.numerics.discrete_l2_time_norm`); the child it may fork
-for its finest grid runs no BLAS at all
-(:func:`~tristep.studies.run_convergence_study`).
+for its finest grid takes that grid's norms with the same library, which
+it inherits loaded (:func:`~tristep.studies.run_convergence_study`).
 """
 
 from __future__ import annotations

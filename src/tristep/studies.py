@@ -10,14 +10,15 @@ kernel inlines.  Where the process runs one thread, may run on two CPUs
 or more and finds one of them idle, as a fresh ``tristep converge``
 process does on such a host, and the finest grid has 8 192 steps or
 more, that grid runs meanwhile in a forked child on another CPU, which
-sends back its maxima alone; the parent takes every norm, so the table is
-bitwise the serial one.  ``taskset -c 0 tristep converge ...`` runs
-serially.  A scenario run (:func:`run_scenario`) stays on Python
-floats and imports no numpy: the kernel adds each state into its era's
-sums as it steps and keeps every N-th state, and the summary is divided
-from those sums.  :func:`era_summary` takes the same summary from a
-trajectory's stored states as numpy's means; it is the reference those
-sums are checked against, and it imports numpy.  A convergence study
+takes that grid's three norms with the parent's own pinned ``cblas_ddot``
+and sends back those alone, so the table is bitwise the serial one.
+``taskset -c 0 tristep converge ...`` runs serially.  A scenario run
+(:func:`run_scenario`) stays on Python floats and imports no numpy: the
+kernel adds each state into its era's sums as it steps and keeps every
+N-th state, and the summary is divided from those sums.
+:func:`era_summary` takes the same summary from a trajectory's stored
+states as numpy's means; it is the reference those sums are checked
+against, and it imports numpy.  A convergence study
 imports no numpy: it sums the squares of its maxima with the OpenBLAS
 numpy's wheel bundles, without importing numpy where that library is
 there; its norms can depend in their last bits on the OpenBLAS kernel the
@@ -115,14 +116,15 @@ def run_convergence_study(
     runs OpenBLAS's threads, ``taskset -c 0`` leaves one CPU, and a second
     busy process leaves no CPU idle, so there the study runs serially.  The
     child runs on every CPU of this process but the one this process runs
-    on, runs no numpy or BLAS, and writes the maxima of its run, bitwise
-    this process's own, down a pipe; this process takes their norms as any
-    grid's, so the table is bitwise the serial one.  Where the child fails
-    in any way, by a blow-up or a short write, or its maxima do not fit in
-    this process as well, this process integrates the finest grid itself,
-    and a blow-up raises the serial error.  The child is killed and reaped
-    however the study ends, a coarser grid's blow-up or an interrupt
-    included, and Linux kills it when a signal ends this process first.
+    on, takes the three norms of its grid as any grid's (:func:`_norms`),
+    with the bound, pinned ``cblas_ddot`` it inherits from this process,
+    and writes them down a pipe: 24 bytes, bitwise this process's own, so the table
+    is bitwise the serial one.  Where the child fails in any way, by a
+    blow-up or a short write, this process integrates the finest grid
+    itself, and a blow-up raises the serial error.  The child is killed
+    and reaped however the study ends, a coarser grid's blow-up or an
+    interrupt included, and Linux kills it when a signal ends this process
+    first.
 
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,
@@ -157,12 +159,8 @@ def run_convergence_study(
         rows: list[ConvergenceRow] = []
         previous_error: float | None = None
         for grid in grids:
-            maxima = child.maxima() if child is not None and grid is finest else None
-            # unpacked at once, so that no grid's maxima outlive its norms
-            exact_norm, numeric_norm, error_norm = (
-                discrete_l2_time_norm(per_point, grid.k)
-                for per_point in maxima or _maxima(problem, grid, sign)
-            )
+            norms = child.norms() if child is not None and grid is finest else None
+            exact_norm, numeric_norm, error_norm = norms or _norms(problem, grid, sign)
             rate = None
             if previous_error is not None and previous_error > 0.0 and error_norm > 0.0:
                 rate = convergence_rate(previous_error, error_norm)
@@ -174,11 +172,12 @@ def run_convergence_study(
     return rows
 
 
-def _maxima(
+def _norms(
     problem: ManufacturedProblem, grid: TimeGrid, sign: SignConvention
-) -> tuple[array, array, array]:
-    """max |exact|, max |computed| and max |exact - computed| at grid points 1..M of one run."""
-    return integrate(problem.field, problem.y0, grid, sign, every=None, exact=problem.exact).maxima
+) -> tuple[float, ...]:
+    """The L2-in-time norms of max |exact|, max |computed| and max |exact - computed| of one run."""
+    run = integrate(problem.field, problem.y0, grid, sign, every=None, exact=problem.exact)
+    return tuple(discrete_l2_time_norm(per_point, grid.k) for per_point in run.maxima)
 
 
 # The fewest steps of a finest grid that a study runs in a forked child:
@@ -254,19 +253,21 @@ def _end_with(parent: int) -> None:
 
 
 class _FinestChild:
-    """A forked child that integrates a study's finest grid and writes its maxima down a pipe.
+    """A forked child that runs a study's finest grid and writes its three norms down a pipe.
 
-    The child writes the run's three ``array('d')``s of per-point maxima,
-    nothing pickled, once the run has returned, and always ends in
-    ``os._exit``: 0 once every byte is written, 1 on any failure, a blow-up
-    included.  It runs the parent's code on the parent's inputs, so its
-    maxima are bitwise the parent's own run.
+    The child writes the norms as one ``array('d')`` of 3 floats, 24 bytes,
+    which is less than ``PIPE_BUF``: the write is atomic and never blocks.
+    It writes once its run has returned, and always ends in ``os._exit``: 0
+    once the norms are written, 1 on any failure, a blow-up included.  It
+    runs the parent's code on the parent's inputs, its norms on the
+    library the parent loaded for them (the bound, pinned ``cblas_ddot``),
+    so they are bitwise the parent's own.
     """
 
-    __slots__ = ("grid", "pid", "pipe")
+    __slots__ = ("pid", "pipe")
 
-    def __init__(self, grid: TimeGrid, pid: int, pipe: BinaryIO) -> None:
-        self.grid, self.pid, self.pipe = grid, pid, pipe
+    def __init__(self, pid: int, pipe: BinaryIO) -> None:
+        self.pid, self.pipe = pid, pipe
 
     @classmethod
     def start(
@@ -290,47 +291,26 @@ class _FinestChild:
                 os.close(read_end)
                 _end_with(parent)
                 os.sched_setaffinity(0, cpus)
-                maxima = _maxima(problem, grid, sign)
-                with open(write_end, "wb") as pipe:
-                    for per_point in maxima:
-                        pipe.write(per_point)
+                os.write(write_end, array("d", _norms(problem, grid, sign)))
                 status = 0
             except BaseException:  # the child reports through its exit status alone
                 pass
             finally:
                 os._exit(status)
         os.close(write_end)
-        return cls(grid, pid, open(read_end, "rb", buffering=0))
+        return cls(pid, open(read_end, "rb"))
 
-    def maxima(self) -> tuple[array, array, array] | None:
-        """The child's maxima, read and reaped; None where it wrote short.
+    def norms(self) -> array | None:
+        """The child's three norms, read and reaped; None where it wrote short.
 
-        The child writes only once its run has returned, so every byte read
-        is a run that did not blow up, whatever its exit status, which this
+        The child writes only once its run has returned, so 24 bytes read
+        are a run that did not blow up, whatever its exit status, which this
         process may not get (``SIGCHLD`` ignored, or a handler that waits).
-        Where the maxima do not fit in this process beside the child's, the
-        child is stopped and None returned.
         """
-        try:
-            maxima = tuple(array("d", [0.0]) * self.grid.M for _ in range(3))
-        except MemoryError:
-            self.stop()
-            return None
         with self.pipe:
-            whole = all(self._fill(per_point) for per_point in maxima)
+            written = self.pipe.read(24)
         self._reap(kill=False)
-        return maxima if whole else None
-
-    def _fill(self, values: array) -> bool:
-        """Read ``values`` from the pipe; False where the pipe ends first."""
-        view = memoryview(values).cast("B")
-        got = 0
-        while got < len(view):
-            n = self.pipe.readinto(view[got:])
-            if not n:
-                return False
-            got += n
-        return True
+        return array("d", written) if len(written) == 24 else None
 
     def stop(self) -> None:
         """Kill and reap the child unless it has ended, and close the pipe."""

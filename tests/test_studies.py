@@ -15,7 +15,6 @@ import time
 import tracemalloc
 import warnings
 from array import array
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ from tristep import (
     run_convergence_study,
     run_scenario,
 )
-from tristep import numerics, studies
+from tristep import studies
 from tristep.cli import main, trajectory_row_indices
 from tristep.scheme import NumericalBlowupError
 
@@ -271,8 +270,7 @@ def test_study_holds_at_most_four_grids_of_states_at_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the computed states, the exact ones, one array of magnitudes, and the
-    # coarse exact states or a block of rows, with room to spare
+    # the finest grid's three arrays of maxima, 24 bytes per point, with room to spare
     assert peak < 4 * finest
 
 
@@ -286,22 +284,6 @@ def test_a_study_holds_at_most_40_bytes_per_finest_grid_point():
         tracemalloc.stop()
     # the finest grid's three arrays of maxima take 24 bytes per point
     assert peak <= 40 * 2**16
-
-
-@pytest.fixture
-def hide_numpy(monkeypatch):
-    """A function that hides numpy from ``sys.modules`` for the rest of the test,
-    as in an interpreter that has not imported it."""
-    # bound first: the lookup is cached, and under the blocker it would find no
-    # library and pin the np.dot fallback, which then cannot import numpy
-    if numerics._blas_ddot()[1] is None:
-        pytest.skip("numpy's wheel bundles no libscipy_openblas64_ here, so the norms need numpy")
-    return lambda: monkeypatch.setitem(sys.modules, "numpy", None)
-
-
-def test_study_on_python_maxima_holds_at_most_four_grids_of_states_at_once(hide_numpy):
-    hide_numpy()
-    test_study_holds_at_most_four_grids_of_states_at_once()
 
 
 def study_outcome(problem, exponents):
@@ -491,7 +473,7 @@ def running(pid):
     try:
         with open(f"/proc/{pid}/stat", "rb") as stat:
             return stat.read().rpartition(b")")[2].split()[0] != b"Z"
-    except FileNotFoundError:
+    except (FileNotFoundError, ProcessLookupError):  # gone, or reaped between open and read
         return False
 
 
@@ -627,15 +609,15 @@ def test_a_blowup_of_the_finest_grid_in_the_child_is_the_serial_error(monkeypatc
 def test_a_short_write_of_the_child_is_run_again_in_the_parent(monkeypatch):
     serial = run_convergence_study(example1(), range(4, 14))
     forks = allow_fork(monkeypatch)
-    real, parent = studies.integrate, os.getpid()
+    real, parent = studies._norms, os.getpid()
 
-    def integrate(field, y0, grid, sign, **options):
-        run = real(field, y0, grid, sign, **options)
-        if os.getpid() != parent:  # the child writes half its maxima, then exits 0
-            return SimpleNamespace(maxima=[m[: len(m) // 2] for m in run.maxima])
-        return run
+    def norms(problem, grid, sign):
+        taken = real(problem, grid, sign)
+        if os.getpid() != parent:  # the child writes 16 of its 24 bytes, then exits 0
+            return taken[:2]
+        return taken
 
-    monkeypatch.setattr(studies, "integrate", integrate)
+    monkeypatch.setattr(studies, "_norms", norms)
     assert repr(run_convergence_study(example1(), range(4, 14))) == repr(serial)
     assert len(forks) == 1
     assert_no_child_left()
@@ -732,15 +714,40 @@ def test_a_forked_study_needs_no_exit_status_of_its_child(handler, monkeypatch):
         forked = run_convergence_study(example1(), range(4, 14))
     assert repr(forked) == repr(serial)
     assert len(forks) == 1
-    assert integrated == [2**e for e in range(4, 13)]  # the child's maxima were taken
+    assert integrated == [2**e for e in range(4, 13)]  # the child's norms were taken
     assert_no_child_left()
 
 
-@FORKS
-@CHILD_STATUS_TAKEN
-def test_a_child_that_ended_and_was_reaped_is_not_killed(handler, monkeypatch):
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def in_gated_process(statement):
+    """Run ``statement`` over this module (as ``t``) in a fresh process that a study forks in.
+
+    The process loads OpenBLAS with one thread, as ``cli.main`` has it, so
+    a forked child ends as a ``converge`` process's does.  This process
+    loaded OpenBLAS with more threads when it imported numpy, and a child
+    forked from it restarts that many at its first norm: it ends with a
+    thread left, which a gated child never has.
+    """
+    env = tristep_env()
+    env.update(PYTHONPATH=os.pathsep.join([TESTS, env["PYTHONPATH"]]), OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", f"import pytest\nimport test_studies as t\n{statement}"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def a_reaped_child_is_not_killed(handler, finest, monkeypatch):
+    """The reaped-child test below, as a gated process runs it."""
+    assert threads_and_cpu()[0] == 1  # the thread count the study's gate reads
     forks = allow_fork(monkeypatch)
-    # a finest grid of 32 steps, whose maxima fit in the pipe: the child ends at once
+    # down to a finest grid of 32 steps, whose child ends at once
     monkeypatch.setattr(studies, "_FORK_MIN_STEPS", 2**5)
     parent = os.getpid()
 
@@ -755,32 +762,34 @@ def test_a_child_that_ended_and_was_reaped_is_not_killed(handler, monkeypatch):
     kills = []
     monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(pid))
     with sigchld(handler), pytest.raises(NumericalBlowupError):
-        run_convergence_study(example1(), (4, 5))
+        run_convergence_study(example1(), (4, finest))
     assert len(forks) == 1
     assert kills == []  # its pid may be another process's by now
     assert_no_child_left()
 
 
 @FORKS
-def test_a_child_whose_states_do_not_fit_twice_is_stopped_and_run_again(monkeypatch):
-    serial = run_convergence_study(example1(), range(4, 14))
-    forks = allow_fork(monkeypatch)
-    integrated = counted_integrate(monkeypatch)
-    refused = 2**13  # one of the finest grid's arrays of maxima, a value per point
-
-    class Refusing(array):
-        """An ``array`` that cannot be repeated to ``refused`` values."""
-
-        def __mul__(self, n):
-            if n == refused:
-                raise MemoryError
-            return super().__mul__(n)
-
-    monkeypatch.setattr(studies, "array", Refusing)
-    assert repr(run_convergence_study(example1(), range(4, 14))) == repr(serial)
-    assert len(forks) == 1
-    assert integrated[-1] == 2**13  # the parent ran the finest grid
-    assert_no_child_left()
+@pytest.mark.parametrize(
+    "handler, finest",
+    [
+        ("signal.SIG_IGN", 5),
+        ("reap_every_child", 5),
+        # a grid of 2**16 steps, whose child ends before the parent reads its norms
+        ("signal.SIG_IGN", 16),
+        ("reap_every_child", 16),
+    ],
+    ids=[
+        "sigchld-ignored",
+        "sigchld-handler-waits",
+        "sigchld-ignored-finest-2^16",
+        "sigchld-handler-waits-finest-2^16",
+    ],
+)
+def test_a_child_that_ended_and_was_reaped_is_not_killed(handler, finest):
+    in_gated_process(
+        "with pytest.MonkeyPatch.context() as monkeypatch:\n"
+        f"    t.a_reaped_child_is_not_killed(t.{handler}, {finest}, monkeypatch)"
+    )
 
 
 # ------------------------------------------------------- per-point row maxima

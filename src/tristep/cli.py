@@ -20,21 +20,6 @@ and the last, and none without ``--out``.  One writer emits them, for a
 completed run and for the partial states of a blown-up one alike.  Every
 CSV writer joins its fields with commas, none of which needs quoting; only
 :func:`read_trajectory_csv` imports ``csv``, when first called.
-
-:func:`main` runs every command with ``OPENBLAS_NUM_THREADS=1`` in the
-process environment and restores the caller's value, or its absence, on
-return.  ``import tristep.cli`` loads neither numpy nor its OpenBLAS, so
-where tristep loads that library first, as in a fresh ``tristep``
-process, the setting is in place when a ``converge`` run loads it, at its
-first norm, which is when OpenBLAS reads it: no BLAS worker thread is
-started, and the norms of a convergence table get the same bits whatever
-the core count.  An interpreter that imported numpy before calling
-:func:`main` loaded OpenBLAS with the thread count it had then; the norms
-set that library to one thread for each sum all the same.  A ``converge``
-run imports no numpy where numpy's wheel bundles the library
-(:func:`~tristep.numerics.discrete_l2_time_norm`); the child it may fork
-for its finest grid takes that grid's norms with the same library, which
-it inherits loaded (:func:`~tristep.studies.run_convergence_study`).
 """
 
 from __future__ import annotations
@@ -438,13 +423,7 @@ class _ClosedStderr:
         pass
 
 
-# read by numpy's OpenBLAS when the library is first loaded; see the module docstring
-_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    blas_threads = os.environ.get(_BLAS_THREADS)
-    os.environ[_BLAS_THREADS] = "1"
     stdout, stderr = sys.stdout, sys.stderr  # None when started with the descriptor closed
     if stdout is None:
         sys.stdout = _ClosedStdout()
@@ -454,10 +433,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run(argv)
     finally:
         sys.stdout, sys.stderr = stdout, stderr
-        if blas_threads is None:
-            os.environ.pop(_BLAS_THREADS, None)
-        else:
-            os.environ[_BLAS_THREADS] = blas_threads
 
 
 def _run(argv: Sequence[str] | None) -> int:

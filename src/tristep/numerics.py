@@ -13,7 +13,8 @@ that make or read numpy arrays (``as_state``, ``TimeGrid.times``,
 the ``cblas_ddot`` of the OpenBLAS numpy's wheel bundles, loaded through
 ``ctypes`` at the first norm (or at :func:`load_l2_norm`) without
 importing numpy and run on one thread, and with ``np.dot`` only where
-that library is missing.
+that library is missing.  Either load, of the library or of numpy, sets
+``OPENBLAS_NUM_THREADS=1`` for its own length, so it starts no BLAS thread.
 ``TimeGrid`` and ``Trajectory`` are read-only ``__slots__`` classes on
 :class:`Frozen`; the value types of the other modules are :class:`Record`
 classes, which ``dataclasses.fields`` and ``dataclasses.replace`` accept.
@@ -378,8 +379,9 @@ def discrete_l2_time_norm(per_step_norms: Sequence[float] | np.ndarray, k: float
     10 000 values, and the split can change the last bits, so the bundled
     library runs each sum on one thread, whatever thread count it was
     loaded with (:func:`_blas_ddot`).  The ``np.dot`` fallback is not
-    pinned: there a longer sequence's result depends on the BLAS thread
-    count too.
+    pinned: it runs on one thread where tristep imports numpy first
+    (:func:`_on_one_blas_thread`), but after a caller's own ``import numpy``
+    a longer sequence's result depends on the BLAS thread count too.
 
     Raises:
       ValueError: If the sequence is empty or ``k`` is not positive.
@@ -393,8 +395,7 @@ def discrete_l2_time_norm(per_step_norms: Sequence[float] | np.ndarray, k: float
         raise ValueError("step size k must be positive")
     ddot = _blas_ddot()[1]
     if ddot is None:
-        import numpy as np
-
+        np = _on_one_blas_thread(__import__, "numpy")
         w = np.frombuffer(v, dtype=np.float64)
         return math.sqrt(k * float(np.dot(w, w)))
     address, size = v.buffer_info()
@@ -405,15 +406,17 @@ def load_l2_norm() -> None:
     """Load now what :func:`discrete_l2_time_norm` sums its squares with.
 
     That is the bundled OpenBLAS (:func:`_blas_ddot`), or numpy where there
-    is no such library; numpy is imported only then.  A caller that runs
-    this first fails before its work, not at its first norm.
+    is no such library; numpy is imported only then, and loads OpenBLAS on
+    one thread unless it was imported before (:func:`_on_one_blas_thread`).
+    A caller that runs this first fails before its work, not at its first
+    norm.
 
     Raises:
       ValueError: If neither numpy's bundled OpenBLAS nor numpy can be loaded.
     """
     if _blas_ddot()[1] is None:
         try:
-            import numpy  # noqa: F401
+            _on_one_blas_thread(__import__, "numpy")
         except ImportError as err:
             raise ValueError(
                 "the L2 norms need numpy: neither the OpenBLAS its wheel bundles "
@@ -427,13 +430,15 @@ def _blas_ddot() -> tuple[str | None, Callable[..., float] | None]:
 
     The library is ``numpy.libs/libscipy_openblas64_*.so`` beside the numpy
     package, found with ``importlib.util.find_spec``, which imports no numpy,
-    and loaded at the first call.  Loading reads OpenBLAS's settings, as
-    numpy's import would; where numpy has loaded the library already, this
-    is the same library, settings and all.  The function returned sets the
-    library's thread count to one for each call and then back to what it
-    was, so a caller that loaded it with more threads, by importing numpy
-    first, gets the sums of one thread.  ``(None, None)`` where there is no
-    such library or symbol, or no ``ctypes``.
+    and loaded at the first call, with ``OPENBLAS_NUM_THREADS=1``
+    (:func:`_on_one_blas_thread`), so it starts no worker thread; its other
+    settings are read as numpy's import would read them.  Where numpy has
+    loaded the library already, this is the same library, settings and
+    all.  The function returned sets the library's thread count to one for
+    each call and then back to what it was, so a caller that loaded it with
+    more threads, by importing numpy first, gets the sums of one thread.
+    ``(None, None)`` where there is no such library or symbol, or no
+    ``ctypes``.
     """
     import glob
     import importlib.util
@@ -448,7 +453,7 @@ def _blas_ddot() -> tuple[str | None, Callable[..., float] | None]:
         libs = os.path.join(os.path.dirname(location), "numpy.libs")
         for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
             try:
-                library = ctypes.CDLL(path)
+                library = _on_one_blas_thread(ctypes.CDLL, path)
                 ddot = library.scipy_cblas_ddot64_
                 threads = library.scipy_openblas_get_num_threads64_
                 set_threads = library.scipy_openblas_set_num_threads64_
@@ -472,6 +477,22 @@ def _blas_ddot() -> tuple[str | None, Callable[..., float] | None]:
 
             return path, pinned
     return None, None
+
+
+def _on_one_blas_thread(load: Callable[[str], object], name: str) -> object:
+    """``load(name)`` with ``OPENBLAS_NUM_THREADS=1``, then the caller's value or its absence.
+
+    OpenBLAS reads the variable once, at its load: one made here starts no worker thread.
+    """
+    caller = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        return load(name)
+    finally:
+        if caller is None:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = caller
 
 
 def convergence_rate(e_coarse: float, e_fine: float) -> float:

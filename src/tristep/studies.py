@@ -6,24 +6,25 @@ problem's exact solution: the kernel takes max |exact|, max |computed| and
 max |exact - computed| at every grid point as it steps, keeps no state,
 and the study takes the norms of those maxima.  The built-in problems
 write their solution as text over their field's time terms, which the
-kernel inlines.  Where the process runs one thread, may run on two CPUs
-or more and finds one of them idle, as a fresh ``tristep converge``
-process does on such a host, and the finest grid has 8 192 steps or
-more, that grid runs meanwhile in a forked child on another CPU, which
-takes that grid's three norms with the parent's own pinned ``cblas_ddot``
-and sends back those alone, so the table is bitwise the serial one.
-``taskset -c 0 tristep converge ...`` runs serially.  A scenario run
-(:func:`run_scenario`) stays on Python floats and imports no numpy: the
-kernel adds each state into its era's sums as it steps and keeps every
-N-th state, and the summary is divided from those sums.
-:func:`era_summary` takes the same summary from a trajectory's stored
-states as numpy's means; it is the reference those sums are checked
-against, and it imports numpy.  A convergence study
+kernel inlines.  Where the process runs one thread, may run on two CPUs or
+more and finds one of them idle, as a fresh ``tristep converge`` process
+or a program that has not imported numpy does on such a host, and the
+finest grid has 8 192 steps or more, that grid runs meanwhile in a forked
+child on another CPU, which takes that grid's three norms with the
+parent's own pinned ``cblas_ddot`` and sends back those alone, so the
+table is bitwise the serial one.  ``taskset -c 0 tristep converge ...``
+runs serially.  A scenario run (:func:`run_scenario`) stays on Python
+floats and imports no numpy: the kernel adds each state into its era's
+sums as it steps and keeps every N-th state, and the summary is divided
+from those sums.  :func:`era_summary` takes the same summary from a
+trajectory's stored states as numpy's means; it is the reference those
+sums are checked against, and it imports numpy.  A convergence study
 imports no numpy: it sums the squares of its maxima with the OpenBLAS
 numpy's wheel bundles, without importing numpy where that library is
-there; its norms can depend in their last bits on the OpenBLAS kernel the
-CPU selects (:func:`~tristep.numerics.discrete_l2_time_norm`).  The rows
-of a table or a summary are named tuples (``collections.namedtuple``).
+there, and loads it, or numpy, on one thread; its norms can depend in
+their last bits on the OpenBLAS kernel the CPU selects
+(:func:`~tristep.numerics.discrete_l2_time_norm`).  The rows of a table or
+a summary are named tuples (``collections.namedtuple``).
 """
 
 from __future__ import annotations
@@ -108,23 +109,23 @@ def run_convergence_study(
 
     The finest grid runs in a forked child, while this process runs the
     coarser grids, where ``os.fork`` exists, there are two grids or more,
-    the finest has 8 192 steps or more, this process may run on two CPUs
-    or more (``os.sched_getaffinity``) and runs one thread, and fewer
-    tasks are runnable on the system than this process has CPUs, as Linux
-    reports them.  A fresh ``tristep converge`` process runs one thread,
-    since its OpenBLAS starts none; an interpreter that has imported numpy
-    runs OpenBLAS's threads, ``taskset -c 0`` leaves one CPU, and a second
-    busy process leaves no CPU idle, so there the study runs serially.  The
-    child runs on every CPU of this process but the one this process runs
-    on, takes the three norms of its grid as any grid's (:func:`_norms`),
-    with the bound, pinned ``cblas_ddot`` it inherits from this process,
-    and writes them down a pipe: 24 bytes, bitwise this process's own, so the table
-    is bitwise the serial one.  Where the child fails in any way, by a
-    blow-up or a short write, this process integrates the finest grid
-    itself, and a blow-up raises the serial error.  The child is killed
-    and reaped however the study ends, a coarser grid's blow-up or an
-    interrupt included, and Linux kills it when a signal ends this process
-    first.
+    the finest has 8 192 steps or more, this process may run on two CPUs or
+    more (``os.sched_getaffinity``) and runs one thread, and fewer tasks are
+    runnable on the system than this process has CPUs, as Linux reports
+    them.  A process that had not imported numpy, such as a fresh ``tristep
+    converge``, runs one thread, as the norms load OpenBLAS on one; an
+    interpreter that had runs OpenBLAS's threads, ``taskset -c 0`` leaves
+    one CPU, and a second busy process leaves no CPU idle: there it runs
+    serially.  The child runs on every CPU of this process but the one this
+    process runs on, takes the three norms of its grid as any grid's
+    (:func:`_norms`), with the bound, pinned ``cblas_ddot`` it inherits from
+    this process, and writes them down a pipe: 24 bytes, bitwise this
+    process's own, so the table is bitwise the serial one.  Where the child
+    fails in any way, by a blow-up or a short write, this process integrates
+    the finest grid itself, and a blow-up raises the serial error.  The
+    child is killed and reaped however the study ends, a coarser grid's
+    blow-up or an interrupt included, and Linux kills it when a signal ends
+    this process first.
 
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,

@@ -1,10 +1,11 @@
-"""``tristep.cli.main`` runs with numpy's OpenBLAS on one thread.
+"""tristep loads numpy's OpenBLAS on one thread, for ``tristep.cli.main`` and library callers.
 
 Each test starts a fresh interpreter, because OpenBLAS reads
 ``OPENBLAS_NUM_THREADS`` once, when the library is first loaded: by
 tristep's L2 norm, which loads the OpenBLAS numpy's wheel bundles, or by
-numpy's import, whichever comes first.  Where numpy loaded it first, the
-norms set the library to one thread for each sum.
+numpy's import, whichever comes first.  tristep sets the variable to 1 for
+its own load only, and leaves the caller's setting as it was.  Where numpy
+loaded the library first, the norms set it to one thread for each sum.
 """
 
 from __future__ import annotations
@@ -50,10 +51,42 @@ print(len(os.listdir("/proc/self/task")))
 
 
 # On a 1-CPU host OpenBLAS starts no worker thread whatever the setting, so
-# there this test cannot fail.
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+# there these tests cannot fail.
+ONE_THREAD_SHOWS = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+)
+
+
+@ONE_THREAD_SHOWS
 def test_a_converge_run_leaves_the_process_one_thread():
     assert _python(THREADS_AFTER_CONVERGE).splitlines()[-1] == "1"
+
+
+# A library caller that never imported numpy: no cli.main sets the variable for it.
+THREADS_AFTER_A_STUDY = """
+import os
+import sys
+
+from tristep import numerics, problem, run_convergence_study
+
+if sys.argv[1:] == ["np.dot"]:  # as where numpy bundles no OpenBLAS of its own
+    numerics._blas_ddot = lambda: (None, None)
+run_convergence_study(problem("example1"), range(4, 14))
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@ONE_THREAD_SHOWS
+@pytest.mark.parametrize("setting", [None, "3"], ids=["unset", "set-to-3"])
+def test_a_study_called_directly_leaves_one_thread_and_the_callers_setting(setting):
+    threads, variable = _python(THREADS_AFTER_A_STUDY, blas_threads=setting).split()
+    assert threads == "1"
+    assert variable == str(setting)
+
+
+@ONE_THREAD_SHOWS
+def test_the_np_dot_fallbacks_numpy_import_leaves_one_thread():
+    assert _python(THREADS_AFTER_A_STUDY, "np.dot").split() == ["1", "None"]
 
 
 CONVERGE_TO = """

@@ -125,12 +125,15 @@ def test_l2_rejects_empty_sequence_and_bad_step():
 
 
 # The ddot is bound before numpy is imported, as in a converge process; numpy's
-# import then finds the library loaded and calls the same function.  The bound
-# ddot runs on one thread and leaves the library's thread count as it was, so it
-# is np.dot on one thread, whatever count the library was loaded with.
+# import then finds the library loaded and calls the same function.  The library
+# is loaded on one thread, whatever the environment says; set to the environment's
+# count after, as by a caller, it runs that many.  The bound ddot runs on one thread
+# and leaves the library's thread count as it was, so it is np.dot on one thread,
+# whatever count the library runs.
 DDOT_IS_NP_DOT = r"""
 import ctypes
 import math
+import os
 import random
 from array import array
 
@@ -142,6 +145,8 @@ import numpy as np
 library = ctypes.CDLL(path)
 threads = library.scipy_openblas_get_num_threads64_
 set_threads = library.scipy_openblas_set_num_threads64_
+assert threads() == 1, threads()
+set_threads(int(os.environ["OPENBLAS_NUM_THREADS"]))
 loaded = threads()
 rng = random.Random(20)
 lengths = [1, 2, 3, 10_000, 10_001, 20_000, *(rng.randint(1, 20_000) for _ in range(60))]

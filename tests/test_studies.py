@@ -105,8 +105,8 @@ def balanced_preset():
 def serial_unless_allowed(monkeypatch):
     """Every study of this module runs serially unless its test lets it fork (allow_fork).
 
-    numpy's OpenBLAS usually runs a thread in this process, which keeps
-    studies serial, but not under ``OPENBLAS_NUM_THREADS=1``; a forked
+    This process runs one thread, since conftest.py has numpy load OpenBLAS
+    with ``OPENBLAS_NUM_THREADS=1``, so its studies would fork; a forked
     study's child makes calls that the counting tests here would miss.
     """
     monkeypatch.setattr(studies, "_threads_and_cpu", lambda: (2, 0))
@@ -321,9 +321,15 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(studies.__file__)))
 
 
 def tristep_env():
-    """This environment, with this checkout's tristep first on the import path."""
+    """This environment, with this checkout's tristep first on the import path.
+
+    ``OPENBLAS_NUM_THREADS``, which conftest.py sets for this process, is
+    dropped, so a process started with it runs as one started from a shell.
+    """
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
 
 
 # the module's own; serial_unless_allowed replaces the first in every test
@@ -718,34 +724,27 @@ def test_a_forked_study_needs_no_exit_status_of_its_child(handler, monkeypatch):
     assert_no_child_left()
 
 
-TESTS = os.path.dirname(os.path.abspath(__file__))
-
-
-def in_gated_process(statement):
-    """Run ``statement`` over this module (as ``t``) in a fresh process that a study forks in.
-
-    The process loads OpenBLAS with one thread, as ``cli.main`` has it, so
-    a forked child ends as a ``converge`` process's does.  This process
-    loaded OpenBLAS with more threads when it imported numpy, and a child
-    forked from it restarts that many at its first norm: it ends with a
-    thread left, which a gated child never has.
-    """
-    env = tristep_env()
-    env.update(PYTHONPATH=os.pathsep.join([TESTS, env["PYTHONPATH"]]), OPENBLAS_NUM_THREADS="1")
-    result = subprocess.run(
-        [sys.executable, "-c", f"import pytest\nimport test_studies as t\n{statement}"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-
-
-def a_reaped_child_is_not_killed(handler, finest, monkeypatch):
-    """The reaped-child test below, as a gated process runs it."""
-    assert threads_and_cpu()[0] == 1  # the thread count the study's gate reads
+@FORKS
+@pytest.mark.parametrize(
+    "handler, finest",
+    [
+        (signal.SIG_IGN, 5),
+        (reap_every_child, 5),
+        # a grid of 2**16 steps, whose child ends before the parent reads its norms
+        (signal.SIG_IGN, 16),
+        (reap_every_child, 16),
+    ],
+    ids=[
+        "sigchld-ignored",
+        "sigchld-handler-waits",
+        "sigchld-ignored-finest-2^16",
+        "sigchld-handler-waits-finest-2^16",
+    ],
+)
+def test_a_child_that_ended_and_was_reaped_is_not_killed(handler, finest, monkeypatch):
+    # the thread count the study's gate reads: one, as the test process loaded OpenBLAS
+    # with one thread (conftest.py), so the child ends as a converge process's does
+    assert threads_and_cpu()[0] == 1
     forks = allow_fork(monkeypatch)
     # down to a finest grid of 32 steps, whose child ends at once
     monkeypatch.setattr(studies, "_FORK_MIN_STEPS", 2**5)
@@ -766,30 +765,6 @@ def a_reaped_child_is_not_killed(handler, finest, monkeypatch):
     assert len(forks) == 1
     assert kills == []  # its pid may be another process's by now
     assert_no_child_left()
-
-
-@FORKS
-@pytest.mark.parametrize(
-    "handler, finest",
-    [
-        ("signal.SIG_IGN", 5),
-        ("reap_every_child", 5),
-        # a grid of 2**16 steps, whose child ends before the parent reads its norms
-        ("signal.SIG_IGN", 16),
-        ("reap_every_child", 16),
-    ],
-    ids=[
-        "sigchld-ignored",
-        "sigchld-handler-waits",
-        "sigchld-ignored-finest-2^16",
-        "sigchld-handler-waits-finest-2^16",
-    ],
-)
-def test_a_child_that_ended_and_was_reaped_is_not_killed(handler, finest):
-    in_gated_process(
-        "with pytest.MonkeyPatch.context() as monkeypatch:\n"
-        f"    t.a_reaped_child_is_not_killed(t.{handler}, {finest}, monkeypatch)"
-    )
 
 
 # ------------------------------------------------------- per-point row maxima

@@ -14,7 +14,9 @@ the ``cblas_ddot`` of the OpenBLAS numpy's wheel bundles, loaded through
 ``ctypes`` at the first norm (or at :func:`load_l2_norm`) without
 importing numpy and run on one thread, and with ``np.dot`` only where
 that library is missing.  Either load, of the library or of numpy, sets
-``OPENBLAS_NUM_THREADS=1`` for its own length, so it starts no BLAS thread.
+``OPENBLAS_NUM_THREADS=1`` for its own length, so it starts no BLAS thread;
+a library that a caller's ``import numpy`` loaded on more threads is held
+at one, its worker threads joined, for a block (:class:`one_blas_thread`).
 ``TimeGrid`` and ``Trajectory`` are read-only ``__slots__`` classes on
 :class:`Frozen`; the value types of the other modules are :class:`Record`
 classes, which ``dataclasses.fields`` and ``dataclasses.replace`` accept.
@@ -31,6 +33,7 @@ from array import array
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import ctypes
     from typing import Callable, Iterable, Sequence
 
     import numpy as np
@@ -378,7 +381,10 @@ def discrete_l2_time_norm(per_step_norms: Sequence[float] | np.ndarray, k: float
     OpenBLAS 0.3.31 on x86-64 also splits the sum across its threads above
     10 000 values, and the split can change the last bits, so the bundled
     library runs each sum on one thread, whatever thread count it was
-    loaded with (:func:`_blas_ddot`).  The ``np.dot`` fallback is not
+    loaded with (:func:`_blas_ddot`); a convergence study holds it at one
+    thread, its workers joined, for the whole study
+    (:class:`one_blas_thread`), so that a process that imported numpy first
+    runs one thread there and may fork.  The ``np.dot`` fallback is not
     pinned: it runs on one thread where tristep imports numpy first
     (:func:`_on_one_blas_thread`), but after a caller's own ``import numpy``
     a longer sequence's result depends on the BLAS thread count too.
@@ -428,17 +434,48 @@ def load_l2_norm() -> None:
 def _blas_ddot() -> tuple[str | None, Callable[..., float] | None]:
     """The OpenBLAS numpy's wheel bundles and its ``cblas_ddot`` on one thread, or ``(None, None)``.
 
+    The library is :func:`_openblas`'s.  The function returned calls
+    ``cblas_ddot`` directly where the library's thread count is one, as in
+    a process that loaded it for the norms or inside :class:`one_blas_thread`;
+    elsewhere it sets the count to one for the call and then back to what it
+    was, so a caller that loaded the library with more threads, by
+    importing numpy first, gets the sums of one thread all the same.
+    ``(None, None)`` where there is no such library.
+    """
+    library = _openblas()
+    if library is None:
+        return None, None
+    ddot = library.scipy_cblas_ddot64_
+    threads = library.scipy_openblas_get_num_threads64_
+    set_threads = library.scipy_openblas_set_num_threads64_
+
+    def pinned(*arguments: object) -> float:
+        """``cblas_ddot`` on one OpenBLAS thread; the caller's count is restored after."""
+        caller = threads()
+        if caller == 1:
+            return ddot(*arguments)
+        set_threads(1)
+        try:
+            return ddot(*arguments)
+        finally:
+            set_threads(caller)
+
+    return library._name, pinned
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS numpy's wheel bundles, its functions typed, or None.
+
     The library is ``numpy.libs/libscipy_openblas64_*.so`` beside the numpy
     package, found with ``importlib.util.find_spec``, which imports no numpy,
     and loaded at the first call, with ``OPENBLAS_NUM_THREADS=1``
     (:func:`_on_one_blas_thread`), so it starts no worker thread; its other
     settings are read as numpy's import would read them.  Where numpy has
     loaded the library already, this is the same library, settings and
-    all.  The function returned sets the library's thread count to one for
-    each call and then back to what it was, so a caller that loaded it with
-    more threads, by importing numpy first, gets the sums of one thread.
-    ``(None, None)`` where there is no such library or symbol, or no
-    ``ctypes``.
+    all.  None where there is no such library, or it lacks ``cblas_ddot``,
+    the thread count's getter or setter or ``blas_thread_shutdown_``, or
+    there is no ``ctypes``.
     """
     import glob
     import importlib.util
@@ -448,7 +485,7 @@ def _blas_ddot() -> tuple[str | None, Callable[..., float] | None]:
 
         spec = importlib.util.find_spec("numpy")
     except (ImportError, ValueError):  # no ctypes; numpy in sys.modules without a spec
-        return None, None
+        return None
     for location in (spec and spec.submodule_search_locations) or ():
         libs = os.path.join(os.path.dirname(location), "numpy.libs")
         for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
@@ -457,6 +494,7 @@ def _blas_ddot() -> tuple[str | None, Callable[..., float] | None]:
                 ddot = library.scipy_cblas_ddot64_
                 threads = library.scipy_openblas_get_num_threads64_
                 set_threads = library.scipy_openblas_set_num_threads64_
+                shutdown = library.blas_thread_shutdown_
             except (OSError, AttributeError):
                 continue
             # cblas_ddot(n, x, incx, y, incy) of the 64-bit-integer interface
@@ -465,18 +503,49 @@ def _blas_ddot() -> tuple[str | None, Callable[..., float] | None]:
             ddot.restype = ctypes.c_double
             threads.argtypes, threads.restype = [], ctypes.c_int
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+            return library
+    return None
 
-            def pinned(*arguments: object) -> float:
-                """``cblas_ddot`` on one OpenBLAS thread; the caller's count is restored after."""
-                caller = threads()
-                set_threads(1)
-                try:
-                    return ddot(*arguments)
-                finally:
-                    set_threads(caller)
 
-            return path, pinned
-    return None, None
+class one_blas_thread:
+    """A block in which the norms' OpenBLAS runs one thread and its workers are joined.
+
+    Entered, it sets the thread count of :func:`_openblas`'s library to one
+    and joins the library's workers with its ``blas_thread_shutdown_``, the
+    function OpenBLAS's own ``pthread_atfork`` handler calls in the parent
+    before every ``os.fork``; so an interpreter that imported numpy first,
+    whose OpenBLAS keeps a worker thread, runs one thread in the block, and
+    the norms call ``cblas_ddot`` directly.  Left, it sets the caller's
+    count back, which starts the workers again, and joins them once more:
+    the pool is stopped with the caller's count, as ``os.fork`` leaves it,
+    and numpy starts it again at its next threaded call.  It does nothing
+    where the library runs one thread already, as in a process that loaded
+    it for the norms, where it is missing, and where another Python thread
+    is alive, since that one may be inside a BLAS call; ``threading`` is
+    imported only where the library runs more than one thread.
+    """
+
+    __slots__ = ("caller",)
+
+    def __enter__(self) -> None:
+        self.caller = None
+        library = _openblas()
+        if library is None or library.scipy_openblas_get_num_threads64_() == 1:
+            return
+        import threading
+
+        if threading.active_count() > 1:
+            return
+        self.caller = library.scipy_openblas_get_num_threads64_()
+        library.scipy_openblas_set_num_threads64_(1)
+        library.blas_thread_shutdown_()
+
+    def __exit__(self, *exception: object) -> None:
+        if self.caller is not None:
+            library = _openblas()
+            library.scipy_openblas_set_num_threads64_(self.caller)
+            library.blas_thread_shutdown_()
 
 
 def _on_one_blas_thread(load: Callable[[str], object], name: str) -> object:

@@ -71,7 +71,7 @@ from .numerics import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import ast
-    from typing import Callable, Mapping, Sequence
+    from typing import Callable, Iterable, Mapping, Sequence
 
     import numpy as np
 
@@ -439,6 +439,22 @@ def _check(
     return timed, time_names, rated
 
 
+def _read_by(statements: list[ast.stmt], terms: list[ast.Assign]) -> list[ast.Assign]:
+    """The ``terms`` that ``statements`` read, directly or through other such terms, in order."""
+    import ast
+
+    def reads(nodes: Iterable[ast.AST]) -> set[str]:
+        return {n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    needed = reads(statement.value for statement in statements)
+    kept: list[ast.Assign] = []
+    for term in reversed(terms):
+        if not needed.isdisjoint(reads(term.targets)):
+            kept.append(term)
+            needed |= reads([term.value])
+    return kept[::-1]
+
+
 def _pieces(body: list[ast.stmt]) -> list[list[str]]:
     """The lines of ``body``, each split into text and names: names at the odd places.
 
@@ -497,15 +513,19 @@ def _kernel_text(
     step ends at its end time t0 + (n + 1) * k: the time terms there, which
     the next step starts from, then the solution ``x0..`` and the maxima of
     its accepted state's magnitudes, as ``exact`` gives them at that time.
+    ``exact`` itself computes only the time terms its solution reads,
+    directly or through other time terms.
     """
     timed, time_names, rated = _check(dim, _dedent(rates), constants)
-    timed, rated = _pieces(timed), _pieces(rated)
     bound = {name: f"{name}__c" for name in constants}
     solved: list[list[str]] = []
     if solution is not None:
         # a solution reads no state, so its time terms may run before its other statements
         terms, _, rest = _check(dim, _dedent(solution), (*constants, *time_names), "y")
+        if function == "exact":  # no rate runs there, so only the time terms the solution reads
+            timed = _read_by(terms + rest, timed)
         solved = _pieces(terms + rest)
+    timed, rated = _pieces(timed), _pieces(rated)
     # the kernel keeps its times t, t1, ... only when a text reads t
     ticks = any("t" in line[1::2] for line in (*timed, *rated, *solved))
     # the solution's own names take the suffix of the time terms at t, which it cannot assign

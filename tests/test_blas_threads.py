@@ -5,7 +5,9 @@ Each test starts a fresh interpreter, because OpenBLAS reads
 tristep's L2 norm, which loads the OpenBLAS numpy's wheel bundles, or by
 numpy's import, whichever comes first.  tristep sets the variable to 1 for
 its own load only, and leaves the caller's setting as it was.  Where numpy
-loaded the library first, the norms set it to one thread for each sum.
+loaded the library first, a study holds it at one thread, its workers
+joined, and leaves them stopped; a norm outside a study sets it to one
+thread for its sum.
 """
 
 from __future__ import annotations
@@ -71,15 +73,23 @@ from tristep import numerics, problem, run_convergence_study
 
 if sys.argv[1:] == ["np.dot"]:  # as where numpy bundles no OpenBLAS of its own
     numerics._blas_ddot = lambda: (None, None)
+if sys.argv[1:] == ["numpy"]:  # loads OpenBLAS with the thread count of the environment
+    import numpy
 run_convergence_study(problem("example1"), range(4, 14))
 print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
 """
 
 
 @ONE_THREAD_SHOWS
-@pytest.mark.parametrize("setting", [None, "3"], ids=["unset", "set-to-3"])
-def test_a_study_called_directly_leaves_one_thread_and_the_callers_setting(setting):
-    threads, variable = _python(THREADS_AFTER_A_STUDY, blas_threads=setting).split()
+@pytest.mark.parametrize(
+    "setting, first",
+    [(None, []), ("3", []), ("2", ["numpy"])],
+    ids=["unset", "set-to-3", "numpy-first-set-to-2"],
+)
+def test_a_study_called_directly_leaves_one_thread_and_the_callers_setting(setting, first):
+    # after numpy's import the study joins OpenBLAS's workers and leaves them
+    # stopped, as a fork does; numpy starts them again at its next threaded call
+    threads, variable = _python(THREADS_AFTER_A_STUDY, *first, blas_threads=setting).split()
     assert threads == "1"
     assert variable == str(setting)
 

@@ -19,6 +19,7 @@ from tristep import (
     example2,
     integrate,
     problem,
+    scheme,
     sup_norm,
 )
 
@@ -185,6 +186,22 @@ def test_integrate_on_the_field_text_is_bitwise_its_original(label, t0, M, y0):
 @given(st.sampled_from(sorted(ORIGINAL_RATES)), st.floats(-2.0, 2.0) | st.floats(-100.0, 100.0))
 def test_solution_text_is_bitwise_its_original(label, t):
     assert bits(problem(label).exact(t)) == bits(original_solution(t))
+
+
+@pytest.mark.parametrize(
+    "label, terms", [("example1", ["tt", "e1", "q"]), ("example2", ["tt", "tm", "e1", "s", "q"])]
+)
+def test_the_solution_computes_only_the_time_terms_it_reads(label, terms):
+    # example1's field also has qq, g1, g2 and g3, with exp(-2.0 * t) and cos(t)
+    exact = problem(label).exact
+    text = scheme._kernel_text(
+        "exact", 3, exact.source.rates, tuple(exact.source.constants), exact.text
+    )
+    assigned = [line.split()[0] for line in text.splitlines() if "__t0 = " in line]
+    assert assigned == [f"{term}__t0" for term in terms]
+    assert "cos__c(" not in text
+    for t in (0.0, -0.0, 0.375, 1.0, 2.5, -0.7, 1e-300, -50.0):
+        assert bits(exact(t)) == bits(original_solution(t))
 
 
 @PROPERTY

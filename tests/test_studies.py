@@ -40,7 +40,7 @@ from tristep import (
     run_convergence_study,
     run_scenario,
 )
-from tristep import studies
+from tristep import numerics, studies
 from tristep.cli import main, trajectory_row_indices
 from tristep.scheme import NumericalBlowupError
 
@@ -413,8 +413,17 @@ def test_a_forked_study_is_bitwise_the_serial_one(build, exponents, monkeypatch)
     assert_no_child_left()
 
 
+# argv: label, CSV path, then, for an interpreter that imports numpy first,
+# "numpy" or "numpy-and-a-thread"
 CONVERGE_PROCESS = """
 import os, sys
+
+if sys.argv[3:]:
+    import numpy as np  # with OPENBLAS_NUM_THREADS=2, OpenBLAS runs a worker thread from here on
+if sys.argv[3:] == ["numpy-and-a-thread"]:
+    import threading
+
+    threading.Thread(target=threading.Event().wait, daemon=True).start()
 
 forks, fork = [], os.fork
 def counted():
@@ -424,34 +433,64 @@ def counted():
     return pid
 os.fork = counted
 
-from tristep import studies
+from tristep import numerics, studies
 studies._runnable = lambda: 1  # as on an idle host, which a test run's may not be
 from tristep.cli import main
 
 code = main(["converge", sys.argv[1], "4..13", "--out", sys.argv[2]])
 print(len(forks), file=sys.stderr)
+if sys.argv[3:]:
+    # OpenBLAS's own thread count, and a product big enough for its workers,
+    # checked against numpy's integer product, which runs no BLAS
+    a = (np.arange(256 * 256) % 7).reshape(256, 256)
+    right = np.array_equal(a.astype(float) @ a.astype(float), a @ a)
+    print(numerics._openblas().scipy_openblas_get_num_threads64_(), right, file=sys.stderr)
 sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("label", ["example1", "example2"])
-def test_a_converge_process_writes_the_pinned_csv(label, tmp_path):
+def converge_process(label, out, *numpy_first, blas_threads=None):
+    """Run ``CONVERGE_PROCESS``, check its CSV's digest, and return its stderr lines."""
     from test_bitwise_fence import CONVERGENCE_CSV_DIGESTS
 
-    out = tmp_path / f"{label}.csv"
+    env = tristep_env()
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     result = subprocess.run(
-        [sys.executable, "-c", CONVERGE_PROCESS, label, str(out)],
+        [sys.executable, "-c", CONVERGE_PROCESS, label, str(out), *numpy_first],
         capture_output=True,
         text=True,
-        env=tristep_env(),
+        env=env,
         check=False,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERGENCE_CSV_DIGESTS[label]
+    return result.stderr.splitlines()
+
+
+@pytest.mark.parametrize("label", ["example1", "example2"])
+def test_a_converge_process_writes_the_pinned_csv(label, tmp_path):
     # a fresh process runs one thread, so it forks wherever the study may
     forks = 1 if MAY_FORK else 0
-    assert result.stderr == f"{forks}\n"
+    assert converge_process(label, tmp_path / f"{label}.csv") == [f"{forks}"]
+
+
+@pytest.mark.skipif(numerics._openblas() is None, reason="numpy bundles no OpenBLAS here")
+@pytest.mark.parametrize("label", ["example1", "example2"])
+@pytest.mark.parametrize("first", ["numpy", "numpy-and-a-thread"])
+def test_a_converge_process_that_imported_numpy_first_writes_the_pinned_csv(
+    label, first, tmp_path
+):
+    # the study holds OpenBLAS at one thread, its worker joined, so it forks
+    # wherever the study may; with another Python thread alive it runs serially
+    forks = 1 if MAY_FORK and first == "numpy" else 0
+    out = tmp_path / f"{label}.csv"
+    forked, blas = converge_process(label, out, first, blas_threads="2")
+    threads, right = blas.split()
+    assert forked == f"{forks}" and right == "True"
+    if MAY_FORK:  # numpy's OpenBLAS keeps the two threads it was loaded with
+        assert threads == "2"
 
 
 # the parent reports its child's pid, then runs until the test stops it
@@ -552,6 +591,16 @@ def test_a_study_that_cannot_fork_runs_serially(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_process)
     assert repr(run_convergence_study(example1(), range(4, 14))) == repr(serial)
+
+
+@FORKS
+def test_a_study_with_a_called_exact_runs_serially(monkeypatch):
+    # a child would call the caller's exact out of its sight: here it sees every call
+    counted, times = counting(example1)
+    forks = allow_fork(monkeypatch)
+    run_convergence_study(counted, range(4, 14))
+    assert forks == []
+    assert len(times) == sum(2**e + 1 for e in range(4, 14))
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")

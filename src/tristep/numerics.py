@@ -531,15 +531,15 @@ class one_blas_thread:
     def __enter__(self) -> None:
         self.caller = None
         library = _openblas()
-        if library is None or library.scipy_openblas_get_num_threads64_() == 1:
+        caller = 1 if library is None else library.scipy_openblas_get_num_threads64_()
+        if caller == 1:
             return
         import threading
 
-        if threading.active_count() > 1:
-            return
-        self.caller = library.scipy_openblas_get_num_threads64_()
-        library.scipy_openblas_set_num_threads64_(1)
-        library.blas_thread_shutdown_()
+        if threading.active_count() == 1:
+            library.scipy_openblas_set_num_threads64_(1)
+            library.blas_thread_shutdown_()
+            self.caller = caller
 
     def __exit__(self, *exception: object) -> None:
         if self.caller is not None:

@@ -5,10 +5,8 @@ Commands:
   simulate  integrate the compartment model from a preset or a config file
   roots     print the characteristic roots and their moduli
 
-Exit codes: 0 success, 2 usage or parse failure (and a ``converge`` where
-numpy is not installed, so that nothing can take its norms, before any
-grid is integrated), 3 I/O failure (standard output included, also when
-the process started with it closed), 4 numerical
+Exit codes: 0 success, 2 usage or parse failure, 3 I/O failure (standard
+output included, also when the process started with it closed), 4 numerical
 blow-up (a ``simulate`` run still writes its partial trajectory; a
 ``converge`` run writes no table), 130 interrupted
 (``KeyboardInterrupt``, such as from Ctrl-C).  Every failure prints one
@@ -452,7 +450,11 @@ def _run(argv: Sequence[str] | None) -> int:
     except OSError as exc:  # files report their own; this one is standard output
         if not isinstance(sys.stdout, _ClosedStdout):
             # leave the unwritten rest to the null device, or the flush at exit fails again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            stdout = sys.stdout.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            if null != stdout:  # the lowest free descriptor is stdout's where it was closed
+                os.dup2(null, stdout)
+                os.close(null)
         print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return EXIT_IO
     except KeyboardInterrupt:

@@ -11,12 +11,12 @@ with the caller that chose them.  numpy is imported only by the functions
 that make or read numpy arrays (``as_state``, ``TimeGrid.times``,
 ``Trajectory.states`` and ``sup_norm``).  The L2 norm sums its squares with
 the ``cblas_ddot`` of the OpenBLAS numpy's wheel bundles, loaded through
-``ctypes`` at the first norm (or at :func:`load_l2_norm`) without
-importing numpy and run on one thread, and with ``np.dot`` only where
-that library is missing.  Either load, of the library or of numpy, sets
-``OPENBLAS_NUM_THREADS=1`` for its own length, so it starts no BLAS thread;
-a library that a caller's ``import numpy`` loaded on more threads is held
-at one, its worker threads joined, for a block (:class:`one_blas_thread`).
+``ctypes`` without importing numpy, with ``OPENBLAS_NUM_THREADS=1`` for
+the load's length, so it starts no BLAS thread, and run on one thread
+(:class:`one_blas_thread`), which also holds a library that a caller's
+``import numpy`` loaded on more threads at one, its worker threads joined,
+for a block such as a whole study; where there is no such library the
+squares are added in order.
 ``TimeGrid`` and ``Trajectory`` are read-only ``__slots__`` classes on
 :class:`Frozen`; the value types of the other modules are :class:`Record`
 classes, which ``dataclasses.fields`` and ``dataclasses.replace`` accept.
@@ -34,7 +34,7 @@ from array import array
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import ctypes
-    from typing import Callable, Iterable, Sequence
+    from typing import Iterable, Sequence
 
     import numpy as np
 
@@ -370,24 +370,18 @@ def discrete_l2_time_norm(per_step_norms: Sequence[float] | np.ndarray, k: float
 
     The sequence covers grid points 1..M only; the initial sample is
     deliberately excluded from the sum.  The sum of squares is OpenBLAS's
-    ``cblas_ddot`` of the sequence with itself, the function numpy's
-    ``np.dot`` of two float64 vectors calls: taken from the OpenBLAS that
-    numpy's wheel bundles, through ``ctypes`` and without importing numpy
-    (:func:`_blas_ddot`), and from ``np.dot`` where there is no such library.
-    Its last bits depend on the BLAS kernel that runs it.  OpenBLAS picks
-    its kernel by CPU (``OPENBLAS_CORETYPE`` overrides the choice), once,
-    when the library is loaded: at the first norm or numpy's import,
-    whichever comes first; the kernels' sums can differ at any length.
-    OpenBLAS 0.3.31 on x86-64 also splits the sum across its threads above
-    10 000 values, and the split can change the last bits, so the bundled
-    library runs each sum on one thread, whatever thread count it was
-    loaded with (:func:`_blas_ddot`); a convergence study holds it at one
-    thread, its workers joined, for the whole study
-    (:class:`one_blas_thread`), so that a process that imported numpy first
-    runs one thread there and may fork.  The ``np.dot`` fallback is not
-    pinned: it runs on one thread where tristep imports numpy first
-    (:func:`_on_one_blas_thread`), but after a caller's own ``import numpy``
-    a longer sequence's result depends on the BLAS thread count too.
+    ``cblas_ddot`` of the sequence with itself, the function numpy's dot
+    product of two float64 vectors calls, taken from the OpenBLAS that
+    numpy's wheel bundles through ``ctypes`` without importing numpy
+    (:func:`_openblas`).  Its last bits depend on the BLAS kernel that runs
+    it.  OpenBLAS picks its kernel by CPU (``OPENBLAS_CORETYPE`` overrides
+    the choice), once, when the library is loaded: at the first norm or
+    study, or numpy's import, whichever comes first; the kernels' sums can
+    differ at any length.  OpenBLAS 0.3.31 on x86-64 also splits the sum
+    across its threads above 10 000 values, and the split can change the
+    last bits, so each sum runs on one thread (:class:`one_blas_thread`),
+    whatever thread count the library was loaded with.  Where there is no
+    such library the squares are added in order, as Python floats.
 
     Raises:
       ValueError: If the sequence is empty or ``k`` is not positive.
@@ -399,68 +393,15 @@ def discrete_l2_time_norm(per_step_norms: Sequence[float] | np.ndarray, k: float
         raise ValueError("discrete L2 norm of an empty sequence")
     if not k > 0.0:
         raise ValueError("step size k must be positive")
-    ddot = _blas_ddot()[1]
-    if ddot is None:
-        np = _on_one_blas_thread(__import__, "numpy")
-        w = np.frombuffer(v, dtype=np.float64)
-        return math.sqrt(k * float(np.dot(w, w)))
-    address, size = v.buffer_info()
-    return math.sqrt(k * ddot(size, address, 1, address, 1))
-
-
-def load_l2_norm() -> None:
-    """Load now what :func:`discrete_l2_time_norm` sums its squares with.
-
-    That is the bundled OpenBLAS (:func:`_blas_ddot`), or numpy where there
-    is no such library; numpy is imported only then, and loads OpenBLAS on
-    one thread unless it was imported before (:func:`_on_one_blas_thread`).
-    A caller that runs this first fails before its work, not at its first
-    norm.
-
-    Raises:
-      ValueError: If neither numpy's bundled OpenBLAS nor numpy can be loaded.
-    """
-    if _blas_ddot()[1] is None:
-        try:
-            _on_one_blas_thread(__import__, "numpy")
-        except ImportError as err:
-            raise ValueError(
-                "the L2 norms need numpy: neither the OpenBLAS its wheel bundles "
-                f"(numpy.libs/libscipy_openblas64_*.so) nor numpy can be loaded ({err})"
-            ) from None
-
-
-@functools.cache
-def _blas_ddot() -> tuple[str | None, Callable[..., float] | None]:
-    """The OpenBLAS numpy's wheel bundles and its ``cblas_ddot`` on one thread, or ``(None, None)``.
-
-    The library is :func:`_openblas`'s.  The function returned calls
-    ``cblas_ddot`` directly where the library's thread count is one, as in
-    a process that loaded it for the norms or inside :class:`one_blas_thread`;
-    elsewhere it sets the count to one for the call and then back to what it
-    was, so a caller that loaded the library with more threads, by
-    importing numpy first, gets the sums of one thread all the same.
-    ``(None, None)`` where there is no such library.
-    """
     library = _openblas()
     if library is None:
-        return None, None
-    ddot = library.scipy_cblas_ddot64_
-    threads = library.scipy_openblas_get_num_threads64_
-    set_threads = library.scipy_openblas_set_num_threads64_
-
-    def pinned(*arguments: object) -> float:
-        """``cblas_ddot`` on one OpenBLAS thread; the caller's count is restored after."""
-        caller = threads()
-        if caller == 1:
-            return ddot(*arguments)
-        set_threads(1)
-        try:
-            return ddot(*arguments)
-        finally:
-            set_threads(caller)
-
-    return library._name, pinned
+        total = 0.0
+        for value in v:
+            total += value * value
+        return math.sqrt(k * total)
+    address, size = v.buffer_info()
+    with one_blas_thread():
+        return math.sqrt(k * library.scipy_cblas_ddot64_(size, address, 1, address, 1))
 
 
 @functools.cache
@@ -469,13 +410,14 @@ def _openblas() -> ctypes.CDLL | None:
 
     The library is ``numpy.libs/libscipy_openblas64_*.so`` beside the numpy
     package, found with ``importlib.util.find_spec``, which imports no numpy,
-    and loaded at the first call, with ``OPENBLAS_NUM_THREADS=1``
-    (:func:`_on_one_blas_thread`), so it starts no worker thread; its other
-    settings are read as numpy's import would read them.  Where numpy has
-    loaded the library already, this is the same library, settings and
-    all.  None where there is no such library, or it lacks ``cblas_ddot``,
-    the thread count's getter or setter or ``blas_thread_shutdown_``, or
-    there is no ``ctypes``.
+    and loaded at the first call with ``OPENBLAS_NUM_THREADS=1`` in the
+    environment, which OpenBLAS reads once, at its load, so it starts no
+    worker thread; the caller's value, or its absence, is back once the call
+    returns, and the library's other settings are read as numpy's import
+    would read them.  Where numpy has loaded the library already, this is
+    the same library, settings and all.  None where there is no such
+    library, or it lacks ``cblas_ddot``, the thread count's getter or
+    setter or ``blas_thread_shutdown_``, or there is no ``ctypes``.
     """
     import glob
     import importlib.util
@@ -486,47 +428,56 @@ def _openblas() -> ctypes.CDLL | None:
         spec = importlib.util.find_spec("numpy")
     except (ImportError, ValueError):  # no ctypes; numpy in sys.modules without a spec
         return None
-    for location in (spec and spec.submodule_search_locations) or ():
-        libs = os.path.join(os.path.dirname(location), "numpy.libs")
-        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
-            try:
-                library = _on_one_blas_thread(ctypes.CDLL, path)
-                ddot = library.scipy_cblas_ddot64_
-                threads = library.scipy_openblas_get_num_threads64_
-                set_threads = library.scipy_openblas_set_num_threads64_
-                shutdown = library.blas_thread_shutdown_
-            except (OSError, AttributeError):
-                continue
-            # cblas_ddot(n, x, incx, y, incy) of the 64-bit-integer interface
-            n, pointer = ctypes.c_int64, ctypes.c_void_p
-            ddot.argtypes = [n, pointer, n, pointer, n]
-            ddot.restype = ctypes.c_double
-            threads.argtypes, threads.restype = [], ctypes.c_int
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-            return library
-    return None
+    caller = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        for location in (spec and spec.submodule_search_locations) or ():
+            libs = os.path.join(os.path.dirname(location), "numpy.libs")
+            for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+                try:
+                    library = ctypes.CDLL(path)
+                    ddot = library.scipy_cblas_ddot64_
+                    threads = library.scipy_openblas_get_num_threads64_
+                    set_threads = library.scipy_openblas_set_num_threads64_
+                    shutdown = library.blas_thread_shutdown_
+                except (OSError, AttributeError):
+                    continue
+                # cblas_ddot(n, x, incx, y, incy) of the 64-bit-integer interface
+                n, pointer = ctypes.c_int64, ctypes.c_void_p
+                ddot.argtypes = [n, pointer, n, pointer, n]
+                ddot.restype = ctypes.c_double
+                threads.argtypes, threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                return library
+        return None
+    finally:
+        if caller is None:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = caller
 
 
 class one_blas_thread:
-    """A block in which the norms' OpenBLAS runs one thread and its workers are joined.
+    """A block in which the norms' OpenBLAS runs one thread.
 
-    Entered, it sets the thread count of :func:`_openblas`'s library to one
-    and joins the library's workers with its ``blas_thread_shutdown_``, the
-    function OpenBLAS's own ``pthread_atfork`` handler calls in the parent
-    before every ``os.fork``; so an interpreter that imported numpy first,
-    whose OpenBLAS keeps a worker thread, runs one thread in the block, and
-    the norms call ``cblas_ddot`` directly.  Left, it sets the caller's
-    count back, which starts the workers again, and joins them once more:
-    the pool is stopped with the caller's count, as ``os.fork`` leaves it,
-    and numpy starts it again at its next threaded call.  It does nothing
-    where the library runs one thread already, as in a process that loaded
-    it for the norms, where it is missing, and where another Python thread
-    is alive, since that one may be inside a BLAS call; ``threading`` is
-    imported only where the library runs more than one thread.
+    Entered where :func:`_openblas`'s library runs more than one thread, as
+    after a caller's ``import numpy``, it sets the library's thread count to
+    one; where no other Python thread is alive, which could be inside a BLAS
+    call, it also joins the library's workers with its
+    ``blas_thread_shutdown_``, the function OpenBLAS's own ``pthread_atfork``
+    handler calls in the parent before every ``os.fork``, so the process
+    runs one thread in the block.  Left, it sets the caller's count back,
+    which starts the workers again, and, where it joined them on entry,
+    joins them once more: the pool is stopped with the caller's count, as
+    ``os.fork`` leaves it, and numpy starts it again at its next threaded
+    call.  It does nothing where the library runs one thread already, as in
+    a process that loaded it for the norms or inside another such block,
+    and where the library is missing; ``threading`` is imported only where
+    the library runs more than one thread.
     """
 
-    __slots__ = ("caller",)
+    __slots__ = ("caller", "joined")
 
     def __enter__(self) -> None:
         self.caller = None
@@ -536,32 +487,17 @@ class one_blas_thread:
             return
         import threading
 
-        if threading.active_count() == 1:
-            library.scipy_openblas_set_num_threads64_(1)
+        library.scipy_openblas_set_num_threads64_(1)
+        self.caller, self.joined = caller, threading.active_count() == 1
+        if self.joined:
             library.blas_thread_shutdown_()
-            self.caller = caller
 
     def __exit__(self, *exception: object) -> None:
         if self.caller is not None:
             library = _openblas()
             library.scipy_openblas_set_num_threads64_(self.caller)
-            library.blas_thread_shutdown_()
-
-
-def _on_one_blas_thread(load: Callable[[str], object], name: str) -> object:
-    """``load(name)`` with ``OPENBLAS_NUM_THREADS=1``, then the caller's value or its absence.
-
-    OpenBLAS reads the variable once, at its load: one made here starts no worker thread.
-    """
-    caller = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        return load(name)
-    finally:
-        if caller is None:
-            os.environ.pop("OPENBLAS_NUM_THREADS", None)
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = caller
+            if self.joined:
+                library.blas_thread_shutdown_()
 
 
 def convergence_rate(e_coarse: float, e_fine: float) -> float:

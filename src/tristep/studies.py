@@ -9,24 +9,23 @@ their solution as text over their field's time terms, which the kernel
 inlines.  Where the problem's solution is such text, the process runs one
 thread, may run on two CPUs or more and finds one of them idle, and the
 finest grid has 8 192 steps or more, that grid runs meanwhile in a forked
-child on another CPU, which takes that grid's three norms with the
-parent's own pinned ``cblas_ddot`` and sends back those alone, so the
-table is bitwise the serial one.  A fresh ``tristep converge`` process runs
-one thread on such a host, and so does an interpreter that imported numpy
-first, since the study holds numpy's OpenBLAS at one thread with its
-workers joined; one that runs another Python thread, and ``taskset -c 0
-tristep converge ...``, run serially.  A scenario run
-(:func:`run_scenario`) stays on Python floats and imports no numpy: the
-kernel adds each state into its era's sums as it steps and keeps every
-N-th state, and the summary is divided from those sums.
-:func:`era_summary` takes the same summary from a trajectory's stored
-states as numpy's means; it is the reference those sums are checked
-against, and it imports numpy.  A convergence study imports no numpy: it
-sums the squares of its maxima with the OpenBLAS numpy's wheel bundles,
-without importing numpy where that library is there, loads it, or numpy,
-on one thread, and holds at one thread a library that a caller's ``import
-numpy`` loaded on more; its norms can depend in their last bits on the
-OpenBLAS kernel the CPU selects
+child on another CPU, which takes that grid's three norms as the parent
+would and sends back those alone, so the table is bitwise the serial
+one.  A fresh ``tristep converge`` process runs one thread on such a
+host, and so does an interpreter that imported numpy first, since the
+study holds numpy's OpenBLAS at one thread with its workers joined; one
+that runs another Python thread, and ``taskset -c 0 tristep converge
+...``, run serially.  A scenario run (:func:`run_scenario`) stays on
+Python floats and imports no numpy: the kernel adds each state into its
+era's sums as it steps and keeps every N-th state, and the summary is
+divided from those sums.  :func:`era_summary` takes the same summary from
+a trajectory's stored states as numpy's means; it is the reference those
+sums are checked against, and it imports numpy.  A convergence study
+imports no numpy: it sums the squares of its maxima with the OpenBLAS
+numpy's wheel bundles, loaded on one thread, and holds at one thread a
+library that a caller's ``import numpy`` loaded on more; its norms can
+depend in their last bits on the OpenBLAS kernel the CPU selects, and
+where there is no such library they add the squares in order
 (:func:`~tristep.numerics.discrete_l2_time_norm`).  The rows of a table or
 a summary are named tuples (``collections.namedtuple``).
 """
@@ -49,7 +48,6 @@ from .numerics import (
     discrete_l2_time_norm,
     era_starts,
     fits_in_memory,
-    load_l2_norm,
     one_blas_thread,
     states_do_not_fit,
 )
@@ -108,11 +106,10 @@ def run_convergence_study(
     the numerical solution and their difference, and the study aggregates
     each sequence with the discrete L2-in-time norm.  So the exact solution
     is evaluated at every point of every grid, inlined into the kernel
-    where ``exact`` is the field's own solution text.  What the norms sum
-    their squares with is loaded before the first integration
-    (:func:`~tristep.numerics.load_l2_norm`), and held at one thread, with
-    its workers joined, for the whole study
-    (:class:`~tristep.numerics.one_blas_thread`).
+    where ``exact`` is the field's own solution text.  The OpenBLAS the
+    norms sum their squares with is loaded before the first integration and
+    held at one thread for the whole study, its workers joined where no
+    other Python thread is alive (:class:`~tristep.numerics.one_blas_thread`).
 
     The finest grid runs in a forked child, while this process runs the
     coarser grids, where ``exact`` is the solution text of the problem's own
@@ -129,10 +126,10 @@ def run_convergence_study(
     Such a thread, ``taskset -c 0``, which leaves one CPU, and a second busy
     process, which leaves no CPU idle, make it run serially.  The child runs
     on every CPU of this process but the one this process runs on, takes the
-    three norms of its grid as any grid's (:func:`_norms`), with the bound,
-    pinned ``cblas_ddot`` it inherits from this process, and writes them
-    down a pipe: 24 bytes, bitwise this process's own, so the table is
-    bitwise the serial one.  Where the child fails in any way, by a blow-up
+    three norms of its grid as any grid's (:func:`_norms`), with the
+    library it inherits from this process, and writes them down a pipe: 24
+    bytes, bitwise this process's own, so the table is bitwise the serial
+    one.  Where the child fails in any way, by a blow-up
     or a short write, this process integrates the finest grid itself, and a
     blow-up raises the serial error.  The child is killed and reaped however
     the study ends, a coarser grid's blow-up or an interrupt included, and
@@ -140,9 +137,8 @@ def run_convergence_study(
 
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,
-        a step is too small for its grid or its maxima, ``exact`` returns
-        a row whose length is not the field's dimension, or neither numpy's
-        bundled OpenBLAS nor numpy can be loaded for the norms.
+        a step is too small for its grid or its maxima, or ``exact``
+        returns a row whose length is not the field's dimension.
       NumericalBlowupError: Propagated from a diverging integration.
     """
     grids: list[TimeGrid] = []
@@ -163,8 +159,6 @@ def run_convergence_study(
     finest = grids[-1]
     if not fits_in_memory(3 * finest.M * 8):  # the finest grid's three arrays of maxima
         raise states_do_not_fit(finest.k, finest.M + 1)
-    load_l2_norm()
-
     with one_blas_thread():
         # a called exact or field is the caller's code, whose effects, such as
         # a count of its calls, a child would keep to itself
@@ -280,8 +274,8 @@ class _FinestChild:
     It writes once its run has returned, and always ends in ``os._exit``: 0
     once the norms are written, 1 on any failure, a blow-up included.  It
     runs the parent's code on the parent's inputs, its norms on the
-    library the parent loaded for them (the bound, pinned ``cblas_ddot``),
-    so they are bitwise the parent's own.
+    library the parent loaded for them, so they are bitwise the parent's
+    own.
     """
 
     __slots__ = ("pid", "pipe")

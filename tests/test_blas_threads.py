@@ -2,12 +2,13 @@
 
 Each test starts a fresh interpreter, because OpenBLAS reads
 ``OPENBLAS_NUM_THREADS`` once, when the library is first loaded: by
-tristep's L2 norm, which loads the OpenBLAS numpy's wheel bundles, or by
-numpy's import, whichever comes first.  tristep sets the variable to 1 for
-its own load only, and leaves the caller's setting as it was.  Where numpy
-loaded the library first, a study holds it at one thread, its workers
-joined, and leaves them stopped; a norm outside a study sets it to one
-thread for its sum.
+tristep's L2 norm or study, which load the OpenBLAS numpy's wheel bundles,
+or by numpy's import, whichever comes first.  tristep sets the variable to
+1 for its own load only, and leaves the caller's setting as it was.  Where
+numpy loaded the library first, a study holds it at one thread, its
+workers joined, and leaves them stopped; a norm outside a study sets it to
+one thread for its sum.  Where there is no such library the norms add
+their squares in order, on the one thread.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ import sys
 
 from tristep import numerics, problem, run_convergence_study
 
-if sys.argv[1:] == ["np.dot"]:  # as where numpy bundles no OpenBLAS of its own
-    numerics._blas_ddot = lambda: (None, None)
+if sys.argv[1:] == ["in-order"]:  # as where numpy bundles no OpenBLAS of its own
+    numerics._openblas = lambda: None
 if sys.argv[1:] == ["numpy"]:  # loads OpenBLAS with the thread count of the environment
     import numpy
 run_convergence_study(problem("example1"), range(4, 14))
@@ -95,8 +96,8 @@ def test_a_study_called_directly_leaves_one_thread_and_the_callers_setting(setti
 
 
 @ONE_THREAD_SHOWS
-def test_the_np_dot_fallbacks_numpy_import_leaves_one_thread():
-    assert _python(THREADS_AFTER_A_STUDY, "np.dot").split() == ["1", "None"]
+def test_the_in_order_sum_leaves_one_thread():
+    assert _python(THREADS_AFTER_A_STUDY, "in-order").split() == ["1", "None"]
 
 
 CONVERGE_TO = """

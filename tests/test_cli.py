@@ -643,6 +643,18 @@ def test_an_unwritable_stdout_keeps_the_csvs_and_the_blowup_exit_code(tmp_path):
     assert out.read_text(encoding="utf-8").startswith("t,y1")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stdout_writes_leave_no_descriptor_open(monkeypatch, capsys):
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            assert main(["roots"]) == EXIT_IO
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err.count("error: cannot write standard output: ") == 3
+
+
 @pytest.mark.parametrize("argv", UNWRITABLE_STDOUT_COMMANDS)
 def test_a_closed_stdout_is_an_io_error(argv):
     result = _run_cli(argv, None, preexec_fn=_close_stdout)

@@ -124,14 +124,13 @@ def test_l2_rejects_empty_sequence_and_bad_step():
         discrete_l2_time_norm([1.0], -0.5)
 
 
-# The ddot is bound before numpy is imported, as in a converge process; numpy's
-# import then finds the library loaded and calls the same function.  The library
-# is loaded on one thread, whatever the environment says; set to the environment's
-# count after, as by a caller, it runs that many.  The bound ddot runs on one thread
-# and leaves the library's thread count as it was, so it is np.dot on one thread,
-# whatever count the library runs.
+# The library is loaded before numpy is imported, as in a converge process; numpy's
+# import then finds it loaded and calls the same function.  The library is loaded
+# on one thread, whatever the environment says; set to the environment's count
+# after, as by a caller, it runs that many.  The norm and a ddot inside
+# one_blas_thread run on one thread and leave the library's thread count as it
+# was, so they are np.dot on one thread, whatever count the library runs.
 DDOT_IS_NP_DOT = r"""
-import ctypes
 import math
 import os
 import random
@@ -139,10 +138,9 @@ from array import array
 
 from tristep import numerics
 
-path, ddot = numerics._blas_ddot()
+library = numerics._openblas()
 import numpy as np
 
-library = ctypes.CDLL(path)
 threads = library.scipy_openblas_get_num_threads64_
 set_threads = library.scipy_openblas_set_num_threads64_
 assert threads() == 1, threads()
@@ -159,17 +157,18 @@ for n in lengths:
     set_threads(1)
     expected = float(np.dot(w, w))
     set_threads(loaded)
-    got = ddot(n, address, 1, address, 1)
+    with numerics.one_blas_thread():
+        got = library.scipy_cblas_ddot64_(n, address, 1, address, 1)
     norm = numerics.discrete_l2_time_norm(v.tolist(), 0.125)
     if repr(got) != repr(expected) or repr(norm) != repr(math.sqrt(0.125 * expected)):
         differ.append(n)
     if threads() != loaded:
         differ.append(("threads", n, threads()))
-print(path, differ)
+print(library._name, differ)
 """
 
 
-@pytest.mark.skipif(numerics._blas_ddot()[1] is None, reason="numpy bundles no OpenBLAS here")
+@pytest.mark.skipif(numerics._openblas() is None, reason="numpy bundles no OpenBLAS here")
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_the_bound_ddot_is_np_dot_bitwise_at_any_length(threads):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -187,18 +186,84 @@ def test_the_bound_ddot_is_np_dot_bitwise_at_any_length(threads):
     assert differ.strip() == "[]"
 
 
-def test_the_np_dot_fallback_gives_the_same_bits(monkeypatch):
+# A norm taken outside a study, with the library on two threads and a second
+# Python thread alive, which may be inside a BLAS call: the norm sets the count to
+# one for its sum, without joining the workers, and back to two after.
+NORM_BESIDE_A_THREAD = r"""
+import math
+import random
+import threading
+from array import array
+
+from tristep import numerics
+
+import numpy as np
+
+library = numerics._openblas()
+threads = library.scipy_openblas_get_num_threads64_
+set_threads = library.scipy_openblas_set_num_threads64_
+set_threads(2)
+loaded = threads()
+alive = threading.Event()
+other = threading.Thread(target=alive.wait)
+other.start()
+differ = []
+for seed in range(4):
+    rng = random.Random(seed)
+    v = array("d", (rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(20_000)))
+    w = np.frombuffer(v, dtype=np.float64)
+    set_threads(1)
+    expected = math.sqrt(0.5 * float(np.dot(w, w)))
+    set_threads(loaded)
+    if repr(numerics.discrete_l2_time_norm(v, 0.5)) != repr(expected) or threads() != loaded:
+        differ.append((seed, threads()))
+alive.set()
+other.join()
+print(loaded, differ)
+"""
+
+
+@pytest.mark.skipif(numerics._openblas() is None, reason="numpy bundles no OpenBLAS here")
+def test_a_norm_beside_another_python_thread_sums_on_one_blas_thread():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", NORM_BESIDE_A_THREAD],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split(maxsplit=1) == ["2", "[]\n"]
+
+
+def _in_order_norm(values, k):
+    total = 0.0
+    for value in values:
+        total += value * value
+    return math.sqrt(k * total)
+
+
+def test_without_the_library_the_norm_adds_the_squares_in_order(monkeypatch):
+    monkeypatch.setattr(numerics, "_openblas", lambda: None)
     rng = random.Random(5)
     vectors = [
         [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n)]
         for n in (1, 2, 3, 17, 1000, 10_001)
     ]
-    vectors.append(np.linspace(0.0, 1.0, 33))
-    norms = [discrete_l2_time_norm(v, 0.25) for v in vectors]
-    table = run_convergence_study(example1(), range(4, 9))
-    monkeypatch.setattr(numerics, "_blas_ddot", lambda: (None, None))
-    assert repr([discrete_l2_time_norm(v, 0.25) for v in vectors]) == repr(norms)
-    assert repr(run_convergence_study(example1(), range(4, 9))) == repr(table)
+    vectors += [
+        np.linspace(0.0, 1.0, 33),
+        [1.0, math.nan, 2.0],
+        [1e200, 1e200, 1.0],  # the squares' sum overflows to inf
+        [-0.0],
+        [-0.0, 0.0, -0.0],
+        array("d", [3.0, -4.0]),
+    ]
+    for v in vectors:
+        assert repr(discrete_l2_time_norm(v, 0.25)) == repr(_in_order_norm(v, 0.25))
+    assert discrete_l2_time_norm([1e200, 1e200], 0.25) == math.inf
+    assert math.isnan(discrete_l2_time_norm([math.nan], 0.25))
     with pytest.raises(ValueError, match="empty"):
         discrete_l2_time_norm([], 0.1)
 

@@ -1,10 +1,9 @@
 """What runs without numpy: start-up, input loading, writing a configuration,
 the roots command, every ``simulate`` outcome (a run that succeeds and one
-that blows up, exit 4, its partial CSV written) and, where numpy's wheel
-bundles its OpenBLAS, ``converge``; where numpy is missing, ``converge``
-ends in one error line and exit 2 before it integrates.  What ``import
-tristep.cli`` loads: no standard-library module beyond those tristep's
-modules import, and neither it nor loading inputs loads ``dataclasses``,
+that blows up, exit 4, its partial CSV written) and ``converge``, which,
+where numpy is missing, prints the table it prints with numpy.  What
+``import tristep.cli`` loads: no standard-library module beyond those
+tristep's modules import, and neither it nor loading inputs loads ``dataclasses``,
 ``inspect``, ``typing``, ``ast`` or ``ctypes``; yet ``dataclasses`` accepts
 four types."""
 
@@ -188,13 +187,6 @@ print("numpy" in sys.modules)
 
 
 def test_converge_leaves_numpy_unimported_where_numpy_bundles_its_openblas():
-    # imported here: CI imports this module for START_UP_GUARD without pytest
-    import pytest
-
-    from tristep import numerics
-
-    if numerics._blas_ddot()[1] is None:
-        pytest.skip("numpy's wheel bundles no libscipy_openblas64_ here, so the norms call np.dot")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -208,39 +200,47 @@ def test_converge_leaves_numpy_unimported_where_numpy_bundles_its_openblas():
     assert result.stdout.splitlines()[-1] == "False"
 
 
-# As where numpy is not installed: the norm lookup finds no numpy, and its import fails.
+# As where numpy is not installed: the library lookup finds no numpy, and the
+# norms add their squares in order.
 CONVERGE_WITHOUT_NUMPY = """
 import sys
 
 sys.modules["numpy"] = None
-from tristep import studies
 from tristep.cli import main
 
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "numpy"), file=sys.stderr)
+sys.exit(code)
+"""
 
-def integrate(*args, **kwargs):
-    raise AssertionError("a grid was integrated")
+CONVERGE_WITH_NUMPY = """
+import sys
+from tristep.cli import main
 
-
-studies.integrate = integrate
-sys.exit(main(["converge", "example1", "4..6"]))
+sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_converge_without_numpy_fails_with_one_error_line_before_integrating():
+def test_converge_without_numpy_prints_the_librarys_table():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", CONVERGE_WITHOUT_NUMPY],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
-    )
-    assert result.returncode == 2, result.stderr
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    (line,) = result.stderr.splitlines()
-    assert line.startswith("error: the L2 norms need numpy: ")
+    for label in ("example1", "example2"):
+        argv = ["converge", label, "4..13"]
+        without, with_numpy = (
+            subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=False,
+            )
+            for script in (CONVERGE_WITHOUT_NUMPY, CONVERGE_WITH_NUMPY)
+        )
+        assert without.returncode == 0, without.stderr
+        assert with_numpy.returncode == 0, with_numpy.stderr
+        assert without.stderr == "['numpy']\n"  # the None that stands for a missing numpy
+        assert without.stdout == with_numpy.stdout
 
 
 def test_start_up_loads_no_dataclasses_inspect_typing_or_ast_yet_dataclasses_takes_four_types():

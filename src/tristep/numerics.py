@@ -11,12 +11,11 @@ with the caller that chose them.  numpy is imported only by the functions
 that make or read numpy arrays (``as_state``, ``TimeGrid.times``,
 ``Trajectory.states`` and ``sup_norm``).  The L2 norm sums its squares with
 the ``cblas_ddot`` of the OpenBLAS numpy's wheel bundles, loaded through
-``ctypes`` without importing numpy, with ``OPENBLAS_NUM_THREADS=1`` for
-the load's length, so it starts no BLAS thread, and run on one thread
-(:class:`one_blas_thread`), which also holds a library that a caller's
-``import numpy`` loaded on more threads at one, its worker threads joined,
-for a block such as a whole study; where there is no such library the
-squares are added in order.
+``ctypes`` without importing numpy, as numpy's own import would load it,
+and run on one thread (:class:`one_blas_thread`), which holds the library
+at one thread, its worker threads joined, for a block such as a whole
+study, whoever loaded it; where there is no such library the squares are
+added in order.
 ``TimeGrid`` and ``Trajectory`` are read-only ``__slots__`` classes on
 :class:`Frozen`; the value types of the other modules are :class:`Record`
 classes, which ``dataclasses.fields`` and ``dataclasses.replace`` accept.
@@ -380,8 +379,9 @@ def discrete_l2_time_norm(per_step_norms: Sequence[float] | np.ndarray, k: float
     differ at any length.  OpenBLAS 0.3.31 on x86-64 also splits the sum
     across its threads above 10 000 values, and the split can change the
     last bits, so each sum runs on one thread (:class:`one_blas_thread`),
-    whatever thread count the library was loaded with.  Where there is no
-    such library the squares are added in order, as Python floats.
+    whatever thread count the environment loaded the library with.  Where
+    there is no such library the squares are added in order, as Python
+    floats.
 
     Raises:
       ValueError: If the sequence is empty or ``k`` is not positive.
@@ -410,14 +410,14 @@ def _openblas() -> ctypes.CDLL | None:
 
     The library is ``numpy.libs/libscipy_openblas64_*.so`` beside the numpy
     package, found with ``importlib.util.find_spec``, which imports no numpy,
-    and loaded at the first call with ``OPENBLAS_NUM_THREADS=1`` in the
-    environment, which OpenBLAS reads once, at its load, so it starts no
-    worker thread; the caller's value, or its absence, is back once the call
-    returns, and the library's other settings are read as numpy's import
-    would read them.  Where numpy has loaded the library already, this is
-    the same library, settings and all.  None where there is no such
-    library, or it lacks ``cblas_ddot``, the thread count's getter or
-    setter or ``blas_thread_shutdown_``, or there is no ``ctypes``.
+    and loaded at the first call as numpy's import would load it: OpenBLAS
+    reads its settings, its thread count among them, from the environment
+    once, at its load, and this call changes none of them, so the library
+    may start worker threads, which :class:`one_blas_thread` holds at one.
+    Where numpy has loaded the library already, this is the same library,
+    settings and all.  None where there is no such library, or it lacks
+    ``cblas_ddot``, the thread count's getter or setter or
+    ``blas_thread_shutdown_``, or there is no ``ctypes``.
     """
     import glob
     import importlib.util
@@ -428,53 +428,48 @@ def _openblas() -> ctypes.CDLL | None:
         spec = importlib.util.find_spec("numpy")
     except (ImportError, ValueError):  # no ctypes; numpy in sys.modules without a spec
         return None
-    caller = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        for location in (spec and spec.submodule_search_locations) or ():
-            libs = os.path.join(os.path.dirname(location), "numpy.libs")
-            for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
-                try:
-                    library = ctypes.CDLL(path)
-                    ddot = library.scipy_cblas_ddot64_
-                    threads = library.scipy_openblas_get_num_threads64_
-                    set_threads = library.scipy_openblas_set_num_threads64_
-                    shutdown = library.blas_thread_shutdown_
-                except (OSError, AttributeError):
-                    continue
-                # cblas_ddot(n, x, incx, y, incy) of the 64-bit-integer interface
-                n, pointer = ctypes.c_int64, ctypes.c_void_p
-                ddot.argtypes = [n, pointer, n, pointer, n]
-                ddot.restype = ctypes.c_double
-                threads.argtypes, threads.restype = [], ctypes.c_int
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-                return library
-        return None
-    finally:
-        if caller is None:
-            os.environ.pop("OPENBLAS_NUM_THREADS", None)
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = caller
+    for location in (spec and spec.submodule_search_locations) or ():
+        libs = os.path.join(os.path.dirname(location), "numpy.libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+            try:
+                library = ctypes.CDLL(path)
+                ddot = library.scipy_cblas_ddot64_
+                threads = library.scipy_openblas_get_num_threads64_
+                set_threads = library.scipy_openblas_set_num_threads64_
+                shutdown = library.blas_thread_shutdown_
+            except (OSError, AttributeError):
+                continue
+            # cblas_ddot(n, x, incx, y, incy) of the 64-bit-integer interface
+            n, pointer = ctypes.c_int64, ctypes.c_void_p
+            ddot.argtypes = [n, pointer, n, pointer, n]
+            ddot.restype = ctypes.c_double
+            threads.argtypes, threads.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+            return library
+    return None
 
 
 class one_blas_thread:
     """A block in which the norms' OpenBLAS runs one thread.
 
     Entered where :func:`_openblas`'s library runs more than one thread, as
-    after a caller's ``import numpy``, it sets the library's thread count to
-    one; where no other Python thread is alive, which could be inside a BLAS
-    call, it also joins the library's workers with its
-    ``blas_thread_shutdown_``, the function OpenBLAS's own ``pthread_atfork``
-    handler calls in the parent before every ``os.fork``, so the process
-    runs one thread in the block.  Left, it sets the caller's count back,
-    which starts the workers again, and, where it joined them on entry,
-    joins them once more: the pool is stopped with the caller's count, as
-    ``os.fork`` leaves it, and numpy starts it again at its next threaded
-    call.  It does nothing where the library runs one thread already, as in
-    a process that loaded it for the norms or inside another such block,
-    and where the library is missing; ``threading`` is imported only where
-    the library runs more than one thread.
+    it does on two CPUs or more unless the environment it was loaded in
+    asks for one, whether the norms or numpy's import loaded it, it sets
+    the library's thread count to one; where no other Python thread is
+    alive, which could be inside a BLAS call, it also joins the library's
+    workers with its ``blas_thread_shutdown_``, the function OpenBLAS's own
+    ``pthread_atfork`` handler calls in the parent before every ``os.fork``,
+    so the process runs one thread in the block.  Left, it sets the
+    caller's count back, which starts the workers again, and, where it
+    joined them on entry, joins them once more: the pool is stopped with
+    the caller's count, as ``os.fork`` leaves it, and numpy starts it again
+    at its next threaded call.  It is the one place that sets the library's
+    thread count.  It does nothing where the library runs one thread
+    already, as on one CPU, under an environment that asks for one or
+    inside another such block, and where the library is missing;
+    ``threading`` is imported only where the library runs more than one
+    thread.
     """
 
     __slots__ = ("caller", "joined")

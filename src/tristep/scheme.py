@@ -282,10 +282,13 @@ def _source(f: RhsField) -> _Source:
     return _Source(dim, f"{_names(dim, 'f{j}')} = g(t, ({_names(dim, 'y{j}')}))", {"g": g})
 
 
-def _inlined(source: _Source, exact: Callable[[float], Sequence[float]]) -> _Solution:
-    """What the kernel of ``source`` inlines: ``exact``'s own text, or a line calling it."""
-    if isinstance(exact, _Solution) and exact.source is source:
-        return exact
+def inlines_exact(f: RhsField, exact: Callable[[float], Sequence[float]]) -> bool:
+    """Whether ``f``'s kernel inlines ``exact``, a solution of its own text, rather than call it."""
+    return isinstance(exact, _Solution) and exact.source is f.evaluate
+
+
+def _called(source: _Source, exact: Callable[[float], Sequence[float]]) -> _Solution:
+    """A solution for the kernel of ``source`` whose one-line text calls ``exact``."""
     dim = source.dim
 
     def x(t: float) -> array:
@@ -823,7 +826,7 @@ def integrate(
     h, source = grid.k / 3.0, _source(f)
     march, maxima = source.march, ()
     if exact is not None:
-        march = _inlined(source, exact).march
+        march = (exact if inlines_exact(f, exact) else _called(source, exact)).march
         try:
             maxima = tuple(array("d", [0.0]) * grid.M for _ in range(3))
         except (MemoryError, OverflowError):  # OverflowError beyond the index range

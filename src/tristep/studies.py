@@ -3,31 +3,30 @@
 Each scenario run is pure, and presets could run concurrently.  A
 convergence study integrates each grid once, coarse to fine, with the
 problem's exact solution: the kernel takes max |exact|, max |computed| and
-max |exact - computed| at every grid point as it steps, keeps no state,
-and the study takes the norms of those maxima.  The built-in problems write
+max |exact - computed| at every grid point as it steps, keeps no state, and
+the study takes the norms of those maxima.  The built-in problems write
 their solution as text over their field's time terms, which the kernel
 inlines.  Where the problem's solution is such text, the process runs one
 thread, may run on two CPUs or more and finds one of them idle, and the
 finest grid has 8 192 steps or more, that grid runs meanwhile in a forked
 child on another CPU, which takes that grid's three norms as the parent
-would and sends back those alone, so the table is bitwise the serial
-one.  A fresh ``tristep converge`` process runs one thread on such a
-host, and so does an interpreter that imported numpy first, since the
-study holds numpy's OpenBLAS at one thread with its workers joined; one
-that runs another Python thread, and ``taskset -c 0 tristep converge
-...``, run serially.  A scenario run (:func:`run_scenario`) stays on
-Python floats and imports no numpy: the kernel adds each state into its
-era's sums as it steps and keeps every N-th state, and the summary is
-divided from those sums.  :func:`era_summary` takes the same summary from
-a trajectory's stored states as numpy's means; it is the reference those
-sums are checked against, and it imports numpy.  A convergence study
-imports no numpy: it sums the squares of its maxima with the OpenBLAS
-numpy's wheel bundles, loaded on one thread, and holds at one thread a
-library that a caller's ``import numpy`` loaded on more; its norms can
-depend in their last bits on the OpenBLAS kernel the CPU selects, and
-where there is no such library they add the squares in order
-(:func:`~tristep.numerics.discrete_l2_time_norm`).  The rows of a table or
-a summary are named tuples (``collections.namedtuple``).
+would and sends back those alone, so the table is bitwise the serial one.
+The study holds numpy's OpenBLAS at one thread with its workers joined,
+whether its norms or a caller's ``import numpy`` loaded the library, so a
+``tristep converge`` process runs one thread on such a host, as does any
+program that runs no other Python thread; one that does, and ``taskset -c 0
+tristep converge ...``, run serially.  A scenario run (:func:`run_scenario`)
+stays on Python floats and imports no numpy: the kernel adds each state into
+its era's sums as it steps and keeps every N-th state, and the summary is
+divided from those sums.  :func:`era_summary` takes the same summary from a
+trajectory's stored states as numpy's means; it is the reference those sums
+are checked against, and it imports numpy.  A convergence study imports no
+numpy: it sums the squares of its maxima with the OpenBLAS numpy's wheel
+bundles, loaded as numpy's import would load it and held at one thread for
+the study; its norms can depend in their last bits on the OpenBLAS kernel
+the CPU selects, and where there is no such library they add the squares in
+order (:func:`~tristep.numerics.discrete_l2_time_norm`).  The rows of a table
+or a summary are named tuples (``collections.namedtuple``).
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .numerics import (
     one_blas_thread,
     states_do_not_fit,
 )
-from .scheme import SignConvention, _Solution, integrate
+from .scheme import SignConvention, inlines_exact, integrate
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -119,21 +118,21 @@ def run_convergence_study(
     one thread, and fewer tasks are runnable on the system than this process
     has CPUs, as Linux reports them.  A called ``exact`` or a field of
     another ``evaluate`` is the caller's own code, whose effects, such as a
-    count of its calls, a child would keep to itself.  A process that had not
-    imported numpy, such as a fresh ``tristep converge``, runs one thread,
-    as the norms load OpenBLAS on one; so does one that had, since the study
-    joins OpenBLAS's workers first, unless another Python thread is alive.
-    Such a thread, ``taskset -c 0``, which leaves one CPU, and a second busy
-    process, which leaves no CPU idle, make it run serially.  The child runs
-    on every CPU of this process but the one this process runs on, takes the
-    three norms of its grid as any grid's (:func:`_norms`), with the
-    library it inherits from this process, and writes them down a pipe: 24
-    bytes, bitwise this process's own, so the table is bitwise the serial
-    one.  Where the child fails in any way, by a blow-up
-    or a short write, this process integrates the finest grid itself, and a
-    blow-up raises the serial error.  The child is killed and reaped however
-    the study ends, a coarser grid's blow-up or an interrupt included, and
-    Linux kills it when a signal ends this process first.
+    count of its calls, a child would keep to itself
+    (:func:`~tristep.scheme.inlines_exact`).  The process runs one thread,
+    since the study joins OpenBLAS's workers first, whether the norms or a
+    caller's ``import numpy`` loaded the library, unless another Python
+    thread is alive.  Such a thread, ``taskset -c 0``, which leaves one CPU,
+    and a second busy process, which leaves no CPU idle, make it run
+    serially.  The child runs on every CPU of this process but the one this
+    process runs on, takes the three norms of its grid as any grid's
+    (:func:`_norms`), with the library it inherits from this process, and
+    writes them down a pipe: 24 bytes, bitwise this process's own, so the
+    table is bitwise the serial one.  Where the child fails in any way, by a
+    blow-up or a short write, this process integrates the finest grid
+    itself, and a blow-up raises the serial error.  The child is killed and
+    reaped however the study ends, a coarser grid's blow-up or an interrupt
+    included, and Linux kills it when a signal ends this process first.
 
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,
@@ -162,9 +161,7 @@ def run_convergence_study(
     with one_blas_thread():
         # a called exact or field is the caller's code, whose effects, such as
         # a count of its calls, a child would keep to itself
-        exact = problem.exact
-        own = isinstance(exact, _Solution) and exact.source is problem.field.evaluate
-        cpus = _child_cpus(grids) if own else None
+        cpus = _child_cpus(grids) if inlines_exact(problem.field, problem.exact) else None
         child = None if cpus is None else _FinestChild.start(problem, finest, sign, cpus)
         try:
             rows: list[ConvergenceRow] = []
@@ -206,11 +203,10 @@ def _child_cpus(grids: Sequence[TimeGrid]) -> set[int] | None:
     process that has threads is unsafe, and fewer tasks are runnable than
     it has CPUs (:func:`_runnable`): a child that shares a CPU with another
     busy process slows the study down.  The study asks inside
-    :class:`~tristep.numerics.one_blas_thread`, where an OpenBLAS that
-    numpy loaded with more threads has joined its workers.  The child gets
-    every CPU of this process but the one it runs on now, since the
-    scheduler may leave a new process on its parent's CPU while another one
-    idles.
+    :class:`~tristep.numerics.one_blas_thread`, where the norms' OpenBLAS,
+    whoever loaded it, has joined its workers.  The child gets every CPU of
+    this process but the one it runs on now, since the scheduler may leave
+    a new process on its parent's CPU while another one idles.
     """
     if len(grids) < 2 or grids[-1].M < _FORK_MIN_STEPS:
         return None

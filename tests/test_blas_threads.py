@@ -1,14 +1,14 @@
-"""tristep loads numpy's OpenBLAS on one thread, for ``tristep.cli.main`` and library callers.
+"""tristep runs numpy's OpenBLAS on one thread for its norms, and leaves its setting to the caller.
 
 Each test starts a fresh interpreter, because OpenBLAS reads
 ``OPENBLAS_NUM_THREADS`` once, when the library is first loaded: by
-tristep's L2 norm or study, which load the OpenBLAS numpy's wheel bundles,
-or by numpy's import, whichever comes first.  tristep sets the variable to
-1 for its own load only, and leaves the caller's setting as it was.  Where
-numpy loaded the library first, a study holds it at one thread, its
-workers joined, and leaves them stopped; a norm outside a study sets it to
-one thread for its sum.  Where there is no such library the norms add
-their squares in order, on the one thread.
+tristep's L2 norm or study, which load the OpenBLAS numpy's wheel bundles
+as numpy's import would, or by numpy's import, whichever comes first.
+tristep neither reads nor writes the variable.  Whoever loaded the
+library, a study holds it at one thread, its workers joined, and leaves
+them stopped with the caller's count; a norm outside a study does the same
+for its sum.  Where there is no such library the norms add their squares
+in order, on the one thread.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import tristep
+from tristep import numerics
 
 SRC = Path(tristep.__file__).resolve().parent.parent
 
@@ -130,8 +131,8 @@ sys.exit(main(["converge", "example1", "4..15", "--out", sys.argv[1]]))
 
 
 def test_a_converge_run_after_numpys_import_writes_the_fresh_processs_table(tmp_path):
-    # numpy, imported first, starts OpenBLAS's two threads before main sets the
-    # variable; the norms run each sum on one thread all the same
+    # numpy, imported first, starts OpenBLAS's two threads; the norms run each
+    # sum on one thread all the same
     fresh, after = tmp_path / "fresh.csv", tmp_path / "after-numpy.csv"
     _python(CONVERGE_TO, str(fresh))
     _python(CONVERGE_AFTER_NUMPY, str(after), blas_threads="2")
@@ -164,3 +165,37 @@ print(changed)
 
 def test_main_restores_the_callers_environment():
     assert _python(ENVIRONMENT_AFTER_MAIN).splitlines()[-1] == "[]"
+
+
+# argv: "study" or "norm", what tristep runs before the caller imports numpy
+NUMPY_AFTER_TRISTEP = """
+import os
+import sys
+
+before = dict(os.environ)
+from tristep import numerics, problem, run_convergence_study
+
+if sys.argv[1] == "study":
+    run_convergence_study(problem("example1"), range(4, 14))
+else:  # more values than OpenBLAS sums on one thread
+    numerics.discrete_l2_time_norm([0.5] * 20_000, 0.125)
+import numpy as np
+
+# OpenBLAS's own thread count, and a product big enough for its workers,
+# checked against numpy's integer product, which runs no BLAS
+a = (np.arange(256 * 256) % 7).reshape(256, 256)
+right = np.array_equal(a.astype(float) @ a.astype(float), a @ a)
+threads = numerics._openblas().scipy_openblas_get_num_threads64_()
+print(threads, dict(os.environ) == before, right)
+"""
+
+
+# the library is a Linux .so, so sched_getaffinity exists wherever it loads
+@pytest.mark.skipif(
+    numerics._openblas() is None or len(os.sched_getaffinity(0)) < 2,
+    reason="needs numpy's OpenBLAS and two CPUs, on which it runs two threads",
+)
+@pytest.mark.parametrize("first", ["study", "norm"])
+def test_numpy_imported_after_tristep_runs_the_callers_thread_count(first):
+    # tristep loads the library first, so numpy's import finds it loaded
+    assert _python(NUMPY_AFTER_TRISTEP, first, blas_threads="2").split() == ["2", "True", "True"]

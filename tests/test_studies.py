@@ -105,8 +105,8 @@ def balanced_preset():
 def serial_unless_allowed(monkeypatch):
     """Every study of this module runs serially unless its test lets it fork (allow_fork).
 
-    This process runs one thread, since conftest.py has numpy load OpenBLAS
-    with ``OPENBLAS_NUM_THREADS=1``, so its studies would fork; a forked
+    A study holds numpy's OpenBLAS at one thread with its workers joined, so
+    this process runs one thread in it, and its studies would fork; a forked
     study's child makes calls that the counting tests here would miss.
     """
     monkeypatch.setattr(studies, "_threads_and_cpu", lambda: (2, 0))
@@ -323,8 +323,9 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(studies.__file__)))
 def tristep_env():
     """This environment, with this checkout's tristep first on the import path.
 
-    ``OPENBLAS_NUM_THREADS``, which conftest.py sets for this process, is
-    dropped, so a process started with it runs as one started from a shell.
+    ``OPENBLAS_NUM_THREADS`` is dropped, so a process started with it loads
+    OpenBLAS with the thread count the host gives, whatever the shell that
+    ran the tests set; a test that needs a count sets it.
     """
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -791,9 +792,10 @@ def test_a_forked_study_needs_no_exit_status_of_its_child(handler, monkeypatch):
     ],
 )
 def test_a_child_that_ended_and_was_reaped_is_not_killed(handler, finest, monkeypatch):
-    # the thread count the study's gate reads: one, as the test process loaded OpenBLAS
-    # with one thread (conftest.py), so the child ends as a converge process's does
-    assert threads_and_cpu()[0] == 1
+    # the thread count the study's gate reads inside its one_blas_thread: one, with
+    # OpenBLAS's workers joined, so the child ends as a converge process's does
+    with numerics.one_blas_thread():
+        assert threads_and_cpu()[0] == 1
     forks = allow_fork(monkeypatch)
     # down to a finest grid of 32 steps, whose child ends at once
     monkeypatch.setattr(studies, "_FORK_MIN_STEPS", 2**5)

@@ -37,7 +37,7 @@ from .numerics import (
     build_grid,
     era_starts,
     finite_state_floats,
-    fits_in_memory,
+    probe_memory,
 )
 from .scheme import RhsField
 
@@ -248,11 +248,12 @@ class EraPreset(Record):
 
     ``y0`` must hold five finite reals and sum to N within 0.1%; it is kept
     as a tuple of floats, checked before anything else.  ``grid`` is
-    ``build_grid(t0, T, k)``, derived and never passed; its points must fit
-    in memory.  ``era_boundaries`` partitions [t0, T] for the summary
-    tables: ``era_starts`` checks them against ``grid``, and they must start
-    at t0 and end at T.  ``starts`` keeps that check's result, derived and
-    never passed like ``grid``.
+    ``build_grid(t0, T, k)``, derived and never passed; its points, 8 bytes
+    each, must fit in memory, or :func:`~tristep.numerics.probe_memory`
+    refuses k: "the run's N states do not fit in memory".  ``era_boundaries``
+    partitions [t0, T] for the summary tables: ``era_starts`` checks them
+    against ``grid``, and they must start at t0 and end at T; ``starts``,
+    derived and never passed like ``grid``, keeps that check's result.
     ``alpha_warning`` marks presets whose stored contact rates disagree with
     p*(1 - beta); the stored values drive the dynamics, the flag surfaces the
     discrepancy.  A preset is equal only to itself.
@@ -281,11 +282,7 @@ class EraPreset(Record):
         if not k > 0.0:
             raise ValueError("preset step size k must be positive")
         grid = build_grid(t0, T, k)
-        if not fits_in_memory(8 * (grid.M + 1)):  # the grid's points as float64
-            raise ValueError(
-                f"step size k={k!r} is too small: "
-                f"the grid's {grid.M + 1} points do not fit in memory"
-            )
+        probe_memory(8 * (grid.M + 1), k, grid.M + 1)  # the grid's points as float64
         starts = era_starts(grid, bounds)
         if bounds[0] != t0 or bounds[-1] != T:
             raise ValueError("era boundaries must start at t0 and end at T")

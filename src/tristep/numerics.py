@@ -268,20 +268,25 @@ def trajectory_row_indices(last_index: int, every: int | None) -> list[int]:
     return indices
 
 
-def fits_in_memory(size: int) -> bool:
-    """Whether the allocator grants ``size`` bytes, asked for and released untouched."""
+#: The one refusal of a run at step k whose N states do not fit in memory,
+#: which the probe and the allocation below alone raise, as a ValueError.
+_DOES_NOT_FIT = "step size k={!r} is too small: the run's {} states do not fit in memory"
+
+
+def probe_memory(size: int, k: float, rows: int) -> None:
+    """Ask the allocator for ``size`` bytes, released untouched, or refuse the run."""
     try:
         bytes(size)
     except (MemoryError, OverflowError):  # OverflowError beyond the index range
-        return False
-    return True
+        raise ValueError(_DOES_NOT_FIT.format(k, rows)) from None
 
 
-def states_do_not_fit(k: float, rows: int) -> ValueError:
-    """The error of a run at step ``k`` whose ``rows`` states do not fit in memory."""
-    return ValueError(
-        f"step size k={k!r} is too small: the run's {rows} states do not fit in memory"
-    )
+def zeroed_array(n: int, k: float, rows: int) -> array:
+    """An ``array('d')`` of ``n`` zeros, or the refusal of a ``rows``-state run at step ``k``."""
+    try:
+        return array("d", [0.0]) * n
+    except (MemoryError, OverflowError):  # OverflowError beyond the index range
+        raise ValueError(_DOES_NOT_FIT.format(k, rows)) from None
 
 
 def kept_count(last_index: int, every: int | None) -> int:

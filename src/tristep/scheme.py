@@ -65,7 +65,7 @@ from .numerics import (
     finite_state_floats,
     kept_count,
     state_floats,
-    states_do_not_fit,
+    zeroed_array,
 )
 
 TYPE_CHECKING = False
@@ -804,9 +804,10 @@ def integrate(
     Raises:
       ValueError: If ``y0`` is not a finite state of the field's dimension,
         ``eras`` are not strictly increasing from 0 or more to M + 1,
-        ``every`` is neither None nor a positive int, the kept states or
-        the maxima do not fit in memory, or ``exact`` returns a row whose
-        length is not the field's dimension.
+        ``every`` is neither None nor a positive int, the kept states or the
+        maxima do not fit in memory (:func:`~tristep.numerics.zeroed_array`:
+        "the run's N states do not fit in memory"), or ``exact`` returns a
+        row whose length is not the field's dimension.
       NumericalBlowupError: As soon as any intermediate is non-finite,
         carrying the failing step index n, the last finite state (that of
         grid point n) as a tuple and as a flat ``array('d')`` the kept
@@ -827,10 +828,7 @@ def integrate(
     march, maxima = source.march, ()
     if exact is not None:
         march = (exact if inlines_exact(f, exact) else _called(source, exact)).march
-        try:
-            maxima = tuple(array("d", [0.0]) * grid.M for _ in range(3))
-        except (MemoryError, OverflowError):  # OverflowError beyond the index range
-            raise states_do_not_fit(grid.k, grid.M + 1) from None
+        maxima = tuple(zeroed_array(grid.M, grid.k, grid.M + 1) for _ in range(3))
     return _run(march, y, grid, h, sign.factor * (h / 2.0), starts, every, maxima)
 
 
@@ -858,14 +856,12 @@ def _run(
 ) -> Trajectory:
     """Run ``march`` over the grid by eras and blocks of steps into one :class:`Trajectory`.
 
-    ``maxima`` are the arrays a march with a solution writes, none without.
+    ``maxima`` are the arrays a march with a solution writes, none without; the kept
+    states' array is allocated, or the run refused, by :func:`~tristep.numerics.zeroed_array`.
     """
     t0, k, dim = grid.t0, grid.k, len(y)
     rows_kept = kept_count(grid.M, every)
-    try:
-        values = array("d", [0.0]) * (rows_kept * dim)
-    except (MemoryError, OverflowError):  # OverflowError beyond the index range
-        raise states_do_not_fit(grid.k, rows_kept) from None
+    values = zeroed_array(rows_kept * dim, grid.k, rows_kept)
     kept = 0  # floats of ``values`` written
     if every:
         values[:dim] = array("d", y)

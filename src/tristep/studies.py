@@ -46,9 +46,8 @@ from .numerics import (
     convergence_rate,
     discrete_l2_time_norm,
     era_starts,
-    fits_in_memory,
     one_blas_thread,
-    states_do_not_fit,
+    probe_memory,
 )
 from .scheme import SignConvention, inlines_exact, integrate
 
@@ -98,8 +97,9 @@ def run_convergence_study(
     Every grid is built before the first integration, so a step too small
     for its grid fails before any work, at the first such exponent (k is
     0.0 for e > 1074, and no exponent is too large); so does a finest grid
-    whose maxima the allocator refuses.  Each grid is integrated once,
-    keeping no state, against ``problem.exact``
+    whose maxima, 24 bytes per point, the allocator refuses: "the run's N
+    states do not fit in memory" (:func:`~tristep.numerics.probe_memory`).
+    Each grid is integrated once, keeping no state, against ``problem.exact``
     (:func:`~tristep.scheme.integrate`): per grid point n = 1..M the run
     takes the sup norms (row maxima of magnitudes) of the exact solution,
     the numerical solution and their difference, and the study aggregates
@@ -156,8 +156,7 @@ def run_convergence_study(
     if not grids:
         raise ValueError("exponents must be integers >= 1")
     finest = grids[-1]
-    if not fits_in_memory(3 * finest.M * 8):  # the finest grid's three arrays of maxima
-        raise states_do_not_fit(finest.k, finest.M + 1)
+    probe_memory(3 * finest.M * 8, finest.k, finest.M + 1)  # its three arrays of maxima
     with one_blas_thread():
         # a called exact or field is the caller's code, whose effects, such as
         # a count of its calls, a child would keep to itself

@@ -120,10 +120,11 @@ def test_converge_rejects_unknown_problem(capsys):
 
 
 def test_converge_rejects_malformed_ranges(capsys):
-    assert main(["converge", "example1", "8..4"]) == EXIT_USAGE
-    assert main(["converge", "example1", "abc"]) == EXIT_USAGE
-    assert main(["converge", "example1", "0..3"]) == EXIT_USAGE
-    capsys.readouterr()
+    for exponents in ("8..4", "abc", "0..3", "a..8", "4.5..8"):
+        assert main(["converge", "example1", exponents]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: expected integers in the exponent range, got '4.5..8'\n"
 
 
 @pytest.mark.parametrize(
@@ -247,6 +248,19 @@ def test_simulate_warns_on_contact_rate_mismatch(tmp_path, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
+def test_simulate_warns_on_negative_compartment_values(tmp_path, capsys):
+    # at k = 4 the 2002 run's states leave the positive orthant
+    text = format_config(preset("cameroon-2002"))
+    config = tmp_path / "coarse.cfg"
+    config.write_text(text.replace("k = 0.001", "k = 4.0"), encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "warning: config: trajectory contains negative compartment values\n"
+    lines = out.splitlines()
+    assert lines[0].split()[0] == "compartment" and len(lines) == 6
+    assert [line.split()[0] for line in lines[1:]] == ["y1", "y2", "y3", "y4", "y5"]
+
+
 def test_simulate_reports_parse_errors_with_line(tmp_path, capsys):
     config = tmp_path / "broken.cfg"
     config.write_text(FROZEN_CONFIG.replace("tau = 0", "tau = none"), encoding="utf-8")
@@ -332,13 +346,34 @@ def test_simulate_rejects_an_era_without_grid_points_before_the_run(
     assert "era [0.5000001, 0.5000002) holds no grid point" in err
 
 
-@pytest.mark.parametrize("k", ["5e-324", "1e-20", "1e-15"])
+@pytest.mark.parametrize(
+    "k, refusal",
+    [
+        pytest.param(
+            "5e-324", "step request 5e-324 is too small for a grid over [1960.0, 1986.0]",
+            id="5e-324",
+        ),
+        pytest.param(
+            "1e-20",
+            "step size k=1e-20 is too small: "
+            "the run's 2600000000000000000001 states do not fit in memory",
+            id="1e-20",
+        ),
+        pytest.param(
+            "1e-15",
+            "step size k=1e-15 is too small: "
+            "the run's 25999999999999997 states do not fit in memory",
+            id="1e-15",
+        ),
+    ],
+)
 def test_simulate_rejects_a_step_too_small_for_the_grid_before_the_run(
-    k, tmp_path, capsys, monkeypatch
+    k, refusal, tmp_path, capsys, monkeypatch
 ):
     # over 26 years, k = 5e-324 overflows the step count, k = 1e-20 asks for
     # more grid times than numpy can index, and k = 1e-15 for 2.6e16 of them
-    # (185 PiB), more than any address space, so the allocation is refused at once
+    # (185 PiB), more than any address space, so the allocation is refused at
+    # once; a preset's grid points are refused in the words of any run's states
     text = format_config(preset("cameroon-1960"))
     config = tmp_path / "tiny-step.cfg"
     config.write_text(text.replace("k = 0.001", f"k = {k}"), encoding="utf-8")
@@ -349,8 +384,7 @@ def test_simulate_rejects_a_step_too_small_for_the_grid_before_the_run(
     monkeypatch.setattr("tristep.studies.integrate", no_integration)
     assert main(["simulate", "--config", str(config)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "too small" in err
+    assert err == f"error: {config}: {refusal}\n"
 
 
 def test_simulate_rejects_a_run_that_raises_value_error(tmp_path, capsys, monkeypatch):

@@ -642,6 +642,24 @@ def test_integrate_rejects_a_grid_whose_states_do_not_fit():
     assert str(excinfo.value) == message
 
 
+def test_integrate_rejects_maxima_that_do_not_fit_before_any_step(monkeypatch):
+    # keeping no state, the run still asks for three arrays of 2**62 maxima,
+    # whose size overflows before any allocation is asked for
+    p = example1()
+    grid = TimeGrid(0.0, 1.0, 2**62)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("stepped a run whose maxima do not fit")
+
+    monkeypatch.setattr("tristep.scheme._run", no_run)
+    with pytest.raises(ValueError) as excinfo:
+        integrate(p.field, p.y0, grid, every=None, exact=p.exact)
+    assert str(excinfo.value) == (
+        f"step size k={grid.k!r} is too small: "
+        "the run's 4611686018427387905 states do not fit in memory"
+    )
+
+
 @pytest.mark.parametrize("substep", [2, 3])
 def test_composed_step_blowup_names_the_failing_substep(substep):
     # with k = 3 the substeps start at t = 0, 1 and 2, and each evaluates at

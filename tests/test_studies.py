@@ -261,29 +261,17 @@ def test_a_solution_of_another_field_is_called_not_inlined():
     )
 
 
-def test_study_holds_at_most_four_grids_of_states_at_once():
+def test_a_study_holds_at_most_40_bytes_per_finest_grid_point():
     run_convergence_study(example1(), [4, 5])  # generates and compiles the kernel
-    finest = (2**13 + 1) * 3 * 8  # bytes of the states of one k = 2^-13 grid
     tracemalloc.start()
     try:
         run_convergence_study(example1(), range(4, 14))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the finest grid's three arrays of maxima, 24 bytes per point, with room to spare
-    assert peak < 4 * finest
-
-
-def test_a_study_holds_at_most_40_bytes_per_finest_grid_point():
-    run_convergence_study(example1(), [4, 5])  # generates and compiles the kernel
-    tracemalloc.start()
-    try:
-        run_convergence_study(example1(), range(4, 17))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the finest grid's three arrays of maxima take 24 bytes per point
-    assert peak <= 40 * 2**16
+    # the finest grid's three arrays of maxima take 24 bytes per point; a
+    # study that also kept a grid's three-float states would take 48 or more
+    assert peak <= 40 * 2**13
 
 
 def study_outcome(problem, exponents):

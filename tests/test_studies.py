@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import errno
+import functools
 import hashlib
 import math
 import os
@@ -261,17 +262,32 @@ def test_a_solution_of_another_field_is_called_not_inlined():
     )
 
 
-def test_a_study_holds_at_most_40_bytes_per_finest_grid_point():
+@functools.cache
+def traced_study_peak():
+    """The traced peak, in bytes, of a serial example1 study over 4..13.
+
+    Both memory tests read this one trace; call it inside a test, where
+    serial_unless_allowed holds the study serial.
+    """
     run_convergence_study(example1(), [4, 5])  # generates and compiles the kernel
     tracemalloc.start()
     try:
         run_convergence_study(example1(), range(4, 14))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_study_holds_at_most_four_grids_of_states_at_once():
+    finest = (2**13 + 1) * 3 * 8  # bytes of the states of one k = 2^-13 grid
+    # the finest grid's three arrays of maxima, 24 bytes per point, with room to spare
+    assert traced_study_peak() < 4 * finest
+
+
+def test_a_study_holds_at_most_40_bytes_per_finest_grid_point():
     # the finest grid's three arrays of maxima take 24 bytes per point; a
     # study that also kept a grid's three-float states would take 48 or more
-    assert peak <= 40 * 2**13
+    assert traced_study_peak() <= 40 * 2**13
 
 
 def study_outcome(problem, exponents):

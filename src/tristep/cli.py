@@ -7,11 +7,11 @@ Commands:
 
 Exit codes: 0 success, 2 usage or parse failure, 3 I/O failure (standard
 output included, also when the process started with it closed), 4 numerical
-blow-up (a ``simulate`` run still writes its partial trajectory; a
-``converge`` run writes no table), 130 interrupted
-(``KeyboardInterrupt``, such as from Ctrl-C).  Every failure prints one
-``error: <message>`` line to standard error; a process started with standard
-error closed drops that line and keeps the exit code.
+blow-up (a ``simulate`` run still writes its partial trajectory, or says on
+the blow-up's line why not; a ``converge`` run writes no table), 130
+interrupted (``KeyboardInterrupt``, such as from Ctrl-C).  Every failure
+prints one ``error: <message>`` line to standard error; a process started
+with standard error closed drops that line and keeps the exit code.
 
 A ``simulate`` run keeps only the rows its trajectory CSV emits, every N-th
 and the last, and none without ``--out``.  One writer emits them, for a
@@ -254,15 +254,8 @@ def _parse_exponent_range(text: str) -> range:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    try:
-        exponents = _parse_exponent_range(args.exponents)
-        rows = run_convergence_study(problem(args.problem), exponents)
-    except ValueError as exc:
-        raise _Failure(EXIT_USAGE, str(exc))
-    except NumericalBlowupError as err:
-        raise _Failure(
-            EXIT_BLOWUP, f"numerical blow-up at step {err.step_index} (t={err.t:g}); aborting"
-        )
+    exponents = _parse_exponent_range(args.exponents)
+    rows = run_convergence_study(problem(args.problem), exponents)
     if args.out is not None:
         _write_csv(args.out, write_convergence_csv, rows)
     _print_convergence_table(rows)
@@ -297,28 +290,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     every = args.every if args.out is not None else None
     try:
         run, rows = run_scenario(scenario, sign, every=every)
-    except ValueError as exc:
-        raise _Failure(EXIT_USAGE, str(exc))
     except NumericalBlowupError as err:
-        print(
-            f"error: numerical blow-up at step {err.step_index} (t={err.t:g}); "
-            "aborting",
-            file=sys.stderr,
-        )
         if args.out is not None:
+            partial = (scenario.grid, err.partial_states, len(err.last_state), err.step_index)
             try:
-                _write_csv(
-                    args.out,
-                    _write_trajectory_rows,
-                    scenario.grid,
-                    err.partial_states,
-                    len(err.last_state),
-                    err.step_index,
-                    every,
-                )
-            except _Failure as failure:  # the blow-up decides the exit code
-                raise _Failure(EXIT_BLOWUP, str(failure))
-        return EXIT_BLOWUP
+                _write_csv(args.out, _write_trajectory_rows, *partial, every)
+            except _Failure as failure:  # the blow-up keeps its exit code; its line says why
+                err.unwritten = str(failure)
+        raise
 
     if run.negativity_flag:
         print(
@@ -434,6 +413,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(argv: Sequence[str] | None) -> int:
+    """Run one command: every failure ends here, in one ``error:`` line and its code."""
     parser = _build_parser()
     try:
         try:
@@ -445,8 +425,12 @@ def _run(argv: Sequence[str] | None) -> int:
         sys.stdout.flush()
         return code
     except _Failure as failure:
-        print(f"error: {failure}", file=sys.stderr)
-        return failure.code
+        code, message = failure.code, str(failure)
+    except NumericalBlowupError as err:
+        code = EXIT_BLOWUP
+        message = f"numerical blow-up at step {err.step_index} (t={err.t:g}); aborting"
+        if hasattr(err, "unwritten"):  # the partial trajectory could not be written
+            message += f"; {err.unwritten}"
     except OSError as exc:  # files report their own; this one is standard output
         if not isinstance(sys.stdout, _ClosedStdout):
             # leave the unwritten rest to the null device, or the flush at exit fails again
@@ -455,11 +439,13 @@ def _run(argv: Sequence[str] | None) -> int:
             if null != stdout:  # the lowest free descriptor is stdout's where it was closed
                 os.dup2(null, stdout)
                 os.close(null)
-        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, f"cannot write standard output: {exc}"
+    except ValueError as exc:  # after OSError: io.UnsupportedOperation is both
+        code, message = EXIT_USAGE, str(exc)
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPT
+        code, message = EXIT_INTERRUPT, "interrupted"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -209,7 +209,9 @@ class TimeGrid(Frozen):
     The step ``k`` is derived from the other three fields, never passed.
     Grid point ``n`` sits at ``t0 + n * k`` for n = 0..M; the last point
     lands on T up to one unit in the last place.  Grids are read only, equal
-    when their four fields are, and hashable.
+    when their four fields are, and hashable.  ``ValueError`` refuses an M
+    that is not an integer of at least one, and a k that is not a positive
+    finite float, as from an infinite t0 or T.
     """
 
     __slots__ = ("t0", "T", "M", "k")
@@ -217,9 +219,14 @@ class TimeGrid(Frozen):
     def __init__(self, t0: float, T: float, M: int) -> None:
         if not T > t0:
             raise ValueError("time grid requires T > t0")
+        if not isinstance(M, int):
+            raise ValueError(f"time grid requires an integer step count, got {M!r}")
         if M < 1:
             raise ValueError("time grid requires at least one step")
-        self._set(t0, T, M, (T - t0) / M)
+        k = (T - t0) / M
+        if not 0.0 < k < math.inf:  # T - t0 infinite, or (T - t0) / M rounded to 0 or inf
+            raise ValueError(f"time grid requires a positive finite step, got k={k!r}")
+        self._set(t0, T, M, k)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

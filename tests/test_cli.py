@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import errno
 import io
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from array import array
@@ -16,9 +18,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tristep
 from tristep import (
+    PRESET_LABELS,
+    PROBLEM_LABELS,
     Trajectory,
     build_grid,
     cp_rhs,
@@ -477,9 +483,11 @@ def test_simulate_blowup_with_unwritable_out_still_exits_4(tmp_path, capsys):
     out = tmp_path / "absent-dir" / "partial.csv"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_BLOWUP
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("error: numerical blow-up at step 0")
-    assert lines[1].startswith(f"error: cannot write {out}: ")
+    # one line: the blow-up, and why its partial trajectory was not written
+    assert len(lines) == 1
+    assert lines[0].startswith("error: numerical blow-up at step 0 ")
+    assert f"; aborting; cannot write {out}: " in lines[0]
+    assert os.listdir(tmp_path) == ["stiff.cfg"]
 
 
 def test_simulate_every_decimates_but_keeps_last_row(tmp_path, capsys):
@@ -831,7 +839,29 @@ def test_a_failed_partial_csv_keeps_the_blowup_exit_code_and_no_temporary(
     failing_open = _open_failing_at(2, OSError(errno.EIO, "I/O error"))
     monkeypatch.setattr(cli, "open", failing_open, raising=False)
     assert main(["simulate", "--config", str(config), "--out", str(target)]) == EXIT_BLOWUP
-    assert capsys.readouterr().err.splitlines()[1] == f"error: cannot write {target}: I/O error"
+    assert capsys.readouterr().err == (
+        "error: numerical blow-up at step 0 (t=0.0333333); aborting; "
+        f"cannot write {target}: I/O error\n"
+    )
+    assert os.listdir(tmp_path) == ["stiff.cfg"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_interrupt_while_the_partial_csv_is_written_is_one_error_line(
+    tmp_path, capsys, monkeypatch
+):
+    config = tmp_path / "stiff.cfg"
+    config.write_text(STIFF_CONFIG, encoding="utf-8")
+    target = tmp_path / "partial.csv"
+
+    def interrupted_open(path, mode="r", *args, **kwargs):
+        if str(path).endswith(".tmp"):
+            raise KeyboardInterrupt
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", interrupted_open, raising=False)
+    assert main(["simulate", "--config", str(config), "--out", str(target)]) == EXIT_INTERRUPT
+    assert capsys.readouterr().err == "error: interrupted\n"
     assert os.listdir(tmp_path) == ["stiff.cfg"]
 
 
@@ -873,6 +903,172 @@ def test_dev_stdout_is_written_in_place():
     assert lines[0] == "t,y1,y2,y3,y4,y5"
     assert [line.split(",")[0] for line in lines[1:6]] == ["1986", "1990", "1994", "1998", "2002"]
     assert lines[6].split()[0] == "compartment"  # the summary table follows
+
+
+# ----------------------------------------------------------- every exit path
+
+PREVIOUS = "an earlier run\n"
+HEADERS = {
+    ("converge", "--out"): "k,y_norm,Y_norm,E_norm,rate\n",
+    ("simulate", "--out"): "t,y1,y2,y3,y4,y5\n",
+    ("simulate", "--summary-out"): "compartment,",
+}
+TARGET_KINDS = ["new", "existing", "missing-dir", "directory"]
+if os.path.exists("/dev/full"):
+    TARGET_KINDS.append("dev-full")
+
+
+def _short_config(label):
+    """The preset's configuration lines over its first three years, at k = 0.01."""
+    p = preset(label)
+    short = {"T": repr(p.t0 + 3), "k": "0.01", "eras": f"{p.t0!r}, {p.t0 + 1!r}, {p.t0 + 3!r}"}
+    lines = format_config(p).splitlines()
+    return [
+        f"{key} = {short[key]}" if (key := line.partition(" = ")[0]) in short else line
+        for line in lines
+    ]
+
+
+SHORT_CONFIGS = {label: _short_config(label) for label in PRESET_LABELS}
+
+# edge floats, non-numbers, a list where a number goes; none asks for a run of
+# more than 300 steps: a step below 0.01 is either refused or far from these
+EDGE_VALUES = [
+    "0", "-0.0", "-1", "0.5", "2", "1e100", "1e300", "1.7976931348623157e308", "5e-324",
+    "2.2250738585072014e-308", "-1e-300", "nan", "-nan", "inf", "-inf", "+inf", "1, 2",
+    "", "x", "minus", "plus",
+]
+
+
+@st.composite
+def _config_texts(draw):
+    lines = list(SHORT_CONFIGS[draw(st.sampled_from(sorted(SHORT_CONFIGS)))])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):  # most edits are refused
+        i = draw(st.integers(1, len(lines) - 1))  # line 0 is the comment
+        key, _, value = lines[i].partition(" = ")
+        edit = draw(st.sampled_from(["value", "negate", "drop", "repeat"]))
+        if edit == "value":
+            lines[i] = f"{key} = {draw(st.sampled_from(EDGE_VALUES))}"
+        elif edit == "negate":
+            lines[i] = f"{key} = -{value}"
+        elif edit == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+_targets = st.sampled_from([None, *TARGET_KINDS])
+_every = st.one_of(
+    st.none(),
+    st.sampled_from(["1", "3", "1000", str(10**20)]),
+    st.sampled_from(["0", "-1", "1.5", "x", ""]),
+)
+_exponents = st.one_of(
+    st.builds("{}..{}".format, st.integers(-1, 10), st.integers(-1, 10)),
+    st.sampled_from(
+        ["53..53", "1074..1074", "4..1100", "1..1000000000", "abc", "a..8", "4.5..8", "4..", ""]
+    ),
+)
+
+
+@st.composite
+def _commands(draw):
+    """(command, config text or problem, further arguments, target kind per option)."""
+    if draw(st.booleans()):
+        targets = {"--out": draw(_targets)}
+        return "converge", draw(st.sampled_from(PROBLEM_LABELS)), [draw(_exponents)], targets
+    argv = []
+    sign = draw(st.sampled_from([None, "plus", "minus"]))
+    if sign is not None:
+        argv += ["--sign", sign]
+    every = draw(_every)
+    if every is not None:
+        argv += ["--every", every]
+    targets = {"--out": draw(_targets), "--summary-out": draw(_targets)}
+    return "simulate", draw(_config_texts()), argv, targets
+
+
+def _target(work, kind, name):
+    if kind == "dev-full":
+        return Path("/dev/full")
+    if kind == "missing-dir":
+        return work / "absent" / name
+    path = work / name
+    if kind == "existing":
+        path.write_text(PREVIOUS, encoding="utf-8")
+    elif kind == "directory":
+        path.mkdir()
+    return path
+
+
+def _whole_csv(text, header):
+    lines = text.splitlines(keepends=True)
+    return (
+        text.startswith(header)
+        and text.endswith("\n")
+        and len({line.count(",") for line in lines}) == 1
+    )
+
+
+# cameroon-1960 diverges at step 260 of 300 under the minus sign
+BLOWUP_WITH_AN_UNWRITABLE_PARTIAL = (
+    "simulate",
+    "\n".join(SHORT_CONFIGS["cameroon-1960"]) + "\n",
+    ["--sign", "minus"],
+    {"--out": "missing-dir", "--summary-out": None},
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, derandomize=True, database=None, max_examples=500)
+@given(_commands())
+@example(BLOWUP_WITH_AN_UNWRITABLE_PARTIAL)
+def test_every_outcome_is_an_exit_code_and_at_most_one_error_line(case):
+    command, source, argv, targets = case
+    with tempfile.TemporaryDirectory() as name:
+        work = Path(name)
+        if command == "simulate":
+            config = work / "run.cfg"
+            config.write_text(source, encoding="utf-8")
+            argv = ["simulate", "--config", str(config), *argv]
+        else:
+            argv = ["converge", source, *argv]
+        paths = {}
+        for option, kind in targets.items():
+            if kind is not None:
+                paths[option] = _target(work, kind, option.strip("-") + ".csv")
+                argv += [option, str(paths[option])]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+
+        assert code in {EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_BLOWUP}
+        lines = stderr.getvalue().splitlines()
+        errors = [line for line in lines if "error: " in line]
+        if code == EXIT_OK:
+            assert errors == []
+        elif lines and lines[0].startswith("usage: tristep"):  # argparse rejected the argv
+            assert code == EXIT_USAGE
+            assert len(errors) == 1 and lines[-1] == errors[0]
+            assert errors[0].startswith(f"tristep {command}: error: ")
+        else:
+            assert len(errors) == 1 and lines[-1] == errors[0], lines
+            assert errors[0].startswith("error: ")
+            assert all(line.startswith("warning: ") for line in lines[:-1]), lines
+        assert list(work.rglob(".*.tmp")) == []
+        for option, path in paths.items():
+            kind = targets[option]
+            if kind == "missing-dir":
+                assert not path.parent.exists()
+            elif kind == "directory":
+                assert path.is_dir() and not any(path.iterdir())
+            elif kind != "dev-full" and (code == EXIT_OK or path.exists()):
+                # written whole, or, where the command failed, as it was before
+                text = path.read_text(encoding="utf-8")
+                assert _whole_csv(text, HEADERS[command, option]) or (
+                    code != EXIT_OK and kind == "existing" and text == PREVIOUS
+                ), (option, text[:200])
 
 
 # ------------------------------------------------------------- memory bound

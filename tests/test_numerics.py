@@ -361,6 +361,22 @@ def test_time_grid_rejects_inconsistent_step():
         TimeGrid(t0=0.0, T=1.0, M=0)
     with pytest.raises(ValueError, match="^time grid requires T > t0$"):
         TimeGrid(t0=1.0, T=1.0, M=4)
+    with pytest.raises(ValueError, match="^time grid requires T > t0$"):
+        TimeGrid(t0=0.0, T=math.nan, M=4)
+    with pytest.raises(ValueError, match=r"^time grid requires an integer step count, got 2\.5$"):
+        TimeGrid(t0=0.0, T=1.0, M=2.5)
+    # an infinite end, and a span past the largest float, give k = inf;
+    # 5e-324 / 2 rounds to zero
+    for t0, T, M, k in [
+        (0.0, math.inf, 10, "inf"),
+        (-math.inf, 0.0, 10, "inf"),
+        (-math.inf, math.inf, 10, "inf"),
+        (-1e308, 1e308, 1, "inf"),
+        (0.0, 5e-324, 2, "0.0"),
+    ]:
+        message = f"^time grid requires a positive finite step, got k={k}$"
+        with pytest.raises(ValueError, match=message):
+            TimeGrid(t0=t0, T=T, M=M)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ Commands:
   roots     print the characteristic roots and their moduli
 
 Exit codes: 0 success, 2 usage or parse failure, 3 I/O failure (standard
-output included, also when the process started with it closed), 4 numerical
+output included, also when the process started with it closed; an output
+file that cannot be created is refused before the run), 4 numerical
 blow-up (a ``simulate`` run still writes its partial trajectory, or says on
 the blow-up's line why not; a ``converge`` run writes no table), 130
 interrupted (``KeyboardInterrupt``, such as from Ctrl-C).  Every failure
@@ -33,7 +34,7 @@ from struct import Struct
 from .config import parse_config, preset_from_config
 from .cpmodel import PRESET_LABELS, preset
 from .manufactured import PROBLEM_LABELS, problem
-from .numerics import TimeGrid, Trajectory, trajectory_row_indices
+from .numerics import TimeGrid, Trajectory, kept_indices, trajectory_row_indices
 from .scheme import (
     NumericalBlowupError,
     SignConvention,
@@ -90,7 +91,7 @@ def write_convergence_csv(stream: TextIO, rows: Sequence[ConvergenceRow]) -> Non
 
 
 def write_trajectory_csv(stream: TextIO, trajectory: Trajectory) -> None:
-    """Emit the states a trajectory kept, at ``trajectory_row_indices(M, every)``."""
+    """Emit the states a trajectory kept, at the grid points ``kept_indices(M, every)`` gives."""
     grid, every = trajectory.grid, trajectory.every
     _write_trajectory_rows(stream, grid, trajectory.values, trajectory.dim, grid.M, every)
 
@@ -100,11 +101,11 @@ def _write_trajectory_rows(
 ) -> None:
     """Emit the header, then the rows a run kept of grid points 0..``last_index``.
 
-    ``kept`` holds the rows ``trajectory_row_indices(last_index, every)``
-    picks, one after the other, as a flat ``array('d')``; each is written
-    after the time of its grid point.
+    ``kept`` holds the rows at the grid points ``kept_indices(last_index,
+    every)`` gives, one after the other, as a flat ``array('d')``; each is
+    written after the time of its grid point.
     """
-    indices = trajectory_row_indices(last_index, every)
+    indices = kept_indices(last_index, every)
     stream.write(",".join(["t"] + [f"y{i + 1}" for i in range(dim)]) + "\n")
     line = ",".join(["%.17g"] * (dim + 1)) + "\n"
     for n, values in zip(indices, Struct(f"{dim}d").iter_unpack(kept)):
@@ -201,28 +202,61 @@ class _Failure(Exception):
         self.code = code
 
 
-def _write_csv(path: str, write, *args) -> None:
-    """Write ``path`` by ``write(stream, *args)``; an ``OSError`` is exit 3.
+def _destination(path: str) -> tuple[str, str | None]:
+    """The file :func:`_write_csv` writes for ``path``, and the temporary renamed over it.
 
-    A regular file, or a path where there is none yet, is replaced
-    atomically: the text goes to a new file of a unique name in the
-    target's directory, renamed over the target once complete and removed
-    on any failure or interrupt, so the target holds the whole text or what
-    it held before.  Anything else, such as ``/dev/stdout`` or a FIFO, is
-    written in place.
+    A regular file, or a path where there is none yet, is replaced through a
+    new file of a unique name in the target's directory.  Anything else, such
+    as ``/dev/stdout`` or a FIFO, is written in place; a directory is refused
+    with ``IsADirectoryError``.
+    """
+    try:
+        mode = os.stat(path or os.curdir).st_mode  # "" names the working directory
+    except FileNotFoundError:
+        mode = stat.S_IFREG  # a new file
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not stat.S_ISREG(mode):
+        return path, None
+    target = os.path.realpath(path)  # a symbolic link keeps pointing at the file
+    head, name = os.path.split(target)
+    return target, os.path.join(head, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+
+
+def _cannot_write(path: str, exc: OSError) -> _Failure:
+    # strerror alone: the name of the file that failed may be the temporary one
+    return _Failure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _probe_outputs(*paths: str | None) -> None:
+    """Refuse before the run, as exit 3, an output path :func:`_write_csv` could not create.
+
+    A temporary is created and removed at once; a path written in place is
+    left alone, as opening a FIFO waits for a reader.
+    """
+    for path in paths:
+        try:
+            temporary = None if path is None else _destination(path)[1]
+            if temporary is not None:
+                fd = os.open(temporary, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+                try:
+                    os.close(fd)
+                finally:
+                    os.unlink(temporary)
+        except OSError as exc:
+            raise _cannot_write(path, exc)
+
+
+def _write_csv(path: str, write, *args) -> None:
+    """Write ``path`` by ``write(stream, *args)`` where :func:`_destination` says.
+
+    A temporary is renamed over the target once complete and removed on any
+    failure or interrupt, so the target holds the whole text or what it held
+    before.  An ``OSError`` is exit 3.
     """
     temporary = None
     try:
-        try:
-            in_place = not stat.S_ISREG(os.stat(path).st_mode)
-        except FileNotFoundError:
-            in_place = False
-        if in_place:
-            target = path
-        else:
-            target = os.path.realpath(path)  # a symbolic link keeps pointing at the file
-            head, name = os.path.split(target)
-            temporary = os.path.join(head, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+        target, temporary = _destination(path)
         mode = "w" if temporary is None else "x"
         with open(temporary or target, mode, encoding="utf-8", newline="") as stream:
             write(stream, *args)
@@ -235,8 +269,7 @@ def _write_csv(path: str, write, *args) -> None:
             except OSError:
                 pass
         if isinstance(exc, OSError):
-            # strerror alone: the name of the file that failed may be the temporary one
-            raise _Failure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}")
+            raise _cannot_write(path, exc)
         raise
 
 
@@ -254,6 +287,7 @@ def _parse_exponent_range(text: str) -> range:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
+    _probe_outputs(args.out)
     exponents = _parse_exponent_range(args.exponents)
     rows = run_convergence_study(problem(args.problem), exponents)
     if args.out is not None:
@@ -263,6 +297,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _probe_outputs(args.out, args.summary_out)
     if args.every < 1:
         raise _Failure(EXIT_USAGE, "--every must be a positive integer")
     if args.preset is not None:

@@ -26,6 +26,7 @@ generates and compiles no methods.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from array import array
@@ -33,7 +34,7 @@ from array import array
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import ctypes
-    from typing import Iterable, Sequence
+    from typing import Iterable, Iterator, Sequence
 
     import numpy as np
 
@@ -210,8 +211,8 @@ class TimeGrid(Frozen):
     Grid point ``n`` sits at ``t0 + n * k`` for n = 0..M; the last point
     lands on T up to one unit in the last place.  Grids are read only, equal
     when their four fields are, and hashable.  ``ValueError`` refuses an M
-    that is not an integer of at least one, and a k that is not a positive
-    finite float, as from an infinite t0 or T.
+    that is not an integer of at least one or is beyond the float range, and
+    a k that is not a positive finite float, as from an infinite t0 or T.
     """
 
     __slots__ = ("t0", "T", "M", "k")
@@ -223,7 +224,10 @@ class TimeGrid(Frozen):
             raise ValueError(f"time grid requires an integer step count, got {M!r}")
         if M < 1:
             raise ValueError("time grid requires at least one step")
-        k = (T - t0) / M
+        try:
+            k = (T - t0) / M
+        except OverflowError:  # M has no float
+            raise ValueError("time grid requires a step count within the float range") from None
         if not 0.0 < k < math.inf:  # T - t0 infinite, or (T - t0) / M rounded to 0 or inf
             raise ValueError(f"time grid requires a positive finite step, got k={k!r}")
         self._set(t0, T, M, k)
@@ -250,29 +254,31 @@ class TimeGrid(Frozen):
         return self.t0 + self.k * np.arange(self.M + 1)
 
 
-def check_every(every: int | None) -> None:
-    """Check a decimation: keep every ``every``-th state, or none when it is None.
+def kept_count(last_index: int, every: int | None) -> int:
+    """How many grid points of 0..``last_index`` :func:`kept_indices` gives, without them.
 
     Raises:
       ValueError: If ``every`` is neither None nor a positive int.
     """
     if every is not None and not (type(every) is int and every >= 1):
         raise ValueError(f"every must be None or a positive int, got {every!r}")
+    return 0 if every is None else len(range(0, last_index, every)) + 1
+
+
+def kept_indices(last_index: int, every: int | None) -> Iterator[int]:
+    """The grid points a run keeps of 0..``last_index``, lazily, or ``ValueError`` at once.
+
+    They are 0, ``every``, 2 * ``every``, ... below ``last_index``, then
+    ``last_index``; none when ``every`` is None.
+    """
+    if not kept_count(last_index, every):
+        return iter(())
+    return itertools.chain(range(0, last_index, every), (last_index,))
 
 
 def trajectory_row_indices(last_index: int, every: int | None) -> list[int]:
-    """Grid points kept of 0..``last_index``: every ``every``-th plus the last, none for None.
-
-    Raises:
-      ValueError: As :func:`check_every`.
-    """
-    check_every(every)
-    if every is None:
-        return []
-    indices = list(range(0, last_index + 1, every))
-    if indices[-1] != last_index:
-        indices.append(last_index)
-    return indices
+    """:func:`kept_indices` as a list."""
+    return list(kept_indices(last_index, every))
 
 
 #: The one refusal of a run at step k whose N states do not fit in memory,
@@ -296,18 +302,12 @@ def zeroed_array(n: int, k: float, rows: int) -> array:
         raise ValueError(_DOES_NOT_FIT.format(k, rows)) from None
 
 
-def kept_count(last_index: int, every: int | None) -> int:
-    """``len(trajectory_row_indices(last_index, every))``, without the list."""
-    check_every(every)
-    return 0 if every is None else -(-last_index // every) + 1
-
-
 class Trajectory(Frozen):
     """Grid samples of one integration run, and the sums its kernel took.
 
     ``values`` holds the kept states one after the other as one flat
-    ``array('d')``: those at the grid points ``trajectory_row_indices(M,
-    every)``, that is 0, ``every``, 2 * ``every``, ... and M, all M + 1 of
+    ``array('d')``: those at the grid points ``kept_indices(M, every)``
+    gives, that is 0, ``every``, 2 * ``every``, ... and M, all M + 1 of
     them by default and none when ``every`` is None.  ``states`` reads it as
     a ``(rows, dim)`` float64 numpy array that shares its memory.
 

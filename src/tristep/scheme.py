@@ -832,18 +832,6 @@ def integrate(
     return _run(march, y, grid, h, sign.factor * (h / 2.0), starts, every, maxima)
 
 
-def _diverged(err: NumericalBlowupError, grid: TimeGrid, partial: array) -> NumericalBlowupError:
-    """The error of a run whose kernel raised ``err``, carrying the run's ``partial`` states."""
-    n = err.step_index
-    return NumericalBlowupError(
-        f"integration diverged during step {n} (from t={grid.time(n)!r})",
-        t=err.t,
-        step_index=n,
-        last_state=tuple(err.partial_states),
-        partial_states=partial,
-    )
-
-
 def _run(
     march: Callable,
     y: tuple[float, ...],
@@ -858,14 +846,14 @@ def _run(
 
     ``maxima`` are the arrays a march with a solution writes, none without; the kept
     states' array is allocated, or the run refused, by :func:`~tristep.numerics.zeroed_array`.
+    Each block's kept rows go into it in one write: row 0 ahead of the first block's, and
+    the state at the last grid point reached, M or a blow-up's, where no row was kept there.
     """
     t0, k, dim = grid.t0, grid.k, len(y)
     rows_kept = kept_count(grid.M, every)
-    values = zeroed_array(rows_kept * dim, grid.k, rows_kept)
+    values = zeroed_array(rows_kept * dim, k, rows_kept)
     kept = 0  # floats of ``values`` written
-    if every:
-        values[:dim] = array("d", y)
-        kept = dim
+    rows = list(y) if every else []  # the block's kept rows, flat
     c = every or -1  # steps to the next kept row; counting down from -1 it keeps none
     sums = tuple(0.0 + v for v in y) * 2  # the era and the whole-run sums of row 0
     negative = any(v < 0.0 for v in y)
@@ -874,27 +862,30 @@ def _run(
     for j, start in enumerate(starts):
         # step up to the last row before ``start``, in blocks of BLOCK_ROWS steps
         while first < start - 1:
-            stop = min(first + BLOCK_ROWS, start - 1)
-            rows: list[float] = []
+            stop, blowup = min(first + BLOCK_ROWS, start - 1), None
             try:
                 y, c, sums, negative = march(
                     t0, k, first, stop, y, h, w, rows, every, c, sums, negative, *maxima
                 )
-            except NumericalBlowupError as err:
-                partial = values[:kept]
-                partial.fromlist(rows)
-                if every and err.step_index % every:
-                    partial.extend(err.partial_states)
-                raise _diverged(err, grid, partial) from err
+            except NumericalBlowupError as err:  # the state step n started from is the last
+                blowup, stop, y = err, err.step_index, err.partial_states
+            if every and stop % every and (blowup or stop == grid.M):
+                rows += y  # the last state reached is kept, on an every-th point or not
             values[kept : kept + len(rows)] = array("d", rows)
             kept += len(rows)
-            first = stop
+            if blowup:
+                raise NumericalBlowupError(
+                    f"integration diverged during step {stop} (from t={grid.time(stop)!r})",
+                    t=blowup.t,
+                    step_index=stop,
+                    last_state=tuple(y),
+                    partial_states=values[:kept],
+                ) from blowup
+            rows, first = [], stop
         if j:  # era j - 1 ends before ``start``; the rows before starts[0] are in no era
             era_sums.append(sums[:dim])
         if start:
             sums = (0.0,) * dim + sums[dim:]
-    if every and grid.M % every:
-        values[kept:] = array("d", y)
     return Trajectory(grid, values, every, tuple(era_sums), sums[dim:], negative, maxima or None)
 
 

@@ -193,10 +193,17 @@ def test_converge_rejects_a_finest_grid_too_large_for_memory_before_any_work(
     assert lasting < 1 << 20
 
 
-def test_converge_unwritable_path_is_io_error(capsys):
-    code = main(["converge", "example1", "4..4", "--out", "/nonexistent-dir/t.csv"])
-    assert code == EXIT_IO
-    assert "cannot write" in capsys.readouterr().err
+def _not_run(*args, **kwargs):
+    raise AssertionError("ran although an output cannot be written")
+
+
+def test_converge_unwritable_path_is_io_error(tmp_path, capsys, monkeypatch):
+    # refused before the study
+    monkeypatch.setattr("tristep.cli.run_convergence_study", _not_run)
+    out = tmp_path / "absent-dir" / "table.csv"
+    assert main(["converge", "example1", "4..13", "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+    assert os.listdir(tmp_path) == []
 
 
 # ----------------------------------------------------------------- simulate
@@ -476,18 +483,32 @@ def test_the_csv_writer_writes_the_rows_a_decimated_trajectory_kept():
         assert stream.getvalue().splitlines() == ["t,y1,y2,y3,y4,y5", *rows], every
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_simulate_blowup_with_unwritable_out_still_exits_4(tmp_path, capsys):
+def test_simulate_refuses_an_unwritable_out_before_the_run(tmp_path, capsys, monkeypatch):
+    # the stiff run would blow up in its first step: the refusal comes first
     config = tmp_path / "stiff.cfg"
     config.write_text(STIFF_CONFIG, encoding="utf-8")
-    out = tmp_path / "absent-dir" / "partial.csv"
-    assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_BLOWUP
-    lines = capsys.readouterr().err.splitlines()
-    # one line: the blow-up, and why its partial trajectory was not written
-    assert len(lines) == 1
-    assert lines[0].startswith("error: numerical blow-up at step 0 ")
-    assert f"; aborting; cannot write {out}: " in lines[0]
+    monkeypatch.setattr("tristep.cli.run_scenario", _not_run)
+    missing = tmp_path / "absent-dir" / "partial.csv"
+    refusals = [
+        (missing, "No such file or directory"),
+        (tmp_path, "Is a directory"),
+        ("", "Is a directory"),  # "" names the working directory
+    ]
+    for option in ("--out", "--summary-out"):
+        for path, reason in refusals:
+            argv = ["simulate", "--config", str(config), option, str(path)]
+            assert main(argv) == EXIT_IO
+            assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
     assert os.listdir(tmp_path) == ["stiff.cfg"]
+
+
+@pytest.mark.parametrize("option", ["--out", "--summary-out"])
+def test_a_nul_byte_in_an_output_path_is_refused_before_the_run(option, capsys, monkeypatch):
+    # cameroon-1960 blows up under the minus sign; a console argv holds no NUL byte
+    monkeypatch.setattr("tristep.cli.run_scenario", _not_run)
+    argv = ["simulate", "--preset", "cameroon-1960", "--sign", "minus", option, "a\0b.csv"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: embedded null byte\n"
 
 
 def test_simulate_every_decimates_but_keeps_last_row(tmp_path, capsys):
@@ -913,7 +934,11 @@ HEADERS = {
     ("simulate", "--out"): "t,y1,y2,y3,y4,y5\n",
     ("simulate", "--summary-out"): "compartment,",
 }
-TARGET_KINDS = ["new", "existing", "missing-dir", "directory"]
+TARGET_KINDS = [
+    "new", "existing", "missing-dir", "directory", "link-to-file", "link-to-dir", "dangling-link"
+]
+#: the kinds of target no CSV can be written to, which the command refuses before it runs
+UNCREATABLE = {"missing-dir", "directory", "link-to-dir"}
 if os.path.exists("/dev/full"):
     TARGET_KINDS.append("dev-full")
 
@@ -995,11 +1020,16 @@ def _target(work, kind, name):
     if kind == "missing-dir":
         return work / "absent" / name
     path = work / name
+    if "link" in kind:  # it points at a file or directory of its own, or at none
+        behind = work / f"behind-{name}"
+        path.symlink_to(behind.name)
+        kind = {"link-to-file": "existing", "link-to-dir": "directory"}.get(kind)
+        path = behind
     if kind == "existing":
         path.write_text(PREVIOUS, encoding="utf-8")
     elif kind == "directory":
         path.mkdir()
-    return path
+    return work / name
 
 
 def _whole_csv(text, header):
@@ -1011,8 +1041,9 @@ def _whole_csv(text, header):
     )
 
 
-# cameroon-1960 diverges at step 260 of 300 under the minus sign
-BLOWUP_WITH_AN_UNWRITABLE_PARTIAL = (
+# cameroon-1960 diverges at step 260 of 300 under the minus sign, but its
+# --out cannot be created, so it runs no step
+BLOWUP_WITH_AN_UNCREATABLE_OUT = (
     "simulate",
     "\n".join(SHORT_CONFIGS["cameroon-1960"]) + "\n",
     ["--sign", "minus"],
@@ -1023,7 +1054,7 @@ BLOWUP_WITH_AN_UNWRITABLE_PARTIAL = (
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(deadline=None, derandomize=True, database=None, max_examples=500)
 @given(_commands())
-@example(BLOWUP_WITH_AN_UNWRITABLE_PARTIAL)
+@example(BLOWUP_WITH_AN_UNCREATABLE_OUT)
 def test_every_outcome_is_an_exit_code_and_at_most_one_error_line(case):
     command, source, argv, targets = case
     with tempfile.TemporaryDirectory() as name:
@@ -1034,11 +1065,13 @@ def test_every_outcome_is_an_exit_code_and_at_most_one_error_line(case):
             argv = ["simulate", "--config", str(config), *argv]
         else:
             argv = ["converge", source, *argv]
-        paths = {}
+        paths, links = {}, {}
         for option, kind in targets.items():
             if kind is not None:
                 paths[option] = _target(work, kind, option.strip("-") + ".csv")
                 argv += [option, str(paths[option])]
+                if "link" in kind:
+                    links[option] = os.readlink(paths[option])
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
@@ -1046,9 +1079,12 @@ def test_every_outcome_is_an_exit_code_and_at_most_one_error_line(case):
         assert code in {EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_BLOWUP}
         lines = stderr.getvalue().splitlines()
         errors = [line for line in lines if "error: " in line]
+        rejected = lines and lines[0].startswith("usage: tristep")  # by argparse
+        if UNCREATABLE.intersection(targets.values()) and not rejected:  # before any step
+            assert code == EXIT_IO and not any("numerical blow-up" in line for line in lines)
         if code == EXIT_OK:
             assert errors == []
-        elif lines and lines[0].startswith("usage: tristep"):  # argparse rejected the argv
+        elif rejected:
             assert code == EXIT_USAGE
             assert len(errors) == 1 and lines[-1] == errors[0]
             assert errors[0].startswith(f"tristep {command}: error: ")
@@ -1057,17 +1093,19 @@ def test_every_outcome_is_an_exit_code_and_at_most_one_error_line(case):
             assert errors[0].startswith("error: ")
             assert all(line.startswith("warning: ") for line in lines[:-1]), lines
         assert list(work.rglob(".*.tmp")) == []
+        for option, target in links.items():
+            assert os.readlink(paths[option]) == target
         for option, path in paths.items():
             kind = targets[option]
             if kind == "missing-dir":
                 assert not path.parent.exists()
-            elif kind == "directory":
+            elif kind in ("directory", "link-to-dir"):
                 assert path.is_dir() and not any(path.iterdir())
             elif kind != "dev-full" and (code == EXIT_OK or path.exists()):
                 # written whole, or, where the command failed, as it was before
                 text = path.read_text(encoding="utf-8")
                 assert _whole_csv(text, HEADERS[command, option]) or (
-                    code != EXIT_OK and kind == "existing" and text == PREVIOUS
+                    code != EXIT_OK and kind in ("existing", "link-to-file") and text == PREVIOUS
                 ), (option, text[:200])
 
 
@@ -1084,8 +1122,17 @@ print(code, peak, file=sys.stderr)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
-@pytest.mark.parametrize("out", [False, True], ids=["no-out", "every-1000-out"])
-def test_simulate_memory_does_not_grow_with_the_horizon(out, tmp_path):
+@pytest.mark.parametrize(
+    "every, bound_kib",
+    [
+        (None, 2048),
+        ("1000", 2048),
+        # each of the 360 000 extra steps keeps a row of five floats, 40 B, and 8 B of slack
+        ("1", 360_000 * 48 // 1024),
+    ],
+    ids=["no-out", "every-1000-out", "every-1-out"],
+)
+def test_simulate_memory_does_not_grow_with_the_horizon(every, bound_kib, tmp_path):
     # the child reads its own high-water mark: ru_maxrss of a child spawned
     # from this process would include the pages of this process before exec
     def peak_kib(k):
@@ -1093,8 +1140,8 @@ def test_simulate_memory_does_not_grow_with_the_horizon(out, tmp_path):
         text = format_config(preset("cameroon-1960"))
         config.write_text(text.replace("k = 0.001", f"k = {k}"), encoding="utf-8")
         argv = ["simulate", "--config", str(config)]
-        if out:
-            argv += ["--every", "1000", "--out", str(tmp_path / "run.csv")]
+        if every is not None:
+            argv += ["--every", every, "--out", str(tmp_path / "run.csv")]
         result = subprocess.run(
             [sys.executable, "-c", PEAK_MEMORY, *argv],
             stdout=subprocess.DEVNULL,
@@ -1109,4 +1156,4 @@ def test_simulate_memory_does_not_grow_with_the_horizon(out, tmp_path):
 
     # 400 000 steps, whose states alone would take 16 MB, against 40 000
     long_run, short_run = peak_kib(6.5e-5), peak_kib(6.5e-4)
-    assert long_run - short_run <= 2048
+    assert long_run - short_run <= bound_kib

@@ -365,6 +365,9 @@ def test_time_grid_rejects_inconsistent_step():
         TimeGrid(t0=0.0, T=math.nan, M=4)
     with pytest.raises(ValueError, match=r"^time grid requires an integer step count, got 2\.5$"):
         TimeGrid(t0=0.0, T=1.0, M=2.5)
+    message = "^time grid requires a step count within the float range$"
+    with pytest.raises(ValueError, match=message):
+        TimeGrid(t0=0.0, T=1.0, M=10**400)
     # an infinite end, and a span past the largest float, give k = inf;
     # 5e-324 / 2 rounds to zero
     for t0, T, M, k in [

@@ -34,7 +34,7 @@ from struct import Struct
 from .config import parse_config, preset_from_config
 from .cpmodel import PRESET_LABELS, preset
 from .manufactured import PROBLEM_LABELS, problem
-from .numerics import TimeGrid, Trajectory, kept_indices, trajectory_row_indices
+from .numerics import TimeGrid, Trajectory, kept_indices
 from .scheme import (
     NumericalBlowupError,
     SignConvention,
@@ -72,8 +72,15 @@ EXIT_INTERRUPT = 130
 
 
 def round_half_away(value: float) -> float:
-    """Round to one decimal, half away from zero: 35.45 -> 35.5, -35.45 -> -35.5."""
-    return math.copysign(math.floor(abs(value) * 10.0 + 0.5), value) / 10.0
+    """Round to one decimal, half away from zero: 35.45 -> 35.5, -35.45 -> -35.5.
+
+    A value whose tenths are not finite, such as an overflowed share, has no
+    decimal left to round and is returned as it is.
+    """
+    tenths = abs(value) * 10.0
+    if not math.isfinite(tenths):
+        return value
+    return math.copysign(math.floor(tenths + 0.5), value) / 10.0
 
 
 # ---------------------------------------------------------------- CSV emission

@@ -276,11 +276,6 @@ def kept_indices(last_index: int, every: int | None) -> Iterator[int]:
     return itertools.chain(range(0, last_index, every), (last_index,))
 
 
-def trajectory_row_indices(last_index: int, every: int | None) -> list[int]:
-    """:func:`kept_indices` as a list."""
-    return list(kept_indices(last_index, every))
-
-
 #: The one refusal of a run at step k whose N states do not fit in memory,
 #: which the probe and the allocation below alone raise, as a ValueError.
 _DOES_NOT_FIT = "step size k={!r} is too small: the run's {} states do not fit in memory"

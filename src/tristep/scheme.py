@@ -28,7 +28,8 @@ first called, never by the generated kernel: building a field, checking its
 text, the characteristic roots and an :func:`integrate` run that completes
 need no numpy.  ``integrate`` has one path: one driver runs ``march`` block
 by block and writes the kept states into one flat ``array('d')``, allocated
-before the first step.  Its blow-up error carries floats: the last state as
+before the first step.  A run raises one blow-up error, which the failing
+step builds and the driver completes; it carries floats: the last state as
 a tuple, the partial run as the kept rows in one flat ``array('d')``.
 
 ``RhsField`` is a :class:`~tristep.numerics.Record`, which
@@ -309,31 +310,27 @@ def _finite(y: Sequence[float]) -> bool:
 
 
 def _step_blowup(
-    n: int,
-    t: float,
-    y: Sequence[float],
-    t13: float,
-    y13: Sequence[float],
-    t23: float,
-    y23: Sequence[float],
+    n: int, t0: float, k: float, h: float, y: Sequence[float], p: Sequence[float], q: Sequence[float]
 ) -> NumericalBlowupError:
-    """The error for macro step ``n`` from (t, y) whose result is not finite.
+    """The run's error for macro step ``n`` from the state ``y``, whose result is not finite.
 
     A non-finite component stays non-finite through every later update, so
-    the first non-finite substep is found among the step's own intermediates
-    without evaluating the field again.  The error's ``t`` and
-    ``last_state`` are the failing substep's start; its ``step_index`` is
-    ``n`` and its ``partial_states`` holds ``y``, the state the step was
-    taken from, the last one accepted.
+    the first non-finite substep is found among the step's intermediates
+    ``p`` and ``q`` without evaluating the field again.  The times are the
+    kernel's, t = t0 + n * k then one substep length ``h`` at a time; the
+    error's ``t`` is the failing substep's start, its ``step_index`` is
+    ``n`` and its ``last_state`` is ``y``, the last state accepted.  A run
+    adds its kept rows as ``partial_states`` and raises the same error.
     """
-    if not _finite(y13):
-        err = _blowup(t, y)
-    elif not _finite(y23):
-        err = _blowup(t13, y13)
-    else:
-        err = _blowup(t23, y23)
-    err.step_index, err.partial_states = n, array("d", y)
-    return err
+    t = t0 + n * k
+    t1 = t + h
+    start = t if not _finite(p) else t1 if not _finite(q) else t1 + h
+    return NumericalBlowupError(
+        f"integration diverged during step {n} (from t={t!r})",
+        t=start,
+        step_index=n,
+        last_state=tuple(y),
+    )
 
 
 # ------------------------------------------------------------ the generated kernel
@@ -593,10 +590,7 @@ def _kernel_text(
             *substep(3, "t2", "t3", "q", "r"),
             f"if not (({' + '.join(f'r{i}' for i in range(dim))}) * 0.0 == 0.0 or "
             f"{' and '.join(f'isfinite(r{i})' for i in range(dim))}):",
-            "    t = t0 + n * k",
-            "    t1 = t + h",
-            "    t2 = t1 + h",
-            f"    raise blowup(n, t, ({state}), t1, ({p}), t2, ({q}))",
+            f"    raise blowup(n, t0, k, h, ({state}), ({p}), ({q}))",
             *(f"y{i} = r{i}" for i in range(dim)),
             *(f"{total}{i} += y{i}" for i in range(dim) for total in "so"),
             f"if {' or '.join(f'y{i} < 0.0' for i in range(dim))}:",
@@ -712,6 +706,10 @@ def advance_one_step(
 
     The substeps start at t_n, t_n + k/3 and t_n + 2k/3; six field
     evaluations in total.
+
+    Raises:
+      NumericalBlowupError: If an intermediate is not finite, as
+        :func:`integrate` raises it for step 0, without ``partial_states``.
     """
     if not k > 0.0:
         raise ValueError("step size k must be positive")
@@ -868,19 +866,14 @@ def _run(
                     t0, k, first, stop, y, h, w, rows, every, c, sums, negative, *maxima
                 )
             except NumericalBlowupError as err:  # the state step n started from is the last
-                blowup, stop, y = err, err.step_index, err.partial_states
+                blowup, stop, y = err, err.step_index, err.last_state
             if every and stop % every and (blowup or stop == grid.M):
                 rows += y  # the last state reached is kept, on an every-th point or not
             values[kept : kept + len(rows)] = array("d", rows)
             kept += len(rows)
             if blowup:
-                raise NumericalBlowupError(
-                    f"integration diverged during step {stop} (from t={grid.time(stop)!r})",
-                    t=blowup.t,
-                    step_index=stop,
-                    last_state=tuple(y),
-                    partial_states=values[:kept],
-                ) from blowup
+                blowup.partial_states = values[:kept]
+                raise blowup
             rows, first = [], stop
         if j:  # era j - 1 ends before ``start``; the rows before starts[0] are in no era
             era_sums.append(sums[:dim])

@@ -44,9 +44,9 @@ from tristep.cli import (
     main,
     read_trajectory_csv,
     round_half_away,
-    trajectory_row_indices,
     write_trajectory_csv,
 )
+from tristep.numerics import kept_indices
 
 FROZEN_CONFIG = """\
 # no flows at all: the population stays put
@@ -254,6 +254,48 @@ def test_simulate_preset_summary_shape(tmp_path, capsys):
     assert [row[0] for row in rows[1:]] == ["y1", "y2", "y3", "y4", "y5"]
 
 
+#: a population of 1.5e308 whose era sums overflow to inf: every share is inf
+OVERFLOWING_SUMS_CONFIG = (
+    FROZEN_CONFIG.replace("mu = 0\n", "mu = 0.5\n")
+    .replace("t0 = 0\nT = 1\n", "t0 = 1960\nT = 1962\n")
+    .replace("bign = 1e7", "bign = 1.5e308")
+    .replace("y0 = 3.5e6, 1.5e6, 1.5e6, 0, 3.5e6", "y0 = " + ", ".join(["3e307"] * 5))
+    .replace("eras = 0, 0.5, 1", "eras = 1960, 1961, 1962")
+)
+
+#: a population of 1e-307 whose sums stay finite, while y1's share overflows ten times over
+OVERFLOWING_SHARE_CONFIG = (
+    OVERFLOWING_SUMS_CONFIG.replace("theta = 0\n", "theta = 0.2\n")
+    .replace("gamma = 0\n", "gamma = 0.2\n")
+    .replace("bign = 1.5e308", "bign = 1e-307")
+    .replace("3e307", "2e-308")
+)
+
+
+@pytest.mark.parametrize(
+    "text", [OVERFLOWING_SUMS_CONFIG, OVERFLOWING_SHARE_CONFIG], ids=["sums", "share"]
+)
+def test_simulate_prints_a_share_too_large_to_round_as_it_is(tmp_path, capsys, text):
+    config = tmp_path / "overflow.cfg"
+    config.write_text(text, encoding="utf-8")
+    summary = tmp_path / "summary.csv"
+    code = main(["simulate", "--config", str(config), "--summary-out", str(summary)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert "error" not in captured.err
+    with summary.open(newline="") as stream:
+        rows = list(csv.reader(stream))[1:]
+    if text is OVERFLOWING_SUMS_CONFIG:
+        assert [row[-1] for row in rows] == ["inf"] * 5
+        assert "inf%" in captured.out
+    else:
+        # a finite share whose tenths overflow is written unrounded, as the average over N
+        share, *others = (float(row[-1]) for row in rows)
+        assert share == float(rows[0][-2]) / 1e-307 * 100.0
+        assert share * 10.0 == float("inf")
+        assert all(0.0 <= other <= 100.0 for other in others)
+
+
 def test_simulate_warns_on_contact_rate_mismatch(tmp_path, capsys):
     config = tmp_path / "mismatch.cfg"
     config.write_text(MISMATCH_CONFIG, encoding="utf-8")
@@ -445,7 +487,7 @@ def test_simulate_blowup_partial_trajectory_honours_every(tmp_path, capsys):
         times, states = read_trajectory_csv(stream)
     n = full_states.shape[0] - 1
     assert n == 7
-    indices = trajectory_row_indices(n, 3)
+    indices = list(kept_indices(n, 3))
     assert np.array_equal(times, full_times[indices])
     assert np.array_equal(states, full_states[indices])
     assert np.array_equal(states[-1], full_states[-1])
@@ -459,7 +501,7 @@ def test_row_indices_and_the_csv_writer_reject_every_below_one_as_integrate_does
     with pytest.raises(ValueError, match=message):
         integrate(field, [1.0] * 5, grid, every=every)
     with pytest.raises(ValueError, match=message):
-        trajectory_row_indices(grid.M, every)
+        list(kept_indices(grid.M, every))
     # write_trajectory_csv takes its every from the trajectory, which rejects it
     with pytest.raises(ValueError, match=message):
         Trajectory(grid, array("d", [1.0]) * 25, every=every)
@@ -478,7 +520,7 @@ def test_the_csv_writer_writes_the_rows_a_decimated_trajectory_kept():
         write_trajectory_csv(stream, run)
         rows = [
             ",".join("%.17g" % v for v in (grid.time(n), *whole.states[n]))
-            for n in trajectory_row_indices(grid.M, every)
+            for n in kept_indices(grid.M, every)
         ]
         assert stream.getvalue().splitlines() == ["t,y1,y2,y3,y4,y5", *rows], every
 
@@ -520,7 +562,7 @@ def test_simulate_every_decimates_but_keeps_last_row(tmp_path, capsys):
     assert code == EXIT_OK
     with out.open(newline="") as stream:
         times, states = read_trajectory_csv(stream)
-    assert times.shape[0] == len(trajectory_row_indices(100, 7))
+    assert times.shape[0] == len(list(kept_indices(100, 7)))
     assert times[0] == 0.0
     assert times[-1] == 1.0
     assert main(["simulate", "--config", str(config), "--every", "0"]) == EXIT_USAGE

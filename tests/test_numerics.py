@@ -26,7 +26,7 @@ from tristep import (
     sup_norm,
 )
 from tristep import numerics, run_convergence_study
-from tristep.numerics import kept_count, trajectory_row_indices
+from tristep.numerics import kept_count, kept_indices
 
 SRC = Path(numerics.__file__).resolve().parent.parent
 
@@ -452,7 +452,7 @@ def test_trajectory_requires_full_sample_count():
 
 def test_a_decimated_trajectory_holds_its_kept_rows():
     grid = build_grid(0.0, 1.0, 0.2)  # M = 5, rows 0, 2, 4 and 5 kept at every 2
-    assert trajectory_row_indices(grid.M, 2) == [0, 2, 4, 5]
+    assert list(kept_indices(grid.M, 2)) == [0, 2, 4, 5]
     assert Trajectory(grid, array("d", range(8)), every=2).states.tolist() == [
         [0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]
     ]
@@ -470,4 +470,4 @@ def test_a_decimated_trajectory_holds_its_kept_rows():
 def test_kept_count_is_the_number_of_kept_rows():
     for last in range(30):
         for every in (*range(1, 9), last + 1, None):
-            assert kept_count(last, every) == len(trajectory_row_indices(last, every))
+            assert kept_count(last, every) == len(list(kept_indices(last, every)))

@@ -39,7 +39,8 @@ from tristep import (
     preset_from_config,
 )
 from tristep import scheme, studies
-from tristep.cli import read_trajectory_csv, trajectory_row_indices, write_trajectory_csv
+from tristep.cli import read_trajectory_csv, write_trajectory_csv
+from tristep.numerics import kept_indices
 
 # seeded, so that every run of the suite draws the same examples
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -370,7 +371,7 @@ def test_trajectory_csv_round_trip_is_exact(case, steps, k, data):
     except NumericalBlowupError:
         assume(False)
     times, states = _round_trip(integrate(field, y0, grid, every=every))
-    idx = trajectory_row_indices(grid.M, every)
+    idx = list(kept_indices(grid.M, every))
     assert times.tobytes() == grid.times()[idx].tobytes()
     assert states.tobytes() == whole.states[idx].tobytes()
 
@@ -379,7 +380,7 @@ def test_trajectory_csv_round_trip_is_exact(case, steps, k, data):
 @given(trajectories(), st.integers(1, 50))
 def test_a_thinned_trajectory_of_any_floats_round_trips_exactly(trajectory, every):
     grid = trajectory.grid
-    idx = trajectory_row_indices(grid.M, every)
+    idx = list(kept_indices(grid.M, every))
     kept = trajectory.states[idx]
     times, states = _round_trip(Trajectory(grid, array("d", kept.tobytes()), every))
     assert times.tobytes() == grid.times()[idx].tobytes()
@@ -554,7 +555,7 @@ def test_a_streamed_run_is_bitwise_the_stored_run(case):
         got, n, dim = decimated.value, err.step_index, len(err.last_state)
         assert (got.step_index, repr(got.t), got.last_state) == (n, repr(err.t), err.last_state)
         assert len(err.partial_states) == (n + 1) * dim
-        kept = trajectory_row_indices(n, every)
+        kept = list(kept_indices(n, every))
         rows = b"".join(_floats(err.partial_states[m * dim : (m + 1) * dim]) for m in kept)
         assert got.partial_states.tobytes() == rows
         return
@@ -571,7 +572,7 @@ def test_a_streamed_run_is_bitwise_the_stored_run(case):
         )
     assert era_starts(grid, bounds) == starts
     assert _floats(run.overall_sums) == _floats(whole.overall_sums)
-    kept = trajectory_row_indices(grid.M, every)
+    kept = list(kept_indices(grid.M, every))
     assert run.values.tobytes() == whole.states[kept].tobytes()
     assert run.negativity_flag is whole.negativity_flag is bool((whole.states < 0.0).any())
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import pickle
 from array import array
@@ -23,6 +24,7 @@ from tristep import (
     heun_substep,
     integrate,
     preset,
+    run_scenario,
     sup_norm,
     zero_stability_root_moduli,
     zero_stability_roots,
@@ -304,8 +306,12 @@ def test_macro_step_blowup_carries_the_failing_substep(substep):
     with pytest.raises(NumericalBlowupError) as excinfo:
         advance_one_step(f, 1.0, y, 0.3)
     h = 0.3 / 3.0
-    assert excinfo.value.t == [1.0, 1.0 + h, (1.0 + h) + h][substep - 1]
-    assert np.array_equal(excinfo.value.last_state, y)
+    err = excinfo.value
+    assert str(err) == "integration diverged during step 0 (from t=1.0)"
+    assert err.t == [1.0, 1.0 + h, (1.0 + h) + h][substep - 1]
+    assert err.step_index == 0
+    assert np.array_equal(err.last_state, y)
+    assert err.partial_states is None
     assert len(calls) <= 6
 
 
@@ -343,6 +349,52 @@ def test_integrate_blowup_at_block_edges_matches_single_steps(n, as_components):
     assert err.t == stepped.value.t
     assert array("d", err.last_state).tobytes() == states[-1].tobytes()
     assert err.partial_states.tobytes() == np.array(states).tobytes()
+
+
+#: (step_index, repr(t), last_state, digest of partial_states, message) of two blow-ups:
+#: the MINUS run of cameroon-1960, and step BLOCK_ROWS of infinite_from(BLOCK_ROWS + 0.5)
+#: on the 0 .. 2 * BLOCK_ROWS + 2 grid with eras from 0 and BLOCK_ROWS, keeping every 3rd row
+ONE_ERROR_RECORDS = {
+    "cameroon-1960": (
+        2542,
+        "1962.5423333333333",
+        (
+            1.3085996934647706e56,
+            1.0010217556474695e69,
+            -1.0010217556476001e69,
+            1.0960046107490902e36,
+            -5.969877655029968e24,
+        ),
+        "eebdfe2b25d28cb3f02422e62c88c2484c5281543eb7ba4fc7e14b9acf175dd4",
+        "integration diverged during step 2542 (from t=1962.542)",
+    ),
+    "block-edge": (
+        BLOCK_ROWS,
+        "1024.3333333333333",
+        (1e-323, 1.5e-323),
+        "be2e7deb1fc4d11ab98e19a60e8b0c9e736629f8afdac7571853d999ec95ca08",
+        "integration diverged during step 1024 (from t=1024.0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_ERROR_RECORDS))
+def test_a_blown_up_run_raises_the_one_error_its_failing_step_built(case):
+    with pytest.raises(NumericalBlowupError) as excinfo:
+        if case == "cameroon-1960":
+            run_scenario(preset(case), SignConvention.MINUS)
+        else:
+            grid = build_grid(0.0, 2.0 * BLOCK_ROWS + 2.0, 1.0)
+            f = infinite_from(BLOCK_ROWS + 0.5, as_components=False)
+            integrate(f, (1.0, -2.0), grid, eras=(0, BLOCK_ROWS, grid.M + 1), every=3)
+    err = excinfo.value
+    assert err.__cause__ is None and err.__context__ is None
+    step_index, t_repr, last_state, digest, message = ONE_ERROR_RECORDS[case]
+    assert err.step_index == step_index
+    assert repr(err.t) == t_repr
+    assert err.last_state == last_state
+    assert hashlib.sha256(err.partial_states.tobytes()).hexdigest() == digest
+    assert str(err) == message
 
 
 @pytest.mark.parametrize("sign", list(SignConvention))

@@ -83,6 +83,18 @@ def round_half_away(value: float) -> float:
     return math.copysign(math.floor(tenths + 0.5), value) / 10.0
 
 
+def _share_text(share: float) -> str:
+    """A share as the summaries write it: rounded to one decimal, or in full.
+
+    A share whose tenths are not finite, which :func:`round_half_away`
+    leaves unrounded, is written as ``%.17g``: ``inf`` stays ``inf``, and a
+    finite share reads back bitwise in a few characters, not three hundred.
+    """
+    if math.isfinite(abs(share) * 10.0):
+        return f"{round_half_away(share):.1f}"
+    return "%.17g" % share
+
+
 # ---------------------------------------------------------------- CSV emission
 
 
@@ -169,7 +181,7 @@ def write_summary_csv(
     stream.write(",".join(header) + "\n")
     for row in rows:
         cells = [row.compartment, *("%.17g" % v for v in row.era_averages)]
-        cells += ["%.17g" % row.overall_average, f"{round_half_away(row.share_percent):.1f}"]
+        cells += ["%.17g" % row.overall_average, _share_text(row.share_percent)]
         stream.write(",".join(cells) + "\n")
 
 
@@ -194,7 +206,7 @@ def _print_summary_table(rows: Sequence[EraSummaryRow], boundaries: Sequence[flo
     print(header)
     for row in rows:
         cells = "".join(f"  {v:>12.5e}" for v in row.era_averages)
-        rate = f"{round_half_away(row.share_percent):.1f}%"
+        rate = f"{_share_text(row.share_percent)}%"
         print(f"{row.compartment:>12}{cells}  {row.overall_average:>12.5e}  {rate:>7}")
 
 

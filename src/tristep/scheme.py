@@ -21,7 +21,9 @@ step starts from; any other solution is called from it through a one-line
 text.  The component form is generated apart, and :func:`heun_substep`
 runs on it; each function is generated only when used.  The kernel gives
 bitwise the results of the same update written in numpy arithmetic, which
-:func:`composed_step` keeps.
+:func:`composed_step` keeps.  Each generated function's code is kept in a
+file beside this module's own bytecode, so a process that finds that file
+neither generates nor compiles it (see :func:`_compiled`).
 
 numpy is imported by the functions that make or read numpy arrays, when
 first called, never by the generated kernel: building a field, checking its
@@ -36,8 +38,9 @@ a tuple, the partial run as the kept rows in one flat ``array('d')``.
 ``dataclasses.replace`` accepts; the source a field wraps is a plain
 read-only class.  Importing the module imports neither ``dataclasses`` nor
 ``typing`` and generates no methods; ``ast`` is imported when a field's
-text is first parsed, and the text is dedented as ``textwrap.dedent``
-would, without importing ``textwrap``.
+text is first parsed, which a kernel found in its cache file skips, and the
+text is dedented as ``textwrap.dedent`` would, without importing
+``textwrap``.
 
 The default :class:`SignConvention` adds the averaged slopes, which is the
 choice forced by the second-order conditions.  ``MINUS`` subtracts them
@@ -68,6 +71,11 @@ from .numerics import (
     state_floats,
     zeroed_array,
 )
+
+try:  # the file this module is loaded from, which its kernel cache files are checked against
+    _SCHEME_STAT = os.stat(__file__)
+except OSError:
+    _SCHEME_STAT = None
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -106,8 +114,8 @@ class _Source(Frozen):
     Called, it is the field's array ``evaluate``: it checks the state's
     shape and dimension, not its finiteness.  ``components`` and ``march``
     are each generated from the text and compiled on first use, once per
-    text, and bound to ``constants`` by value once per source; see
-    :func:`_compiled`.  A source is read only and equal only to itself.
+    text and install, and bound to ``constants`` by value once per source;
+    see :func:`_compiled`.  A source is read only and equal only to itself.
     """
 
     def __init__(self, dim: int, rates: str, constants: Mapping[str, object]) -> None:
@@ -146,8 +154,8 @@ class _Solution(Frozen):
     Called, it is ``exact(t)``: the solution at ``t`` as a tuple of floats,
     generated from the source's time terms and the text.  ``march`` is the
     source's, with the text inlined after each step (see
-    :func:`_kernel_text`).  Each is compiled on first use, once per text.  A
-    solution is read only and equal only to itself.
+    :func:`_kernel_text`).  Each is compiled on first use, once per text and
+    install.  A solution is read only and equal only to itself.
     """
 
     def __init__(self, source: _Source, text: str) -> None:
@@ -212,10 +220,12 @@ class RhsField(Record):
         g(t, (y1, ..., yd))`` with ``g`` a constant.
 
         The text is parsed, checked and compiled the first time the field is
-        stepped or evaluated, never here.  That first use raises
-        ``ValueError`` when a statement is not an assignment to names, a
-        name is used before it is known, a reserved, constant or time-term
-        name is assigned, or a rate is never assigned.
+        stepped or evaluated, never here; a process that finds the compiled
+        code in its cache file (see :func:`_compiled`) skips those steps.
+        That first use raises ``ValueError`` when a statement is not an
+        assignment to names, a name is used before it is known, a reserved,
+        constant or time-term name is assigned, or a rate is never
+        assigned; a text that does so is never cached.
         """
         return cls(dim=dim, evaluate=_Source(dim, rates, dict(constants)))
 
@@ -652,10 +662,74 @@ def _compiled(
     max |computed| and max |exact - computed| at grid point n + 1.
     Each stage is the field's text inlined, so the field is evaluated six
     times per macro step without a call.
+
+    The code of ``bind`` is kept in a file beside scheme's own bytecode
+    (:func:`_kernel_file`), so only a process that finds no file for these
+    arguments generates the text and compiles it; one that finds it imports
+    no ``ast``.  A file that cannot be read, or holds another key, is a miss
+    and is replaced unless ``sys.dont_write_bytecode`` is set; a file that
+    cannot be written is not written.  The file holds no constant's value.
     """
+    import marshal
+    import sys
+    from types import FunctionType
+
+    arguments = (function, dim, rates, constants, solution)
     namespace = {"isfinite": math.isfinite, "blowup": _step_blowup}
-    exec(_kernel_text(function, dim, rates, constants, solution), namespace)
-    return namespace["bind"]
+    path, key = _kernel_file(arguments)
+    if path is not None:
+        try:
+            with open(path, "rb") as stream:
+                stored, code = marshal.loads(stream.read())
+            if stored == key:
+                return FunctionType(code, namespace)
+        except (OSError, ValueError, EOFError, TypeError):
+            pass
+    exec(_kernel_text(*arguments), namespace)
+    bind = namespace["bind"]
+    if path is not None and not sys.dont_write_bytecode:
+        temporary = f"{path}.{os.getpid()}"  # this process's own; the replace is atomic
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(temporary, "xb") as stream:  # O_CREAT | O_EXCL
+                stream.write(marshal.dumps((key, bind.__code__)))
+            os.replace(temporary, path)
+        except OSError:
+            try:
+                os.unlink(temporary)
+            except OSError:
+                pass
+    return bind
+
+
+def _kernel_file(arguments: tuple) -> tuple[str | None, tuple]:
+    """The cache file of :func:`_compiled`'s ``arguments`` and the key it must hold.
+
+    The file is in the directory of scheme's own bytecode, as
+    ``importlib.util.cache_from_source`` names it (``__pycache__``, or a
+    directory under ``sys.pycache_prefix``), and its name is a CRC-32 and
+    an Adler-32 of the arguments and the interpreter's cache tag, so that a
+    changed ``scheme.py`` replaces a file rather than adding one.  The key
+    is the bytecode's magic number, ``sys.version``, the modification time
+    in nanoseconds and the size of ``scheme.py`` as this module was loaded
+    from it, as a ``.pyc`` is checked against its source, then the
+    arguments as they are: the field's text and its constants' names, never
+    their values.  The path is None where scheme has no file or the
+    interpreter no bytecode cache.
+    """
+    import sys
+    import zlib
+    from importlib.util import MAGIC_NUMBER, cache_from_source
+
+    tag = sys.implementation.cache_tag
+    if _SCHEME_STAT is None or tag is None:
+        return None, ()
+    name = repr((arguments, tag)).encode()
+    digest = f"{zlib.crc32(name):08x}{zlib.adler32(name):08x}"
+    directory = os.path.dirname(cache_from_source(__file__))
+    source = _SCHEME_STAT
+    key = (MAGIC_NUMBER, sys.version, source.st_mtime_ns, source.st_size, *arguments)
+    return os.path.join(directory, f"scheme.kernel-{digest}.{tag}"), key
 
 
 def heun_substep(
@@ -823,8 +897,9 @@ def integrate(
     ):
         raise ValueError("era starts must increase strictly from 0 or more to M + 1")
     h, source = grid.k / 3.0, _source(f)
-    march, maxima = source.march, ()
-    if exact is not None:
+    if exact is None:
+        march, maxima = source.march, ()
+    else:
         march = (exact if inlines_exact(f, exact) else _called(source, exact)).march
         maxima = tuple(zeroed_array(grid.M, grid.k, grid.M + 1) for _ in range(3))
     return _run(march, y, grid, h, sign.factor * (h / 2.0), starts, every, maxima)

@@ -285,14 +285,19 @@ def test_simulate_prints_a_share_too_large_to_round_as_it_is(tmp_path, capsys, t
     assert "error" not in captured.err
     with summary.open(newline="") as stream:
         rows = list(csv.reader(stream))[1:]
+    # the table's rate cell is the CSV's, with a percent sign
+    table = [line.split() for line in captured.out.splitlines()[1:]]
+    assert [line[-1] for line in table] == [f"{row[-1]}%" for row in rows]
     if text is OVERFLOWING_SUMS_CONFIG:
         assert [row[-1] for row in rows] == ["inf"] * 5
-        assert "inf%" in captured.out
     else:
-        # a finite share whose tenths overflow is written unrounded, as the average over N
+        # a finite share whose tenths overflow is written unrounded, as the average over N,
+        # in full: %.17g, which reads back bitwise, not .1f's 309 digits
         share, *others = (float(row[-1]) for row in rows)
         assert share == float(rows[0][-2]) / 1e-307 * 100.0
         assert share * 10.0 == float("inf")
+        assert rows[0][-1] == "%.17g" % share
+        assert table[0][-1] == "%.17g%%" % share
         assert all(0.0 <= other <= 100.0 for other in others)
 
 

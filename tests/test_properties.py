@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import math
+import sys
+import tempfile
 import textwrap
 from array import array
 from dataclasses import fields
@@ -37,6 +39,7 @@ from tristep import (
     positivity_step_bound,
     preset,
     preset_from_config,
+    problem,
 )
 from tristep import scheme, studies
 from tristep.cli import read_trajectory_csv, write_trajectory_csv
@@ -288,7 +291,11 @@ def test_config_round_trip_is_exact(case):
 
 
 def _compiled_texts(run):
-    """Every text compiled while ``run()`` runs on an empty kernel cache."""
+    """Every text compiled while ``run()`` runs on an empty kernel cache.
+
+    Both the process's cache and the cache files are empty: the files go to
+    a fresh directory, so that no file an earlier run wrote is read instead.
+    """
     texts = []
 
     def spy(text, namespace):
@@ -296,7 +303,11 @@ def _compiled_texts(run):
         exec(text, namespace)
 
     scheme._compiled.cache_clear()
-    with mock.patch.object(scheme, "exec", spy, create=True):
+    with (
+        tempfile.TemporaryDirectory() as empty,
+        mock.patch.object(sys, "pycache_prefix", empty),
+        mock.patch.object(scheme, "exec", spy, create=True),
+    ):
         run()
     return texts
 
@@ -326,6 +337,15 @@ def test_each_use_compiles_only_the_function_it_runs():
     # a run summed by eras and decimated compiles the same march
     fresh, eras = cp_rhs(preset("cameroon-1960").params), (0, 4, grid.M + 1)
     assert _compiled_texts(lambda: integrate(fresh, y, grid, eras=eras, every=3)) == [text("march")]
+    # a run against the field's own solution compiles the solution's march alone
+    example = problem("example1")
+    source, y0, solution = example.field.evaluate, example.y0, example.exact.text
+    solved = scheme._kernel_text("march", 3, source.rates, tuple(source.constants), solution)
+
+    def run():
+        integrate(example.field, y0, grid, every=None, exact=example.exact)
+
+    assert _compiled_texts(run) == [solved]
 
 
 @PROPERTY

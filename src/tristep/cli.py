@@ -266,6 +266,27 @@ def _probe_outputs(*paths: str | None) -> None:
             raise _cannot_write(path, exc)
 
 
+def _refuse_one_file_twice(**paths: str | None) -> None:
+    """Refuse before the run, as exit 2, two options that name one regular file.
+
+    An existing file is known by its device and inode, as ``os.path.samefile``
+    knows it, a new one by ``os.path.realpath``; a path written in place,
+    such as ``/dev/stdout`` or a FIFO, may be named twice.
+    """
+    named: dict[object, str] = {}
+    for option, path in paths.items():
+        try:
+            status = os.stat(path)
+            key = (status.st_dev, status.st_ino) if stat.S_ISREG(status.st_mode) else None
+        except FileNotFoundError:
+            key = os.path.realpath(path)
+        except (OSError, TypeError, ValueError):  # None, or a path its reader or writer refuses
+            key = None
+        if key is not None and named.setdefault(key, option) != option:
+            first, second = ("--" + name.replace("_", "-") for name in (named[key], option))
+            raise _Failure(EXIT_USAGE, f"{first} and {second} name the same file {path}")
+
+
 def _write_csv(path: str, write, *args) -> None:
     """Write ``path`` by ``write(stream, *args)`` where :func:`_destination` says.
 
@@ -317,6 +338,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _probe_outputs(args.out, args.summary_out)
+    _refuse_one_file_twice(config=args.config, out=args.out, summary_out=args.summary_out)
     if args.every < 1:
         raise _Failure(EXIT_USAGE, "--every must be a positive integer")
     if args.preset is not None:

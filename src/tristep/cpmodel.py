@@ -33,6 +33,7 @@ import math
 from .numerics import (
     Record,
     TimeGrid,
+    _DataclassFields,
     as_state,
     build_grid,
     era_starts,
@@ -94,6 +95,7 @@ class CpParams(Record):
         "sigma",  # susceptible -> honest rate
         "N",  # constant population size, persons
     )
+    __dataclass_fields__ = _DataclassFields()
 
     def __init__(
         self,
@@ -263,6 +265,7 @@ class EraPreset(Record):
     __slots__ = _fields + ("grid", "starts")
     grid: TimeGrid  # derived: the annotations give ``dataclasses.fields`` their types
     starts: tuple[int, ...]
+    __dataclass_fields__ = _DataclassFields()
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 

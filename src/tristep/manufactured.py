@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .numerics import Record
+from .numerics import Record, _DataclassFields
 from .scheme import RhsField
 
 TYPE_CHECKING = False
@@ -36,6 +36,7 @@ class ManufacturedProblem(Record):
     """
 
     __slots__ = _fields = ("label", "field", "exact", "t0", "T")
+    __dataclass_fields__ = _DataclassFields()
 
     def __init__(
         self,

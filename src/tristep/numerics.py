@@ -16,11 +16,11 @@ and run on one thread (:class:`one_blas_thread`), which holds the library
 at one thread, its worker threads joined, for a block such as a whole
 study, whoever loaded it; where there is no such library the squares are
 added in order.
-``TimeGrid`` and ``Trajectory`` are read-only ``__slots__`` classes on
-:class:`Frozen`; the value types of the other modules are :class:`Record`
-classes, which ``dataclasses.fields`` and ``dataclasses.replace`` accept.
-Importing the module imports neither ``dataclasses`` nor ``typing``, and
-generates and compiles no methods.
+Every tristep type has one base, :class:`Record`: read only, pickled
+through ``__init__``, and equal by value unless it sets ``object``'s
+equality back; four types opt into ``dataclasses``.  Importing the module
+imports neither ``dataclasses`` nor ``typing``, and generates and compiles
+no methods.
 """
 
 from __future__ import annotations
@@ -99,33 +99,6 @@ def as_state(values: Iterable[float], dim: int) -> np.ndarray:
     return np.array(finite_state_floats(values, dim), dtype=np.float64)
 
 
-class Frozen:
-    """Base of a value type whose attributes, once ``__init__`` has set them, are read only.
-
-    Assigning or deleting an attribute raises ``AttributeError``; ``__init__``
-    sets them through ``object.__setattr__``, as ``_set`` does.  The ``repr``
-    names every attribute of ``__slots__``, in order.  A value type stated by
-    its fields, which ``dataclasses`` accepts, is a :class:`Record`.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _set(self, *values: object) -> None:
-        """Set the attributes of ``__slots__`` to ``values``, in order; for ``__init__``."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-
 class _DataclassFields:
     """``__dataclass_fields__`` of a :class:`Record` class, built on first read.
 
@@ -134,12 +107,10 @@ class _DataclassFields:
     ``__init__`` or in the class body, each of ``_fields`` with its
     ``__init__`` default if it has one, every other one with ``init=False``
     and ``repr=False``.  The dict is then kept on the record's class, so it
-    is built once.
+    is built once and ``dataclasses`` is imported only by its callers.
     """
 
     def __get__(self, record: Record | None, cls: type[Record]) -> dict:
-        if not cls._fields:  # Record itself
-            raise AttributeError("__dataclass_fields__")
         import dataclasses
 
         init = cls.__init__
@@ -160,29 +131,38 @@ class _DataclassFields:
         return fields
 
 
-class Record(Frozen):
-    """A :class:`Frozen` value type stated by its fields, which ``dataclasses`` accepts.
+class Record:
+    """The one base of tristep's types: read only, stated by their fields.
 
     ``_fields`` names the arguments of ``__init__``, in order, as the first
-    attributes of ``__slots__``; any attribute after them is derived by
-    ``__init__``.  ``repr`` shows the fields; a record is equal to another of
-    its class whose fields are equal, and hashes them.  It pickles, copies
-    and ``__replace__``-s through ``__init__``, so its checks run again and
-    its derived attributes are derived again.
-
-    ``__dataclass_fields__`` is built on first read (see
-    :class:`_DataclassFields`), so ``dataclasses.fields``,
-    ``dataclasses.replace`` and ``dataclasses.is_dataclass`` accept a record
-    class and its values, and only a caller of them imports ``dataclasses``.
+    attributes of ``__slots__``; any after them is derived, and ``__init__``
+    sets them all through ``_set``.  Assigning or deleting one raises
+    ``AttributeError``; ``repr`` shows the fields; a record pickles and
+    copies through ``__init__``, so its checks run and its derived
+    attributes are derived again.  It is equal to a record of its class with
+    equal fields, and hashes them, unless its class sets ``__eq__`` and
+    ``__hash__`` back to ``object``'s.  Four classes opt into ``dataclasses``
+    with ``__dataclass_fields__ = _DataclassFields()``: ``CpParams``,
+    ``EraPreset``, ``RhsField`` and ``ManufacturedProblem``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    __dataclass_fields__ = _DataclassFields()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set(self, *values: object) -> None:
+        """Set the attributes of ``__slots__`` to ``values``, in order; for ``__init__``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -204,18 +184,19 @@ class Record(Frozen):
         return tuple(getattr(self, name) for name in self._fields)
 
 
-class TimeGrid(Frozen):
+class TimeGrid(Record):
     """Uniform partition of [t0, T] into M steps of size k = (T - t0) / M.
 
     The step ``k`` is derived from the other three fields, never passed.
     Grid point ``n`` sits at ``t0 + n * k`` for n = 0..M; the last point
     lands on T up to one unit in the last place.  Grids are read only, equal
-    when their four fields are, and hashable.  ``ValueError`` refuses an M
+    when their three fields are, and hashable.  ``ValueError`` refuses an M
     that is not an integer of at least one or is beyond the float range, and
     a k that is not a positive finite float, as from an infinite t0 or T.
     """
 
-    __slots__ = ("t0", "T", "M", "k")
+    _fields = ("t0", "T", "M")
+    __slots__ = _fields + ("k",)
 
     def __init__(self, t0: float, T: float, M: int) -> None:
         if not T > t0:
@@ -232,16 +213,8 @@ class TimeGrid(Frozen):
             raise ValueError(f"time grid requires a positive finite step, got k={k!r}")
         self._set(t0, T, M, k)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.t0, self.T, self.M, self.k) == (other.t0, other.T, other.M, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.t0, self.T, self.M, self.k))
-
-    def __reduce__(self) -> tuple:
-        return TimeGrid, (self.t0, self.T, self.M)
+    def __repr__(self) -> str:
+        return f"{super().__repr__()[:-1]}, k={self.k!r})"
 
     def time(self, n: int) -> float:
         """The grid point t_n = t0 + n * k."""
@@ -297,7 +270,7 @@ def zeroed_array(n: int, k: float, rows: int) -> array:
         raise ValueError(_DOES_NOT_FIT.format(k, rows)) from None
 
 
-class Trajectory(Frozen):
+class Trajectory(Record):
     """Grid samples of one integration run, and the sums its kernel took.
 
     ``values`` holds the kept states one after the other as one flat
@@ -318,9 +291,11 @@ class Trajectory(Frozen):
     ``array('d')``.  A trajectory is read only and equal only to itself.
     """
 
-    __slots__ = (
+    __slots__ = _fields = (
         "grid", "values", "every", "era_sums", "overall_sums", "negativity_flag", "maxima"
     )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,
@@ -340,9 +315,6 @@ class Trajectory(Frozen):
         if not whole:
             raise ValueError(f"trajectory must hold exactly {rows} state samples")
         self._set(grid, values, every, era_sums, overall_sums, negativity_flag, maxima)
-
-    def __reduce__(self) -> tuple:
-        return Trajectory, tuple(getattr(self, n) for n in self.__slots__)
 
     @property
     def dim(self) -> int:

@@ -34,13 +34,13 @@ before the first step.  A run raises one blow-up error, which the failing
 step builds and the driver completes; it carries floats: the last state as
 a tuple, the partial run as the kept rows in one flat ``array('d')``.
 
-``RhsField`` is a :class:`~tristep.numerics.Record`, which
-``dataclasses.replace`` accepts; the source a field wraps is a plain
-read-only class.  Importing the module imports neither ``dataclasses`` nor
-``typing`` and generates no methods; ``ast`` is imported when a field's
-text is first parsed, which a kernel found in its cache file skips, and the
-text is dedented as ``textwrap.dedent`` would, without importing
-``textwrap``.
+``RhsField`` is a :class:`~tristep.numerics.Record` that
+``dataclasses.replace`` accepts; the source a field wraps and its solutions
+are records equal only to themselves.  Importing the module imports
+neither ``dataclasses`` nor ``typing`` and generates no methods; ``ast`` is
+imported when a field's text is first parsed, which a kernel found in its
+cache file skips, and the text is dedented as ``textwrap.dedent`` would,
+without importing ``textwrap``.
 
 The default :class:`SignConvention` adds the averaged slopes, which is the
 choice forced by the second-order conditions.  ``MINUS`` subtracts them
@@ -61,10 +61,10 @@ from array import array
 
 from .numerics import (
     BLOCK_ROWS,
-    Frozen,
     Record,
     TimeGrid,
     Trajectory,
+    _DataclassFields,
     as_state,
     finite_state_floats,
     kept_count,
@@ -108,7 +108,7 @@ class SignConvention(enum.Enum):
         return 1.0 if self is SignConvention.PLUS else -1.0
 
 
-class _Source(Frozen):
+class _Source(Record):
     """A field's equations as text, with the constants the text names.
 
     Called, it is the field's array ``evaluate``: it checks the state's
@@ -118,16 +118,13 @@ class _Source(Frozen):
     see :func:`_compiled`.  A source is read only and equal only to itself.
     """
 
+    _fields = ("dim", "rates", "constants")
+    __slots__ = _fields + ("__dict__",)  # the compiled functions, once used
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __init__(self, dim: int, rates: str, constants: Mapping[str, object]) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "constants", constants)
-
-    def __repr__(self) -> str:
-        return f"_Source(dim={self.dim!r}, rates={self.rates!r}, constants={self.constants!r})"
-
-    def __reduce__(self) -> tuple:
-        return _Source, (self.dim, self.rates, self.constants)
+        self._set(dim, rates, constants)
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -148,7 +145,7 @@ class _Source(Frozen):
         return self._bound("march")
 
 
-class _Solution(Frozen):
+class _Solution(Record):
     """A closed-form solution, as text over the time terms of a field's source.
 
     Called, it is ``exact(t)``: the solution at ``t`` as a tuple of floats,
@@ -158,15 +155,16 @@ class _Solution(Frozen):
     install.  A solution is read only and equal only to itself.
     """
 
+    _fields = ("source", "text")
+    __slots__ = _fields + ("__dict__",)  # the compiled functions, once used
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __init__(self, source: _Source, text: str) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "text", text)
+        self._set(source, text)
 
     def __repr__(self) -> str:
         return f"_Solution(text={self.text!r})"
-
-    def __reduce__(self) -> tuple:
-        return _Solution, (self.source, self.text)
 
     def __call__(self, t: float) -> tuple[float, ...]:
         return self.exact(t)
@@ -191,6 +189,7 @@ class RhsField(Record):
     """
 
     __slots__ = _fields = ("dim", "evaluate")
+    __dataclass_fields__ = _DataclassFields()
 
     def __init__(self, dim: int, evaluate: Callable[[float, np.ndarray], np.ndarray]) -> None:
         dim = operator.index(dim)

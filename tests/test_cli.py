@@ -7,6 +7,7 @@ import contextlib
 import csv
 import errno
 import io
+import math
 import os
 import subprocess
 import sys
@@ -558,6 +559,57 @@ def test_a_nul_byte_in_an_output_path_is_refused_before_the_run(option, capsys, 
     assert capsys.readouterr().err == "error: embedded null byte\n"
 
 
+def _files(directory):
+    """Every entry under ``directory``: a link's target, a file's bytes, or None (a directory)."""
+    return {
+        path.relative_to(directory): os.readlink(path) if path.is_symlink()
+        else path.read_bytes() if path.is_file() else None
+        for path in directory.rglob("*")
+    }
+
+
+@pytest.mark.parametrize(
+    "first, second, names",
+    [
+        pytest.param("--config", "--out", ("run.cfg", "run.cfg"), id="config-out"),
+        pytest.param("--config", "--summary-out", ("run.cfg", "run.cfg"), id="config-summary"),
+        pytest.param("--out", "--summary-out", ("old.csv", "old.csv"), id="out-summary"),
+        pytest.param("--out", "--summary-out", ("new.csv", "new.csv"), id="out-summary-new"),
+        pytest.param("--config", "--out", ("run.cfg", "link.cfg"), id="config-out-link"),
+        pytest.param(
+            "--out", "--summary-out", ("new.csv", "link-new.csv"), id="out-summary-dangling-link"
+        ),
+    ],
+)
+def test_an_output_naming_the_config_or_the_other_output_is_refused_before_the_run(
+    first, second, names, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr("tristep.cli.run_scenario", _not_run)
+    (tmp_path / "run.cfg").write_text(FROZEN_CONFIG, encoding="utf-8")
+    (tmp_path / "old.csv").write_text("an earlier run\n", encoding="utf-8")
+    (tmp_path / "link.cfg").symlink_to("run.cfg")
+    (tmp_path / "link-new.csv").symlink_to("new.csv")
+    before = _files(tmp_path)
+    paths = {first: tmp_path / names[0], second: tmp_path / names[1]}
+    paths.setdefault("--config", tmp_path / "run.cfg")
+    # the later option first on the command line: the refusal keeps its own order
+    argv = ["simulate", *(f"{o}={p}" for o, p in reversed(list(paths.items())))]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {first} and {second} name the same file {paths[second]}\n"
+    )
+    assert _files(tmp_path) == before
+
+
+def test_outputs_written_in_place_may_be_named_twice():
+    argv = ["simulate", "--preset", "cameroon-1986", "--every", "4000"]
+    argv += ["--out", "/dev/stdout", "--summary-out", "/dev/stdout"]
+    result = _run_cli(argv, subprocess.PIPE)
+    assert result.returncode == EXIT_OK and result.stderr == ""
+    assert result.stdout.startswith("t,y1,y2,y3,y4,y5\n")
+    assert result.stdout.count("compartment,") == 1  # the summary CSV, then the table
+
+
 def test_simulate_every_decimates_but_keeps_last_row(tmp_path, capsys):
     config = tmp_path / "frozen.cfg"
     config.write_text(FROZEN_CONFIG, encoding="utf-8")
@@ -638,6 +690,17 @@ def test_round_half_away_from_zero():
     assert round_half_away(-0.25) == -0.3
     assert round_half_away(2.04) == 2.0
     assert round_half_away(99.96) == 100.0
+
+
+@pytest.mark.parametrize("value", [1.7e308, -1.7e308, math.inf, -math.inf])
+def test_round_half_away_returns_a_value_whose_tenths_overflow_as_it_is(value):
+    # _share_text tests the same condition first, so only a direct call gets here
+    assert round_half_away(value) == value
+    assert math.copysign(1.0, round_half_away(value)) == math.copysign(1.0, value)
+
+
+def test_round_half_away_returns_nan_as_nan():
+    assert math.isnan(round_half_away(math.nan))
 
 
 def test_roots_prints_the_four_lines_of_the_closed_form(capsys):
@@ -808,6 +871,65 @@ def test_main_restores_a_closed_stderr(monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "stderr", None)
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == EXIT_IO
     assert sys.stderr is None
+
+
+#: cheap argvs; ``{out}`` and ``{config}`` stand for a path in a fresh directory and a
+#: short configuration file of the named preset there
+CHEAP_ARGVS = [
+    ["roots"],
+    *(["converge", "example1", f"4..{hi}"] for hi in (4, 5, 6)),
+    # a blow-up at step 2542, before the summary table is printed
+    ["simulate", "--preset", "cameroon-1960", "--sign", "minus", "--every", "1000"],
+    ["simulate", "--preset", "cameroon-1960", "--sign", "minus", "--every", "1000", "--out={out}"],
+    *(["simulate", "--config={config}", label] for label in PRESET_LABELS),
+]
+STDIO_CONDITIONS = ["normal", "stdout-closed", "stderr-closed"]
+if os.path.exists("/dev/full"):
+    STDIO_CONDITIONS.append("stdout-full")
+
+
+def _documented_code(argv, condition):
+    """The exit code the CLI documents: a blow-up keeps 4, a failed stdout write is 3."""
+    if "minus" in argv:
+        return EXIT_BLOWUP
+    return EXIT_IO if condition.startswith("stdout-") else EXIT_OK
+
+
+# the interrupt stays a fixed case below: its timing cannot be drawn deterministically
+@settings(deadline=None, derandomize=True, database=None, max_examples=30)
+@given(st.sampled_from(CHEAP_ARGVS), st.sampled_from(STDIO_CONDITIONS))
+def test_every_stdio_condition_ends_in_the_documented_exit_code(template, condition):
+    with tempfile.TemporaryDirectory() as name, contextlib.ExitStack() as stack:
+        work = Path(name)
+        argv = template
+        if "--config={config}" in template:
+            *argv, label = template
+            config = work / "short.cfg"
+            config.write_text("\n".join(SHORT_CONFIGS[label]) + "\n", encoding="utf-8")
+        argv = [arg.format(out=work / "out.csv", config=work / "short.cfg") for arg in argv]
+        stdout, preexec_fn = subprocess.PIPE, None
+        if condition == "stdout-closed":
+            stdout, preexec_fn = None, _close_stdout
+        elif condition == "stdout-full":
+            stdout = stack.enter_context(open("/dev/full", "w"))
+        elif condition == "stderr-closed":
+            preexec_fn = _close_stderr
+        result = _run_cli(argv, stdout, preexec_fn=preexec_fn)
+
+    code = _documented_code(argv, condition)
+    assert result.returncode == code, (result.returncode, result.stderr)
+    text = result.stderr + (result.stdout or "")
+    assert "Traceback" not in text and "Exception ignored" not in text
+    errors = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert len(errors) <= 1
+    if condition == "stderr-closed":  # dropped, not sent to standard output
+        assert result.stderr == "" and "error:" not in result.stdout
+    elif code != EXIT_OK:
+        assert errors[0].startswith(
+            "error: cannot write standard output: "
+            if code == EXIT_IO
+            else "error: numerical blow-up at step 2542 "
+        )
 
 
 # the child interrupts itself while the convergence study runs
@@ -1031,6 +1153,8 @@ def _config_texts(draw):
 
 
 _targets = st.sampled_from([None, *TARGET_KINDS])
+#: a simulate output may also name the config it reads, or the other output
+_simulate_targets = st.sampled_from([None, *TARGET_KINDS, "config", "other-output"])
 _every = st.one_of(
     st.none(),
     st.sampled_from(["1", "3", "1000", str(10**20)]),
@@ -1057,7 +1181,7 @@ def _commands(draw):
     every = draw(_every)
     if every is not None:
         argv += ["--every", every]
-    targets = {"--out": draw(_targets), "--summary-out": draw(_targets)}
+    targets = {"--out": draw(_simulate_targets), "--summary-out": draw(_simulate_targets)}
     return "simulate", draw(_config_texts()), argv, targets
 
 
@@ -1114,11 +1238,21 @@ def test_every_outcome_is_an_exit_code_and_at_most_one_error_line(case):
             argv = ["converge", source, *argv]
         paths, links = {}, {}
         for option, kind in targets.items():
-            if kind is not None:
+            if kind not in (None, "config", "other-output"):
                 paths[option] = _target(work, kind, option.strip("-") + ".csv")
-                argv += [option, str(paths[option])]
                 if "link" in kind:
                     links[option] = os.readlink(paths[option])
+        for option, kind in sorted(targets.items(), key=lambda item: item[1] == "other-output"):
+            if kind == "config":
+                paths[option] = config
+            elif kind == "other-output":  # or, where it names none, a new file
+                other = "--summary-out" if option == "--out" else "--out"
+                paths[option] = paths.get(other, work / "shared.csv")
+        argv += [arg for option, path in paths.items() for arg in (option, str(path))]
+        named = [config, *paths.values()] if command == "simulate" else []
+        # one regular file, or one new path, for two options; /dev/full is written in place
+        twice = any(named.count(path) > 1 for path in named if path != Path("/dev/full"))
+        before = _files(work)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
@@ -1129,6 +1263,11 @@ def test_every_outcome_is_an_exit_code_and_at_most_one_error_line(case):
         rejected = lines and lines[0].startswith("usage: tristep")  # by argparse
         if UNCREATABLE.intersection(targets.values()) and not rejected:  # before any step
             assert code == EXIT_IO and not any("numerical blow-up" in line for line in lines)
+        elif twice and not rejected:  # before any step, and every file as it was
+            assert code == EXIT_USAGE and " name the same file " in errors[0], lines
+            assert _files(work) == before
+        if command == "simulate":
+            assert config.read_text(encoding="utf-8") == source
         if code == EXIT_OK:
             assert errors == []
         elif rejected:
@@ -1144,6 +1283,8 @@ def test_every_outcome_is_an_exit_code_and_at_most_one_error_line(case):
             assert os.readlink(paths[option]) == target
         for option, path in paths.items():
             kind = targets[option]
+            if kind in ("config", "other-output"):  # the file another option names
+                continue
             if kind == "missing-dir":
                 assert not path.parent.exists()
             elif kind in ("directory", "link-to-dir"):

@@ -177,6 +177,13 @@ def test_macro_step_rejects_nonpositive_step():
         advance_one_step(GROWTH, 0.0, np.ones(1), 0.0)
 
 
+@pytest.mark.parametrize("step", [advance_one_step, composed_step])
+@pytest.mark.parametrize("k", [0.0, -0.3, math.nan], ids=["zero", "negative", "nan"])
+def test_both_step_forms_refuse_a_step_size_that_is_not_positive(step, k):
+    with pytest.raises(ValueError, match="^step size k must be positive$"):
+        step(GROWTH, 0.0, np.ones(1), k)
+
+
 # ------------------------------------------------------- composed equivalence
 
 

@@ -31,6 +31,7 @@ or a summary are named tuples (``collections.namedtuple``).
 
 from __future__ import annotations
 
+import _signal  # loaded at every CPython's start-up, unlike signal
 import math
 import operator
 import os
@@ -126,13 +127,14 @@ def run_convergence_study(
     and a second busy process, which leaves no CPU idle, make it run
     serially.  The child runs on every CPU of this process but the one this
     process runs on, takes the three norms of its grid as any grid's
-    (:func:`_norms`), with the library it inherits from this process, and
-    writes them down a pipe: 24 bytes, bitwise this process's own, so the
-    table is bitwise the serial one.  Where the child fails in any way, by a
-    blow-up or a short write, this process integrates the finest grid
-    itself, and a blow-up raises the serial error.  The child is killed and
-    reaped however the study ends, a coarser grid's blow-up or an interrupt
-    included, and Linux kills it when a signal ends this process first.
+    (:func:`_norms`), with the kernels this process compiled and the
+    library it loaded before the fork, so it imports nothing, and writes
+    them down a pipe: 24 bytes, bitwise this process's own, so the table is
+    bitwise the serial one.  Where the child fails in any way, by a blow-up
+    or a short write, this process integrates the finest grid itself, and a
+    blow-up raises the serial error.  The child is killed and reaped however
+    the study ends, a coarser grid's blow-up or an interrupt included, and
+    Linux kills it when a signal ends this process first.
 
     Raises:
       ValueError: If the exponents are not strictly increasing positive ints,
@@ -246,21 +248,6 @@ def _runnable() -> int | None:
         return None
 
 
-def _end_with(parent: int) -> None:
-    """Have Linux kill this forked child as soon as its ``parent`` process ends.
-
-    A parent killed by a signal runs no ``finally`` to stop its child, so
-    the kernel does (``PR_SET_PDEATHSIG``).  Raises ``ProcessLookupError``
-    where the parent ended before the request was made.
-    """
-    import ctypes
-    import signal
-
-    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    if os.getppid() != parent:
-        raise ProcessLookupError(parent)
-
-
 class _FinestChild:
     """A forked child that runs a study's finest grid and writes its three norms down a pipe.
 
@@ -268,9 +255,10 @@ class _FinestChild:
     which is less than ``PIPE_BUF``: the write is atomic and never blocks.
     It writes once its run has returned, and always ends in ``os._exit``: 0
     once the norms are written, 1 on any failure, a blow-up included.  It
-    runs the parent's code on the parent's inputs, its norms on the
+    runs the parent's code on the parent's inputs: the kernels and the
+    initial state the parent made before the fork, and its norms on the
     library the parent loaded for them, so they are bitwise the parent's
-    own.
+    own, and it imports nothing.
     """
 
     __slots__ = ("pid", "pipe")
@@ -282,10 +270,13 @@ class _FinestChild:
     def start(
         cls, problem: ManufacturedProblem, grid: TimeGrid, sign: SignConvention, cpus: set[int]
     ) -> _FinestChild | None:
-        """Fork the child to run on ``cpus``; None where the pipe or the process cannot be made."""
+        """Fork the child to run on ``cpus``; None without ``ctypes``, a pipe or a process."""
+        problem.y0, problem.exact.march  # compiled here, so the child inherits them
         try:
+            import ctypes
+
             read_end, write_end = os.pipe()
-        except OSError:
+        except (ImportError, OSError):
             return None
         parent = os.getpid()
         try:
@@ -298,10 +289,13 @@ class _FinestChild:
             status = 1
             try:
                 os.close(read_end)
-                _end_with(parent)
-                os.sched_setaffinity(0, cpus)
-                os.write(write_end, array("d", _norms(problem, grid, sign)))
-                status = 0
+                # a parent killed by a signal runs no finally to stop its child,
+                # so Linux does, unless the parent ended before this request
+                ctypes.CDLL(None).prctl(1, _signal.SIGKILL)  # PR_SET_PDEATHSIG
+                if os.getppid() == parent:
+                    os.sched_setaffinity(0, cpus)
+                    os.write(write_end, array("d", _norms(problem, grid, sign)))
+                    status = 0
             except BaseException:  # the child reports through its exit status alone
                 pass
             finally:
@@ -340,9 +334,7 @@ class _FinestChild:
             if kill:
                 if os.waitpid(pid, os.WNOHANG)[0]:
                     return
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
+                os.kill(pid, _signal.SIGKILL)
             os.waitpid(pid, 0)
         except (ChildProcessError, ProcessLookupError):  # reaped already
             pass

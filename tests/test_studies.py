@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import dataclasses
 import errno
@@ -618,6 +619,99 @@ def test_the_child_runs_on_every_cpu_but_the_parents(monkeypatch):
     for steps, busy, cpus in ((least, 2, {0, 2}), (least - 1, 2, None), (least, 3, None)):
         monkeypatch.setattr(studies, "_runnable", lambda: busy)
         assert studies._child_cpus([coarse, build_grid(0.0, 1.0, 1.0 / steps)]) == cpus
+
+
+# argv: a file the child writes, once its norms are taken, the modules it added
+# since the fork and its CPUs; stdout: the CPUs the study gave it, every CPU of
+# this process but one
+CHILD_PROCESS = """
+import os, sys
+
+from tristep import example1, run_convergence_study, studies
+
+cpus = os.sched_getaffinity(0) - {min(os.sched_getaffinity(0))}
+studies._child_cpus = lambda grids: cpus
+fork, norms, parent, at_fork = os.fork, studies._norms, os.getpid(), set()
+
+def recorded():
+    at_fork.update(sys.modules)
+    return fork()
+
+def observed(problem, grid, sign):
+    taken = norms(problem, grid, sign)
+    if os.getpid() != parent:
+        seen = (sorted(set(sys.modules) - at_fork), sorted(os.sched_getaffinity(0)))
+        with open(sys.argv[1], "wb") as stream:
+            stream.write(repr(seen).encode())
+    return taken
+
+os.fork, studies._norms = recorded, observed
+run_convergence_study(example1(), range(4, 14))
+print(sorted(cpus))
+"""
+
+
+@FORKS
+def test_the_forked_child_imports_nothing_and_runs_on_the_cpus_it_was_given(tmp_path):
+    # a fresh interpreter, since this one has imported what a child might
+    seen = tmp_path / "child.txt"
+    result = subprocess.run(
+        [sys.executable, "-c", CHILD_PROCESS, str(seen)],
+        capture_output=True,
+        text=True,
+        env=tristep_env(),
+        check=True,
+        timeout=120,
+    )
+    added, cpus = ast.literal_eval(seen.read_text(encoding="ascii"))
+    assert added == []
+    assert cpus == ast.literal_eval(result.stdout)
+
+
+# argv: a file each process appends the pid and the function of every kernel it generates to;
+# stdout: the pids forked
+KERNELS_PROCESS = """
+import os, sys
+
+from tristep import example1, run_convergence_study, scheme, studies
+
+cpus = os.sched_getaffinity(0)
+studies._child_cpus = lambda grids: cpus
+scheme._kernel_file = lambda arguments: (None, ())  # no cache: each kernel is generated
+text, fork, forks = scheme._kernel_text, os.fork, []
+
+def logged(function, *arguments):
+    with open(sys.argv[1], "ab") as stream:
+        stream.write(f"{os.getpid()} {function}\\n".encode())
+    return text(function, *arguments)
+
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+scheme._kernel_text, os.fork = logged, counted
+run_convergence_study(example1(), range(4, 14))
+print(forks)
+"""
+
+
+@FORKS
+def test_a_cold_forked_study_generates_each_kernel_once(tmp_path):
+    log = tmp_path / "kernels.txt"
+    result = subprocess.run(
+        [sys.executable, "-c", KERNELS_PROCESS, str(log)],
+        capture_output=True,
+        text=True,
+        env=tristep_env(),
+        check=True,
+        timeout=120,
+    )
+    assert len(ast.literal_eval(result.stdout)) == 1
+    generated = sorted(line.split() for line in log.read_text(encoding="ascii").splitlines())
+    assert [function for pid, function in generated] == ["exact", "march"]
+    assert len({pid for pid, function in generated}) == 1
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
